@@ -2,7 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation (§6); the
 //! `kvcc-bench` binary dispatches to them and prints the same rows/series the
-//! paper reports. Criterion micro-benchmarks live under `benches/`.
+//! paper reports. Performance measurement of the whole pipeline lives in
+//! the standalone `perfbench/` package at the repository root.
 //!
 //! Every experiment takes a [`kvcc_datasets::suite::SuiteScale`]-like scale so the whole
 //! evaluation can be regenerated quickly (`tiny`) or at the paper-like
@@ -12,17 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod legacy;
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
 pub mod report;
 
 pub use report::Table;

@@ -28,14 +28,12 @@
 //!   [`KvccOptions::threads`] ≠ 1 they are processed by a pool of workers;
 //!   results and statistics merge deterministically (see
 //!   [`KvccOptions::threads`]).
-//! * The parallel runtime is a **work-stealing** pool by default
-//!   ([`crate::Scheduler::WorkStealing`]): each worker owns a deque it pushes
-//!   and pops LIFO (depth-first locality), idle workers steal FIFO from a
-//!   victim, and an oversized component can be *deferred* back onto the
-//!   worklist instead of cut in-worker
+//! * The parallel runtime is a **work-stealing** pool: each worker owns a
+//!   deque it pushes and pops LIFO (depth-first locality), idle workers steal
+//!   FIFO from a victim, and an oversized component can be *deferred* back
+//!   onto the worklist instead of cut in-worker
 //!   ([`KvccOptions::split_threshold`]) so one giant component fans out
-//!   across the pool. The PR 1 shared-queue runtime is retained as an
-//!   ablation baseline ([`crate::Scheduler::SharedQueue`]).
+//!   across the pool.
 //! * Every loop polls [`KvccOptions::budget`]; an expired deadline or a
 //!   cancelled token interrupts the run at the next checkpoint and returns
 //!   [`KvccError::Interrupted`] carrying the partial statistics.
@@ -51,7 +49,7 @@ use kvcc_graph::{CsrGraph, GraphView, SubgraphView, VertexId};
 
 use crate::error::KvccError;
 use crate::global_cut::{global_cut_with_scratch, CutScratch};
-use crate::options::{effective_threads, split_cost, AlgorithmVariant, KvccOptions, Scheduler};
+use crate::options::{effective_threads, split_cost, AlgorithmVariant, KvccOptions};
 use crate::partition::overlap_partition;
 use crate::result::{KVertexConnectedComponent, KvccResult};
 use crate::stats::{EnumerationStats, MemoryTracker};
@@ -172,14 +170,7 @@ impl KvccEnumerator {
         if threads <= 1 {
             self.run_sequential(k, initial, results, stats)
         } else {
-            match self.options.scheduler {
-                Scheduler::SharedQueue => {
-                    self.run_parallel_shared(k, initial, results, stats, threads)
-                }
-                Scheduler::WorkStealing => {
-                    self.run_parallel_stealing(k, initial, results, stats, threads)
-                }
-            }
+            self.run_parallel_stealing(k, initial, results, stats, threads)
         }
     }
 
@@ -225,135 +216,8 @@ impl KvccEnumerator {
         Ok(())
     }
 
-    /// The PR 1 parallel runtime, kept as the [`Scheduler::SharedQueue`]
-    /// ablation baseline: one queue behind a mutex drained by `threads`
-    /// workers, each with its own scratch arena and local result/statistics
-    /// buffers that are merged after the pool drains.
-    ///
-    /// The merge is deterministic because the *set* of work items processed
-    /// is independent of scheduling: every item is handled identically
-    /// regardless of which worker picks it up, counters are sums over items,
-    /// and the final component list is sorted. Only `elapsed`, the peak
-    /// memory estimate and the steal count vary between runs.
-    fn run_parallel_shared(
-        &self,
-        k: u32,
-        initial: Vec<WorkItem>,
-        results: &mut Vec<KVertexConnectedComponent>,
-        stats: &mut EnumerationStats,
-        threads: usize,
-    ) -> Result<(), KvccError> {
-        struct Shared {
-            queue: VecDeque<WorkItem>,
-            active: usize,
-            error: Option<KvccError>,
-        }
-        let queue_bytes = AtomicUsize::new(0);
-        let queue_peak = AtomicUsize::new(0);
-        let charge = |delta: usize| {
-            let now = queue_bytes.fetch_add(delta, Ordering::Relaxed) + delta;
-            queue_peak.fetch_max(now, Ordering::Relaxed);
-        };
-        for item in &initial {
-            charge(item.bytes());
-        }
-        let shared = Mutex::new(Shared {
-            queue: initial.into(),
-            active: 0,
-            error: None,
-        });
-        let ready = Condvar::new();
-
-        type WorkerOutput = (Vec<KVertexConnectedComponent>, EnumerationStats, usize);
-        let collected: Mutex<Vec<WorkerOutput>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local_results = Vec::new();
-                    let mut local_stats = EnumerationStats::default();
-                    let mut memory = MemoryTracker::new();
-                    let mut scratch = WorkerScratch::default();
-                    let mut created: Vec<WorkItem> = Vec::new();
-                    loop {
-                        // Pop one item, or exit when the queue has drained and
-                        // no worker can still produce more.
-                        let item = {
-                            let mut guard = shared.lock().unwrap();
-                            loop {
-                                if guard.error.is_some() {
-                                    break None;
-                                }
-                                if let Some(item) = guard.queue.pop_back() {
-                                    guard.active += 1;
-                                    break Some(item);
-                                }
-                                if guard.active == 0 {
-                                    break None;
-                                }
-                                guard = ready.wait(guard).unwrap();
-                            }
-                        };
-                        let Some(item) = item else { break };
-                        queue_bytes.fetch_sub(item.bytes(), Ordering::Relaxed);
-
-                        let outcome = if self.options.budget.expired() {
-                            Err(KvccError::from(Interrupted))
-                        } else {
-                            self.process_item(
-                                item,
-                                k,
-                                &mut created,
-                                &mut local_results,
-                                &mut local_stats,
-                                &mut memory,
-                                &mut scratch,
-                            )
-                        };
-                        // Charge only items that will actually be queued:
-                        // the Err arm discards `created`, and bytes charged
-                        // for discarded items would inflate the peak
-                        // estimate of an interrupted run forever.
-                        if outcome.is_ok() {
-                            for item in &created {
-                                charge(item.bytes());
-                            }
-                        }
-
-                        let mut guard = shared.lock().unwrap();
-                        guard.active -= 1;
-                        match outcome {
-                            Ok(()) => guard.queue.extend(created.drain(..)),
-                            Err(e) => {
-                                created.clear();
-                                guard.error.get_or_insert(e);
-                            }
-                        }
-                        // Wake everyone: new items may be available, or the
-                        // drain condition may now hold.
-                        ready.notify_all();
-                    }
-                    collected
-                        .lock()
-                        .unwrap()
-                        .push((local_results, local_stats, memory.peak()));
-                });
-            }
-        });
-
-        let error = shared.into_inner().unwrap().error;
-        self.merge_worker_outputs(
-            collected.into_inner().unwrap(),
-            results,
-            stats,
-            queue_peak.load(Ordering::Relaxed),
-            error,
-        )
-    }
-
-    /// The default parallel runtime ([`Scheduler::WorkStealing`]): one deque
-    /// per worker plus a small coordination lock used only for idle parking
-    /// and termination.
+    /// The parallel runtime: one deque per worker plus a small coordination
+    /// lock used only for idle parking and termination.
     ///
     /// * **Owner path** — a worker pushes the items it creates onto the back
     ///   of its own deque and pops from the back (LIFO): partition pieces
@@ -374,9 +238,13 @@ impl KvccEnumerator {
     ///   item during its scan or observes the bumped version and re-scans —
     ///   wakeups cannot be lost.
     ///
-    /// Output determinism is inherited from the shared-queue runtime: the
-    /// processed item *set* is scheduling-independent, so everything except
-    /// `elapsed`, the memory estimate and `steals` merges identically.
+    /// Each worker keeps its own scratch arena and local result/statistics
+    /// buffers, merged after the pool drains. The merge is deterministic
+    /// because the *set* of work items processed is independent of
+    /// scheduling: every item is handled identically regardless of which
+    /// worker picks it up, counters are sums over items, and the final
+    /// component list is sorted. Only `elapsed`, the memory estimate and
+    /// `steals` vary between runs.
     fn run_parallel_stealing(
         &self,
         k: u32,
@@ -408,8 +276,7 @@ impl KvccEnumerator {
         });
         // Lock-free mirror of `coord.error.is_some()`, checked before every
         // pop so workers stop promptly after any worker fails instead of
-        // draining the remaining queue (the shared-queue runtime gets the
-        // same behaviour from its per-pop error check).
+        // draining the remaining queue.
         let failed = std::sync::atomic::AtomicBool::new(false);
         let ready = Condvar::new();
         let deques: Vec<Mutex<VecDeque<WorkItem>>> =
@@ -561,8 +428,8 @@ impl KvccEnumerator {
         for (local_results, local_stats, peak) in outputs {
             results.extend(local_results);
             // Worker-local stats have zero `elapsed` and zero peak memory, so
-            // the shared merge only accumulates the order-independent
-            // counters here; the peak estimate is assembled below.
+            // the merge only accumulates the order-independent counters
+            // here; the peak estimate is assembled below.
             stats.merge(&local_stats);
             scratch_peak = scratch_peak.max(peak);
         }
@@ -665,8 +532,8 @@ impl KvccEnumerator {
     /// The skew-aware splitting decision: defer when the component's
     /// [`split_cost`] exceeds [`KvccOptions::split_threshold`]. A function of
     /// the item content only, so the processed item *set* — and with it every
-    /// deterministic counter — is identical for every thread count and
-    /// scheduler at a fixed threshold.
+    /// deterministic counter — is identical for every thread count at a fixed
+    /// threshold.
     fn should_defer(&self, sub: &CsrGraph, k: u32) -> bool {
         self.options
             .split_threshold
@@ -902,40 +769,33 @@ mod tests {
         }
         let g = UndirectedGraph::from_edges(24, edges).unwrap();
         let reference = enumerate_kvccs(&g, 2, &KvccOptions::default()).unwrap();
-        for scheduler in [
-            crate::Scheduler::SharedQueue,
-            crate::Scheduler::WorkStealing,
-        ] {
-            for threshold in [None, Some(0), Some(10)] {
-                for threads in [1usize, 2, 4] {
-                    let opts = KvccOptions::default()
-                        .with_threads(threads)
-                        .with_scheduler(scheduler)
-                        .with_split_threshold(threshold);
-                    let r = enumerate_kvccs(&g, 2, &opts).unwrap();
-                    let label =
-                        format!("{scheduler:?}, threshold {threshold:?}, {threads} threads");
-                    assert_eq!(r.components(), reference.components(), "{label}");
-                    assert_eq!(
-                        r.stats().partitions,
-                        reference.stats().partitions,
-                        "{label}"
-                    );
-                    assert_eq!(
-                        r.stats().global_cut_calls,
-                        reference.stats().global_cut_calls,
-                        "{label}"
-                    );
-                    assert!(!r.stats().cancelled);
-                    assert!(r.stats().work_items_executed > 0, "{label}");
-                    if threshold == Some(0) {
-                        // Forced splitting must actually defer something on a
-                        // worklist with shrinking items.
-                        assert!(r.stats().splits > 0, "{label}");
-                    }
-                    if threshold.is_none() {
-                        assert_eq!(r.stats().splits, 0, "{label}");
-                    }
+        for threshold in [None, Some(0), Some(10)] {
+            for threads in [1usize, 2, 4] {
+                let opts = KvccOptions::default()
+                    .with_threads(threads)
+                    .with_split_threshold(threshold);
+                let r = enumerate_kvccs(&g, 2, &opts).unwrap();
+                let label = format!("threshold {threshold:?}, {threads} threads");
+                assert_eq!(r.components(), reference.components(), "{label}");
+                assert_eq!(
+                    r.stats().partitions,
+                    reference.stats().partitions,
+                    "{label}"
+                );
+                assert_eq!(
+                    r.stats().global_cut_calls,
+                    reference.stats().global_cut_calls,
+                    "{label}"
+                );
+                assert!(!r.stats().cancelled);
+                assert!(r.stats().work_items_executed > 0, "{label}");
+                if threshold == Some(0) {
+                    // Forced splitting must actually defer something on a
+                    // worklist with shrinking items.
+                    assert!(r.stats().splits > 0, "{label}");
+                }
+                if threshold.is_none() {
+                    assert_eq!(r.stats().splits, 0, "{label}");
                 }
             }
         }

@@ -8,10 +8,10 @@
 //! 2. test every pair of neighbours of `u` (covers cuts containing `u`,
 //!    Lemma 4).
 //!
-//! `GLOBAL-CUT*` adds: the sparse certificate as the flow substrate, strong
-//! side-vertex source selection, the distance-descending processing order and
-//! — crucially — the neighbor-sweep and group-sweep rules that skip most
-//! `LOC-CUT` invocations (§5, Table 2).
+//! Both run their flow probes on the sparse certificate (§4.2).
+//! `GLOBAL-CUT*` adds strong side-vertex source selection, the
+//! distance-descending processing order and — crucially — the neighbor-sweep
+//! and group-sweep rules that skip most `LOC-CUT` invocations (§5, Table 2).
 //!
 //! The functions are generic over [`GraphView`], and the flow network lives
 //! in a caller-owned [`CutScratch`] arena so that a worklist issuing many
@@ -21,7 +21,7 @@ use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::traversal::vertices_by_descending_distance;
 use kvcc_graph::{GraphView, VertexId};
 
-use crate::certificate::{sparse_certificate, SparseCertificate, NO_GROUP};
+use crate::certificate::{sparse_certificate, NO_GROUP};
 use crate::options::KvccOptions;
 use crate::side_vertex::strong_side_vertices;
 use crate::stats::EnumerationStats;
@@ -107,26 +107,21 @@ pub fn global_cut_with_scratch<G: GraphView>(
     let optimised = neighbor_sweep || group_sweep;
 
     // --- Certificate and side-groups (§4.2, §5.2). ---
-    let needs_certificate = options.use_sparse_certificate || group_sweep;
-    let certificate: Option<SparseCertificate> = if needs_certificate {
-        Some(sparse_certificate(g, k))
+    let certificate = sparse_certificate(g, k);
+    stats.certificate_edges += certificate.num_edges() as u64;
+    stats.side_groups += certificate.side_groups.len() as u64;
+    let (side_groups, group_of): (&[Vec<VertexId>], Vec<u32>) = if group_sweep {
+        (&certificate.side_groups, certificate.group_of.clone())
     } else {
-        None
-    };
-    if let Some(cert) = &certificate {
-        stats.certificate_edges += cert.num_edges() as u64;
-        stats.side_groups += cert.side_groups.len() as u64;
-    }
-    let (side_groups, group_of): (&[Vec<VertexId>], Vec<u32>) = match (&certificate, group_sweep) {
-        (Some(cert), true) => (&cert.side_groups, cert.group_of.clone()),
-        _ => (&[], vec![NO_GROUP; n]),
+        (&[], vec![NO_GROUP; n])
     };
 
     // --- Strong side-vertices (§5.1.1). ---
     // Computed on the current subgraph `g` rather than the certificate: the
-    // Theorem 8 condition over the *full* neighbourhood of a vertex is what
-    // makes the sweep rules provably safe (see DESIGN.md), and `g` has already
-    // been shrunk by k-core pruning and earlier partitions.
+    // sweep rules of §5.1 are proved safe (Theorem 8) for the condition over
+    // the *full* neighbourhood of a vertex, which the certificate may have
+    // thinned; `g` has already been shrunk by k-core pruning and earlier
+    // partitions.
     let strong: Vec<bool> = if optimised {
         let s = strong_side_vertices(g, k, options.max_degree_for_side_vertex_check);
         stats.strong_side_vertices += s.iter().filter(|&&x| x).count() as u64;
@@ -136,17 +131,13 @@ pub fn global_cut_with_scratch<G: GraphView>(
     };
 
     // --- Source selection (Algorithm 3, lines 4-7). ---
-    let source = select_source(g, &strong, options, optimised);
+    let source = select_source(g, &strong);
 
-    // --- Flow arena over the substrate (certificate when enabled, otherwise
-    // the subgraph itself). Rebuilding reuses the buffers of previous probes.
+    // --- Flow arena over the certificate. Rebuilding reuses the buffers of
+    // previous probes.
     let flow = &mut scratch.flow;
-    match (&certificate, options.use_sparse_certificate) {
-        (Some(cert), true) => flow.rebuild(&cert.graph),
-        _ => flow.rebuild(g),
-    }
-    let scratch_memory_bytes =
-        flow.memory_bytes() + certificate.as_ref().map(|c| c.memory_bytes()).unwrap_or(0);
+    flow.rebuild(&certificate.graph);
+    let scratch_memory_bytes = flow.memory_bytes() + certificate.memory_bytes();
 
     // Flow cap per LOC-CUT probe: `k` (stop at the k-th augmenting path,
     // Lemma 6) unless the unbounded ablation asks for the exact value, in
@@ -169,7 +160,9 @@ pub fn global_cut_with_scratch<G: GraphView>(
         state.sweep(&ctx, source, SweepCause::SourceOrTested);
     }
 
-    let order: Vec<VertexId> = if optimised && options.order_by_distance {
+    // Farthest-first (Algorithm 3, line 11); the basic algorithm tests in
+    // vertex-id order.
+    let order: Vec<VertexId> = if optimised {
         vertices_by_descending_distance(g, source)
     } else {
         (0..n as VertexId).filter(|&v| v != source).collect()
@@ -177,13 +170,11 @@ pub fn global_cut_with_scratch<G: GraphView>(
 
     for v in order {
         if optimised && state.is_pruned(v) {
-            if options.collect_statistics {
-                match state.cause(v) {
-                    SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
-                    SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
-                    SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
-                    SweepCause::SourceOrTested => {}
-                }
+            match state.cause(v) {
+                SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
+                SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
+                SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
+                SweepCause::SourceOrTested => {}
             }
             continue;
         }
@@ -233,26 +224,17 @@ pub fn global_cut_with_scratch<G: GraphView>(
     })
 }
 
-/// Chooses the source vertex: a strong side-vertex when available and allowed
-/// (which makes phase 2 unnecessary), otherwise a vertex of minimum degree.
-fn select_source<G: GraphView>(
-    g: &G,
-    strong: &[bool],
-    options: &KvccOptions,
-    optimised: bool,
-) -> VertexId {
-    if optimised && options.prefer_side_vertex_source {
-        let candidate = strong
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(v, _)| v as VertexId)
-            .min_by_key(|&v| g.degree(v));
-        if let Some(v) = candidate {
-            return v;
-        }
-    }
-    g.min_degree_vertex()
+/// Chooses the source vertex: a strong side-vertex when one was detected
+/// (which makes phase 2 unnecessary; only the sweep variants detect them),
+/// otherwise a vertex of minimum degree.
+fn select_source<G: GraphView>(g: &G, strong: &[bool]) -> VertexId {
+    strong
+        .iter()
+        .enumerate()
+        .filter(|(_, &s)| s)
+        .map(|(v, _)| v as VertexId)
+        .min_by_key(|&v| g.degree(v))
+        .or_else(|| g.min_degree_vertex())
         .expect("global_cut requires a non-empty graph")
 }
 
@@ -267,10 +249,9 @@ fn select_source<G: GraphView>(
 /// than `k`.
 ///
 /// The adjacency shortcut is evaluated on the current subgraph `g`; the flow
-/// runs on whatever substrate the arena was last rebuilt with (the sparse
-/// certificate, a subgraph of `g`, or `g` itself). Non-adjacency in `g`
-/// implies non-adjacency in any subgraph, so the unchecked flow entry point
-/// is safe.
+/// runs on the sparse certificate the arena was rebuilt with, a subgraph of
+/// `g`. Non-adjacency in `g` implies non-adjacency in any subgraph, so the
+/// unchecked flow entry point is safe.
 #[allow(clippy::too_many_arguments)]
 fn loc_cut<G: GraphView>(
     flow: &mut VertexFlowGraph,
@@ -456,10 +437,11 @@ mod tests {
     #[test]
     fn ablation_options_still_produce_valid_results() {
         let g = two_blocks();
+        // No strong side-vertex survives a degree cap of 0, so the source
+        // falls back to a minimum-degree vertex and phase 2 runs.
         let opts = KvccOptions {
-            use_sparse_certificate: false,
-            order_by_distance: false,
-            prefer_side_vertex_source: false,
+            max_degree_for_side_vertex_check: Some(0),
+            k_bounded_flow: false,
             ..KvccOptions::default()
         };
         let mut stats = EnumerationStats::default();

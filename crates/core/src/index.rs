@@ -1394,6 +1394,7 @@ mod tests {
             // An empty batch still advances the epoch.
             vec![],
         ];
+        let mut rebuilt = Vec::new();
         for (i, batch) in batches.iter().enumerate() {
             delta.apply(batch).unwrap();
             let report = index
@@ -1401,6 +1402,7 @@ mod tests {
                 .unwrap();
             assert_eq!(report.epoch, (i + 1) as u64);
             assert_eq!(index.epoch(), report.epoch);
+            rebuilt.push(report.rebuilt);
             let mut fresh =
                 ConnectivityIndex::build(&delta, None, &KvccOptions::default()).unwrap();
             fresh.set_epoch(index.epoch());
@@ -1410,6 +1412,10 @@ mod tests {
                 "batch {i}: incremental repair must equal a full rebuild"
             );
         }
+        // Each non-empty batch touches a level-1 component holding more than
+        // half of the 9 vertices, which takes the blast-radius fallback; the
+        // empty batch touches nothing.
+        assert_eq!(rebuilt, [true, true, true, false]);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use kvcc_graph::{DeltaGraph, EdgeUpdate, UpdateOp};
 // The cancellation token lives in `kvcc-flow` (the lowest crate that polls
 // it); re-exported here because `KvccOptions::budget` is its primary home.
 pub use kvcc_flow::{Budget, Interrupted};
-pub use options::{effective_threads, split_cost, AlgorithmVariant, KvccOptions, Scheduler};
+pub use options::{effective_threads, split_cost, AlgorithmVariant, KvccOptions};
 pub use query::kvccs_containing;
 pub use result::{KVertexConnectedComponent, KvccResult};
 pub use stats::EnumerationStats;

@@ -56,23 +56,6 @@ impl AlgorithmVariant {
     }
 }
 
-/// Which parallel runtime drains the `KVCC-ENUM` worklist when
-/// [`KvccOptions::threads`] asks for more than one worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Scheduler {
-    /// One shared queue behind a mutex, every pop contended (the PR 1
-    /// runtime). Kept as the ablation baseline the `pr5` benchmark compares
-    /// against.
-    SharedQueue,
-    /// Per-worker deques with work stealing: each worker pushes and pops its
-    /// own deque LIFO (depth-first locality, bounded queue growth) and idle
-    /// workers steal FIFO from a victim's opposite end (the oldest — and on
-    /// a skewed worklist typically largest — item, maximising the stolen
-    /// granularity). The default.
-    #[default]
-    WorkStealing,
-}
-
 /// The scheduling cost estimate of one work item: `|E| + k·|V|`.
 ///
 /// `|E|` approximates the cost of one sparse-certificate construction and
@@ -86,8 +69,12 @@ pub fn split_cost(num_vertices: usize, num_edges: usize, k: u32) -> u64 {
 }
 
 /// Tuning knobs of the enumeration. The defaults reproduce `VCCE*` exactly as
-/// described in the paper; the additional switches exist for the ablation
-/// benchmarks called out in `DESIGN.md`.
+/// described in the paper: the flow runs on the sparse certificate (§4.2), a
+/// strong side-vertex is preferred as the source (Algorithm 3, lines 4–7) and
+/// phase-1 vertices are tested farthest-first (line 11). The knobs pick the
+/// Fig. 10 variant, bound the side-vertex detection cost, select the
+/// k-bounded or exact flow probe, and configure the parallel runtime and
+/// cancellation.
 ///
 /// Equality ignores the [`budget`](KvccOptions::budget): the budget is a
 /// runtime attachment (two configurations are "the same algorithm" whether
@@ -96,18 +83,6 @@ pub fn split_cost(num_vertices: usize, num_edges: usize, k: u32) -> u64 {
 pub struct KvccOptions {
     /// Which sweep strategies are enabled.
     pub variant: AlgorithmVariant,
-    /// Use the sparse certificate (§4.2) as the substrate of the flow
-    /// computations. Disabling this runs the flow on the full subgraph
-    /// (ablation only; the certificate is always computed when group sweep is
-    /// enabled because the side-groups are derived from it).
-    pub use_sparse_certificate: bool,
-    /// Process phase-1 vertices in non-ascending order of BFS distance from
-    /// the source (Algorithm 3, line 11). Disabling falls back to vertex-id
-    /// order (ablation only).
-    pub order_by_distance: bool,
-    /// Prefer a strong side-vertex as the source vertex, which allows skipping
-    /// phase 2 entirely (Algorithm 3, lines 4–7).
-    pub prefer_side_vertex_source: bool,
     /// Vertices whose degree exceeds this threshold are conservatively treated
     /// as *not* strong side-vertices, bounding the `O(Σ d(w)²)` detection cost
     /// (Lemma 14) on graphs with extreme hubs. `None` means no cap. Only
@@ -116,19 +91,16 @@ pub struct KvccOptions {
     /// Cap every `LOC-CUT` max-flow at `k` augmenting paths (Lemma 6): the
     /// probe only has to certify `κ(u, v) >= k`, so Dinic stops at the k-th
     /// path and skips the final level BFS once the bound is met. Disabling
-    /// computes the exact local connectivity per probe — the unbounded
-    /// baseline the `pr3` benchmark compares against; output is identical
+    /// computes the exact local connectivity per probe — the reference the
+    /// parity tests compare the bounded probe against; output is identical
     /// either way.
     pub k_bounded_flow: bool,
-    /// Record per-rule sweep counters (Table 2). Negligible cost; kept as an
-    /// option so micro-benchmarks can exclude it.
-    pub collect_statistics: bool,
     /// Number of worker threads for the `KVCC-ENUM` worklist.
     ///
     /// * `1` (the default) — sequential processing, exactly the paper's
     ///   Algorithm 1.
     /// * `0` — use [`std::thread::available_parallelism`].
-    /// * `n > 1` — a fixed pool of `n` workers.
+    /// * `n > 1` — a fixed work-stealing pool of `n` workers.
     ///
     /// The pieces produced by `OVERLAP-PARTITION` are independent, so workers
     /// process them concurrently with per-thread scratch arenas. Results and
@@ -137,9 +109,6 @@ pub struct KvccOptions {
     /// `elapsed`, the peak-memory estimate and the steal count depend on
     /// scheduling.
     pub threads: usize,
-    /// Which parallel runtime drains the worklist (ignored when the run is
-    /// sequential). See [`Scheduler`].
-    pub scheduler: Scheduler,
     /// Skew-aware work splitting: a surviving component whose
     /// [`split_cost`] exceeds this threshold is pushed back onto the
     /// worklist as its own work item instead of being cut in-worker, so a
@@ -163,14 +132,9 @@ impl Default for KvccOptions {
     fn default() -> Self {
         KvccOptions {
             variant: AlgorithmVariant::Full,
-            use_sparse_certificate: true,
-            order_by_distance: true,
-            prefer_side_vertex_source: true,
             max_degree_for_side_vertex_check: Some(4096),
             k_bounded_flow: true,
-            collect_statistics: true,
             threads: 1,
-            scheduler: Scheduler::WorkStealing,
             split_threshold: None,
             budget: Budget::unlimited(),
         }
@@ -182,14 +146,9 @@ impl PartialEq for KvccOptions {
     /// runtime attachment is deliberately excluded (see the type docs).
     fn eq(&self, other: &Self) -> bool {
         self.variant == other.variant
-            && self.use_sparse_certificate == other.use_sparse_certificate
-            && self.order_by_distance == other.order_by_distance
-            && self.prefer_side_vertex_source == other.prefer_side_vertex_source
             && self.max_degree_for_side_vertex_check == other.max_degree_for_side_vertex_check
             && self.k_bounded_flow == other.k_bounded_flow
-            && self.collect_statistics == other.collect_statistics
             && self.threads == other.threads
-            && self.scheduler == other.scheduler
             && self.split_threshold == other.split_threshold
     }
 }
@@ -257,12 +216,6 @@ impl KvccOptions {
         self
     }
 
-    /// Selects the parallel runtime (see [`Scheduler`]).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the skew-aware splitting threshold (see
     /// [`KvccOptions::split_threshold`]).
     pub fn with_split_threshold(mut self, threshold: Option<u64>) -> Self {
@@ -314,8 +267,6 @@ mod tests {
     fn defaults_are_the_full_algorithm() {
         let opts = KvccOptions::default();
         assert_eq!(opts.variant, AlgorithmVariant::Full);
-        assert!(opts.use_sparse_certificate);
-        assert!(opts.order_by_distance);
         assert_eq!(KvccOptions::full(), opts);
         assert_eq!(KvccOptions::basic().variant, AlgorithmVariant::Basic);
         assert_eq!(
@@ -330,7 +281,6 @@ mod tests {
             KvccOptions::for_variant(AlgorithmVariant::Basic).variant,
             AlgorithmVariant::Basic
         );
-        assert_eq!(opts.scheduler, Scheduler::WorkStealing);
         assert_eq!(opts.split_threshold, None);
         assert!(opts.budget.is_unlimited());
     }
@@ -341,10 +291,6 @@ mod tests {
         assert_eq!(armed, KvccOptions::default());
         let different = KvccOptions::default().with_split_threshold(Some(100));
         assert_ne!(different, KvccOptions::default());
-        assert_ne!(
-            KvccOptions::default().with_scheduler(Scheduler::SharedQueue),
-            KvccOptions::default()
-        );
     }
 
     #[test]

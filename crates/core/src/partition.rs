@@ -17,7 +17,8 @@ use kvcc_graph::{GraphView, VertexId};
 ///
 /// If `cut` is *not* actually a cut of `g` the function returns a single set
 /// containing every vertex — callers treat that as the degenerate case and
-/// fall back to a recomputed cut (see `DESIGN.md`).
+/// fall back to a recomputed cut (the recut fallback in `enumerate.rs`,
+/// counted by [`crate::stats::EnumerationStats::fallback_recuts`]).
 pub fn overlap_partition<G: GraphView>(g: &G, cut: &[VertexId]) -> Vec<Vec<VertexId>> {
     let n = g.num_vertices();
     let mut alive = kvcc_graph::bitset::BitSet::filled(n);

@@ -44,17 +44,19 @@ pub struct EnumerationStats {
     /// Number of side-groups (size > k) collected across all calls.
     pub side_groups: u64,
     /// Times the defensive "recompute the cut on the full subgraph" fallback
-    /// fired (expected to stay 0; see `DESIGN.md`).
+    /// fired. Expected to stay 0: the cut comes from a flow on the sparse
+    /// certificate, which preserves every vertex cut of size `< k`
+    /// (Theorem 5), so it also separates the subgraph it is applied to.
     pub fallback_recuts: u64,
     /// Work items drained from the `KVCC-ENUM` worklist (initial k-core
     /// components + partition pieces + deferred splits). Deterministic for a
     /// fixed [`crate::KvccOptions::split_threshold`], independent of thread
-    /// count and scheduler.
+    /// count.
     pub work_items_executed: u64,
-    /// Work items a worker took from another worker's deque
-    /// ([`crate::options::Scheduler::WorkStealing`] only). The one counter
-    /// that is genuinely scheduling-dependent: it varies run to run and is
-    /// reported for observability, never compared for parity.
+    /// Work items a worker took from another worker's deque (parallel runs
+    /// only). The one counter that is genuinely scheduling-dependent: it
+    /// varies run to run and is reported for observability, never compared
+    /// for parity.
     pub steals: u64,
     /// Components deferred back onto the worklist by skew-aware splitting
     /// instead of being cut in-worker (see

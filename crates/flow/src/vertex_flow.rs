@@ -368,6 +368,38 @@ mod tests {
     }
 
     #[test]
+    fn oversized_arena_routes_like_a_fresh_build() {
+        // An arena grown past the graph it now holds routes every probe like
+        // a freshly built one: two K6 blocks sharing three vertices plus a
+        // pendant tail, every ordered pair, limits below, at and above the
+        // block connectivity.
+        let mut edges = Vec::new();
+        for base in [0u32, 3] {
+            for i in 0..6 {
+                for j in (i + 1)..6 {
+                    edges.push((base + i, base + j));
+                }
+            }
+        }
+        edges.extend([(8, 9), (9, 10)]);
+        let blocks = UndirectedGraph::from_edges(11, edges).unwrap();
+        let mut flow = VertexFlowGraph::empty();
+        flow.rebuild(&complete(44));
+        flow.rebuild(&blocks);
+        for s in blocks.vertices() {
+            for t in blocks.vertices().filter(|&t| t != s) {
+                for limit in [1u32, 3, 16] {
+                    assert_eq!(
+                        flow.max_flow_value(s, t, limit),
+                        VertexFlowGraph::build(&blocks).max_flow_value(s, t, limit),
+                        "probe {s}->{t} limit {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn boolean_probe_matches_the_cut_probe() {
         let g = two_cliques_with_two_cut_vertices();
         let mut flow = VertexFlowGraph::build(&g);

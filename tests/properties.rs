@@ -145,8 +145,8 @@ fn every_reported_component_is_k_connected_even_with_ablation() {
         let g = random_graph(case, 30, 140);
         for k in 2u32..=4 {
             let options = KvccOptions {
-                use_sparse_certificate: false,
-                order_by_distance: false,
+                max_degree_for_side_vertex_check: Some(0),
+                k_bounded_flow: false,
                 ..KvccOptions::default()
             };
             let result = enumerate_kvccs(&g, k, &options).unwrap();

@@ -4,7 +4,6 @@
 //! *scheduling* changes: on the planted-partition, Fig. 1 and collaboration
 //! suites, every combination of
 //!
-//! * scheduler ({shared-queue, work-stealing}),
 //! * thread count ({2, 3, 8} — plus the sequential reference),
 //! * forced split threshold ({off, 0 = split everything splittable, a
 //!   moderate cost bound})
@@ -18,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use kvcc::{enumerate_kvccs, Budget, KvccError, KvccOptions, Scheduler};
+use kvcc::{enumerate_kvccs, Budget, KvccError, KvccOptions};
 use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
 use kvcc_datasets::figure1::figure1_graph;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
@@ -56,33 +55,28 @@ fn stealing_and_splitting_match_sequential_byte_for_byte() {
     for (name, g, k_max) in suites() {
         for k in 2..=k_max {
             let sequential = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
-            for scheduler in [Scheduler::SharedQueue, Scheduler::WorkStealing] {
-                for threshold in [None, Some(0), Some(400)] {
-                    for threads in [2usize, 3, 8] {
-                        let opts = KvccOptions::default()
-                            .with_threads(threads)
-                            .with_scheduler(scheduler)
-                            .with_split_threshold(threshold);
-                        let run = enumerate_kvccs(&g, k, &opts).unwrap();
-                        let label = format!(
-                            "{name}, k {k}, {scheduler:?}, threshold {threshold:?}, \
-                             {threads} threads"
-                        );
-                        assert_eq!(run.components(), sequential.components(), "{label}");
-                        // Deterministic counters: the processed item set is
-                        // scheduling-independent (splits/work items depend
-                        // only on the threshold, checked separately below).
-                        let (s, p) = (sequential.stats(), run.stats());
-                        assert_eq!(p.global_cut_calls, s.global_cut_calls, "{label}");
-                        assert_eq!(p.partitions, s.partitions, "{label}");
-                        assert_eq!(p.loc_cut_flow_calls, s.loc_cut_flow_calls, "{label}");
-                        assert_eq!(p.tested_vertices, s.tested_vertices, "{label}");
-                        assert_eq!(
-                            p.kcore_removed_vertices, s.kcore_removed_vertices,
-                            "{label}"
-                        );
-                        assert!(!p.cancelled, "{label}");
-                    }
+            for threshold in [None, Some(0), Some(400)] {
+                for threads in [2usize, 3, 8] {
+                    let opts = KvccOptions::default()
+                        .with_threads(threads)
+                        .with_split_threshold(threshold);
+                    let run = enumerate_kvccs(&g, k, &opts).unwrap();
+                    let label =
+                        format!("{name}, k {k}, threshold {threshold:?}, {threads} threads");
+                    assert_eq!(run.components(), sequential.components(), "{label}");
+                    // Deterministic counters: the processed item set is
+                    // scheduling-independent (splits/work items depend
+                    // only on the threshold, checked separately below).
+                    let (s, p) = (sequential.stats(), run.stats());
+                    assert_eq!(p.global_cut_calls, s.global_cut_calls, "{label}");
+                    assert_eq!(p.partitions, s.partitions, "{label}");
+                    assert_eq!(p.loc_cut_flow_calls, s.loc_cut_flow_calls, "{label}");
+                    assert_eq!(p.tested_vertices, s.tested_vertices, "{label}");
+                    assert_eq!(
+                        p.kcore_removed_vertices, s.kcore_removed_vertices,
+                        "{label}"
+                    );
+                    assert!(!p.cancelled, "{label}");
                 }
             }
         }
@@ -101,21 +95,17 @@ fn split_counters_depend_only_on_the_threshold() {
             )
             .unwrap();
             for threads in [2usize, 8] {
-                for scheduler in [Scheduler::SharedQueue, Scheduler::WorkStealing] {
-                    let opts = KvccOptions::default()
-                        .with_threads(threads)
-                        .with_scheduler(scheduler)
-                        .with_split_threshold(threshold);
-                    let run = enumerate_kvccs(&g, k, &opts).unwrap();
-                    let label =
-                        format!("{name}, {scheduler:?}, threshold {threshold:?}, {threads} thr");
-                    assert_eq!(run.stats().splits, base.stats().splits, "{label}");
-                    assert_eq!(
-                        run.stats().work_items_executed,
-                        base.stats().work_items_executed,
-                        "{label}"
-                    );
-                }
+                let opts = KvccOptions::default()
+                    .with_threads(threads)
+                    .with_split_threshold(threshold);
+                let run = enumerate_kvccs(&g, k, &opts).unwrap();
+                let label = format!("{name}, threshold {threshold:?}, {threads} thr");
+                assert_eq!(run.stats().splits, base.stats().splits, "{label}");
+                assert_eq!(
+                    run.stats().work_items_executed,
+                    base.stats().work_items_executed,
+                    "{label}"
+                );
             }
         }
     }
@@ -255,21 +245,16 @@ fn batch_deadlines_interrupt_between_and_inside_requests() {
 #[test]
 fn library_level_cancellation_is_deterministic_and_reusable() {
     let (g, k) = heavy_workload();
-    // A cancelled token (no deadline) interrupts both runtimes.
-    for scheduler in [Scheduler::SharedQueue, Scheduler::WorkStealing] {
-        let budget = Budget::cancellable();
-        budget.cancel();
-        let opts = KvccOptions::default()
-            .with_threads(3)
-            .with_scheduler(scheduler)
-            .with_budget(budget);
-        match enumerate_kvccs(&g, k, &opts) {
-            Err(KvccError::Interrupted { stats }) => {
-                assert!(stats.cancelled, "{scheduler:?}");
-                assert_eq!(stats.work_items_executed, 0, "{scheduler:?}");
-            }
-            other => panic!("{scheduler:?}: expected an interrupt, got {other:?}"),
+    // A cancelled token (no deadline) interrupts the parallel runtime.
+    let budget = Budget::cancellable();
+    budget.cancel();
+    let opts = KvccOptions::default().with_threads(3).with_budget(budget);
+    match enumerate_kvccs(&g, k, &opts) {
+        Err(KvccError::Interrupted { stats }) => {
+            assert!(stats.cancelled);
+            assert_eq!(stats.work_items_executed, 0);
         }
+        other => panic!("expected an interrupt, got {other:?}"),
     }
     // A mid-run deadline reports partial progress in the carried stats.
     let opts = KvccOptions::default()

@@ -63,36 +63,6 @@ fn ablation_switches_do_not_change_results() {
     let k = 9u32;
     let reference = components_of(&g, k, &KvccOptions::default());
 
-    let no_certificate = KvccOptions {
-        use_sparse_certificate: false,
-        ..KvccOptions::default()
-    };
-    assert_eq!(
-        components_of(&g, k, &no_certificate),
-        reference,
-        "certificate ablation"
-    );
-
-    let no_distance_order = KvccOptions {
-        order_by_distance: false,
-        ..KvccOptions::default()
-    };
-    assert_eq!(
-        components_of(&g, k, &no_distance_order),
-        reference,
-        "ordering ablation"
-    );
-
-    let no_ssv_source = KvccOptions {
-        prefer_side_vertex_source: false,
-        ..KvccOptions::default()
-    };
-    assert_eq!(
-        components_of(&g, k, &no_ssv_source),
-        reference,
-        "source-selection ablation"
-    );
-
     let capped_ssv = KvccOptions {
         max_degree_for_side_vertex_check: Some(0),
         ..KvccOptions::default()
@@ -101,16 +71,6 @@ fn ablation_switches_do_not_change_results() {
         components_of(&g, k, &capped_ssv),
         reference,
         "SSV degree-cap ablation"
-    );
-
-    let no_stats = KvccOptions {
-        collect_statistics: false,
-        ..KvccOptions::default()
-    };
-    assert_eq!(
-        components_of(&g, k, &no_stats),
-        reference,
-        "statistics toggle"
     );
 }
 
