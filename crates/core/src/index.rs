@@ -126,13 +126,9 @@ const INDEX_WIRE_MAGIC: [u8; 4] = *b"KIDX";
 /// Version byte of the index wire format; bump on incompatible changes.
 /// Version 2 switched the node records to the shared varint/delta codec
 /// ([`kvcc_graph::codec`]) and added per-node internal edge counts. Version
-/// 3 added the mutation [`epoch`](ConnectivityIndex::epoch) varint;
-/// version-2 buffers are still accepted and restore with epoch 0 (an index
-/// persisted before the mutable-graph subsystem has, by definition, seen no
-/// updates).
+/// 3 added the mutation [`epoch`](ConnectivityIndex::epoch) varint. Only
+/// version 3 is read: every writer emits it.
 const INDEX_WIRE_VERSION: u8 = 3;
-/// The previous wire version, accepted on read with an implied epoch of 0.
-const INDEX_WIRE_VERSION_V2: u8 = 2;
 /// Fixed part of the header: magic + version + `num_vertices` (kept
 /// fixed-width so [`ConnectivityIndex::peek_num_vertices`] works without
 /// varint parsing; the depth limit and node count that follow are varints).
@@ -458,7 +454,7 @@ impl ConnectivityIndex {
     pub fn peek_num_vertices(bytes: &[u8]) -> Option<usize> {
         if bytes.len() < INDEX_WIRE_HEADER
             || bytes[..4] != INDEX_WIRE_MAGIC
-            || !matches!(bytes[4], INDEX_WIRE_VERSION | INDEX_WIRE_VERSION_V2)
+            || bytes[4] != INDEX_WIRE_VERSION
         {
             return None;
         }
@@ -536,17 +532,14 @@ impl ConnectivityIndex {
         if bytes[..4] != INDEX_WIRE_MAGIC {
             return Err(malformed("bad magic (not a connectivity-index buffer)"));
         }
-        let version = bytes[4];
-        if !matches!(version, INDEX_WIRE_VERSION | INDEX_WIRE_VERSION_V2) {
-            // Version 2 is accepted with an implied epoch of 0 (see
-            // [`INDEX_WIRE_VERSION`]). Deliberately no version-1 fallback:
-            // v1 buffers carry no internal edge counts, and they cannot be
-            // reconstructed here without the graph — a zero-filled restore
-            // would fail the service's install validation anyway. Rebuild
-            // and re-persist.
+        if bytes[4] != INDEX_WIRE_VERSION {
+            // Deliberately no fallback for older versions: v1 buffers carry
+            // no internal edge counts, which cannot be reconstructed here
+            // without the graph, and v2 buffers carry no epoch. Rebuild and
+            // re-persist.
             return Err(malformed(
-                "unsupported index format version (v1 buffers predate the \
-                 ranking metadata; rebuild the index and persist it again)",
+                "unsupported index format version (rebuild the index and \
+                 persist it again)",
             ));
         }
         let mut r = Reader::new(&bytes[5..]);
@@ -560,11 +553,7 @@ impl ConnectivityIndex {
             0 => None,
             cap_plus_one => Some(cap_plus_one - 1),
         };
-        let epoch = if version == INDEX_WIRE_VERSION {
-            r.varint_u64().ok_or_else(|| malformed("epoch truncated"))?
-        } else {
-            0
-        };
+        let epoch = r.varint_u64().ok_or_else(|| malformed("epoch truncated"))?;
         let num_nodes = r
             .varint_u32()
             .ok_or_else(|| malformed("node count truncated"))? as usize;
@@ -1453,7 +1442,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_roundtrips_and_v2_buffers_imply_epoch_zero() {
+    fn epoch_roundtrips_and_v2_buffers_are_rejected() {
         let g = mixed_graph();
         let mut index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
         index.set_epoch(712);
@@ -1463,18 +1452,20 @@ mod tests {
         assert_eq!(back.epoch(), 712);
         assert_eq!(back.to_bytes(), bytes);
 
-        // A version-2 buffer (predating the epoch varint) still loads and
-        // restores with epoch 0, re-serialising as version 3.
+        // A version-2 buffer (predating the epoch varint) is refused as an
+        // unsupported version, like version 1.
         index.set_epoch(0);
-        let v3 = index.to_bytes();
-        let mut v2 = v3.clone();
-        v2[4] = super::INDEX_WIRE_VERSION_V2;
+        let mut v2 = index.to_bytes();
+        v2[4] = 2;
         assert_eq!(v2[super::INDEX_WIRE_HEADER + 1], 0, "epoch varint");
         v2.remove(super::INDEX_WIRE_HEADER + 1);
-        assert_eq!(ConnectivityIndex::peek_num_vertices(&v2), Some(9));
-        let restored = ConnectivityIndex::from_bytes(&v2).unwrap();
-        assert_eq!(restored.epoch(), 0);
-        assert_eq!(restored.to_bytes(), v3);
+        assert_eq!(ConnectivityIndex::peek_num_vertices(&v2), None);
+        match ConnectivityIndex::from_bytes(&v2) {
+            Err(kvcc_graph::GraphError::MalformedBytes { reason }) => {
+                assert!(reason.starts_with("unsupported index format version"));
+            }
+            other => panic!("expected an unsupported-version error, got {other:?}"),
+        }
     }
 
     #[test]

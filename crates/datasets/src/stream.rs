@@ -215,7 +215,7 @@ impl Iterator for CommunityEdges {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcc_graph::{GraphLoader, StreamingEdgeListLoader};
+    use kvcc_graph::StreamingEdgeListLoader;
 
     #[test]
     fn edge_count_matches_the_formula_and_is_deterministic() {

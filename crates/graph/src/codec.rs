@@ -1,11 +1,8 @@
 //! Shared variable-length byte codec for every wire format in the workspace.
 //!
-//! The LEB128 varint and delta-row primitives were born inside
-//! [`crate::CompressedCsrGraph`]'s adjacency compression; they are exactly
-//! what the serialised work items, the persisted connectivity index and the
-//! `kvcc-service` protocol need too, so they live here and every format
-//! shares one implementation (the compressed graph module re-exports them
-//! for compatibility).
+//! The compact CSR form, the serialised work items, the persisted
+//! connectivity index and the `kvcc-service` protocol all store LEB128
+//! varints and delta-encoded id rows, so they share this one implementation.
 //!
 //! Three layers:
 //!
@@ -234,8 +231,8 @@ pub fn decode_row(bytes: &[u8], at: usize, count: usize) -> Option<(Vec<VertexId
 }
 
 /// [`decode_row`] into a caller-provided buffer (cleared first), returning
-/// the end position. Lets callers with a recycled buffer — e.g. a pooled
-/// decode cache — reuse its capacity instead of allocating per row.
+/// the end position. Lets callers that decode many rows reuse one buffer's
+/// capacity instead of allocating per row.
 ///
 /// Decodes gap varints four at a time through a masked quad decode (see
 /// [`decode_row_append`]); accepts and rejects exactly the same inputs as
@@ -276,8 +273,8 @@ pub fn decode_row_scalar_into(
 }
 
 /// [`decode_row_into`] that **appends** to `row` instead of clearing it,
-/// letting streaming consumers (e.g. `CompressedCsrGraph::to_csr`) decode
-/// many rows into one flat output buffer without an intermediate copy.
+/// letting streaming consumers decode many rows into one flat output buffer
+/// (e.g. a CSR neighbour array) without an intermediate copy.
 ///
 /// The hot path reads an 8-byte window, gathers its continuation bits into a
 /// byte with a SWAR movemask, and decodes the next four gap varints through
@@ -484,6 +481,45 @@ mod tests {
         assert_eq!(varint::decode_u64(&overlong, 0), None);
         let eleven = [0x80u8; 11];
         assert_eq!(varint::decode_u64(&eleven, 0), None);
+    }
+
+    #[test]
+    fn varint_roundtrip_edge_values() {
+        let mut buf = Vec::new();
+        let values = [0u32, 1, 127, 128, 16_383, 16_384, u32::MAX - 1, u32::MAX];
+        for &v in &values {
+            buf.clear();
+            varint::encode_u32(v, &mut buf);
+            assert_eq!(varint::decode_u32(&buf, 0), Some((v, buf.len())), "{v}");
+        }
+        // Truncated stream.
+        assert_eq!(varint::decode_u32(&[0x80], 0), None);
+        // Overlong stream (6 continuation bytes).
+        assert_eq!(
+            varint::decode_u32(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 0),
+            None
+        );
+        // Fifth byte overflowing the u32 value space.
+        assert_eq!(varint::decode_u32(&[0xFF, 0xFF, 0xFF, 0xFF, 0x7F], 0), None);
+    }
+
+    #[test]
+    fn row_codec_roundtrip() {
+        let mut buf = Vec::new();
+        let rows: Vec<Vec<VertexId>> = vec![
+            vec![],
+            vec![7],
+            vec![0, 1, 2, 3],
+            vec![5, 900, 901, 1_000_000],
+        ];
+        for row in rows {
+            buf.clear();
+            encode_row(&row, &mut buf);
+            let (back, end) = decode_row(&buf, 0, row.len()).unwrap();
+            assert_eq!(back, row);
+            assert_eq!(end, buf.len());
+        }
+        assert_eq!(decode_row(&[0x03], 0, 2), None, "truncation is detected");
     }
 
     #[test]

@@ -30,14 +30,11 @@ pub struct EdgeIngestStats {
 
 /// Magic bytes opening every serialised CSR buffer.
 pub(crate) const CSR_WIRE_MAGIC: [u8; 4] = *b"KCSR";
-/// Version byte of the fixed-width wire format.
-const CSR_WIRE_VERSION: u8 = 1;
-/// Version byte of the varint/delta compact wire format.
+/// Version byte of the varint/delta compact wire format. Version 1, a
+/// fixed-width layout, is no longer read or written.
 const CSR_WIRE_VERSION_COMPACT: u8 = 2;
 /// Version byte of the aligned, zero-copy-capable layout ([`crate::kcsr`]).
 pub(crate) const CSR_WIRE_VERSION_ALIGNED: u8 = 3;
-/// Header size: magic + version + `n` + neighbour count.
-const CSR_WIRE_HEADER: usize = 4 + 1 + 4 + 4;
 /// Compact header size: magic + version + `n` (the neighbour count is
 /// implied by the per-row degree varints).
 const CSR_COMPACT_HEADER: usize = 4 + 1 + 4;
@@ -183,9 +180,10 @@ impl CsrGraph {
     }
 
     /// Assembles a graph directly from its two flat arrays. Internal
-    /// constructor for passes that produce already-valid CSR data (reordering,
-    /// varint decompression); the [`GraphView`] invariants are only
-    /// debug-asserted, so every crate-internal producer must guarantee them.
+    /// constructor for passes that produce already-valid CSR data
+    /// (reordering, the streaming loader's merge, `KCSR` decoding); the
+    /// [`GraphView`] invariants are only debug-asserted, so every
+    /// crate-internal producer must guarantee them.
     pub(crate) fn from_parts(offsets: Vec<u32>, neighbors: Vec<VertexId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(
@@ -261,35 +259,11 @@ impl CsrGraph {
         &self.neighbors
     }
 
-    /// Serialises the graph into a self-describing, endian-stable byte
-    /// buffer (no third-party serializer; see the format notes on
-    /// [`CsrGraph::from_bytes`]).
-    ///
-    /// Layout: magic `b"KCSR"`, format version `u8`, then `n` and
-    /// `len(neighbors)` as little-endian `u32`, then the `n + 1` offsets and
-    /// the neighbour array, all little-endian `u32`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(CSR_WIRE_HEADER + 4 * (self.offsets.len() + self.neighbors.len()));
-        out.extend_from_slice(&CSR_WIRE_MAGIC);
-        out.push(CSR_WIRE_VERSION);
-        out.extend_from_slice(&(self.num_vertices() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.neighbors.len() as u32).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &w in &self.neighbors {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Serialises the graph into the **compact** wire form: the same header
-    /// style as [`CsrGraph::to_bytes`] (magic, version 2, `n` little-endian)
-    /// but rows stored as a degree varint followed by the delta + varint
-    /// encoding of the sorted neighbour slice ([`crate::codec::encode_row`]).
-    /// On typical graphs this is 2–4× smaller than the fixed-width form;
-    /// [`CsrGraph::from_bytes`] accepts both versions.
+    /// Serialises the graph into the **compact** wire form: magic `b"KCSR"`,
+    /// version 2 and `n` as a little-endian `u32`, then every row as a degree
+    /// varint followed by the delta + varint encoding of the sorted
+    /// neighbour slice ([`crate::codec::encode_row`]). On typical graphs this
+    /// is 2–4× smaller than storing each id as a fixed 4-byte word.
     pub fn to_bytes_compact(&self) -> Vec<u8> {
         let n = self.num_vertices();
         // Small gaps dominate after sorting, so reserve roughly one byte per
@@ -306,8 +280,8 @@ impl CsrGraph {
         out
     }
 
-    /// Deserialises a buffer produced by [`CsrGraph::to_bytes`] or
-    /// [`CsrGraph::to_bytes_compact`], validating the structural invariants
+    /// Deserialises a buffer produced by [`CsrGraph::to_bytes_compact`] or
+    /// [`CsrGraph::to_bytes_aligned`], validating the structural invariants
     /// (monotone offsets, in-range and per-row strictly-sorted neighbours,
     /// symmetric adjacency) so a corrupted or hostile buffer can never
     /// produce a graph that later panics.
@@ -324,7 +298,6 @@ impl CsrGraph {
             return Err(malformed("bad magic (not a CSR graph buffer)"));
         }
         let (offsets, neighbors) = match bytes[4] {
-            CSR_WIRE_VERSION => Self::parse_fixed(bytes)?,
             CSR_WIRE_VERSION_COMPACT => Self::parse_compact(bytes)?,
             // The aligned layout carries its own header checksum and runs the
             // same row validation internally, so it returns directly.
@@ -334,45 +307,6 @@ impl CsrGraph {
         let graph = CsrGraph { offsets, neighbors };
         graph.validate_rows()?;
         Ok(graph)
-    }
-
-    /// Parses the version-1 fixed-width layout into `(offsets, neighbors)`.
-    fn parse_fixed(bytes: &[u8]) -> Result<(Vec<u32>, Vec<VertexId>), GraphError> {
-        let malformed = |reason: &'static str| GraphError::MalformedBytes { reason };
-        if bytes.len() < CSR_WIRE_HEADER {
-            return Err(malformed("buffer shorter than the header"));
-        }
-        let read_u32 =
-            |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let n = read_u32(5) as usize;
-        let num_neighbors = read_u32(9) as usize;
-        let expected = (CSR_WIRE_HEADER)
-            .checked_add(
-                4usize
-                    .checked_mul(n + 1)
-                    .ok_or_else(|| malformed("vertex count overflows"))?,
-            )
-            .and_then(|t| t.checked_add(4 * num_neighbors))
-            .ok_or_else(|| malformed("header sizes overflow"))?;
-        if bytes.len() != expected {
-            return Err(malformed("buffer length disagrees with the header"));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            offsets.push(read_u32(CSR_WIRE_HEADER + 4 * i));
-        }
-        if offsets[0] != 0 || offsets[n] as usize != num_neighbors {
-            return Err(malformed("offset array does not span the adjacency"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed("offsets must be non-decreasing"));
-        }
-        let base = CSR_WIRE_HEADER + 4 * (n + 1);
-        let mut neighbors = Vec::with_capacity(num_neighbors);
-        for i in 0..num_neighbors {
-            neighbors.push(read_u32(base + 4 * i));
-        }
-        Ok((offsets, neighbors))
     }
 
     /// Parses the version-2 varint/delta layout into `(offsets, neighbors)`.
@@ -497,7 +431,7 @@ impl CsrGraph {
 
 /// The row invariants every untrusted-input loader must enforce before
 /// handing out a graph: in-range, strictly sorted, loop-free rows and a
-/// symmetric adjacency. Shared by all three wire-format versions (the
+/// symmetric adjacency. Shared by both wire-format versions (the
 /// aligned loaders in [`crate::kcsr`] run it over the borrowed view, so the
 /// zero-copy path gets exactly the same guarantees as the decoders).
 pub(crate) fn validate_view_rows<G: GraphView>(g: &G) -> Result<(), GraphError> {
@@ -684,62 +618,33 @@ mod tests {
     }
 
     #[test]
-    fn byte_roundtrip_preserves_the_graph() {
-        let g = CsrGraph::from_edges(5, two_triangles_edges()).unwrap();
-        let bytes = g.to_bytes();
-        let back = CsrGraph::from_bytes(&bytes).unwrap();
-        assert_eq!(back, g);
-        // Empty graphs roundtrip too.
-        let empty = CsrGraph::new(0);
-        assert_eq!(CsrGraph::from_bytes(&empty.to_bytes()).unwrap(), empty);
-        let isolated = CsrGraph::new(3);
-        assert_eq!(
-            CsrGraph::from_bytes(&isolated.to_bytes()).unwrap(),
-            isolated
-        );
-    }
-
-    #[test]
     fn from_bytes_rejects_corrupted_buffers() {
         let g = CsrGraph::from_edges(5, two_triangles_edges()).unwrap();
-        let good = g.to_bytes();
-
-        let assert_malformed = |bytes: &[u8]| {
-            assert!(matches!(
-                CsrGraph::from_bytes(bytes),
-                Err(GraphError::MalformedBytes { .. })
-            ));
+        let good = g.to_bytes_compact();
+        let reason_of = |bytes: &[u8]| match CsrGraph::from_bytes(bytes) {
+            Err(GraphError::MalformedBytes { reason }) => reason,
+            other => panic!("expected MalformedBytes, got {other:?}"),
         };
-        assert_malformed(&good[..3]); // truncated header
-        assert_malformed(&good[..good.len() - 4]); // truncated body
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
-        assert_malformed(&bad_magic);
+        assert_eq!(reason_of(&bad_magic), "bad magic (not a CSR graph buffer)");
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert_malformed(&bad_version);
+        // Version 1 (the retired fixed-width layout) is refused like any
+        // unknown version.
+        for version in [1u8, 99] {
+            let mut bad_version = good.clone();
+            bad_version[4] = version;
+            assert_eq!(reason_of(&bad_version), "unsupported format version");
+        }
 
-        // Out-of-range neighbour id.
+        // Out-of-range neighbour id: the last row is vertex 4's [2, 3], whose
+        // final byte is the gap varint; a gap of 100 decodes to 103 >= n.
         let mut bad_neighbor = good.clone();
         let len = bad_neighbor.len();
-        bad_neighbor[len - 4..].copy_from_slice(&1000u32.to_le_bytes());
-        assert_malformed(&bad_neighbor);
-
-        // Structurally well-formed but asymmetric: vertex 0 lists 1, vertex 1
-        // lists nothing. Downstream algorithms assume symmetry, so this must
-        // be rejected (not just debug-asserted).
-        let mut asymmetric = Vec::new();
-        asymmetric.extend_from_slice(b"KCSR");
-        asymmetric.push(1); // version
-        asymmetric.extend_from_slice(&2u32.to_le_bytes()); // n
-        asymmetric.extend_from_slice(&1u32.to_le_bytes()); // neighbour count
-        for offset in [0u32, 1, 1] {
-            asymmetric.extend_from_slice(&offset.to_le_bytes());
-        }
-        asymmetric.extend_from_slice(&1u32.to_le_bytes()); // 0 -> 1 only
-        assert_malformed(&asymmetric);
+        assert_eq!(bad_neighbor[len - 1], 0, "gap 3 - 2 - 1");
+        bad_neighbor[len - 1] = 100;
+        assert_eq!(reason_of(&bad_neighbor), "neighbour id out of range");
     }
 
     #[test]
@@ -747,8 +652,11 @@ mod tests {
         let g = CsrGraph::from_edges(5, two_triangles_edges()).unwrap();
         let compact = g.to_bytes_compact();
         assert_eq!(CsrGraph::from_bytes(&compact).unwrap(), g);
+        // The retired fixed-width v1 layout: 13-byte header, then n + 1
+        // offsets and 2m neighbours as 4-byte words.
+        let fixed_v1 = 13 + 4 * (g.num_vertices() + 1) + 8 * g.num_edges();
         assert!(
-            compact.len() < g.to_bytes().len(),
+            compact.len() < fixed_v1,
             "compact form must be smaller than fixed-width on a real graph"
         );
         // Empty and edgeless graphs roundtrip too.

@@ -16,10 +16,9 @@
 //! vertices serve their base row directly — a delta over a million-vertex
 //! graph that mutates a handful of vertices costs a handful of rows.
 //!
-//! Once the overlay grows past a size ratio (see
-//! [`DeltaGraph::needs_compaction`]) the graph should be re-materialised into
-//! a clean CSR via [`DeltaGraph::compact`], which folds the overlay into a
-//! fresh base and resets the side structures.
+//! [`DeltaGraph::compact`] (or [`DeltaGraph::into_csr`]) re-materialises the
+//! graph into a clean CSR, folding the overlay into a fresh base and
+//! resetting the side structures.
 //!
 //! Updates are tolerant in the same way [`crate::GraphBuilder`] is: inserting
 //! an edge that already exists, deleting one that does not, and self-loops
@@ -158,18 +157,6 @@ impl DeltaGraph {
         self.overlay_inserted + self.overlay_deleted
     }
 
-    /// Overlay size relative to the base edge count (`overlay_len / m_base`,
-    /// with an empty base counting as one edge).
-    pub fn overlay_ratio(&self) -> f64 {
-        self.overlay_len() as f64 / self.base.num_edges().max(1) as f64
-    }
-
-    /// Whether the overlay has outgrown `max_ratio` and the graph should be
-    /// folded into a clean CSR via [`DeltaGraph::compact`].
-    pub fn needs_compaction(&self, max_ratio: f64) -> bool {
-        self.overlay_ratio() > max_ratio
-    }
-
     /// Applies one update. Returns `true` when the graph changed, `false`
     /// for a redundant update (duplicate insert, missing delete, self-loop).
     pub fn apply_update(&mut self, update: EdgeUpdate) -> Result<bool, GraphError> {
@@ -230,17 +217,6 @@ impl DeltaGraph {
         self.rows = vec![None; n];
         self.overlay_inserted = 0;
         self.overlay_deleted = 0;
-    }
-
-    /// Compacts only when the overlay exceeds `max_ratio`; returns whether a
-    /// compaction happened.
-    pub fn maybe_compact(&mut self, max_ratio: f64) -> bool {
-        if self.needs_compaction(max_ratio) {
-            self.compact();
-            true
-        } else {
-            false
-        }
     }
 
     /// Consumes the overlay and returns a clean [`CsrGraph`] of the current
@@ -478,10 +454,9 @@ mod tests {
                 EdgeUpdate::insert(1, 5),
             ])
             .unwrap();
-        assert!(delta.needs_compaction(0.25));
-        assert!(delta.maybe_compact(0.25));
+        assert_eq!(delta.overlay_len(), 3);
+        delta.compact();
         assert_eq!(delta.overlay_len(), 0);
-        assert!(!delta.needs_compaction(0.25));
         let expected = CsrGraph::from_edges(
             6,
             vec![(1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 5), (1, 5)],

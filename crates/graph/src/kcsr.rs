@@ -1,9 +1,9 @@
 //! The aligned, zero-copy `KCSR` v3 on-disk CSR format.
 //!
-//! Versions 1 (fixed-width) and 2 (delta + varint) of the `KCSR` wire format
-//! must be *decoded*: every load allocates two fresh arrays and walks the
-//! whole payload byte by byte, which makes opening a million-edge graph an
-//! O(m) decode before the first query. Version 3 instead lays the two CSR
+//! Version 2 (delta + varint, [`crate::CsrGraph::to_bytes_compact`]) of the
+//! `KCSR` wire format must be *decoded*: every load allocates two fresh
+//! arrays and walks the whole payload byte by byte, which makes opening a
+//! million-edge graph an O(m) decode before the first query. Version 3 instead lays the two CSR
 //! arrays out **8-byte-aligned and little-endian** behind a validated header,
 //! so a loader that holds the file in aligned memory can *borrow* the buffer:
 //! [`CsrGraphRef`] reinterprets the offset and neighbour regions as `&[u32]`

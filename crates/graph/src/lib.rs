@@ -11,14 +11,14 @@
 //!   every hot-loop visited/alive/pruned flag in the workspace.
 //! * [`CsrGraph`] — the cache-friendly compressed-sparse-row representation
 //!   (two flat arrays) used for all enumeration work items.
-//! * [`reorder`] — locality-improving vertex relabellings (degree-descending,
-//!   BFS, hybrid) with both id maps, applied via [`csr::CsrGraph::reordered`].
+//! * [`reorder`] — the hybrid locality relabelling (per-component BFS seeded
+//!   at each component's hub) with both id maps, applied via
+//!   [`csr::CsrGraph::reordered`].
 //! * [`DeltaGraph`] — a mutable overlay (tombstone bitset + sorted insertion
 //!   adjacency) applying batched [`EdgeUpdate`]s on top of an immutable CSR
-//!   base, with ratio-triggered compaction back into a clean [`CsrGraph`].
-//! * [`CompressedCsrGraph`] — delta + varint compressed adjacency with a lazy
-//!   per-row decode cache; a drop-in [`GraphView`] for storage-bound
-//!   deployments.
+//!   base, folded back into a clean [`CsrGraph`] by [`DeltaGraph::compact`].
+//! * [`codec`] — the LEB128 varint and delta-row primitives every wire
+//!   format shares.
 //! * [`UndirectedGraph`] — a compact, sorted adjacency-list representation with
 //!   `u32` vertex identifiers, cheap induced-subgraph extraction and id
 //!   remapping ([`graph::InducedSubgraph`]).
@@ -32,7 +32,7 @@
 //! * [`metrics`] — diameter, edge density and clustering coefficient used by
 //!   the effectiveness study (Figs. 7–9).
 //! * [`io`] — SNAP-style edge-list reading and writing (Table 1 datasets).
-//! * [`load`] — SNAP-scale streaming ingestion: the [`GraphLoader`] family
+//! * [`load`] — SNAP-scale streaming ingestion: [`StreamingEdgeListLoader`]
 //!   builds CSR directly from a chunked parse → parallel sort → k-way merge
 //!   pipeline, never materialising per-vertex `Vec`s.
 //! * [`kcsr`] — the aligned `KCSR` v3 binary format whose offset/neighbour
@@ -52,7 +52,6 @@
 pub mod bitset;
 pub mod builder;
 pub mod codec;
-pub mod compressed;
 pub mod csr;
 pub mod delta;
 pub mod error;
@@ -70,16 +69,12 @@ pub mod view;
 
 pub use bitset::{BitSet, EpochBitSet};
 pub use builder::GraphBuilder;
-pub use compressed::{CompressedCsrGraph, RowPool};
 pub use csr::{CsrGraph, CsrSubgraph, EdgeIngestStats};
 pub use delta::{DeltaGraph, DeltaStats, EdgeUpdate, UpdateOp};
 pub use error::GraphError;
 pub use graph::{InducedSubgraph, UndirectedGraph};
 pub use kcsr::{borrow_kcsr, decode_kcsr, write_kcsr_file, AlignedBytes, CsrGraphRef, MappedCsr};
-pub use load::{
-    effective_threads, GraphLoader, IngestedGraph, KcsrLoader, StreamingEdgeListLoader,
-    WholeFileEdgeListLoader,
-};
-pub use reorder::{compute_ordering, OrderingStrategy, VertexOrdering};
+pub use load::{effective_threads, IngestedGraph, StreamingEdgeListLoader};
+pub use reorder::{hybrid_ordering, VertexOrdering};
 pub use types::{VertexId, INVALID_VERTEX};
 pub use view::{GraphView, SubgraphView};

@@ -1,4 +1,4 @@
-//! SNAP-scale graph ingestion: the [`GraphLoader`] family.
+//! SNAP-scale graph ingestion straight from edge-list text to CSR.
 //!
 //! The original ingestion path ([`crate::io::read_snap_edge_list`]) slurps
 //! the whole file into one `String`, interns ids through a
@@ -25,7 +25,7 @@
 //! The peak transient footprint is the directed pair runs (16 bytes per
 //! input edge) plus the interner — roughly half of what the
 //! builder-based path allocates, and the constant-size parse buffers make
-//! the profile flat rather than spiky. Every loader reports the same
+//! the profile flat rather than spiky. The loader reports the same
 //! duplicate/self-loop diagnostics as [`CsrGraph::from_edges_diagnostic`],
 //! so the two ingestion paths agree byte-for-byte on the graph *and* on
 //! what was dropped to produce it.
@@ -38,7 +38,6 @@ use std::path::Path;
 
 use crate::csr::{CsrGraph, EdgeIngestStats};
 use crate::error::GraphError;
-use crate::kcsr::MappedCsr;
 use crate::types::VertexId;
 
 /// Resolves a requested worker count to a concrete one: `0` means
@@ -73,17 +72,6 @@ pub struct IngestedGraph {
     /// runs + interner) **plus** the final CSR arrays — the number the
     /// ingestion bench reports as its RSS proxy.
     pub peak_bytes: usize,
-}
-
-/// A source-to-CSR ingestion strategy. Implementations differ in how much
-/// transient memory they need and what inputs they accept; all of them end
-/// in the same validated [`IngestedGraph`].
-pub trait GraphLoader {
-    /// Ingests the file at `path`.
-    fn load_path(&self, path: &Path) -> Result<IngestedGraph, GraphError>;
-
-    /// Human-readable name for logs and bench labels.
-    fn name(&self) -> &'static str;
 }
 
 /// The streaming SNAP edge-list loader (see the [module docs](self)).
@@ -124,6 +112,12 @@ impl StreamingEdgeListLoader {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// Ingests the SNAP-style edge-list file at `path` (see
+    /// [`StreamingEdgeListLoader::load_reader`]).
+    pub fn load_path(&self, path: &Path) -> Result<IngestedGraph, GraphError> {
+        self.load_reader(BufReader::new(File::open(path)?))
     }
 
     /// Ingests a SNAP-style edge list from any buffered reader. Same line
@@ -216,16 +210,6 @@ impl StreamingEdgeListLoader {
     }
 }
 
-impl GraphLoader for StreamingEdgeListLoader {
-    fn load_path(&self, path: &Path) -> Result<IngestedGraph, GraphError> {
-        self.load_reader(BufReader::new(File::open(path)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "streaming-edge-list"
-    }
-}
-
 /// Sorts sealed runs on scoped worker threads. Runs are distributed in
 /// contiguous blocks; with one run or one worker this degenerates to a
 /// plain in-place sort with no thread spawn.
@@ -298,92 +282,6 @@ fn merge_runs(runs: Vec<Vec<(u32, u32)>>, n: usize) -> (CsrGraph, usize) {
     (CsrGraph::from_parts(offsets, neighbors), dropped)
 }
 
-/// The whole-file reference loader: [`crate::io::read_snap_edge_list`]
-/// followed by a CSR conversion. Same results as the streaming loader,
-/// maximum transient memory — kept as the differential baseline the parity
-/// suite and the ingestion bench compare against.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WholeFileEdgeListLoader;
-
-impl GraphLoader for WholeFileEdgeListLoader {
-    fn load_path(&self, path: &Path) -> Result<IngestedGraph, GraphError> {
-        let contents = std::fs::read_to_string(path)?;
-        let mut builder = crate::GraphBuilder::new();
-        for (idx, line) in contents.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let u = crate::io::parse_token(it.next(), idx + 1)?;
-            let v = crate::io::parse_token(it.next(), idx + 1)?;
-            builder.add_edge_raw(u, v);
-        }
-        let n = {
-            let mut v = 0;
-            while builder.raw_id_of(v).is_some() {
-                v += 1;
-            }
-            v as usize
-        };
-        let external_ids: Vec<u64> = (0..n as VertexId)
-            .map(|v| builder.raw_id_of(v).expect("interned"))
-            .collect();
-        let (vec_graph, stats) = builder.build_diagnostic();
-        let graph = CsrGraph::from_view(&vec_graph);
-        // The builder path holds the raw text, the edge list, the
-        // Vec<Vec<_>> adjacency and the final CSR simultaneously.
-        let peak_bytes = contents.len()
-            + vec_graph.num_edges() * 2 * std::mem::size_of::<(u32, u32)>()
-            + vec_graph.memory_bytes()
-            + n * 24
-            + graph.memory_bytes();
-        Ok(IngestedGraph {
-            graph,
-            external_ids,
-            stats,
-            peak_bytes,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "whole-file-edge-list"
-    }
-}
-
-/// Loader for the aligned `KCSR` v3 binary format: opens the file zero-copy
-/// via [`MappedCsr`] and (for the [`GraphLoader`] interface, which must
-/// return an owned graph) materialises the borrowed view. Callers that can
-/// hold a borrow should use [`MappedCsr::open`] directly and skip the copy.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KcsrLoader;
-
-impl KcsrLoader {
-    /// Opens the file without materialising: the zero-copy entry point.
-    pub fn open_mapped(&self, path: &Path) -> Result<MappedCsr, GraphError> {
-        MappedCsr::open(path)
-    }
-}
-
-impl GraphLoader for KcsrLoader {
-    fn load_path(&self, path: &Path) -> Result<IngestedGraph, GraphError> {
-        let mapped = MappedCsr::open(path)?;
-        let graph = mapped.as_csr_ref().to_graph();
-        let external_ids = (0..graph.num_vertices() as u64).collect();
-        let peak_bytes = mapped.byte_len() + graph.memory_bytes();
-        Ok(IngestedGraph {
-            graph,
-            external_ids,
-            stats: EdgeIngestStats::default(),
-            peak_bytes,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "kcsr-aligned"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,32 +348,6 @@ mod tests {
             assert_eq!(got.graph.num_vertices(), 0);
             assert_eq!(got.graph.num_edges(), 0);
         }
-    }
-
-    #[test]
-    fn loader_trait_objects_cover_all_formats() {
-        let dir = std::env::temp_dir();
-        let snap = dir.join(format!("kvcc_load_test_{}.txt", std::process::id()));
-        std::fs::write(&snap, "0 1\n1 2\n2 0\n").unwrap();
-        let kcsr = dir.join(format!("kvcc_load_test_{}.kcsr", std::process::id()));
-        let streamed = StreamingEdgeListLoader::new().load_path(&snap).unwrap();
-        crate::kcsr::write_kcsr_file(&streamed.graph, &kcsr).unwrap();
-
-        let loaders: Vec<Box<dyn GraphLoader>> = vec![
-            Box::new(StreamingEdgeListLoader::new()),
-            Box::new(WholeFileEdgeListLoader),
-        ];
-        for loader in &loaders {
-            let got = loader.load_path(&snap).unwrap();
-            assert_eq!(got.graph, streamed.graph, "{}", loader.name());
-            assert_eq!(got.external_ids, streamed.external_ids, "{}", loader.name());
-        }
-        let got = KcsrLoader.load_path(&kcsr).unwrap();
-        assert_eq!(got.graph, streamed.graph);
-        assert_eq!(KcsrLoader.name(), "kcsr-aligned");
-
-        std::fs::remove_file(&snap).ok();
-        std::fs::remove_file(&kcsr).ok();
     }
 
     #[test]

@@ -5,14 +5,9 @@
 //! [`CsrGraph`] and chase the ids found there back into the offset array.
 //! When ids of topologically close vertices are numerically close, those
 //! lookups hit cache lines that the previous accesses already pulled in.
-//! This module computes id permutations that improve that locality:
-//!
-//! * [`OrderingStrategy::DegreeDescending`] — hubs first, so the rows touched
-//!   most often share the front of the neighbour array;
-//! * [`OrderingStrategy::Bfs`] — per-component breadth-first numbering, the
-//!   classic bandwidth-reducing layout (neighbours get nearby ids);
-//! * [`OrderingStrategy::Hybrid`] — per-component BFS seeded at the
-//!   component's maximum-degree vertex, combining both effects.
+//! [`hybrid_ordering`] computes such a permutation: a per-component BFS
+//! numbering (neighbours get nearby ids) seeded at each component's
+//! maximum-degree vertex (the hub's row sits at the front of its block).
 //!
 //! A [`VertexOrdering`] always carries **both** directions of the relabelling
 //! so callers can translate query ids into the reordered space and translate
@@ -24,36 +19,6 @@ use crate::types::VertexId;
 use crate::view::GraphView;
 use crate::INVALID_VERTEX;
 
-/// How to relabel the vertices of a graph (see the [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum OrderingStrategy {
-    /// Keep the input ids (the ordering is the identity permutation).
-    #[default]
-    Identity,
-    /// Sort by non-ascending degree, ties broken by ascending original id.
-    DegreeDescending,
-    /// Per-component BFS from the smallest original id, components in
-    /// ascending order of that id; neighbours are visited in sorted order, so
-    /// the numbering is deterministic.
-    Bfs,
-    /// Per-component BFS seeded at the component's maximum-degree vertex
-    /// (ties broken by smallest id); components are processed in ascending
-    /// order of their smallest original id.
-    Hybrid,
-}
-
-impl OrderingStrategy {
-    /// Short, stable name used by benchmarks and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            OrderingStrategy::Identity => "identity",
-            OrderingStrategy::DegreeDescending => "degree",
-            OrderingStrategy::Bfs => "bfs",
-            OrderingStrategy::Hybrid => "hybrid",
-        }
-    }
-}
-
 /// A bijective relabelling of the vertices `0..n`, stored in both directions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexOrdering {
@@ -64,15 +29,6 @@ pub struct VertexOrdering {
 }
 
 impl VertexOrdering {
-    /// The identity ordering on `n` vertices.
-    pub fn identity(n: usize) -> Self {
-        let ids: Vec<VertexId> = (0..n as VertexId).collect();
-        VertexOrdering {
-            old_to_new: ids.clone(),
-            new_to_old: ids,
-        }
-    }
-
     /// Builds an ordering from the `new → old` direction, checking that it is
     /// a permutation of `0..len`.
     ///
@@ -143,30 +99,15 @@ impl VertexOrdering {
     }
 }
 
-/// Computes the permutation of `strategy` over `g`.
+/// The hybrid locality ordering of `g`: a per-component BFS numbering
+/// seeded at the component's maximum-degree vertex (ties broken by smallest
+/// id), with components processed in ascending order of their smallest
+/// original id and neighbours visited in sorted order.
 ///
-/// All strategies are deterministic functions of the graph structure, so the
-/// same graph always yields the same ordering (benchmark runs and parity
+/// The ordering is a deterministic function of the graph structure, so the
+/// same graph always yields the same ordering (persisted indexes and parity
 /// tests rely on this).
-pub fn compute_ordering<G: GraphView>(g: &G, strategy: OrderingStrategy) -> VertexOrdering {
-    let n = g.num_vertices();
-    match strategy {
-        OrderingStrategy::Identity => VertexOrdering::identity(n),
-        OrderingStrategy::DegreeDescending => {
-            let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-            order.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
-            VertexOrdering::from_new_to_old(order)
-        }
-        OrderingStrategy::Bfs => bfs_ordering(g, false),
-        OrderingStrategy::Hybrid => bfs_ordering(g, true),
-    }
-}
-
-/// Per-component BFS numbering. With `seed_by_degree` the BFS of each
-/// component starts at its maximum-degree vertex (hybrid strategy), otherwise
-/// at its smallest original id. Components are discovered — and therefore
-/// numbered — in ascending order of their smallest original id either way.
-fn bfs_ordering<G: GraphView>(g: &G, seed_by_degree: bool) -> VertexOrdering {
+pub fn hybrid_ordering<G: GraphView>(g: &G) -> VertexOrdering {
     let n = g.num_vertices();
     let mut new_to_old: Vec<VertexId> = Vec::with_capacity(n);
     let mut seen = crate::bitset::BitSet::new(n);
@@ -176,8 +117,8 @@ fn bfs_ordering<G: GraphView>(g: &G, seed_by_degree: bool) -> VertexOrdering {
         if seen.contains(start as usize) {
             continue;
         }
-        // Collect the component once so the hybrid strategy can pick its
-        // max-degree seed before the numbering BFS runs.
+        // Collect the component once so its max-degree seed is known before
+        // the numbering BFS runs.
         component.clear();
         component.push(start);
         seen.insert(start as usize);
@@ -191,15 +132,11 @@ fn bfs_ordering<G: GraphView>(g: &G, seed_by_degree: bool) -> VertexOrdering {
                 }
             }
         }
-        let seed = if seed_by_degree {
-            component
-                .iter()
-                .copied()
-                .min_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)))
-                .expect("component is non-empty")
-        } else {
-            start
-        };
+        let seed = component
+            .iter()
+            .copied()
+            .min_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)))
+            .expect("component is non-empty");
         // Numbering BFS from the chosen seed, with sorted-neighbour
         // tie-breaking; `new_to_old` doubles as the BFS queue.
         let mut placed_head = new_to_old.len();
@@ -289,7 +226,7 @@ mod tests {
     #[test]
     fn identity_ordering_is_a_noop() {
         let g = two_component_graph();
-        let ordering = compute_ordering(&g, OrderingStrategy::Identity);
+        let ordering = VertexOrdering::from_new_to_old((0..7).collect());
         assert!(ordering.is_identity());
         assert_eq!(g.reordered(&ordering), g);
         assert_eq!(ordering.len(), 7);
@@ -297,36 +234,15 @@ mod tests {
     }
 
     #[test]
-    fn degree_descending_puts_hubs_first() {
-        let g = two_component_graph();
-        let ordering = compute_ordering(&g, OrderingStrategy::DegreeDescending);
-        // Vertex 4 has degree 3; the degree-2 vertices follow in id order.
-        assert_eq!(ordering.to_old(0), 4);
-        assert_eq!(ordering.to_old(1), 1);
-        assert!(!ordering.is_identity());
-        assert_structure_preserved(&g, &ordering);
-    }
-
-    #[test]
-    fn bfs_numbers_components_contiguously() {
-        let g = two_component_graph();
-        let ordering = compute_ordering(&g, OrderingStrategy::Bfs);
-        // First component {0,1,2} keeps the front ids; BFS from 0.
-        assert_eq!(&ordering.new_to_old()[..3], &[0, 1, 2]);
-        // Second component starts at its smallest id, 3.
-        assert_eq!(ordering.to_old(3), 3);
-        assert_structure_preserved(&g, &ordering);
-    }
-
-    #[test]
     fn hybrid_seeds_each_component_at_its_hub() {
         let g = two_component_graph();
-        let ordering = compute_ordering(&g, OrderingStrategy::Hybrid);
+        let ordering = hybrid_ordering(&g);
         // Component {0,1,2}: hub is vertex 1 (degree 2 ties broken by id? 0,1,2
         // have degrees 1,2,1, so the seed is 1).
         assert_eq!(ordering.to_old(0), 1);
         // Component {3,4,5,6}: hub is vertex 4 (degree 3).
         assert_eq!(ordering.to_old(3), 4);
+        assert!(!ordering.is_identity());
         assert_structure_preserved(&g, &ordering);
     }
 
@@ -348,22 +264,15 @@ mod tests {
             )
             .unwrap(),
         );
-        for strategy in [
-            OrderingStrategy::Identity,
-            OrderingStrategy::DegreeDescending,
-            OrderingStrategy::Bfs,
-            OrderingStrategy::Hybrid,
-        ] {
-            let a = compute_ordering(&g, strategy);
-            let b = compute_ordering(&g, strategy);
-            assert_eq!(a, b, "{strategy:?} must be deterministic");
-            let mut seen = vec![false; g.num_vertices()];
-            for v in 0..g.num_vertices() as VertexId {
-                let new = a.to_new(v);
-                assert!(!std::mem::replace(&mut seen[new as usize], true));
-            }
-            assert_structure_preserved(&g, &a);
+        let a = hybrid_ordering(&g);
+        let b = hybrid_ordering(&g);
+        assert_eq!(a, b, "the ordering must be deterministic");
+        let mut seen = vec![false; g.num_vertices()];
+        for v in 0..g.num_vertices() as VertexId {
+            let new = a.to_new(v);
+            assert!(!std::mem::replace(&mut seen[new as usize], true));
         }
+        assert_structure_preserved(&g, &a);
     }
 
     #[test]
@@ -376,14 +285,5 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_range_ids_are_rejected() {
         let _ = VertexOrdering::from_new_to_old(vec![0, 5]);
-    }
-
-    #[test]
-    fn strategy_names_are_stable() {
-        assert_eq!(OrderingStrategy::Identity.name(), "identity");
-        assert_eq!(OrderingStrategy::DegreeDescending.name(), "degree");
-        assert_eq!(OrderingStrategy::Bfs.name(), "bfs");
-        assert_eq!(OrderingStrategy::Hybrid.name(), "hybrid");
-        assert_eq!(OrderingStrategy::default(), OrderingStrategy::Identity);
     }
 }

@@ -15,11 +15,11 @@ use kvcc::{
 };
 use kvcc_flow::{LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::kcore::k_core_vertices;
-use kvcc_graph::reorder::{compute_ordering, OrderingStrategy, VertexOrdering};
+use kvcc_graph::reorder::{hybrid_ordering, VertexOrdering};
 use kvcc_graph::traversal::is_connected;
 use kvcc_graph::{
-    CompressedCsrGraph, CsrGraph, DeltaGraph, EdgeUpdate, GraphLoader, GraphView, MappedCsr,
-    RowPool, StreamingEdgeListLoader, SubgraphView, VertexId,
+    CsrGraph, DeltaGraph, EdgeUpdate, GraphView, MappedCsr, StreamingEdgeListLoader, SubgraphView,
+    VertexId,
 };
 
 // `OrderingPolicy` is protocol-visible since v2 (reported by `Stats`); it is
@@ -33,18 +33,6 @@ use crate::protocol::{
 use crate::qos::{self, CacheKey, FlightOutcome, QosConfig, QosLayer};
 use crate::wire::transport::{Transport, TransportError};
 use crate::wire::{run_work_item, CsrWorkItem};
-
-impl OrderingPolicy {
-    /// The reordering strategy to apply, or `None` for [`Self::Preserve`].
-    fn strategy(self) -> Option<OrderingStrategy> {
-        match self {
-            OrderingPolicy::Preserve => None,
-            OrderingPolicy::DegreeDescending => Some(OrderingStrategy::DegreeDescending),
-            OrderingPolicy::Bfs => Some(OrderingStrategy::Bfs),
-            OrderingPolicy::Hybrid => Some(OrderingStrategy::Hybrid),
-        }
-    }
-}
 
 /// Engine tuning knobs. The default uses one batch worker per available
 /// core (`threads: 0`), the paper's `VCCE*` enumeration options, no
@@ -66,43 +54,21 @@ pub struct EngineConfig {
     /// Memory layout of hot graphs (see [`OrderingPolicy`]). Responses are
     /// identical under every policy.
     pub ordering: OrderingPolicy,
-    /// Store hot graphs delta+varint compressed
-    /// ([`CompressedCsrGraph`]) instead of plain CSR. All slots share one
-    /// engine-wide decode-buffer pool ([`RowPool`]), so the decode caches of
-    /// hot-swapped datasets recycle each other's allocations instead of
-    /// growing per graph. Responses are identical either way; queries pay
-    /// the (cached) row-decode cost in exchange for the compressed resident
-    /// form.
-    pub compression: bool,
     /// Query-serving QoS: the epoch-keyed result cache, single-flight
     /// coalescing of identical in-flight queries, and cost-model admission
     /// control (see [`crate::qos`]). The default is fully disabled — the
     /// engine behaves exactly as before protocol v6 until a deployment opts
     /// in (e.g. [`QosConfig::serving`]).
     pub qos: QosConfig,
-    /// Overlay-retention threshold for uncompressed slots absorbing edge
-    /// updates: after a batch, the slot keeps its [`DeltaGraph`] overlay
-    /// while `overlay_ratio() <= compact_overlay_ratio` and folds it into a
-    /// clean CSR (counted in [`SchedulingStats::compactions`]) once the
-    /// ratio crosses the threshold. The default `0.0` compacts after every
-    /// effective batch — the pre-v6 behaviour; raise it (e.g. `0.25`) to
-    /// amortise compaction over many small batches. Compressed slots always
-    /// re-materialise (the compressed form has no overlay).
-    pub compact_overlay_ratio: f64,
 }
 
-/// How a slot stores its graph: plain CSR, compressed with the decode cache
-/// backed by the engine's shared [`RowPool`], borrowed zero-copy from the
-/// validated bytes of an aligned `KCSR` file ([`MappedCsr`]), or a CSR base
-/// plus a retained mutation overlay ([`DeltaGraph`]) for uncompressed slots
-/// that absorbed updates without crossing
-/// [`EngineConfig::compact_overlay_ratio`]. Implements [`GraphView`] by
-/// delegation so every query path runs on any representation unchanged.
+/// How a slot stores its graph: an owned CSR, or borrowed zero-copy from the
+/// validated bytes of an aligned `KCSR` file ([`MappedCsr`]). Implements
+/// [`GraphView`] by delegation so every query path runs on either form
+/// unchanged.
 enum StoredGraph {
     Plain(CsrGraph),
-    Compressed(CompressedCsrGraph),
     Borrowed(MappedCsr),
-    Delta(DeltaGraph),
 }
 
 impl GraphView for StoredGraph {
@@ -110,9 +76,7 @@ impl GraphView for StoredGraph {
     fn num_vertices(&self) -> usize {
         match self {
             StoredGraph::Plain(g) => g.num_vertices(),
-            StoredGraph::Compressed(g) => g.num_vertices(),
             StoredGraph::Borrowed(g) => g.num_vertices(),
-            StoredGraph::Delta(g) => g.num_vertices(),
         }
     }
 
@@ -120,9 +84,7 @@ impl GraphView for StoredGraph {
     fn num_edges(&self) -> usize {
         match self {
             StoredGraph::Plain(g) => g.num_edges(),
-            StoredGraph::Compressed(g) => g.num_edges(),
             StoredGraph::Borrowed(g) => g.num_edges(),
-            StoredGraph::Delta(g) => g.num_edges(),
         }
     }
 
@@ -130,9 +92,7 @@ impl GraphView for StoredGraph {
     fn neighbors(&self, v: VertexId) -> &[VertexId] {
         match self {
             StoredGraph::Plain(g) => g.neighbors(v),
-            StoredGraph::Compressed(g) => g.neighbors(v),
             StoredGraph::Borrowed(g) => g.neighbors(v),
-            StoredGraph::Delta(g) => g.neighbors(v),
         }
     }
 
@@ -140,18 +100,14 @@ impl GraphView for StoredGraph {
     fn degree(&self, v: VertexId) -> usize {
         match self {
             StoredGraph::Plain(g) => g.degree(v),
-            StoredGraph::Compressed(g) => GraphView::degree(g, v),
             StoredGraph::Borrowed(g) => GraphView::degree(g, v),
-            StoredGraph::Delta(g) => GraphView::degree(g, v),
         }
     }
 
     fn memory_bytes(&self) -> usize {
         match self {
             StoredGraph::Plain(g) => g.memory_bytes(),
-            StoredGraph::Compressed(g) => g.memory_bytes(),
             StoredGraph::Borrowed(g) => g.memory_bytes(),
-            StoredGraph::Delta(g) => g.memory_bytes(),
         }
     }
 }
@@ -242,9 +198,9 @@ impl SlotMetrics {
 }
 
 /// One loaded graph: the shared stored form (possibly relabelled per the
-/// engine's [`OrderingPolicy`], possibly compressed), the id maps bridging
-/// the internal and loaded spaces, the lazily built index (internal id
-/// space) and the slot's scheduling telemetry.
+/// engine's [`OrderingPolicy`]), the id maps bridging the internal and
+/// loaded spaces, the lazily built index (internal id space) and the slot's
+/// scheduling telemetry.
 struct GraphSlot {
     name: String,
     graph: StoredGraph,
@@ -416,9 +372,6 @@ impl WorkerScratch {
 pub struct ServiceEngine {
     config: EngineConfig,
     graphs: Mutex<Vec<Option<Arc<GraphSlot>>>>,
-    /// One decode-buffer pool shared by every compressed slot (see
-    /// [`EngineConfig::compression`]); unused when compression is off.
-    decode_pool: Arc<RowPool>,
     /// Serialises [`ServiceEngine::apply_updates`] batches against each
     /// other. The query path never takes this lock — readers keep their
     /// `Arc<GraphSlot>` snapshot and are untouched by a concurrent writer.
@@ -435,7 +388,6 @@ impl ServiceEngine {
         ServiceEngine {
             config,
             graphs: Mutex::new(Vec::new()),
-            decode_pool: Arc::new(RowPool::default()),
             update_lock: Mutex::new(()),
             qos,
         }
@@ -446,17 +398,6 @@ impl ServiceEngine {
     /// waiters, shed requests, and the current admission queue depth.
     pub fn qos_stats(&self) -> QosStats {
         self.qos.snapshot()
-    }
-
-    /// The engine-wide decode-buffer pool backing compressed slots
-    /// ([`EngineConfig::compression`]): `(buffers parked, acquisitions
-    /// served from recycled capacity)`. Exposed so operators can verify the
-    /// pool actually recycles across dataset hot-swaps.
-    pub fn decode_pool_stats(&self) -> (usize, u64) {
-        (
-            self.decode_pool.pooled_buffers(),
-            self.decode_pool.recycled_count(),
-        )
     }
 
     /// The engine's configuration.
@@ -472,26 +413,19 @@ impl ServiceEngine {
         self.load_csr(name, CsrGraph::from_view(graph))
     }
 
-    /// Loads an already-CSR graph without copying it. When the engine's
-    /// [`OrderingPolicy`] is not [`OrderingPolicy::Preserve`] the graph is
-    /// stored relabelled; every query still speaks loaded ids.
+    /// Loads an already-CSR graph without copying it. Under
+    /// [`OrderingPolicy::Hybrid`] the graph is stored relabelled; every query
+    /// still speaks loaded ids.
     pub fn load_csr(&self, name: &str, csr: CsrGraph) -> GraphId {
-        let (csr, ordering) = match self.config.ordering.strategy() {
-            Some(strategy) => {
-                let ordering = compute_ordering(&csr, strategy);
+        let (csr, ordering) = match self.config.ordering {
+            OrderingPolicy::Preserve => (csr, None),
+            OrderingPolicy::Hybrid => {
+                let ordering = hybrid_ordering(&csr);
                 let reordered = csr.reordered(&ordering);
                 (reordered, (!ordering.is_identity()).then_some(ordering))
             }
-            None => (csr, None),
         };
-        let graph = if self.config.compression {
-            StoredGraph::Compressed(
-                CompressedCsrGraph::from_csr(&csr).with_pool(Arc::clone(&self.decode_pool)),
-            )
-        } else {
-            StoredGraph::Plain(csr)
-        };
-        self.push_slot(name, graph, ordering)
+        self.push_slot(name, StoredGraph::Plain(csr), ordering)
     }
 
     /// Installs a fully prepared [`StoredGraph`] as a new slot.
@@ -523,13 +457,13 @@ impl ServiceEngine {
     ///   [`StreamingEdgeListLoader`] (chunked parse → sorted-run merge →
     ///   direct CSR emission), so the text form is never materialised as
     ///   per-vertex adjacency `Vec`s.
-    /// * [`LoadFormat::Kcsr`] opens an aligned `KCSR` v3 file. When the
-    ///   engine's memory policy permits — [`OrderingPolicy::Preserve`] and
-    ///   no [`EngineConfig::compression`] — the validated file bytes are
+    /// * [`LoadFormat::Kcsr`] opens an aligned `KCSR` v3 file. Under
+    ///   [`OrderingPolicy::Preserve`] the validated file bytes are
     ///   **borrowed** in place ([`MappedCsr`], `zero_copy: true` in the
     ///   report): the load does O(header) work plus one structural
-    ///   validation pass, no CSR copy. Under any other policy the file is
-    ///   decoded and takes the ordinary [`ServiceEngine::load_csr`] path.
+    ///   validation pass, no CSR copy. Under [`OrderingPolicy::Hybrid`] the
+    ///   file is decoded and takes the ordinary [`ServiceEngine::load_csr`]
+    ///   path, which relabels it.
     ///
     /// Any I/O, parse, or validation failure maps to
     /// [`ServiceError::LoadFailed`]; nothing is partially loaded.
@@ -559,9 +493,7 @@ impl ServiceEngine {
                 })
             }
             LoadFormat::Kcsr => {
-                let borrowable =
-                    self.config.ordering.strategy().is_none() && !self.config.compression;
-                if borrowable {
+                if self.config.ordering == OrderingPolicy::Preserve {
                     let mapped = MappedCsr::open(path).map_err(load_failed)?;
                     let num_vertices = mapped.num_vertices() as u64;
                     let num_edges = mapped.num_edges() as u64;
@@ -693,13 +625,11 @@ impl ServiceEngine {
     /// are re-enumerated, and the repaired forest is byte-identical to a
     /// from-scratch rebuild. A slot whose index was never built stays
     /// unindexed — the next query that needs it builds against the updated
-    /// graph (and stamps it with the new epoch). A zero-copy (`KCSR`
-    /// borrowed) slot is materialised by its first update batch; subsequent
-    /// storage follows [`EngineConfig::compression`] and, for uncompressed
-    /// slots, [`EngineConfig::compact_overlay_ratio`]: the mutation overlay
-    /// is retained across batches and folded into a clean CSR (a
-    /// *compaction*, counted in [`SchedulingStats::compactions`]) only when
-    /// its size relative to the base crosses the threshold.
+    /// graph (and stamps it with the new epoch). The batch is applied to a
+    /// [`DeltaGraph`] overlay, which is then folded into the slot's new
+    /// owned CSR; a zero-copy (`KCSR` borrowed) slot is materialised this
+    /// way by its first batch. A batch that changes the graph counts as one
+    /// *compaction* in [`SchedulingStats::compactions`].
     ///
     /// Update endpoints are loaded-space ids, like every other request.
     /// Redundant operations — inserting a present edge, deleting an absent
@@ -742,13 +672,7 @@ impl ServiceEngine {
                 v: slot.to_internal(up.v),
             })
             .collect();
-        // A slot already carrying an overlay keeps layering onto it (that is
-        // what makes `overlay_ratio` grow across batches); every other
-        // representation starts a fresh overlay over a materialised base.
-        let mut delta = match &slot.graph {
-            StoredGraph::Delta(existing) => existing.clone(),
-            other => DeltaGraph::new(CsrGraph::from_view(other)),
-        };
+        let mut delta = DeltaGraph::new(CsrGraph::from_view(&slot.graph));
         delta
             .apply(&internal)
             .map_err(|e| ServiceError::Enumeration(e.to_string()))?;
@@ -777,17 +701,12 @@ impl ServiceEngine {
             ),
         };
 
-        let stored = if self.config.compression {
-            StoredGraph::Compressed(
-                CompressedCsrGraph::from_csr(&delta.into_csr())
-                    .with_pool(Arc::clone(&self.decode_pool)),
-            )
-        } else if delta.needs_compaction(self.config.compact_overlay_ratio) {
+        // A batch that leaves the graph unchanged (e.g. only redundant
+        // updates) leaves the overlay empty and is not counted.
+        if delta.overlay_len() > 0 {
             slot.metrics.compactions.fetch_add(1, Ordering::Relaxed);
-            StoredGraph::Plain(delta.into_csr())
-        } else {
-            StoredGraph::Delta(delta)
-        };
+        }
+        let stored = StoredGraph::Plain(delta.into_csr());
         let index_cell = OnceLock::new();
         if let Some(ix) = index {
             let _ = index_cell.set(ix);
@@ -1823,27 +1742,21 @@ mod tests {
         let baseline = ServiceEngine::new(EngineConfig::default());
         let base_id = baseline.load_graph("mixed", &mixed_graph());
         let expected = baseline.execute_batch(&probe_requests(base_id));
-        for ordering in [
-            OrderingPolicy::DegreeDescending,
-            OrderingPolicy::Bfs,
-            OrderingPolicy::Hybrid,
-        ] {
-            let engine = ServiceEngine::new(EngineConfig {
-                ordering,
-                ..EngineConfig::default()
-            });
-            let id = engine.load_graph("mixed", &mixed_graph());
-            let mut responses = engine.execute_batch(&probe_requests(id));
-            // `Stats` truthfully reports each engine's layout policy — the
-            // one field that is *supposed* to differ. Normalise it; every
-            // other byte of every response must be identical.
-            for response in &mut responses {
-                if let QueryResponse::Stats { ordering, .. } = response {
-                    *ordering = OrderingPolicy::Preserve;
-                }
+        let engine = ServiceEngine::new(EngineConfig {
+            ordering: OrderingPolicy::Hybrid,
+            ..EngineConfig::default()
+        });
+        let id = engine.load_graph("mixed", &mixed_graph());
+        let mut responses = engine.execute_batch(&probe_requests(id));
+        // `Stats` truthfully reports each engine's layout policy — the one
+        // field that is *supposed* to differ. Normalise it; every other byte
+        // of every response must be identical.
+        for response in &mut responses {
+            if let QueryResponse::Stats { ordering, .. } = response {
+                *ordering = OrderingPolicy::Preserve;
             }
-            assert_eq!(responses, expected, "{ordering:?}");
         }
+        assert_eq!(responses, expected);
     }
 
     #[test]
@@ -1907,14 +1820,14 @@ mod tests {
     #[test]
     fn cross_policy_index_install_is_rejected() {
         // An index persisted under Preserve speaks loaded ids; a
-        // degree-reordered slot stores different internal ids, so the
+        // hybrid-reordered slot stores different internal ids, so the
         // structural spot-check must refuse the install instead of letting
         // every subsequent query answer wrong.
         let preserve = ServiceEngine::new(EngineConfig::default());
         let a = preserve.load_graph("mixed", &mixed_graph());
         let bytes = preserve.index_bytes(a).unwrap();
         let reordered = ServiceEngine::new(EngineConfig {
-            ordering: OrderingPolicy::DegreeDescending,
+            ordering: OrderingPolicy::Hybrid,
             ..EngineConfig::default()
         });
         let b = reordered.load_graph("mixed", &mixed_graph());
@@ -2000,37 +1913,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn compressed_engine_answers_identically_and_recycles_buffers() {
-        let baseline = ServiceEngine::new(EngineConfig::default());
-        let base_id = baseline.load_graph("mixed", &mixed_graph());
-        let expected = baseline.execute_batch(&probe_requests(base_id));
-
-        let engine = ServiceEngine::new(EngineConfig {
-            compression: true,
-            ..EngineConfig::default()
-        });
-        let id = engine.load_graph("mixed", &mixed_graph());
-        let responses = engine.execute_batch(&probe_requests(id));
-        assert_eq!(responses, expected);
-
-        // Hot-swap: unloading drops the slot (and its decode cache) into the
-        // engine-wide pool; the replacement decodes from recycled capacity.
-        assert!(engine.unload(id));
-        let (pooled, _) = engine.decode_pool_stats();
-        assert!(pooled > 0, "unload must park the decode cache");
-        let id2 = engine.load_graph("mixed", &mixed_graph());
-        // Mirror the second load on the baseline: page cursors embed the
-        // graph handle, so both engines must speak from the same slot id.
-        assert!(baseline.unload(base_id));
-        let base_id2 = baseline.load_graph("mixed", &mixed_graph());
-        assert_eq!(id2, base_id2);
-        let responses = engine.execute_batch(&probe_requests(id2));
-        assert_eq!(responses, baseline.execute_batch(&probe_requests(base_id2)));
-        let (_, recycled) = engine.decode_pool_stats();
-        assert!(recycled > 0, "the second load must reuse pooled buffers");
     }
 
     #[test]
@@ -2157,8 +2039,8 @@ mod tests {
             expected
         );
 
-        // KCSR under the default policy (Preserve, uncompressed): the slot
-        // borrows the validated file bytes zero-copy.
+        // KCSR under the default policy (Preserve): the slot borrows the
+        // validated file bytes zero-copy.
         let borrowed = engine
             .load_from_path("borrowed", &kcsr_path, LoadFormat::Kcsr)
             .unwrap();
@@ -2176,32 +2058,25 @@ mod tests {
             expected
         );
 
-        // KCSR under a reordering (or compressing) policy must decode: the
-        // stored layout is not the file layout, so borrowing is off.
-        for config in [
-            EngineConfig {
-                ordering: OrderingPolicy::Hybrid,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                compression: true,
-                ..EngineConfig::default()
-            },
-        ] {
-            // Stats report the policy, so compare against a same-config
-            // engine loaded in memory rather than the Preserve baseline.
-            let config_baseline = ServiceEngine::new(config.clone());
-            let config_base = config_baseline.load_graph("mixed", &mixed_graph());
-            let decoded_engine = ServiceEngine::new(config);
-            let decoded = decoded_engine
-                .load_from_path("decoded", &kcsr_path, LoadFormat::Kcsr)
-                .unwrap();
-            assert!(!decoded.zero_copy);
-            assert_eq!(
-                decoded_engine.execute_batch(&probe_requests(decoded.graph)),
-                config_baseline.execute_batch(&probe_requests(config_base))
-            );
-        }
+        // KCSR under the Hybrid policy must decode: the stored layout is not
+        // the file layout, so borrowing is off.
+        let config = EngineConfig {
+            ordering: OrderingPolicy::Hybrid,
+            ..EngineConfig::default()
+        };
+        // Stats report the policy, so compare against a same-config engine
+        // loaded in memory rather than the Preserve baseline.
+        let config_baseline = ServiceEngine::new(config.clone());
+        let config_base = config_baseline.load_graph("mixed", &mixed_graph());
+        let decoded_engine = ServiceEngine::new(config);
+        let decoded = decoded_engine
+            .load_from_path("decoded", &kcsr_path, LoadFormat::Kcsr)
+            .unwrap();
+        assert!(!decoded.zero_copy);
+        assert_eq!(
+            decoded_engine.execute_batch(&probe_requests(decoded.graph)),
+            config_baseline.execute_batch(&probe_requests(config_base))
+        );
 
         std::fs::remove_file(&edge_path).ok();
         std::fs::remove_file(&kcsr_path).ok();
@@ -2377,6 +2252,7 @@ mod tests {
                 assert_eq!(epoch, 1);
                 assert_eq!(scheduling.update_batches, 1);
                 assert_eq!(scheduling.update_edges, 4);
+                assert_eq!(scheduling.compactions, 1);
             }
             other => panic!("expected Stats, got {other:?}"),
         }
@@ -2387,6 +2263,19 @@ mod tests {
             Err(ServiceError::VertexOutOfRange { vertex: 99 })
         ));
         assert_eq!(engine.graph_epoch(id).unwrap(), 1);
+
+        // A batch that leaves the graph unchanged bumps the epoch but is not
+        // a compaction.
+        engine
+            .apply_updates(id, &[EdgeUpdate::insert(2, 5)])
+            .unwrap();
+        match engine.execute(&QueryRequest::GraphStats { graph: id }) {
+            QueryResponse::Stats { scheduling, .. } => {
+                assert_eq!(scheduling.update_batches, 2);
+                assert_eq!(scheduling.compactions, 1);
+            }
+            other => panic!("expected Stats, got {other:?}"),
+        }
     }
 
     #[test]

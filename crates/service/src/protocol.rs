@@ -1,4 +1,5 @@
-//! Plain-data types of the versioned service protocol (v2).
+//! Plain-data types of the versioned service protocol (v6; the version
+//! history is on [`crate::wire::message::PROTOCOL_VERSION`]).
 //!
 //! Requests and responses carry no references into engine state, so a
 //! network transport only has to serialise these values; the engine itself
@@ -42,26 +43,26 @@ impl std::fmt::Display for GraphId {
 /// The policy is part of the protocol (reported by
 /// [`QueryResponse::Stats`]) so clients can tell which id space cursors and
 /// persisted indexes belong to.
+///
+/// `Hybrid` pays only when the loaded ids are scrambled relative to the
+/// graph's structure; on generator-local ids it measures inside the noise
+/// (see the README's memory-layout notes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderingPolicy {
     /// Store graphs with the ids they were loaded with.
     #[default]
     Preserve,
-    /// Relabel by non-ascending degree (hot rows share cache lines).
-    DegreeDescending,
-    /// Relabel in per-component BFS order (bandwidth reduction).
-    Bfs,
-    /// Per-component BFS seeded at each component's maximum-degree vertex.
+    /// Relabel in per-component BFS order seeded at each component's
+    /// maximum-degree vertex (`kvcc_graph::reorder::hybrid_ordering`).
     Hybrid,
 }
 
 impl OrderingPolicy {
-    /// Stable wire code of the policy.
+    /// Stable wire code of the policy. Codes 1 and 2 belonged to retired
+    /// relabellings and decode as unknown.
     pub const fn code(self) -> u8 {
         match self {
             OrderingPolicy::Preserve => 0,
-            OrderingPolicy::DegreeDescending => 1,
-            OrderingPolicy::Bfs => 2,
             OrderingPolicy::Hybrid => 3,
         }
     }
@@ -70,8 +71,6 @@ impl OrderingPolicy {
     pub const fn from_code(code: u8) -> Option<OrderingPolicy> {
         match code {
             0 => Some(OrderingPolicy::Preserve),
-            1 => Some(OrderingPolicy::DegreeDescending),
-            2 => Some(OrderingPolicy::Bfs),
             3 => Some(OrderingPolicy::Hybrid),
             _ => None,
         }
@@ -85,9 +84,9 @@ pub enum LoadFormat {
     /// (`kvcc_graph::load::StreamingEdgeListLoader`).
     #[default]
     EdgeList,
-    /// The aligned `KCSR` v3 binary format. When the engine's memory policy
-    /// permits (no reordering, no compression) the file is served zero-copy
-    /// from a borrowed slot (`StoredGraph::Borrowed`).
+    /// The aligned `KCSR` v3 binary format. Under
+    /// [`OrderingPolicy::Preserve`] the file is served zero-copy from a
+    /// borrowed slot (`StoredGraph::Borrowed`).
     Kcsr,
 }
 
@@ -377,11 +376,10 @@ pub struct SchedulingStats {
     /// Update batches whose blast radius forced a full index rebuild
     /// instead of an incremental splice.
     pub update_rebuilds: u64,
-    /// Delta-overlay compactions the engine ran on the slot after update
-    /// batches (protocol v6): an uncompressed mutable slot keeps its edits
-    /// in a [`kvcc_graph::DeltaGraph`] overlay and folds them into the base
-    /// CSR only when the overlay ratio crosses
-    /// [`crate::EngineConfig::compact_overlay_ratio`].
+    /// Update batches that changed the slot's graph (protocol v6): each one
+    /// applies its edits to a [`kvcc_graph::DeltaGraph`] overlay and folds
+    /// them into a fresh CSR. Batches that leave the graph unchanged (e.g.
+    /// only redundant updates) are not counted.
     pub compactions: u64,
 }
 
@@ -714,11 +712,10 @@ pub enum RequestBody {
     },
     /// Load a graph from a file **on the serving host** into a new slot,
     /// answered with [`QueryResponse::Loaded`]. Edge lists go through the
-    /// streaming loader; `KCSR` files are served zero-copy when the
-    /// engine's memory policy allows borrowing (no reordering, no
-    /// compression) and decoded otherwise. The path is resolved by the
-    /// server process, so this variant only makes sense on trusted,
-    /// co-located deployments (the shard worker rejects it).
+    /// streaming loader; `KCSR` files are served zero-copy under
+    /// [`OrderingPolicy::Preserve`] and decoded otherwise. The path is
+    /// resolved by the server process, so this variant only makes sense on
+    /// trusted, co-located deployments (the shard worker rejects it).
     LoadGraph {
         /// Name to register the graph under (diagnostic only).
         name: String,
@@ -869,6 +866,18 @@ mod tests {
             .map(|e| e.code())
             .collect();
         assert_eq!(retryable, vec![7, 8, 10]);
+    }
+
+    #[test]
+    fn ordering_policy_codes_are_stable() {
+        for policy in [OrderingPolicy::Preserve, OrderingPolicy::Hybrid] {
+            assert_eq!(OrderingPolicy::from_code(policy.code()), Some(policy));
+        }
+        assert_eq!(OrderingPolicy::Hybrid.code(), 3);
+        // The retired relabellings' codes decode like any unknown code.
+        for code in [1, 2, 4] {
+            assert_eq!(OrderingPolicy::from_code(code), None);
+        }
     }
 
     #[test]

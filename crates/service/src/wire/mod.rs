@@ -3,9 +3,9 @@
 //! Everything that crosses a process boundary lives under this module:
 //!
 //! * [`codec`] — the shared varint/delta primitives (re-exported from
-//!   [`kvcc_graph::codec`], where they were extracted from the compressed
-//!   CSR graph) plus the string/bytes helpers the protocol needs;
-//! * [`message`] — the protocol-v2 byte codec: [`crate::Request`] /
+//!   [`kvcc_graph::codec`]) plus the string/bytes helpers the protocol
+//!   needs;
+//! * [`message`] — the protocol byte codec: [`crate::Request`] /
 //!   [`crate::Response`] `to_bytes`/`from_bytes` with version tag and full
 //!   validation;
 //! * [`frame`] — the length-prefixed frame format every transport speaks;

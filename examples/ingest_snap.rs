@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use kvcc_datasets::StreamConfig;
-use kvcc_graph::{write_kcsr_file, GraphLoader, StreamingEdgeListLoader};
+use kvcc_graph::{write_kcsr_file, StreamingEdgeListLoader};
 use kvcc_service::{EngineConfig, LoadFormat, QueryRequest, QueryResponse, ServiceEngine};
 
 fn usage() -> ! {
