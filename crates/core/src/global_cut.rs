@@ -13,9 +13,10 @@
 //! distance-descending processing order and — crucially — the neighbor-sweep
 //! and group-sweep rules that skip most `LOC-CUT` invocations (§5, Table 2).
 //!
-//! The functions are generic over [`GraphView`], and the flow network lives
-//! in a caller-owned [`CutScratch`] arena so that a worklist issuing many
-//! probes (the enumerator) performs no per-probe allocation in steady state.
+//! The functions are generic over [`GraphView`]. The probes run on the
+//! implicit vertex-split arena of [`VertexFlowGraph`], which lives in a
+//! caller-owned [`CutScratch`] so that a worklist issuing many probes (the
+//! enumerator) performs no per-probe allocation in steady state.
 
 use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::traversal::vertices_by_descending_distance;
@@ -40,10 +41,10 @@ pub struct GlobalCutOutcome {
 
 /// Reusable scratch arena for `GLOBAL-CUT` invocations.
 ///
-/// Owns the vertex-split flow network (see the scratch-arena contract on
+/// Owns the vertex-split flow arena (see the scratch-arena contract on
 /// [`VertexFlowGraph`]); one `CutScratch` per worker thread is the intended
-/// usage. Buffers grow to the largest subgraph probed and are then reused,
-/// so repeated probes allocate nothing.
+/// usage. Its buffers grow to the largest certificate probed and are then
+/// reused, so repeated calls and probes allocate nothing.
 #[derive(Debug, Default)]
 pub struct CutScratch {
     flow: VertexFlowGraph,
@@ -133,8 +134,9 @@ pub fn global_cut_with_scratch<G: GraphView>(
     // --- Source selection (Algorithm 3, lines 4-7). ---
     let source = select_source(g, &strong);
 
-    // --- Flow arena over the certificate. Rebuilding reuses the buffers of
-    // previous probes.
+    // --- Flow arena over the certificate: one copy of its CSR rows, into
+    // buffers reused from earlier calls. Each probe then resets only the
+    // vertices its flow touched.
     let flow = &mut scratch.flow;
     flow.rebuild(&certificate.graph);
     let scratch_memory_bytes = flow.memory_bytes() + certificate.memory_bytes();
@@ -251,7 +253,7 @@ fn select_source<G: GraphView>(g: &G, strong: &[bool]) -> VertexId {
 /// The adjacency shortcut is evaluated on the current subgraph `g`; the flow
 /// runs on the sparse certificate the arena was rebuilt with, a subgraph of
 /// `g`. Non-adjacency in `g` implies non-adjacency in any subgraph, so the
-/// unchecked flow entry point is safe.
+/// arena's own adjacency check never answers for a pair that reaches it.
 #[allow(clippy::too_many_arguments)]
 fn loc_cut<G: GraphView>(
     flow: &mut VertexFlowGraph,

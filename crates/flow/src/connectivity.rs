@@ -17,14 +17,7 @@ use crate::vertex_flow::{LocalConnectivity, VertexFlowGraph};
 /// For adjacent vertices the value `limit` is returned (Lemma 5: adjacent
 /// vertices can never be separated by removing other vertices).
 pub fn local_vertex_connectivity<G: GraphView>(g: &G, u: VertexId, v: VertexId, limit: u32) -> u32 {
-    if u == v {
-        return limit;
-    }
-    if g.has_edge(u, v) {
-        return limit;
-    }
-    let mut flow = VertexFlowGraph::build(g);
-    flow.max_flow_value(u, v, limit)
+    VertexFlowGraph::build(g).max_flow_value(u, v, limit)
 }
 
 /// Finds a vertex cut of size `< k`, or `None` when the graph is k-vertex
@@ -99,22 +92,18 @@ pub fn is_k_vertex_connected<G: GraphView>(g: &G, k: u32) -> bool {
         .min_degree_vertex()
         .expect("non-empty graph has a min-degree vertex");
     let mut flow = VertexFlowGraph::build(g);
-    // Phase 1: the source against every other non-adjacent vertex (adjacent
-    // pairs certify by Lemma 5 — the O(log deg) edge test is far cheaper
-    // than even a saturating one-phase flow, which still BFSes the network).
+    // Phase 1: the source against every other vertex (the probe answers
+    // identical and adjacent pairs by Lemma 5, without a flow).
     for v in g.vertices() {
-        if v == source || g.has_edge(source, v) {
-            continue;
-        }
         if !flow.has_connectivity_at_least(source, v, k) {
             return false;
         }
     }
-    // Phase 2: every non-adjacent pair of neighbours of the source (Lemma 4).
-    let neighbors = g.neighbors(source).to_vec();
+    // Phase 2: every pair of neighbours of the source (Lemma 4).
+    let neighbors = g.neighbors(source);
     for (i, &a) in neighbors.iter().enumerate() {
         for &b in &neighbors[i + 1..] {
-            if !g.has_edge(a, b) && !flow.has_connectivity_at_least(a, b, k) {
+            if !flow.has_connectivity_at_least(a, b, k) {
                 return false;
             }
         }

@@ -1,10 +1,12 @@
-//! Dinic's max-flow algorithm with early termination.
+//! Dinic's max-flow algorithm with early termination, on an explicit
+//! [`FlowNetwork`].
 //!
-//! The k-VCC enumeration never needs to know a local connectivity value beyond
-//! `k`: as soon as `k` units of flow have been routed the pair is known to be
-//! "k-local-connected" (`u ≡ₖ v`) and the computation stops. On the
-//! vertex-split flow graph every augmenting path carries exactly one unit, so
-//! the cost per `LOC-CUT` call is `O(min(√n, k) · m)` (Lemma 6 of the paper).
+//! Connectivity tests never need a flow value beyond `k`: once `k` units
+//! have been routed the answer is known and the computation stops. This
+//! general-capacity version serves the edge cuts of
+//! `kvcc_baselines::kecc`; the k-VCC `LOC-CUT` probes run a unit-capacity
+//! variant on the implicit vertex-split arena instead
+//! ([`crate::VertexFlowGraph`]).
 
 use kvcc_graph::bitset::EpochBitSet;
 
@@ -15,19 +17,17 @@ use crate::network::{FlowNetwork, NodeId};
 const UNREACHED: u32 = u32::MAX;
 
 /// Reusable scratch space for repeated max-flow computations on the same
-/// network, avoiding per-query allocations (the enumeration issues thousands
-/// of `LOC-CUT` calls per `GLOBAL-CUT`).
+/// network, avoiding per-query allocations (an edge-cut search probes one
+/// source against every other vertex).
 ///
 /// Level validity is tracked with an epoch-stamped bitset
 /// ([`EpochBitSet`]) instead of re-clearing the whole `level` array before
 /// every BFS phase: starting a phase is a single counter increment, and only
-/// the words the BFS actually touches are ever written. On k-bounded probes —
-/// which touch a small residual neighbourhood of the source — this removes
-/// the `O(n)`-per-phase clearing cost that used to dominate small-cut probes
-/// on large subgraphs, and packs the reached marks 64 nodes per word. The
-/// buffers themselves only ever grow (the internal `ensure` never shrinks),
-/// so one scratch reused across differently sized networks allocates nothing
-/// in steady state.
+/// the words the BFS actually touches are ever written, so a k-bounded flow
+/// that touches a small residual neighbourhood of the source pays no
+/// `O(n)`-per-phase clearing cost. The buffers themselves only ever grow
+/// (the internal `ensure` never shrinks), so one scratch reused across
+/// differently sized networks allocates nothing in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct DinicScratch {
     /// BFS level per node; only meaningful where `reached` contains the node.
@@ -50,9 +50,9 @@ impl DinicScratch {
     }
 
     /// Grows every buffer to cover `num_nodes` nodes. Buffers never shrink,
-    /// so a caller that sizes the scratch from its vertex bound once (e.g.
-    /// [`crate::VertexFlowGraph::rebuild`]) pays no per-probe reallocation.
-    pub(crate) fn ensure(&mut self, num_nodes: usize) {
+    /// so a caller that sizes the scratch once pays no per-query
+    /// reallocation.
+    fn ensure(&mut self, num_nodes: usize) {
         if self.level.len() < num_nodes {
             self.level.resize(num_nodes, UNREACHED);
             self.iter.resize(num_nodes, 0);

@@ -4,14 +4,18 @@
 //! max-flow on a **directed flow graph** obtained by splitting every vertex
 //! `v` into `v_in → v_out` (Fig. 3). This crate provides:
 //!
-//! * [`FlowNetwork`] — a compact residual-arc representation with paired
-//!   forward/backward arcs and cheap reset between queries.
-//! * [`dinic::max_flow`] — Dinic's algorithm with an early-termination limit
-//!   (the enumeration never needs more than `k` units of flow; Lemma 6).
-//! * [`mincut`] — residual reachability and saturated-cut extraction.
-//! * [`VertexFlowGraph`] — the vertex-splitting transformation plus
-//!   [`VertexFlowGraph::local_connectivity`], which returns either
-//!   "connectivity at least `k`" or an explicit vertex cut smaller than `k`.
+//! * [`VertexFlowGraph`] — the vertex-split network held implicitly (one
+//!   copy of the graph's CSR rows plus two flow fields per vertex, since a
+//!   unit vertex capacity lets each vertex carry at most one unit) and the
+//!   `LOC-CUT` probes on it: unit-capacity Dinic (Even & Tarjan) whose
+//!   phases are bounded by a reverse BFS from the sink and stop at the k-th
+//!   unit (Lemma 6). [`VertexFlowGraph::local_connectivity`] returns either
+//!   "connectivity at least `k`" or the minimum vertex cut closest to the
+//!   source, which every maximum flow shares.
+//! * [`FlowNetwork`], [`dinic::max_flow`] and [`mincut`] — an explicit
+//!   residual-arc network with a general-capacity Dinic and residual
+//!   reachability, for flows that need arc capacities (the edge cuts of
+//!   `kvcc_baselines::kecc`).
 //! * [`connectivity`] — whole-graph helpers: `is_k_vertex_connected`,
 //!   `global_vertex_connectivity` and an uncertified `find_vertex_cut` used as
 //!   a test oracle for the optimised enumerator.

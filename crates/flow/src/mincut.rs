@@ -1,10 +1,12 @@
-//! Minimum-cut extraction from a residual network.
+//! Minimum-cut extraction from a residual [`FlowNetwork`].
 //!
 //! After a max-flow computation terminates with value `< k` (i.e. no
 //! augmenting path remains), the set of nodes reachable from the source in the
 //! residual network defines a minimum s-t cut; the saturated forward arcs
-//! leaving that set are the cut arcs. `LOC-CUT` (Algorithm 2, lines 16–17)
-//! maps those arcs back to vertices of the original graph.
+//! leaving that set are the cut arcs. `kvcc_baselines::kecc` reads its edge
+//! cuts this way; the vertex-split arena ([`crate::VertexFlowGraph`]) reads
+//! `LOC-CUT`'s vertex cuts (Algorithm 2, lines 16–17) from the same
+//! reachable set with a search of its own.
 
 use kvcc_graph::bitset::BitSet;
 

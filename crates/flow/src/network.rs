@@ -15,12 +15,14 @@ pub type ArcId = u32;
 /// arc, small enough that additions cannot overflow a `u32`.
 pub const INFINITE_CAPACITY: u32 = u32::MAX / 4;
 
-/// A directed flow network in residual-arc form.
+/// A directed flow network in residual-arc form, for flows that need
+/// explicit arc capacities: the edge cuts of `kvcc_baselines::kecc`, where
+/// each undirected edge is a pair of unit arcs. (The k-VCC probes run on the
+/// implicit vertex-split arena of [`crate::VertexFlowGraph`] instead.)
 ///
-/// Designed for the access pattern of the k-VCC enumeration: the network is
-/// built once per `GLOBAL-CUT` invocation and then queried many times
-/// (`LOC-CUT` for many vertex pairs), so [`FlowNetwork::reset`] restores the
-/// initial capacities in a single `memcpy`-style pass instead of rebuilding.
+/// Built once per graph and queried for many source/sink pairs:
+/// [`FlowNetwork::reset`] restores the initial capacities in a single
+/// `memcpy`-style pass instead of rebuilding.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
     /// Target node of each arc.
@@ -29,13 +31,8 @@ pub struct FlowNetwork {
     cap: Vec<u32>,
     /// Initial capacity of each arc (used by [`reset`](FlowNetwork::reset)).
     initial_cap: Vec<u32>,
-    /// Outgoing arc ids per node (both forward and residual arcs). The
-    /// vector never shrinks — only the first `num_nodes` entries are live —
-    /// so per-node buffers survive arena reuse across differently sized
-    /// graphs (see [`FlowNetwork::clear`]).
+    /// Outgoing arc ids per node (both forward and residual arcs).
     adj: Vec<Vec<ArcId>>,
-    /// Number of live nodes (`adj.len()` may be larger after a shrink).
-    num_nodes: usize,
 }
 
 impl FlowNetwork {
@@ -46,7 +43,6 @@ impl FlowNetwork {
             cap: Vec::new(),
             initial_cap: Vec::new(),
             adj: vec![Vec::new(); num_nodes],
-            num_nodes,
         }
     }
 
@@ -57,14 +53,13 @@ impl FlowNetwork {
             cap: Vec::with_capacity(2 * num_arcs),
             initial_cap: Vec::with_capacity(2 * num_arcs),
             adj: vec![Vec::new(); num_nodes],
-            num_nodes,
         }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.adj.len()
     }
 
     /// Number of arcs **including** the automatically created reverse arcs.
@@ -136,48 +131,6 @@ impl FlowNetwork {
     pub fn reset(&mut self) {
         self.cap.copy_from_slice(&self.initial_cap);
     }
-
-    /// Empties the network and re-sizes it to `num_nodes` nodes, **keeping
-    /// every buffer allocation** (the arc arrays and the per-node adjacency
-    /// vectors). This is the scratch-arena reset used between `GLOBAL-CUT`
-    /// probes: rebuilding a similarly sized network after `clear` performs no
-    /// heap allocation in steady state.
-    pub fn clear(&mut self, num_nodes: usize) {
-        self.head.clear();
-        self.cap.clear();
-        self.initial_cap.clear();
-        // Clear the previously live adjacency lists without freeing them;
-        // `adj` never shrinks, so oscillating between small and large graphs
-        // still reuses every per-node buffer.
-        for list in self.adj.iter_mut().take(self.num_nodes) {
-            list.clear();
-        }
-        if self.adj.len() < num_nodes {
-            self.adj.resize_with(num_nodes, Vec::new);
-        }
-        self.num_nodes = num_nodes;
-    }
-
-    /// Reserves space for `num_arcs` further directed arcs (plus their
-    /// residual twins).
-    pub fn reserve_arcs(&mut self, num_arcs: usize) {
-        self.head.reserve(2 * num_arcs);
-        self.cap.reserve(2 * num_arcs);
-        self.initial_cap.reserve(2 * num_arcs);
-    }
-
-    /// Approximate heap usage in bytes (used by the memory tracker of Fig. 12).
-    pub fn memory_bytes(&self) -> usize {
-        self.head.capacity() * std::mem::size_of::<NodeId>()
-            + self.cap.capacity() * std::mem::size_of::<u32>() * 2
-            + self
-                .adj
-                .iter()
-                .map(|l| l.capacity() * std::mem::size_of::<ArcId>())
-                .sum::<usize>()
-            + self.adj.capacity() * std::mem::size_of::<Vec<ArcId>>()
-            + std::mem::size_of::<Self>()
-    }
 }
 
 #[cfg(test)]
@@ -214,31 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_and_resizes() {
-        let mut net = FlowNetwork::with_capacity(3, 4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 2, 1);
-        let arc_capacity = net.head.capacity();
-        net.clear(5);
-        assert_eq!(net.num_nodes(), 5);
-        assert_eq!(net.num_arcs(), 0);
-        assert!(
-            net.head.capacity() >= arc_capacity,
-            "clear must keep the arc buffers"
-        );
-        let a = net.add_arc(4, 0, 2);
-        assert_eq!(net.arc_head(a), 0);
-        net.clear(2);
-        assert_eq!(net.num_nodes(), 2);
-    }
-
-    #[test]
     fn adjacency_contains_residual_arcs() {
         let mut net = FlowNetwork::new(2);
         let a = net.add_arc(0, 1, 1);
         assert_eq!(net.arcs_from(0), &[a]);
         assert_eq!(net.arcs_from(1), &[a ^ 1]);
-        assert!(net.memory_bytes() > 0);
         assert_eq!(net.initial_capacity(a), 1);
     }
 }

@@ -1,24 +1,128 @@
-//! The vertex-splitting transformation and local vertex-connectivity queries.
+//! The vertex-split flow graph of §4.1 (Fig. 3) and the local
+//! vertex-connectivity probes (`LOC-CUT`) that run on it.
 //!
-//! Following §4.1 (Fig. 3), every vertex `v` of the undirected graph becomes
-//! two flow nodes `v_in` and `v_out` joined by a unit-capacity *vertex arc*
-//! `v_in → v_out`; every undirected edge `(u, v)` becomes two *adjacency arcs*
-//! `u_out → v_in` and `v_out → u_in`.
+//! # The split network, held implicitly
 //!
-//! Unlike the paper's description (which gives every arc capacity 1) the
-//! adjacency arcs here get an effectively infinite capacity. This changes
-//! nothing about the max-flow value — each unit of flow must still traverse
-//! one vertex arc per internal vertex — but it guarantees that every minimum
-//! edge cut consists of vertex arcs only, so the cut maps directly to a vertex
-//! cut of the original graph without the "locate the corresponding vertex"
-//! step being ambiguous.
+//! Every vertex `v` becomes two flow nodes, `v_in = 2v` and `v_out = 2v + 1`,
+//! joined by a unit-capacity *vertex arc* `v_in → v_out`; every undirected
+//! edge `(u, v)` becomes the two *adjacency arcs* `u_out → v_in` and
+//! `v_out → u_in`. Unlike the paper, which gives every arc capacity 1, the
+//! adjacency arcs here are uncapacitated. The max-flow value is the same,
+//! since each unit still crosses one vertex arc per internal vertex, but
+//! every minimum cut then consists of vertex arcs only and maps directly to
+//! a vertex cut of the original graph.
+//!
+//! The network is never materialised. A unit vertex capacity means a
+//! non-terminal vertex carries at most one unit of flow, which enters `v_in`
+//! from one neighbour and leaves `v_out` towards one neighbour. So the arena
+//! holds the graph's CSR rows plus, per vertex, `in_from[v]` and
+//! `out_to[v]`; `v` carries its unit (`through`) exactly when `in_from[v]`
+//! is set. Every residual arc follows from those:
+//!
+//! | node | residual successors | residual predecessors |
+//! |---|---|---|
+//! | `v_in` | `v_out` if idle, else `in_from[v]_out` | `x_out` for every neighbour `x`, and `v_out` if busy |
+//! | `v_out` | `y_in` for every neighbour `y`, and `v_in` if busy | `v_in` if idle, else `out_to[v]_in` |
+//!
+//! The source `u_out` may send, and the sink `v_in` receive, many units.
+//! Each is recorded at its other end only (`in_from[y] = u`,
+//! `out_to[x] = v`), which is all a search needs: no augmenting path
+//! re-enters the source or leaves the sink. A probe logs the vertices whose
+//! fields it set and resets just those, so a probe costs nothing
+//! proportional to the graph beyond the nodes it reaches.
+//!
+//! # Sink-bounded Dinic phases
+//!
+//! Each phase (Even & Tarjan's unit-capacity Dinic, the bound behind
+//! Lemma 6) runs a reverse residual BFS from the sink and stops the moment
+//! it reaches the source. Every node it labelled lies closer to the sink
+//! than the source does, and its label is its distance to the sink. The
+//! blocking-path DFS from the source then steps only to a node one closer
+//! to the sink, so every step lies on a shortest augmenting path of the
+//! phase and the search never wanders into the part of the network beyond
+//! the sink's side. A node whose arcs are used up is dropped from the phase
+//! (its label cleared) the first time the DFS backs out of it.
+//!
+//! # Which cut a probe returns
+//!
+//! A probe that routes fewer than `k` units has found a maximum flow. The
+//! set of nodes the source reaches in the residual network of a maximum flow
+//! is the same for *every* maximum flow: it is the source side of the
+//! minimum cut closest to the source, the intersection of all minimum cuts'
+//! source sides. The probe reads its cut from one exhaustive forward BFS:
+//! the vertices whose in-node is reached and whose out-node is not, in
+//! ascending order. So the cut does not depend on which augmenting paths
+//! the phases happened to find, and any other maximum-flow algorithm on the
+//! same network returns the same cut.
 
 use kvcc_graph::{GraphView, VertexId};
 
 use crate::budget::{Budget, Interrupted};
-use crate::dinic::{max_flow_budgeted, max_flow_with_scratch, DinicScratch};
-use crate::mincut::residual_reachable;
-use crate::network::{ArcId, FlowNetwork, NodeId, INFINITE_CAPACITY};
+use crate::network::NodeId;
+
+/// An empty `in_from` / `out_to` field.
+const NONE: VertexId = VertexId::MAX;
+
+/// Distance of a node the current search has not labelled, or has dropped.
+const UNLABELLED: u32 = u32::MAX;
+
+/// The unit of flow one vertex carries: the neighbour it enters from and the
+/// neighbour it leaves towards. Both fields are set or both are empty,
+/// except on the source (which records no `out_to`) and the sink (no
+/// `in_from`), neither of which ever carries a unit of its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Unit {
+    in_from: VertexId,
+    out_to: VertexId,
+}
+
+impl Unit {
+    const IDLE: Unit = Unit {
+        in_from: NONE,
+        out_to: NONE,
+    };
+
+    /// Whether the vertex carries a unit (its vertex arc is saturated).
+    #[inline]
+    fn busy(self) -> bool {
+        self.in_from != NONE
+    }
+
+    /// The one residual successor of `in_node`: its own out-node while the
+    /// vertex is idle, else the out-node its unit entered from.
+    #[inline]
+    fn successor_of_in(self, in_node: NodeId) -> NodeId {
+        match self.in_from {
+            NONE => in_node + 1,
+            x => VertexFlowGraph::node_out(x),
+        }
+    }
+
+    /// The one residual predecessor of `out_node`: its own in-node while the
+    /// vertex is idle, else the in-node its unit leaves towards.
+    #[inline]
+    fn predecessor_of_out(self, out_node: NodeId) -> NodeId {
+        match self.out_to {
+            NONE => out_node - 1,
+            y => VertexFlowGraph::node_in(y),
+        }
+    }
+}
+
+/// The loaded graph's CSR rows.
+#[derive(Clone, Debug, Default)]
+struct Rows {
+    /// `targets[offsets[v]..offsets[v + 1]]` is the sorted row of `v`.
+    offsets: Vec<u32>,
+    targets: Vec<VertexId>,
+}
+
+impl Rows {
+    #[inline]
+    fn of(&self, v: VertexId) -> &[VertexId] {
+        &self.targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+    }
+}
 
 /// Outcome of a local-connectivity test between two vertices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +133,7 @@ pub enum LocalConnectivity {
     AtLeast(u32),
     /// The local connectivity is below the threshold; the payload is a
     /// minimum `u`-`v` vertex cut (vertices of the *original* graph, excluding
-    /// `u` and `v` themselves).
+    /// `u` and `v` themselves), in ascending order.
     Cut(Vec<VertexId>),
 }
 
@@ -46,36 +150,40 @@ impl LocalConnectivity {
 ///
 /// # Scratch-arena contract
 ///
-/// All buffers (the arc arrays, the per-node adjacency lists and the Dinic
-/// level/iterator/queue scratch) survive a [`rebuild`](Self::rebuild): the
-/// structure is emptied and refilled for the new graph without freeing. A
+/// The arena holds one copy of the graph's CSR rows, the per-vertex flow
+/// fields and the per-node search state (see the [module docs](self)). All
+/// of it survives a [`rebuild`](Self::rebuild): buffers only grow, so a
 /// `GLOBAL-CUT` caller that keeps one `VertexFlowGraph` per worker thread
-/// therefore performs no per-probe allocation once the buffers have grown to
-/// the size of the largest subgraph seen, which removes the dominant
-/// allocation cost of the seed implementation (a fresh network per probe).
+/// allocates nothing per probe once the buffers have grown to the largest
+/// graph seen. Between probes every vertex is idle; a probe resets only the
+/// vertices it touched, also when its budget interrupts it.
 #[derive(Clone, Debug, Default)]
 pub struct VertexFlowGraph {
-    net: FlowNetwork,
-    /// `vertex_arc[v]` is the arc id of `v_in → v_out`.
-    vertex_arc: Vec<ArcId>,
-    scratch: DinicScratch,
-    num_vertices: usize,
+    rows: Rows,
+    /// The unit each vertex carries; [`Unit::IDLE`] between probes.
+    units: Vec<Unit>,
+    /// The vertices whose unit the current probe set (the undo log).
+    touched: Vec<VertexId>,
+    /// Per node: the distance to the sink in the current phase, or (while a
+    /// cut is read) any value but [`UNLABELLED`] for a reached node.
+    dist: Vec<u32>,
+    /// Per node: the current-arc cursor of the blocking-path DFS.
+    cursor: Vec<u32>,
+    /// The nodes the last search labelled, in order; `dist` is cleared
+    /// through it, so every other entry stays [`UNLABELLED`].
+    queue: Vec<NodeId>,
+    /// The DFS path, as nodes from the source.
+    path: Vec<NodeId>,
 }
 
 impl VertexFlowGraph {
     /// An empty arena with no graph loaded; call
     /// [`rebuild`](Self::rebuild) before issuing queries.
     pub fn empty() -> Self {
-        VertexFlowGraph {
-            net: FlowNetwork::new(0),
-            vertex_arc: Vec::new(),
-            scratch: DinicScratch::default(),
-            num_vertices: 0,
-        }
+        Self::default()
     }
 
-    /// Builds the flow graph of `g` (2n nodes, n vertex arcs + 2m adjacency
-    /// arcs).
+    /// Builds the flow graph of `g`.
     pub fn build<G: GraphView>(g: &G) -> Self {
         let mut this = Self::empty();
         this.rebuild(g);
@@ -83,55 +191,43 @@ impl VertexFlowGraph {
     }
 
     /// Re-targets the arena at a new graph, reusing every buffer (see the
-    /// scratch-arena contract in the type docs).
+    /// scratch-arena contract in the type docs). Costs one copy of the CSR
+    /// rows.
     pub fn rebuild<G: GraphView>(&mut self, g: &G) {
         let n = g.num_vertices();
-        self.net.clear(2 * n);
-        self.net.reserve_arcs(n + 2 * g.num_edges());
-        self.vertex_arc.clear();
-        self.vertex_arc.reserve(n);
-        for v in 0..n as NodeId {
-            let arc = self.net.add_arc(Self::node_in(v), Self::node_out(v), 1);
-            self.vertex_arc.push(arc);
+        self.clear_labels();
+        let Rows { offsets, targets } = &mut self.rows;
+        offsets.clear();
+        offsets.reserve(n + 1);
+        offsets.push(0);
+        targets.clear();
+        targets.reserve(2 * g.num_edges());
+        for v in g.vertices() {
+            targets.extend_from_slice(g.neighbors(v));
+            let end = u32::try_from(targets.len()).expect("CSR rows hold fewer than 2^32 slots");
+            offsets.push(end);
         }
-        for u in g.vertices() {
-            for &v in g.neighbors(u) {
-                // Each undirected edge is visited twice (once per direction),
-                // creating exactly the two adjacency arcs of Fig. 3.
-                self.net
-                    .add_arc(Self::node_out(u), Self::node_in(v), INFINITE_CAPACITY);
-            }
+        if self.units.len() < n {
+            self.units.resize(n, Unit::IDLE);
+            self.dist.resize(2 * n, UNLABELLED);
+            self.cursor.resize(2 * n, 0);
         }
-        // Pre-size the Dinic scratch from the node bound once, so the probes
-        // that follow never grow a buffer mid-flow.
-        self.scratch.ensure(2 * n);
-        self.num_vertices = n;
+        // Size the search buffers once, so no probe grows one mid-flow.
+        self.queue.reserve(2 * n);
     }
 
     /// k-bounded boolean connectivity probe: `true` iff `κ(u, v) >= k`
-    /// (`u ≡ₖ v`), for any `u != v` — adjacent pairs route through their
-    /// infinite-capacity adjacency arc and therefore always certify (Lemma
-    /// 5), so no separate adjacency test is needed.
+    /// (`u ≡ₖ v`). Identical and adjacent pairs certify any `k` without a
+    /// flow (Lemma 5).
     ///
-    /// This is the cheapest probe the arena offers: Dinic stops at the k-th
-    /// augmenting path, the level BFS is never rebuilt once the bound is met,
-    /// and — unlike [`VertexFlowGraph::local_connectivity`] — no residual
-    /// reachability pass or cut vector is ever materialised on the negative
-    /// side. Verification workloads (`is_k_vertex_connected` over every
-    /// reported component) only need the boolean, which is why they run here.
+    /// This is the cheapest probe the arena offers: the flow stops at the
+    /// k-th augmenting path and, unlike
+    /// [`VertexFlowGraph::local_connectivity`], no cut is read on the
+    /// negative side. Verification workloads (`is_k_vertex_connected` over
+    /// every reported component) only need the boolean, which is why they
+    /// run here.
     pub fn has_connectivity_at_least(&mut self, u: VertexId, v: VertexId, k: u32) -> bool {
-        if u == v {
-            return true;
-        }
-        let flow = max_flow_with_scratch(
-            &mut self.net,
-            Self::node_out(u),
-            Self::node_in(v),
-            k,
-            &mut self.scratch,
-        );
-        self.net.reset();
-        flow >= k
+        self.max_flow_value(u, v, k) >= k
     }
 
     /// Flow node representing the "entry" side of vertex `v`.
@@ -148,28 +244,36 @@ impl VertexFlowGraph {
 
     /// Number of vertices of the underlying undirected graph.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.rows.offsets.len().saturating_sub(1)
     }
 
     /// Approximate heap usage in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.net.memory_bytes() + self.vertex_arc.capacity() * std::mem::size_of::<ArcId>()
+        fn bytes<T>(buffer: &Vec<T>) -> usize {
+            buffer.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.rows.offsets)
+            + bytes(&self.rows.targets)
+            + bytes(&self.units)
+            + bytes(&self.touched)
+            + bytes(&self.dist)
+            + bytes(&self.cursor)
+            + bytes(&self.queue)
+            + bytes(&self.path)
     }
 
-    /// Raw max-flow value from `u` to `v`, early-terminated at `limit`.
-    ///
-    /// This is the value `λ = κ(u, v)` capped at `limit`, valid only for
-    /// non-adjacent `u != v` (for adjacent vertices the vertex connectivity is
-    /// defined via Lemma 5 instead). The network is reset afterwards.
+    /// Max-flow value from `u` to `v`, early-terminated at `limit`: the
+    /// local connectivity `κ(u, v)` capped at `limit`. Identical and
+    /// adjacent pairs, which no vertex set separates (Lemma 5), answer
+    /// `limit` without a flow.
     pub fn max_flow_value(&mut self, u: VertexId, v: VertexId, limit: u32) -> u32 {
-        let flow = max_flow_with_scratch(
-            &mut self.net,
-            Self::node_out(u),
-            Self::node_in(v),
-            limit,
-            &mut self.scratch,
-        );
-        self.net.reset();
+        if self.inseparable(u, v) {
+            return limit;
+        }
+        let flow = self
+            .route(u, v, limit, &Budget::unlimited())
+            .expect("an unlimited budget never interrupts");
+        self.undo();
         flow
     }
 
@@ -192,10 +296,10 @@ impl VertexFlowGraph {
         self.local_connectivity_nonadjacent(u, v, k)
     }
 
-    /// [`local_connectivity`](Self::local_connectivity) for callers that have
-    /// already ruled out `u == v` and adjacency (e.g. `GLOBAL-CUT`, which
-    /// checks adjacency on the *current subgraph* while the flow arena holds
-    /// the sparse certificate — a subgraph of it).
+    /// [`local_connectivity`](Self::local_connectivity) without the caller's
+    /// graph: for callers such as `GLOBAL-CUT` that test adjacency on their
+    /// current subgraph while the arena holds its sparse certificate. Pairs
+    /// adjacent in the arena's own graph still answer `AtLeast(k)`.
     pub fn local_connectivity_nonadjacent(
         &mut self,
         u: VertexId,
@@ -207,7 +311,7 @@ impl VertexFlowGraph {
     }
 
     /// [`local_connectivity_nonadjacent`](Self::local_connectivity_nonadjacent)
-    /// under a cooperative [`Budget`], polled once per Dinic BFS phase.
+    /// under a cooperative [`Budget`], polled once per Dinic phase.
     ///
     /// On [`Interrupted`] the arena is reset before returning, so the very
     /// next probe on this `VertexFlowGraph` — budgeted or not — starts from
@@ -219,44 +323,273 @@ impl VertexFlowGraph {
         k: u32,
         budget: &Budget,
     ) -> Result<LocalConnectivity, Interrupted> {
-        let source = Self::node_out(u);
-        let sink = Self::node_in(v);
-        let flow =
-            match max_flow_budgeted(&mut self.net, source, sink, k, &mut self.scratch, budget) {
-                Ok(flow) => flow,
-                Err(interrupted) => {
-                    // Clear the partial flow: the arena must stay reusable.
-                    self.net.reset();
-                    return Err(interrupted);
-                }
-            };
-        if flow >= k {
-            self.net.reset();
+        if self.inseparable(u, v) {
             return Ok(LocalConnectivity::AtLeast(k));
         }
-        // No augmenting path remains: extract the vertex cut from the
-        // saturated vertex arcs crossing the residual reachability frontier.
-        let reachable = residual_reachable(&self.net, source);
-        let mut cut = Vec::with_capacity(flow as usize);
-        for (vertex, &arc) in self.vertex_arc.iter().enumerate() {
-            let tail_in = Self::node_in(vertex as VertexId);
-            let head_out = Self::node_out(vertex as VertexId);
-            if reachable.contains(tail_in as usize) && !reachable.contains(head_out as usize) {
-                debug_assert_eq!(
-                    self.net.residual(arc),
-                    0,
-                    "cut vertex arc must be saturated"
-                );
-                cut.push(vertex as VertexId);
+        let answer = self.route(u, v, k, budget).map(|flow| {
+            if flow >= k {
+                return LocalConnectivity::AtLeast(k);
+            }
+            let cut = self.source_side_cut(Self::node_out(u));
+            debug_assert_eq!(
+                cut.len() as u32,
+                flow,
+                "cut size must equal the max-flow value"
+            );
+            LocalConnectivity::Cut(cut)
+        });
+        self.undo();
+        answer
+    }
+
+    /// Whether no vertex set can separate `u` from `v`: the same vertex, or
+    /// adjacent in the arena's rows (Lemma 5).
+    fn inseparable(&self, u: VertexId, v: VertexId) -> bool {
+        u == v || self.rows.of(u).binary_search(&v).is_ok()
+    }
+
+    /// Routes up to `limit` units from `u` to `v` (distinct, non-adjacent)
+    /// by sink-bounded Dinic phases and returns the flow. The flow stays in
+    /// place for [`source_side_cut`](Self::source_side_cut); the caller
+    /// [`undo`](Self::undo)es it, also on [`Interrupted`].
+    fn route(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        limit: u32,
+        budget: &Budget,
+    ) -> Result<u32, Interrupted> {
+        let (source, sink) = (Self::node_out(u), Self::node_in(v));
+        let mut flow = 0;
+        // Once `flow == limit` the outer condition fails immediately, so a
+        // probe that meets its bound never pays a final no-progress phase.
+        while flow < limit {
+            budget.check()?;
+            if !self.label_towards_sink(source, sink) {
+                break;
+            }
+            while flow < limit && self.augment(source, sink) {
+                flow += 1;
             }
         }
-        self.net.reset();
-        debug_assert_eq!(
-            cut.len() as u32,
-            flow,
-            "cut size must equal the max-flow value"
-        );
-        Ok(LocalConnectivity::Cut(cut))
+        Ok(flow)
+    }
+
+    /// Resets the labels of the last search.
+    fn clear_labels(&mut self) {
+        for &node in &self.queue {
+            self.dist[node as usize] = UNLABELLED;
+        }
+        self.queue.clear();
+    }
+
+    /// One phase's labels: a reverse residual BFS from `sink` that gives
+    /// each node its distance to the sink and stops as soon as it labels
+    /// `source`. Every node of the phase's level graph is then labelled,
+    /// since BFS labels all of a level before it expands any node of it.
+    /// Returns whether the source was reached.
+    fn label_towards_sink(&mut self, source: NodeId, sink: NodeId) -> bool {
+        self.clear_labels();
+        let Self {
+            rows,
+            units,
+            dist,
+            cursor,
+            queue,
+            ..
+        } = self;
+        dist[sink as usize] = 0;
+        queue.push(sink);
+        let mut reached = false;
+        let mut head = 0;
+        'bfs: while head < queue.len() {
+            let node = queue[head];
+            head += 1;
+            let next = dist[node as usize] + 1;
+            let v = node / 2;
+            let unit = units[v as usize];
+            if node & 1 == 0 {
+                // v_in: every neighbour's out-node, and v_out if v is busy.
+                for &x in rows.of(v) {
+                    let pred = Self::node_out(x);
+                    if dist[pred as usize] == UNLABELLED {
+                        dist[pred as usize] = next;
+                        queue.push(pred);
+                        if pred == source {
+                            reached = true;
+                            break 'bfs;
+                        }
+                    }
+                }
+                if unit.busy() && dist[node as usize + 1] == UNLABELLED {
+                    dist[node as usize + 1] = next;
+                    queue.push(node + 1);
+                }
+            } else {
+                // The source, the only out-node with several units, ends
+                // the search when labelled, so it is never expanded here.
+                let pred = unit.predecessor_of_out(node);
+                if dist[pred as usize] == UNLABELLED {
+                    dist[pred as usize] = next;
+                    queue.push(pred);
+                }
+            }
+        }
+        for &node in queue.iter() {
+            cursor[node as usize] = 0;
+        }
+        reached
+    }
+
+    /// Finds one augmenting path in the phase's level graph — a DFS from
+    /// `source` that steps only to a node one closer to the sink, with a
+    /// current-arc cursor per node — and routes one unit along it. Returns
+    /// `false` when the phase has no path left.
+    fn augment(&mut self, source: NodeId, sink: NodeId) -> bool {
+        let Self {
+            rows,
+            units,
+            touched,
+            dist,
+            cursor,
+            path,
+            ..
+        } = self;
+        path.clear();
+        path.push(source);
+        while let Some(&node) = path.last() {
+            if node == sink {
+                break;
+            }
+            // Only the sink has distance 0, and every node on the path is
+            // labelled.
+            let want = dist[node as usize] - 1;
+            let v = node / 2;
+            let unit = units[v as usize];
+            let c = &mut cursor[node as usize];
+            let mut next = None;
+            if node & 1 == 0 {
+                // v_in: its one successor, untried while the cursor is 0.
+                let succ = unit.successor_of_in(node);
+                if *c == 0 && dist[succ as usize] == want {
+                    next = Some(succ);
+                }
+            } else {
+                // v_out: the neighbours' in-nodes, then v_in if v is busy.
+                let row = rows.of(v);
+                while (*c as usize) < row.len() {
+                    let succ = Self::node_in(row[*c as usize]);
+                    if dist[succ as usize] == want {
+                        next = Some(succ);
+                        break;
+                    }
+                    *c += 1;
+                }
+                if next.is_none()
+                    && *c as usize == row.len()
+                    && unit.busy()
+                    && dist[node as usize - 1] == want
+                {
+                    next = Some(node - 1);
+                }
+            }
+            match next {
+                Some(succ) => path.push(succ),
+                None => {
+                    // A dead end: drop it from the phase, and move its
+                    // parent's cursor past it.
+                    dist[node as usize] = UNLABELLED;
+                    path.pop();
+                    if let Some(&parent) = path.last() {
+                        cursor[parent as usize] += 1;
+                    }
+                }
+            }
+        }
+        if path.is_empty() {
+            return false;
+        }
+        // Route the unit. Only two kinds of step change a field: an
+        // adjacency arc x_out → y_in (y's unit now enters from x, x's leaves
+        // towards y) and a reversed vertex arc w_out → w_in (w's unit is
+        // cancelled). A reversed adjacency arc y_in → x_out needs no write:
+        // the step into y_in before it and the step out of x_out after it
+        // already set both fields.
+        for step in path.windows(2) {
+            let (from, to) = (step[0], step[1]);
+            if from & 1 == 0 {
+                continue;
+            }
+            let (x, y) = (from / 2, to / 2);
+            if x == y {
+                units[x as usize] = Unit::IDLE;
+                continue;
+            }
+            if from != source {
+                units[x as usize].out_to = y;
+            }
+            if to != sink {
+                if !units[y as usize].busy() {
+                    touched.push(y);
+                }
+                units[y as usize].in_from = x;
+            }
+        }
+        true
+    }
+
+    /// The vertices whose in-node `source` reaches in the residual network
+    /// and whose out-node it does not, ascending. After a maximum flow this
+    /// is the minimum cut closest to the source, shared by every maximum
+    /// flow (see the [module docs](self)).
+    fn source_side_cut(&mut self, source: NodeId) -> Vec<VertexId> {
+        self.clear_labels();
+        let Self {
+            rows,
+            units,
+            dist,
+            queue,
+            ..
+        } = self;
+        let mut reach = |node: NodeId, queue: &mut Vec<NodeId>| {
+            if dist[node as usize] == UNLABELLED {
+                dist[node as usize] = 0;
+                queue.push(node);
+            }
+        };
+        reach(source, queue);
+        let mut head = 0;
+        while head < queue.len() {
+            let node = queue[head];
+            head += 1;
+            let v = node / 2;
+            let unit = units[v as usize];
+            if node & 1 == 0 {
+                reach(unit.successor_of_in(node), queue);
+            } else {
+                for &y in rows.of(v) {
+                    reach(Self::node_in(y), queue);
+                }
+                if unit.busy() {
+                    reach(node - 1, queue);
+                }
+            }
+        }
+        let mut cut: Vec<VertexId> = queue
+            .iter()
+            .filter(|&&node| node & 1 == 0 && dist[node as usize + 1] == UNLABELLED)
+            .map(|&node| node / 2)
+            .collect();
+        cut.sort_unstable();
+        cut
+    }
+
+    /// Returns every vertex the probe touched to idle.
+    fn undo(&mut self) {
+        for &v in &self.touched {
+            self.units[v as usize] = Unit::IDLE;
+        }
+        self.touched.clear();
     }
 }
 
@@ -296,25 +629,29 @@ mod tests {
         let g = UndirectedGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut flow = VertexFlowGraph::build(&g);
         assert_eq!(flow.max_flow_value(0, 3, 10), 1);
-        match flow.local_connectivity(&g, 0, 3, 2) {
-            LocalConnectivity::Cut(cut) => {
-                assert_eq!(cut.len(), 1);
-                assert!(cut[0] == 1 || cut[0] == 2);
-            }
-            other => panic!("expected a cut, got {other:?}"),
-        }
+        // Both {1} and {2} separate the ends; the probe returns the minimum
+        // cut closest to the source, from either side.
+        assert_eq!(
+            flow.local_connectivity(&g, 0, 3, 2),
+            LocalConnectivity::Cut(vec![1])
+        );
+        assert_eq!(
+            flow.local_connectivity(&g, 3, 0, 2),
+            LocalConnectivity::Cut(vec![2])
+        );
     }
 
     #[test]
     fn clique_pairs_are_highly_connected() {
         let g = complete(6);
         let mut flow = VertexFlowGraph::build(&g);
-        // All pairs are adjacent, so Lemma 5 applies.
+        // All pairs are adjacent, so Lemma 5 applies to every entry point.
         assert!(flow.local_connectivity(&g, 0, 5, 5).is_at_least_k());
-        // Raw flow between adjacent vertices counts disjoint paths; in K6 the
-        // flow between two vertices is 1 (direct adjacency arc is not counted
-        // here because max_flow_value assumes non-adjacent queries), so only
-        // test the adjacency fast path above.
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(0, 5, 9),
+            LocalConnectivity::AtLeast(9)
+        );
+        assert_eq!(flow.max_flow_value(0, 5, 9), 9);
     }
 
     #[test]
@@ -342,6 +679,44 @@ mod tests {
         }
         // With k = 2 the pair is 2-local-connected (through the two portals).
         assert!(flow.local_connectivity(&g, 0, 4, 2).is_at_least_k());
+    }
+
+    #[test]
+    fn a_second_unit_can_cancel_the_first_through_a_vertex() {
+        // The only shortest 0-4 path is 0-1-2-3-4. Both vertex-disjoint
+        // paths, 0-1-8-9-10-4 and 0-5-6-7-3-4, need vertex 2 freed: the
+        // second unit enters 3, walks back over 3's and 2's units to 1,
+        // and leaves towards 8 (reversed arcs 3_in → 2_out → 2_in → 1_out).
+        let g = UndirectedGraph::from_edges(
+            11,
+            vec![
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (0, 5),
+                (5, 6),
+                (6, 7),
+                (7, 3),
+                (1, 8),
+                (8, 9),
+                (9, 10),
+                (10, 4),
+            ],
+        )
+        .unwrap();
+        let mut flow = VertexFlowGraph::build(&g);
+        assert_eq!(flow.max_flow_value(0, 4, 10), 2);
+        assert!(flow.has_connectivity_at_least(0, 4, 2));
+        // The cut closest to the source is its two neighbours.
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(0, 4, 3),
+            LocalConnectivity::Cut(vec![1, 5])
+        );
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(4, 0, 3),
+            LocalConnectivity::Cut(vec![3, 10])
+        );
     }
 
     #[test]
@@ -406,8 +781,14 @@ mod tests {
         // Across the portals: connectivity is exactly 2.
         assert!(flow.has_connectivity_at_least(0, 4, 2));
         assert!(!flow.has_connectivity_at_least(0, 4, 3));
-        // Adjacent vertices certify any k through the infinite adjacency arc.
+        // Adjacent vertices certify any k without a flow (Lemma 5), up to
+        // the largest bound a caller can pass.
         assert!(flow.has_connectivity_at_least(0, 1, 100));
+        assert!(flow.has_connectivity_at_least(0, 1, u32::MAX));
+        assert_eq!(flow.max_flow_value(0, 1, u32::MAX), u32::MAX);
+        // A non-adjacent pair under the same bound runs to exhaustion.
+        assert!(!flow.has_connectivity_at_least(0, 4, u32::MAX));
+        assert_eq!(flow.max_flow_value(0, 4, u32::MAX), 2);
         // Same vertex is trivially connected.
         assert!(flow.has_connectivity_at_least(5, 5, 7));
         // The arena stays reusable after boolean probes.
