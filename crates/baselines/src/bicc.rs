@@ -1,102 +1,13 @@
-//! Biconnected components (Tarjan's algorithm, iterative).
+//! Biconnected components, re-exported from [`kvcc_graph::traversal`].
 //!
 //! Biconnected components are exactly the 2-VCCs with at least three vertices
 //! (plus bridges, which have only two vertices and therefore do not qualify as
-//! 2-VCCs). They provide an independent, flow-free oracle for the `k = 2` case
-//! of the enumeration, used heavily by the cross-check tests.
+//! 2-VCCs). The Hopcroft–Tarjan implementation lives in the graph crate, where
+//! the k-VCC hierarchy takes its level 2 from it; here it serves as the
+//! flow-free oracle for the `k = 2` case of the enumeration, used heavily by
+//! the cross-check tests.
 
-use kvcc_graph::{GraphView, VertexId};
-
-/// Returns the vertex sets of all biconnected components of `g`, each sorted
-/// ascending, ordered by smallest vertex. Bridges appear as 2-vertex
-/// components; isolated vertices do not appear at all.
-pub fn biconnected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut disc = vec![u32::MAX; n]; // discovery times
-    let mut low = vec![u32::MAX; n];
-    let mut timer = 0u32;
-    let mut edge_stack: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut components: Vec<Vec<VertexId>> = Vec::new();
-
-    // Iterative DFS frame: (vertex, parent, next neighbour index).
-    let mut stack: Vec<(VertexId, VertexId, usize)> = Vec::new();
-
-    for root in 0..n as VertexId {
-        if disc[root as usize] != u32::MAX {
-            continue;
-        }
-        disc[root as usize] = timer;
-        low[root as usize] = timer;
-        timer += 1;
-        stack.push((root, VertexId::MAX, 0));
-
-        while !stack.is_empty() {
-            let top = stack.len() - 1;
-            let (u, parent, idx) = stack[top];
-            let neighbors = g.neighbors(u);
-            if idx < neighbors.len() {
-                stack[top].2 += 1;
-                let v = neighbors[idx];
-                if disc[v as usize] == u32::MAX {
-                    // Tree edge.
-                    edge_stack.push((u, v));
-                    disc[v as usize] = timer;
-                    low[v as usize] = timer;
-                    timer += 1;
-                    stack.push((v, u, 0));
-                } else if v != parent && disc[v as usize] < disc[u as usize] {
-                    // Back edge.
-                    edge_stack.push((u, v));
-                    low[u as usize] = low[u as usize].min(disc[v as usize]);
-                }
-            } else {
-                // Finished u: propagate low-link to the parent and emit a
-                // component if u is the far end of an articulation edge.
-                stack.pop();
-                if let Some(&(p, _, _)) = stack.last() {
-                    low[p as usize] = low[p as usize].min(low[u as usize]);
-                    if low[u as usize] >= disc[p as usize] {
-                        // (p, u) closes a biconnected component.
-                        let mut members: Vec<VertexId> = Vec::new();
-                        while let Some(&(a, b)) = edge_stack.last() {
-                            if disc[a as usize] >= disc[u as usize] {
-                                edge_stack.pop();
-                                members.push(a);
-                                members.push(b);
-                            } else {
-                                break;
-                            }
-                        }
-                        // The closing edge (p, u) itself.
-                        if let Some(&(a, b)) = edge_stack.last() {
-                            if (a, b) == (p, u) {
-                                edge_stack.pop();
-                                members.push(a);
-                                members.push(b);
-                            }
-                        }
-                        members.sort_unstable();
-                        members.dedup();
-                        if !members.is_empty() {
-                            components.push(members);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    components.sort();
-    components
-}
-
-/// Convenience: biconnected components with at least three vertices, i.e. the
-/// 2-vertex connected components of the graph.
-pub fn two_vccs<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
-    biconnected_components(g)
-        .into_iter()
-        .filter(|c| c.len() >= 3)
-        .collect()
-}
+pub use kvcc_graph::traversal::{biconnected_components, two_vccs};
 
 #[cfg(test)]
 mod tests {

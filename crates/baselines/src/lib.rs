@@ -9,8 +9,10 @@
 //!   figures);
 //! * [`kecc`] — k-edge connected components, computed by recursive global
 //!   min-edge-cut partitioning ([`stoer_wagner`] provides the cut);
-//! * [`bicc`] — biconnected components (Tarjan), an independent oracle for the
-//!   `k = 2` case of the k-VCC enumeration;
+//! * [`bicc`] — biconnected components (Hopcroft–Tarjan), re-exported from
+//!   [`kvcc_graph::traversal`], whose linear-time level 2 of the k-VCC
+//!   hierarchy they also are; here a flow-free oracle for the `k = 2` case
+//!   of the enumeration;
 //! * [`naive_vcc`] — a brute-force k-VCC oracle for tiny graphs, used by the
 //!   property-based tests.
 

@@ -7,23 +7,44 @@
 //! up to the largest k for which any component survives (bounded by the graph
 //! degeneracy).
 //!
-//! The construction exploits the nesting: the (k+1)-VCCs are enumerated
-//! *inside* each k-VCC instead of on the whole graph, which keeps the total
-//! cost close to the cost of the deepest level. Every nested level is sliced
-//! out of the (arbitrary [`GraphView`]) input as a compact CSR work item
-//! through one reusable relabelling buffer — no per-level whole-graph copies
-//! — and each per-component enumeration drains on the parallel worklist when
-//! [`KvccOptions::threads`] asks for it. This module is an extension of the
-//! paper's algorithm (the paper fixes a single k); it powers the `hierarchy`
-//! example and is the substrate of [`crate::index::ConnectivityIndex`].
+//! The construction certifies each component once:
+//!
+//! * **Levels 1 and 2 run no flow.** The 1-VCCs are the connected components
+//!   with at least two vertices, and the 2-VCCs are the biconnected
+//!   components with at least three (Hopcroft & Tarjan, CACM 1973). Both come
+//!   from [`kvcc_graph::traversal`] in `O(n + m)`.
+//! * **Each new component is certified.** When a component `C` first appears
+//!   at level `k`, its connectivity `κ(C)` is computed, capped at
+//!   `min(δ(C), depth limit)`: one `GLOBAL-CUT*` call at the cap, and only
+//!   when that call finds a cut `S`, a binary search between `k` and `|S|`
+//!   (`κ(C) ≤ |S|`, since `S` separates `C`).
+//! * **A certified component is copied, not re-enumerated.** Say `C` is
+//!   certified at `t`. By the maximality in the k-VCC definition (§2), `C` is
+//!   then the only j-VCC inside itself for every `k ≤ j ≤ t`: a larger
+//!   j-connected set containing `C` would be k-connected, which contradicts
+//!   the maximality of `C`. And `t ≤ δ(C) < |C|`, so `C` is large enough to
+//!   be a j-VCC. So `C` is copied to levels `k + 1 ..= t` as its own only
+//!   child, and enumerated with [`enumerate_kvccs`] only at level `t + 1`.
+//!
+//! The output is the same forest as enumerating every level inside every
+//! parent. Each enumeration slices its parent out of the (arbitrary
+//! [`GraphView`]) input as one compact CSR work item through one reusable
+//! relabelling buffer — no per-level whole-graph copies — and drains on the
+//! parallel worklist when [`KvccOptions::threads`] asks for it. This module is
+//! an extension of the paper's algorithm (the paper fixes a single k); it
+//! powers the `hierarchy` example and is the substrate of
+//! [`crate::index::ConnectivityIndex`].
 
 use kvcc_graph::kcore::degeneracy;
+use kvcc_graph::traversal::{connected_components, two_vccs};
 use kvcc_graph::{CsrGraph, GraphView, VertexId};
 
 use crate::enumerate::enumerate_kvccs;
 use crate::error::KvccError;
+use crate::global_cut::{global_cut_with_scratch, CutScratch};
 use crate::options::KvccOptions;
 use crate::result::KVertexConnectedComponent;
+use crate::stats::EnumerationStats;
 
 /// One level of the hierarchy: all k-VCCs for a fixed `k`, plus the index of
 /// each component's parent in the previous level.
@@ -106,68 +127,98 @@ impl KvccHierarchy {
 /// Builds the k-VCC hierarchy of `graph` for `k = 1 ..= max_k`.
 ///
 /// `max_k = None` uses the graph degeneracy as the upper bound (no k-VCC can
-/// exist beyond it, because a k-VCC has minimum degree `>= k`). Construction
-/// stops early at the first level with no components.
+/// exist beyond it, because a k-VCC has minimum degree `>= k`);
+/// `max_k = Some(0)` builds an empty hierarchy. Construction stops early at
+/// the first level with no components. An expired
+/// [`KvccOptions::budget`] interrupts the build with
+/// [`KvccError::Interrupted`], also before the first level.
 pub fn build_hierarchy<G: GraphView>(
     graph: &G,
     max_k: Option<u32>,
     options: &KvccOptions,
 ) -> Result<KvccHierarchy, KvccError> {
-    let limit = max_k.unwrap_or_else(|| degeneracy(graph)).max(1);
+    options.budget.check()?;
+    let limit = max_k.unwrap_or_else(|| degeneracy(graph));
     let mut levels: Vec<HierarchyLevel> = Vec::new();
+    // `certified[i]`: the level the previous level's `components[i]` is
+    // certified up to.
+    let mut certified: Vec<u32> = Vec::new();
+    let mut scratch = CutScratch::new();
     // One relabelling buffer shared by every slice of the whole construction.
     let mut map: Vec<VertexId> = Vec::new();
 
     for k in 1..=limit {
-        let level = match levels.last() {
+        // (component, parent, certified level) before the level is sorted.
+        let mut nodes: Vec<(KVertexConnectedComponent, Option<usize>, u32)> = Vec::new();
+        match levels.last() {
             None => {
-                // Level 1 is enumerated on the whole graph.
-                let components = enumerate_kvccs(graph, k, options)?.components().to_vec();
-                let parents = vec![None; components.len()];
-                HierarchyLevel {
-                    k,
-                    components,
-                    parents,
+                for members in connected_components(graph) {
+                    if members.len() >= 2 {
+                        nodes.push((KVertexConnectedComponent::new(members), None, 1));
+                    }
+                }
+            }
+            Some(roots) if k == 2 => {
+                let mut root_of = vec![usize::MAX; graph.num_vertices()];
+                for (i, root) in roots.components.iter().enumerate() {
+                    for &v in root.vertices() {
+                        root_of[v as usize] = i;
+                    }
+                }
+                for members in two_vccs(graph) {
+                    let sub = CsrGraph::extract_induced(graph, &members, &mut map);
+                    let level = certified_level(&sub, k, limit, options, &mut scratch)?;
+                    let parent = root_of[members[0] as usize];
+                    nodes.push((KVertexConnectedComponent::new(members), Some(parent), level));
                 }
             }
             Some(previous) => {
-                // Deeper levels are enumerated inside each parent component:
-                // slice the parent out of the input as one CSR work item
-                // (component vertex lists are sorted, so the rows come out
-                // sorted for free) and let the enumerator's worklist — the
-                // parallel one when `options.threads` says so — drain it.
-                let mut components: Vec<KVertexConnectedComponent> = Vec::new();
-                let mut parents: Vec<Option<usize>> = Vec::new();
                 for (parent_idx, parent) in previous.components.iter().enumerate() {
+                    if certified[parent_idx] >= k {
+                        nodes.push((parent.clone(), Some(parent_idx), certified[parent_idx]));
+                        continue;
+                    }
                     if parent.len() <= k as usize {
                         continue;
                     }
+                    // Slice the parent out of the input as one CSR work item
+                    // (component vertex lists are sorted, so the rows come
+                    // out sorted for free) and let the enumerator's worklist
+                    // — the parallel one when `options.threads` says so —
+                    // drain it.
                     let sub = CsrGraph::extract_induced(graph, parent.vertices(), &mut map);
-                    let nested = enumerate_kvccs(&sub, k, options)?;
-                    for comp in nested.iter() {
+                    for comp in enumerate_kvccs(&sub, k, options)?.iter() {
+                        let child = CsrGraph::extract_induced(&sub, comp.vertices(), &mut map);
+                        let level = certified_level(&child, k, limit, options, &mut scratch)?;
                         let mapped: Vec<VertexId> = comp
                             .vertices()
                             .iter()
                             .map(|&local| parent.vertices()[local as usize])
                             .collect();
-                        components.push(KVertexConnectedComponent::new(mapped));
-                        parents.push(Some(parent_idx));
+                        nodes.push((
+                            KVertexConnectedComponent::new(mapped),
+                            Some(parent_idx),
+                            level,
+                        ));
                     }
                 }
-                // Keep the deterministic ordering used everywhere else.
-                let mut order: Vec<usize> = (0..components.len()).collect();
-                order.sort_by(|&a, &b| components[a].cmp(&components[b]));
-                let components: Vec<_> = order.iter().map(|&i| components[i].clone()).collect();
-                let parents: Vec<_> = order.iter().map(|&i| parents[i]).collect();
-                HierarchyLevel {
-                    k,
-                    components,
-                    parents,
-                }
             }
-        };
-        if level.components.is_empty() {
+        }
+        if nodes.is_empty() {
             break;
+        }
+        // Keep the deterministic ordering used everywhere else.
+        nodes.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut level = HierarchyLevel {
+            k,
+            components: Vec::with_capacity(nodes.len()),
+            parents: Vec::with_capacity(nodes.len()),
+        };
+        certified.clear();
+        for (component, parent, up_to) in nodes {
+            level.components.push(component);
+            level.parents.push(parent);
+            certified.push(up_to);
         }
         levels.push(level);
     }
@@ -176,6 +227,41 @@ pub fn build_hierarchy<G: GraphView>(
         levels,
         num_vertices: graph.num_vertices(),
     })
+}
+
+/// The level up to which a k-connected component `C`, given as its induced
+/// CSR graph, is certified: `κ(C)` capped at `min(δ(C), limit)`.
+fn certified_level(
+    component: &CsrGraph,
+    k: u32,
+    limit: u32,
+    options: &KvccOptions,
+    scratch: &mut CutScratch,
+) -> Result<u32, KvccError> {
+    let cap = (component.min_degree() as u32).min(limit);
+    if cap <= k {
+        return Ok(k);
+    }
+    // The size of a cut below `j`, or `None` when `C` is j-connected.
+    let mut cut_below = |j: u32| -> Result<Option<u32>, KvccError> {
+        let mut stats = EnumerationStats::default();
+        let outcome = global_cut_with_scratch(component, j, options, &mut stats, scratch)?;
+        Ok(outcome.cut.map(|cut| cut.len() as u32))
+    };
+    // Invariant: lo <= κ(C) <= hi. A cut of size s separates C, so
+    // κ(C) <= s.
+    let (mut lo, mut hi) = match cut_below(cap)? {
+        None => return Ok(cap),
+        Some(size) => (k, size),
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        match cut_below(mid)? {
+            None => lo = mid,
+            Some(size) => hi = size,
+        }
+    }
+    Ok(lo)
 }
 
 #[cfg(test)]
@@ -271,6 +357,62 @@ mod tests {
             assert_eq!(la.components, lb.components);
             assert_eq!(la.parents, lb.parents);
         }
+    }
+
+    #[test]
+    fn pre_cancelled_budget_interrupts_the_build() {
+        // Levels 1 and 2 run no enumeration, so the build polls the budget
+        // itself before the first level.
+        let budget = kvcc_flow::Budget::cancellable();
+        budget.cancel();
+        let options = KvccOptions::default().with_budget(budget);
+        let g = two_triangles_with_pendant();
+        assert!(matches!(
+            build_hierarchy(&g, None, &options),
+            Err(KvccError::Interrupted { .. })
+        ));
+    }
+
+    #[test]
+    fn zero_depth_cap_builds_an_empty_hierarchy() {
+        let g = two_triangles_with_pendant();
+        let h = build_hierarchy(&g, Some(0), &KvccOptions::default()).unwrap();
+        assert!(h.levels().is_empty());
+        assert_eq!(h.max_k(), 0);
+        assert_eq!(h.connectivity_numbers(), vec![0; 6]);
+    }
+
+    #[test]
+    fn certified_components_are_copied_until_their_connectivity() {
+        // Two K5s sharing vertices 3 and 4, plus a pendant path 8-9-0. The
+        // 2-VCC (the K5 pair, δ = 4, κ = 2) is certified at 2 after a cut
+        // search; each K5 (κ = 4) appears at level 3 and is copied to 4.
+        let mut edges = Vec::new();
+        for block in [[0u32, 1, 2, 3, 4], [3, 4, 5, 6, 7]] {
+            for (i, &a) in block.iter().enumerate() {
+                for &b in &block[i + 1..] {
+                    edges.push((a, b));
+                }
+            }
+        }
+        edges.extend([(8, 9), (9, 0)]);
+        let g = UndirectedGraph::from_edges(10, edges).unwrap();
+        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        let sizes: Vec<Vec<usize>> = h
+            .levels()
+            .iter()
+            .map(|l| l.components.iter().map(|c| c.len()).collect())
+            .collect();
+        assert_eq!(sizes, vec![vec![10], vec![8], vec![5, 5], vec![5, 5]]);
+        assert_eq!(h.levels()[3].components, h.levels()[2].components);
+        assert_eq!(h.levels()[3].parents, vec![Some(0), Some(1)]);
+        for level in h.levels() {
+            let direct = enumerate_kvccs(&g, level.k, &KvccOptions::default()).unwrap();
+            assert_eq!(level.components.as_slice(), direct.components());
+        }
+        // A cap below κ stops the copies at the cap.
+        let capped = build_hierarchy(&g, Some(3), &KvccOptions::default()).unwrap();
+        assert_eq!(capped.levels().len(), 3);
     }
 
     #[test]

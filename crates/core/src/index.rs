@@ -1181,7 +1181,8 @@ mod tests {
     #[test]
     fn byte_roundtrip_preserves_every_query_surface() {
         let g = mixed_graph();
-        for cap in [None, Some(1), Some(2)] {
+        // A zero cap builds an empty index, which must read back too.
+        for cap in [None, Some(0), Some(1), Some(2)] {
             let index = ConnectivityIndex::build(&g, cap, &KvccOptions::default()).unwrap();
             let back = ConnectivityIndex::from_bytes(&index.to_bytes()).unwrap();
             assert_eq!(back.depth_limit(), index.depth_limit());

@@ -24,7 +24,8 @@
 //!   remapping ([`graph::InducedSubgraph`]).
 //! * [`GraphBuilder`] — tolerant construction from arbitrary edge lists
 //!   (duplicate edges and self-loops are dropped, isolated vertices kept).
-//! * [`traversal`] — BFS distances, connected components, reachability.
+//! * [`traversal`] — BFS distances, connected and biconnected components,
+//!   reachability.
 //! * [`kcore`] — linear-time core decomposition and k-core extraction
 //!   (Algorithm 1, line 2 of the paper).
 //! * [`scan_first`] — scan-first-search forests (building block of the sparse

@@ -1,7 +1,7 @@
-//! Hierarchy nesting invariants and `ConnectivityIndex` parity.
+//! Hierarchy nesting invariants, `ConnectivityIndex` parity, and parity of
+//! `build_hierarchy` with the per-level construction it replaced.
 //!
-//! Two families of cross-crate checks on the planted-partition, Fig. 1 and
-//! collaboration dataset suites:
+//! Three families of cross-crate checks:
 //!
 //! * **nesting** — every (k+1)-VCC of the hierarchy lies inside exactly one
 //!   k-VCC, the recorded parent is that component, and per-level components
@@ -9,17 +9,26 @@
 //! * **parity** — the [`ConnectivityIndex`] answers every query byte-identical
 //!   to the direct (un-indexed) paths: `components_at` vs `enumerate_kvccs`,
 //!   `kvccs_containing` vs the localized query, `max_connectivity_of` vs the
-//!   hierarchy's connectivity numbers.
+//!   hierarchy's connectivity numbers;
+//! * **reference** — `build_hierarchy`, which certifies each component once,
+//!   matches a test-only per-level loop that enumerates every level inside
+//!   every parent, node for node and in the index's `KIDX` bytes.
 
+use kvcc::hierarchy::HierarchyLevel;
 use kvcc::{
-    build_hierarchy, enumerate_kvccs, kvccs_containing, ConnectivityIndex, KvccHierarchy,
-    KvccOptions,
+    build_hierarchy, enumerate_kvccs, kvccs_containing, AlgorithmVariant, ConnectivityIndex,
+    KVertexConnectedComponent, KvccHierarchy, KvccOptions,
 };
-use kvcc_graph::{UndirectedGraph, VertexId};
+use kvcc_graph::codec::{encode_row, varint};
+use kvcc_graph::kcore::degeneracy;
+use kvcc_graph::{CsrGraph, UndirectedGraph, VertexId};
 
+use kvcc_datasets::ba::barabasi_albert;
 use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
+use kvcc_datasets::er::gnp;
 use kvcc_datasets::figure1::figure1_graph;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
+use kvcc_datasets::{SuiteDataset, SuiteScale};
 
 /// The three dataset suites the acceptance criteria name.
 fn suites() -> Vec<(&'static str, UndirectedGraph)> {
@@ -281,4 +290,180 @@ fn ranked_listings_cover_the_forest_with_true_metadata_on_all_suites() {
             );
         }
     }
+}
+
+/// The per-level construction `build_hierarchy` replaced: every level is
+/// enumerated inside every component of the level above.
+fn per_level_reference(
+    g: &UndirectedGraph,
+    max_k: Option<u32>,
+    options: &KvccOptions,
+) -> Vec<HierarchyLevel> {
+    let mut levels: Vec<HierarchyLevel> = Vec::new();
+    let mut map = Vec::new();
+    for k in 1..=max_k.unwrap_or_else(|| degeneracy(g)) {
+        let mut nodes = Vec::new();
+        match levels.last() {
+            None => {
+                let roots = enumerate_kvccs(g, 1, options).unwrap();
+                nodes.extend(roots.iter().map(|c| (c.clone(), None)));
+            }
+            Some(previous) => {
+                for (p, parent) in previous.components.iter().enumerate() {
+                    if parent.len() <= k as usize {
+                        continue;
+                    }
+                    let sub = CsrGraph::extract_induced(g, parent.vertices(), &mut map);
+                    for c in enumerate_kvccs(&sub, k, options).unwrap().iter() {
+                        let members = c.vertices().iter().map(|&l| parent.vertices()[l as usize]);
+                        nodes.push((KVertexConnectedComponent::new(members.collect()), Some(p)));
+                    }
+                }
+            }
+        }
+        if nodes.is_empty() {
+            break;
+        }
+        nodes.sort();
+        let (components, parents) = nodes.into_iter().unzip();
+        levels.push(HierarchyLevel {
+            k,
+            components,
+            parents,
+        });
+    }
+    levels
+}
+
+/// The `KIDX` v3 bytes of a fresh index over `levels`, written from the
+/// layout `ConnectivityIndex::to_bytes` documents.
+fn kidx_bytes(g: &UndirectedGraph, levels: &[HierarchyLevel], max_k: Option<u32>) -> Vec<u8> {
+    let mut out = b"KIDX\x03".to_vec();
+    out.extend_from_slice(&(g.num_vertices() as u32).to_le_bytes());
+    varint::encode_u32(max_k.map_or(0, |cap| cap + 1), &mut out);
+    varint::encode_u64(0, &mut out);
+    let nodes: usize = levels.iter().map(|l| l.components.len()).sum();
+    varint::encode_u32(nodes as u32, &mut out);
+    let mut previous_start = 0;
+    let mut start = 0;
+    for level in levels {
+        for (c, parent) in level.components.iter().zip(&level.parents) {
+            varint::encode_u32(level.k, &mut out);
+            varint::encode_u32(
+                parent.map_or(0, |p| (previous_start + p + 1) as u32),
+                &mut out,
+            );
+            varint::encode_u32(c.len() as u32, &mut out);
+            encode_row(c.vertices(), &mut out);
+            let degree_sum: usize = c
+                .vertices()
+                .iter()
+                .map(|&v| g.neighbors(v).iter().filter(|&&w| c.contains(w)).count())
+                .sum();
+            varint::encode_u64(degree_sum as u64 / 2, &mut out);
+        }
+        previous_start = start;
+        start += level.components.len();
+    }
+    out
+}
+
+fn assert_matches_reference(
+    name: &str,
+    g: &UndirectedGraph,
+    max_k: Option<u32>,
+    options: &KvccOptions,
+) {
+    let context = format!("{name}, max_k {max_k:?}, {options:?}");
+    let built = build_hierarchy(g, max_k, options).unwrap();
+    let reference = per_level_reference(g, max_k, options);
+    assert_eq!(built.levels().len(), reference.len(), "{context}: depth");
+    for (got, want) in built.levels().iter().zip(&reference) {
+        assert_eq!(got.k, want.k, "{context}");
+        assert_eq!(
+            got.components, want.components,
+            "{context}: level {}",
+            want.k
+        );
+        assert_eq!(got.parents, want.parents, "{context}: level {}", want.k);
+    }
+    let index = ConnectivityIndex::build(g, max_k, options).unwrap();
+    assert_eq!(
+        index.to_bytes(),
+        kidx_bytes(g, &reference, max_k),
+        "{context}: KIDX bytes"
+    );
+}
+
+fn complete(n: usize) -> UndirectedGraph {
+    let edges = (0..n as VertexId).flat_map(|i| ((i + 1)..n as VertexId).map(move |j| (i, j)));
+    UndirectedGraph::from_edges(n, edges.collect::<Vec<_>>()).unwrap()
+}
+
+/// Small graphs, each run under every depth cap, thread count and variant.
+fn small_graphs() -> Vec<(&'static str, UndirectedGraph)> {
+    // A path, a star and a lone edge, plus isolated vertices 12..15.
+    let forest = UndirectedGraph::from_edges(
+        15,
+        vec![
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (4, 5),
+            (4, 6),
+            (4, 7),
+            (4, 8),
+            (9, 10),
+        ],
+    )
+    .unwrap();
+    // Two triangles sharing vertex 2, plus a pendant vertex 5.
+    let glued = UndirectedGraph::from_edges(
+        6,
+        vec![(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 5)],
+    )
+    .unwrap();
+    vec![
+        ("figure1", figure1_graph().graph),
+        ("K7", complete(7)),
+        ("forest", forest),
+        ("glued triangles", glued),
+        ("er-small", gnp(40, 0.25, 5)),
+        ("ba-small", barabasi_albert(48, 4, 6)),
+    ]
+}
+
+#[test]
+fn hierarchy_matches_the_per_level_reference_under_every_knob() {
+    for (name, g) in small_graphs() {
+        for max_k in [None, Some(1), Some(2), Some(3)] {
+            for threads in [1, 2] {
+                for variant in AlgorithmVariant::all() {
+                    let options = KvccOptions {
+                        variant,
+                        threads,
+                        ..KvccOptions::default()
+                    };
+                    assert_matches_reference(name, &g, max_k, &options);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hierarchy_matches_the_per_level_reference_on_every_suite() {
+    let options = KvccOptions::default();
+    for (name, g) in suites() {
+        assert_matches_reference(name, &g, None, &options);
+    }
+    for dataset in SuiteDataset::all() {
+        let g = dataset.generate(SuiteScale::Tiny);
+        assert_matches_reference(dataset.name(), &g, None, &options);
+    }
+    for seed in [11, 12, 13] {
+        assert_matches_reference("er", &gnp(140, 0.06, seed), None, &options);
+        assert_matches_reference("ba", &barabasi_albert(160, 4, seed), None, &options);
+    }
+    assert_matches_reference("K12", &complete(12), None, &options);
 }
