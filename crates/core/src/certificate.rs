@@ -10,8 +10,22 @@
 //! The k-th forest additionally yields the **side-groups** of §5.2
 //! (Theorem 10): every connected component of `F_k` is a set of vertices that
 //! are pairwise k-local-connected, which powers the group-sweep rules.
+//!
+//! # Edge ids
+//!
+//! The forests mark the edges they take in one flat bitmap, so each edge
+//! needs an id that both of its arcs know. The ids are numbered in
+//! [`GraphView::edges`] order (`u < v`, by `u` then `v`) and stored in one
+//! array aligned with the input's sorted neighbour slices, row after row:
+//! the arc at position `i` of `N(u)` carries the id of edge `{u, N(u)[i]}`.
+//! One pass over the rows fills it. Vertex `u` numbers its arcs towards
+//! larger neighbours, and hands each reverse arc the same id through a
+//! per-vertex cursor; a row's arcs towards smaller neighbours lead it and
+//! arrive in ascending order, so each cursor only moves forward. The
+//! forests scan every row in neighbour order, so their edges and
+//! components do not depend on how the ids are stored.
 
-use kvcc_graph::{CsrGraph, GraphView, VertexId};
+use kvcc_graph::{BitSet, CsrGraph, GraphView, VertexId};
 
 /// Sentinel meaning "this vertex belongs to no (retained) side-group".
 pub const NO_GROUP: u32 = u32::MAX;
@@ -61,35 +75,25 @@ impl SparseCertificate {
 /// `k = 0` is accepted and yields an edgeless certificate.
 pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
     let n = g.num_vertices();
-    let m = g.num_edges();
+    let (row_start, edge_of_arc) = arc_edge_ids(g);
 
-    // Edge-indexed adjacency: for every vertex, the list of (neighbour,
-    // edge id) pairs, where both directions of an undirected edge share the
-    // same id. This lets the forests mark consumed edges with a flat bitmap
-    // instead of hashing.
-    let mut indexed_adj: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); n];
-    for (edge_id, (u, v)) in g.edges().enumerate() {
-        let edge_id = edge_id as u32;
-        indexed_adj[u as usize].push((v, edge_id));
-        indexed_adj[v as usize].push((u, edge_id));
-    }
-
-    let mut edge_used = kvcc_graph::BitSet::new(m);
+    let mut edge_used = BitSet::new(g.num_edges());
     let mut certificate_edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut forest_sizes = Vec::new();
 
-    // The scan order of the BFS queue for the *last* forest determines the
-    // side-groups, so remember the roots of that forest.
-    let mut last_forest_component: Vec<u32> = vec![NO_GROUP; n];
-    let mut last_forest_edge_count = 0usize;
+    // Each round's forest component of every vertex, in one buffer; only the
+    // k-th forest's components become side-groups, and only when that forest
+    // has an edge.
+    let mut component: Vec<u32> = vec![NO_GROUP; n];
+    let mut component_count = 0u32;
+    let mut kth_forest_has_edges = false;
 
     let mut queue: Vec<VertexId> = Vec::with_capacity(n);
-    let mut visited = kvcc_graph::BitSet::new(n);
+    let mut visited = BitSet::new(n);
     for round in 0..k {
         visited.clear_all();
         let mut forest_edges = 0usize;
-        let mut component: Vec<u32> = vec![NO_GROUP; n];
-        let mut component_count = 0u32;
+        component_count = 0;
 
         for start in 0..n as VertexId {
             if visited.contains(start as usize) {
@@ -105,7 +109,8 @@ pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
             while head < queue.len() {
                 let u = queue[head];
                 head += 1;
-                for &(v, edge_id) in &indexed_adj[u as usize] {
+                let arcs = row_start[u as usize]..row_start[u as usize + 1];
+                for (&v, &edge_id) in g.neighbors(u).iter().zip(&edge_of_arc[arcs]) {
                     if edge_used.contains(edge_id as usize) || visited.contains(v as usize) {
                         continue;
                     }
@@ -119,31 +124,24 @@ pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
             }
         }
 
-        if round + 1 == k {
-            last_forest_component = component;
-            last_forest_edge_count = forest_edges;
-        }
         if forest_edges == 0 {
             // The remaining graph has no edges: later forests are all empty,
             // and the k-th forest (if not yet reached) has only singleton
             // components, i.e. no side-groups.
-            if round + 1 < k {
-                last_forest_component = vec![NO_GROUP; n];
-                last_forest_edge_count = 0;
-            }
             break;
         }
         forest_sizes.push(forest_edges);
+        kth_forest_has_edges = round + 1 == k;
     }
 
     let graph = CsrGraph::from_edges(n, certificate_edges)
         .expect("certificate edges come from the input graph and are always in range");
 
     // Side-groups: components of the k-th forest with more than k vertices.
-    let (side_groups, group_of) = if last_forest_edge_count == 0 {
-        (Vec::new(), vec![NO_GROUP; n])
+    let (side_groups, group_of) = if kth_forest_has_edges {
+        collect_side_groups(&component, component_count as usize, k as usize)
     } else {
-        collect_side_groups(&last_forest_component, n, k as usize)
+        (Vec::new(), vec![NO_GROUP; n])
     };
 
     SparseCertificate {
@@ -154,29 +152,70 @@ pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
     }
 }
 
-/// Groups vertices by their component id in the last forest, keeping only
-/// components with more than `k` vertices, and builds the reverse index.
-fn collect_side_groups(component: &[u32], n: usize, k: usize) -> (Vec<Vec<VertexId>>, Vec<u32>) {
-    let mut buckets: std::collections::HashMap<u32, Vec<VertexId>> =
-        std::collections::HashMap::new();
-    for (v, &c) in component.iter().enumerate() {
-        if c != NO_GROUP {
-            buckets.entry(c).or_default().push(v as VertexId);
+/// Numbers the edges of `g` in [`GraphView::edges`] order and returns the
+/// arc-aligned id array with its row starts: the arcs of `u` are
+/// `row_start[u]..row_start[u + 1]`, in `N(u)`'s order (see the
+/// [module docs](self)).
+fn arc_edge_ids<G: GraphView>(g: &G) -> (Vec<usize>, Vec<u32>) {
+    let n = g.num_vertices();
+    let mut row_start = Vec::with_capacity(n + 1);
+    row_start.push(0usize);
+    for v in g.vertices() {
+        row_start.push(row_start[v as usize] + g.degree(v));
+    }
+    // `cursor[v]`: the first arc of `v` towards a smaller neighbour that has
+    // no id yet. When `u` is reached, every smaller neighbour has numbered
+    // its arc, so `cursor[u]` is the first arc towards a larger one.
+    let mut cursor = row_start[..n].to_vec();
+    let mut edge_of_arc = vec![0u32; row_start[n]];
+    let mut next_id = 0u32;
+    for u in g.vertices() {
+        let first_up = cursor[u as usize];
+        let up = &g.neighbors(u)[first_up - row_start[u as usize]..];
+        for (arc, &v) in (first_up..).zip(up) {
+            edge_of_arc[arc] = next_id;
+            edge_of_arc[cursor[v as usize]] = next_id;
+            cursor[v as usize] += 1;
+            next_id += 1;
         }
     }
-    let mut groups: Vec<Vec<VertexId>> = buckets
-        .into_values()
-        .filter(|members| members.len() > k)
+    (row_start, edge_of_arc)
+}
+
+/// Collects the components of the last forest with more than `k` vertices as
+/// side-groups, and builds the reverse index.
+///
+/// Each forest grows its components from the smallest unvisited vertex up,
+/// so component ids ascend with their smallest member: taking the kept
+/// components in id order, and their members in vertex order, gives the
+/// groups sorted by smallest member, each sorted ascending.
+fn collect_side_groups(
+    component: &[u32],
+    component_count: usize,
+    k: usize,
+) -> (Vec<Vec<VertexId>>, Vec<u32>) {
+    let mut size = vec![0usize; component_count];
+    for &c in component {
+        size[c as usize] += 1;
+    }
+    let mut group_of_component = vec![NO_GROUP; component_count];
+    let mut side_groups: Vec<Vec<VertexId>> = Vec::new();
+    for (c, &members) in size.iter().enumerate() {
+        if members > k {
+            group_of_component[c] = side_groups.len() as u32;
+            side_groups.push(Vec::with_capacity(members));
+        }
+    }
+    let group_of: Vec<u32> = component
+        .iter()
+        .map(|&c| group_of_component[c as usize])
         .collect();
-    // Deterministic order: by smallest member.
-    groups.sort_by_key(|members| members[0]);
-    let mut group_of = vec![NO_GROUP; n];
-    for (idx, members) in groups.iter().enumerate() {
-        for &v in members {
-            group_of[v as usize] = idx as u32;
+    for (v, &group) in group_of.iter().enumerate() {
+        if group != NO_GROUP {
+            side_groups[group as usize].push(v as VertexId);
         }
     }
-    (groups, group_of)
+    (side_groups, group_of)
 }
 
 #[cfg(test)]

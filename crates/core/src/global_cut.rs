@@ -80,8 +80,11 @@ pub fn global_cut<G: GraphView>(
 ///
 /// The caller is expected to pass a connected graph with minimum degree `>= k`
 /// (guaranteed by the k-core pruning of `KVCC-ENUM`); the function remains
-/// correct for other inputs but the degree-based shortcuts of the paper then
-/// do not apply.
+/// correct for lower degrees, but the degree-based shortcuts of the paper then
+/// do not apply. A disconnected `g` with more than `k` vertices and `k >= 1`
+/// gets the empty cut under every variant: removing nothing already separates
+/// it. A graph with at most `k` vertices gets `cut: None` before any search,
+/// connected or not.
 pub fn global_cut_with_scratch<G: GraphView>(
     g: &G,
     k: u32,
@@ -111,10 +114,13 @@ pub fn global_cut_with_scratch<G: GraphView>(
     let certificate = sparse_certificate(g, k);
     stats.certificate_edges += certificate.num_edges() as u64;
     stats.side_groups += certificate.side_groups.len() as u64;
-    let (side_groups, group_of): (&[Vec<VertexId>], Vec<u32>) = if group_sweep {
-        (&certificate.side_groups, certificate.group_of.clone())
+    // Without group sweeps no vertex has a group: the sweep context reads a
+    // missing entry as `NO_GROUP`, and phase 2 reads `group_of` only with
+    // group sweeps on.
+    let (side_groups, group_of): (&[Vec<VertexId>], &[u32]) = if group_sweep {
+        (&certificate.side_groups, &certificate.group_of)
     } else {
-        (&[], vec![NO_GROUP; n])
+        (&[], &[])
     };
 
     // --- Strong side-vertices (§5.1.1). ---
@@ -152,7 +158,7 @@ pub fn global_cut_with_scratch<G: GraphView>(
         graph: g,
         k,
         strong_side: &strong,
-        group_of: &group_of,
+        group_of,
         side_groups,
         neighbor_sweep,
         group_sweep,
@@ -169,6 +175,14 @@ pub fn global_cut_with_scratch<G: GraphView>(
     } else {
         (0..n as VertexId).filter(|&v| v != source).collect()
     };
+    if order.len() + 1 < n {
+        // The distance order leaves out the vertices the source cannot
+        // reach, so `g` is disconnected and the empty set separates it.
+        return Ok(GlobalCutOutcome {
+            cut: (k > 0).then(Vec::new),
+            scratch_memory_bytes,
+        });
+    }
 
     for v in order {
         if optimised && state.is_pruned(v) {
@@ -196,7 +210,7 @@ pub fn global_cut_with_scratch<G: GraphView>(
     // --- Phase 2: the source itself may belong to the cut (Lemma 4). ---
     let source_is_strong = strong.get(source as usize).copied().unwrap_or(false);
     if !source_is_strong {
-        let neighbors = g.neighbors(source).to_vec();
+        let neighbors = g.neighbors(source);
         for (i, &a) in neighbors.iter().enumerate() {
             for &b in &neighbors[i + 1..] {
                 if group_sweep {
@@ -433,6 +447,32 @@ mod tests {
             let mut stats = EnumerationStats::default();
             let out = global_cut(&g, 2, &options_for(variant), &mut stats);
             assert!(out.cut.is_none(), "variant {variant:?}");
+        }
+    }
+
+    #[test]
+    fn disconnected_graph_gets_the_empty_cut_under_every_variant() {
+        // Two disjoint triangles: the sweep variants order phase 1 by BFS
+        // distance from the source, which never reaches the other triangle.
+        let g =
+            UndirectedGraph::from_edges(6, vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+                .unwrap();
+        let mut scratch = CutScratch::new();
+        for k in 1..=3u32 {
+            for variant in AlgorithmVariant::all() {
+                let mut stats = EnumerationStats::default();
+                let out = global_cut(&g, k, &options_for(variant), &mut stats);
+                assert_eq!(out.cut, Some(Vec::new()), "variant {variant:?}, k {k}");
+                let out =
+                    global_cut_with_scratch(&g, k, &options_for(variant), &mut stats, &mut scratch);
+                assert_eq!(out.cut, Some(Vec::new()), "variant {variant:?}, k {k}");
+            }
+        }
+        // No cut has fewer than zero vertices.
+        for variant in AlgorithmVariant::all() {
+            let mut stats = EnumerationStats::default();
+            let out = global_cut(&g, 0, &options_for(variant), &mut stats);
+            assert_eq!(out.cut, None, "variant {variant:?}, k 0");
         }
     }
 

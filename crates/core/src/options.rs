@@ -84,9 +84,10 @@ pub struct KvccOptions {
     /// Which sweep strategies are enabled.
     pub variant: AlgorithmVariant,
     /// Vertices whose degree exceeds this threshold are conservatively treated
-    /// as *not* strong side-vertices, bounding the `O(Σ d(w)²)` detection cost
-    /// (Lemma 14) on graphs with extreme hubs. `None` means no cap. Only
-    /// affects pruning effectiveness, never correctness.
+    /// as *not* strong side-vertices, so a hub `u` adds none of its
+    /// `d(u)² / 2` neighbour pairs to the detection pass (see
+    /// [`crate::side_vertex`]). `None` means no cap. Only affects pruning
+    /// effectiveness, never correctness.
     pub max_degree_for_side_vertex_check: Option<usize>,
     /// Cap every `LOC-CUT` max-flow at `k` augmenting paths (Lemma 6): the
     /// probe only has to certify `κ(u, v) >= k`, so Dinic stops at the k-th

@@ -13,6 +13,27 @@
 //!   strong side-vertex `v`, every neighbour of `v` can be swept;
 //! * source selection — a strong side-vertex cannot belong to any small cut,
 //!   so choosing one as the source makes phase 2 unnecessary.
+//!
+//! # Evaluation
+//!
+//! [`strong_side_vertices`] decides the condition for every vertex in one
+//! pass; [`is_strong_side_vertex`] is the per-vertex definition, pair by pair.
+//!
+//! * `u` is itself a common neighbour of any two of its neighbours, so for
+//!   `k ≤ 1` every pair qualifies and every vertex within the degree cap is
+//!   strong without a pair being examined.
+//! * For `k ≥ 2` each pair `{v, w} ⊂ N(u)` is visited from its smaller
+//!   endpoint `v`. `N(v)` is stamped once into a tag array, so adjacency of
+//!   `v` and `w` is one array read. For a non-adjacent `w`, `N(w)` is scanned
+//!   against the stamp until `k` common neighbours are seen, and the verdict
+//!   is memoised for `(v, w)`: each pair is counted once per pass, however
+//!   many common neighbours `u` name it. A vertex drops out of the pass at
+//!   its first failing pair.
+//!
+//! The pass reuses three `n`-sized arrays, reads each wedge `v – u – w` of a
+//! vertex `u` within the cap at most once (`Σ d(u)² / 2` reads), and scans
+//! `N(w)` at most once per non-adjacent pair, which is never more than the
+//! sorted-list merge the per-vertex definition runs for that pair.
 
 use kvcc_graph::{GraphView, VertexId};
 
@@ -20,14 +41,62 @@ use kvcc_graph::{GraphView, VertexId};
 ///
 /// `max_degree` optionally caps the degree of vertices that are examined:
 /// vertices with a larger degree are conservatively reported as *not* strong
-/// side-vertices. The cap bounds the `O(Σ d(w)²)` cost of the check
-/// (Lemma 14) on graphs with extreme hubs and never affects correctness, only
-/// pruning power.
+/// side-vertices. A vertex `u` within the cap contributes at most `d(u)² / 2`
+/// wedge reads and names at most that many pairs to count, so the cap bounds
+/// the pass on graphs with extreme hubs. It never affects correctness, only
+/// pruning power. See the [module docs](self) for how the pass evaluates the
+/// Theorem 8 condition; the flags equal [`is_strong_side_vertex`] vertex by
+/// vertex.
 pub fn strong_side_vertices<G: GraphView>(g: &G, k: u32, max_degree: Option<usize>) -> Vec<bool> {
+    let cap = max_degree.unwrap_or(usize::MAX);
+    let mut strong: Vec<bool> = g.vertices().map(|u| g.degree(u) <= cap).collect();
+    if k <= 1 {
+        return strong;
+    }
     let n = g.num_vertices();
-    let mut strong = vec![false; n];
-    for u in 0..n as VertexId {
-        strong[u as usize] = is_strong_side_vertex(g, u, k, max_degree);
+    let k = k as usize;
+    // For the current `v`: `adjacent[x] == v` iff `x ∈ N(v)`, and
+    // `counted[w] == v` iff the pair {v, w} was counted, with its verdict in
+    // `enough[w]`. `v` ranges below `VertexId::MAX`, so the initial tags
+    // never match.
+    let mut adjacent = vec![VertexId::MAX; n];
+    let mut counted = vec![VertexId::MAX; n];
+    let mut enough = vec![false; n];
+    for v in g.vertices() {
+        let row = g.neighbors(v);
+        for &x in row {
+            adjacent[x as usize] = v;
+        }
+        for &u in row {
+            if !strong[u as usize] {
+                continue;
+            }
+            // The pairs {v, w} of N(u) with v < w, from u's largest neighbour
+            // down.
+            for &w in g.neighbors(u).iter().rev() {
+                if w <= v {
+                    break;
+                }
+                let w = w as usize;
+                if adjacent[w] == v {
+                    continue;
+                }
+                if counted[w] != v {
+                    counted[w] = v;
+                    enough[w] = g
+                        .neighbors(w as VertexId)
+                        .iter()
+                        .filter(|&&x| adjacent[x as usize] == v)
+                        .take(k)
+                        .count()
+                        == k;
+                }
+                if !enough[w] {
+                    strong[u as usize] = false;
+                    break;
+                }
+            }
+        }
     }
     strong
 }
@@ -59,20 +128,6 @@ pub fn is_strong_side_vertex<G: GraphView>(
     true
 }
 
-/// Returns the indices of all strong side-vertices (convenience wrapper used
-/// by the source-selection step of Algorithm 3).
-pub fn strong_side_vertex_list<G: GraphView>(
-    g: &G,
-    k: u32,
-    max_degree: Option<usize>,
-) -> Vec<VertexId> {
-    strong_side_vertices(g, k, max_degree)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(v, s)| if s { Some(v as VertexId) } else { None })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,9 +146,7 @@ mod tests {
     #[test]
     fn every_clique_vertex_is_a_strong_side_vertex() {
         let g = complete(6);
-        let strong = strong_side_vertices(&g, 3, None);
-        assert!(strong.iter().all(|&s| s));
-        assert_eq!(strong_side_vertex_list(&g, 3, None).len(), 6);
+        assert_eq!(strong_side_vertices(&g, 3, None), vec![true; 6]);
     }
 
     #[test]
@@ -108,6 +161,15 @@ mod tests {
         // A degree-2 vertex inside one triangle has adjacent neighbours.
         assert!(is_strong_side_vertex(&g, 0, 2, None));
         assert!(is_strong_side_vertex(&g, 4, 2, None));
+        let cut_vertex_only = vec![true, true, false, true, true];
+        assert_eq!(strong_side_vertices(&g, 2, None), cut_vertex_only);
+        // The pairs of 2's neighbours share 2 itself, so at k <= 1 every
+        // vertex within the cap is strong; 2 has degree 4.
+        for k in 0..=1 {
+            assert!(is_strong_side_vertex(&g, 2, k, None));
+            assert_eq!(strong_side_vertices(&g, k, None), vec![true; 5]);
+            assert_eq!(strong_side_vertices(&g, k, Some(3)), cut_vertex_only);
+        }
     }
 
     #[test]
@@ -135,6 +197,14 @@ mod tests {
         // for k <= 2, not for k = 3.
         assert!(is_strong_side_vertex(&g, 0, 2, None));
         assert!(!is_strong_side_vertex(&g, 0, 3, None));
+        // Every non-adjacent pair here is named by several common
+        // neighbours, so the one-pass detection reuses each verdict.
+        for k in 0..=6 {
+            let definition: Vec<bool> = (0..6)
+                .map(|u| is_strong_side_vertex(&g, u, k, None))
+                .collect();
+            assert_eq!(strong_side_vertices(&g, k, None), definition, "k {k}");
+        }
     }
 
     #[test]

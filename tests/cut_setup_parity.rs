@@ -1,0 +1,251 @@
+//! `GLOBAL-CUT*` set-up parity: the two passes every call runs before its
+//! first probe, against their definitions.
+//!
+//! * **strong side-vertices** — the one-pass [`strong_side_vertices`] must
+//!   flag exactly the vertices for which [`is_strong_side_vertex`], the
+//!   Theorem 8 condition checked pair by pair, holds, under every degree cap;
+//! * **sparse certificate** — [`sparse_certificate`] must equal a test-only
+//!   copy of the construction it replaced (per-vertex `(neighbour, edge id)`
+//!   lists built from `g.edges()`, a fresh component buffer per round, and
+//!   side-groups bucketed through a hash map): the same `forest_sizes`,
+//!   certificate edges, `side_groups` and `group_of`.
+//!
+//! Inputs: seeded G(n, p) and Barabási–Albert graphs, the seven Table 1
+//! stand-ins at `SuiteScale::Tiny`, the planted, Fig. 1 and collaboration
+//! suites, complete graphs, a star whose hub exceeds a cap, an edgeless
+//! graph and a disconnected graph. Each runs as [`UndirectedGraph`] and as
+//! [`CsrGraph`], for every k in `0..=8`, with degree caps `None`, `Some(0)`,
+//! `Some(3)` and `Some(4096)`.
+
+use std::collections::HashMap;
+
+use kvcc::certificate::{sparse_certificate, SparseCertificate, NO_GROUP};
+use kvcc::side_vertex::{is_strong_side_vertex, strong_side_vertices};
+use kvcc_datasets::ba::barabasi_albert;
+use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
+use kvcc_datasets::er::gnp;
+use kvcc_datasets::figure1::figure1_graph;
+use kvcc_datasets::planted::{planted_communities, PlantedConfig};
+use kvcc_datasets::{SuiteDataset, SuiteScale};
+use kvcc_graph::{BitSet, CsrGraph, GraphView, UndirectedGraph, VertexId};
+
+const KS: std::ops::RangeInclusive<u32> = 0..=8;
+const CAPS: [Option<usize>; 4] = [None, Some(0), Some(3), Some(4096)];
+
+/// The certificate construction `sparse_certificate` replaced, kept verbatim
+/// apart from its name: the forests scan per-vertex lists of
+/// `(neighbour, edge id)` pairs numbered in `g.edges()` order.
+fn reference_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
+    let n = g.num_vertices();
+    let m = g.num_edges();
+
+    let mut indexed_adj: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); n];
+    for (edge_id, (u, v)) in g.edges().enumerate() {
+        let edge_id = edge_id as u32;
+        indexed_adj[u as usize].push((v, edge_id));
+        indexed_adj[v as usize].push((u, edge_id));
+    }
+
+    let mut edge_used = BitSet::new(m);
+    let mut certificate_edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut forest_sizes = Vec::new();
+
+    let mut last_forest_component: Vec<u32> = vec![NO_GROUP; n];
+    let mut last_forest_edge_count = 0usize;
+
+    let mut queue: Vec<VertexId> = Vec::with_capacity(n);
+    let mut visited = BitSet::new(n);
+    for round in 0..k {
+        visited.clear_all();
+        let mut forest_edges = 0usize;
+        let mut component: Vec<u32> = vec![NO_GROUP; n];
+        let mut component_count = 0u32;
+
+        for start in 0..n as VertexId {
+            if visited.contains(start as usize) {
+                continue;
+            }
+            let comp_id = component_count;
+            component_count += 1;
+            visited.insert(start as usize);
+            component[start as usize] = comp_id;
+            queue.clear();
+            queue.push(start);
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                for &(v, edge_id) in &indexed_adj[u as usize] {
+                    if edge_used.contains(edge_id as usize) || visited.contains(v as usize) {
+                        continue;
+                    }
+                    visited.insert(v as usize);
+                    component[v as usize] = comp_id;
+                    edge_used.insert(edge_id as usize);
+                    certificate_edges.push((u, v));
+                    forest_edges += 1;
+                    queue.push(v);
+                }
+            }
+        }
+
+        if round + 1 == k {
+            last_forest_component = component;
+            last_forest_edge_count = forest_edges;
+        }
+        if forest_edges == 0 {
+            if round + 1 < k {
+                last_forest_component = vec![NO_GROUP; n];
+                last_forest_edge_count = 0;
+            }
+            break;
+        }
+        forest_sizes.push(forest_edges);
+    }
+
+    let graph = CsrGraph::from_edges(n, certificate_edges).unwrap();
+    let (side_groups, group_of) = if last_forest_edge_count == 0 {
+        (Vec::new(), vec![NO_GROUP; n])
+    } else {
+        reference_side_groups(&last_forest_component, n, k as usize)
+    };
+    SparseCertificate {
+        graph,
+        forest_sizes,
+        side_groups,
+        group_of,
+    }
+}
+
+fn reference_side_groups(component: &[u32], n: usize, k: usize) -> (Vec<Vec<VertexId>>, Vec<u32>) {
+    let mut buckets: HashMap<u32, Vec<VertexId>> = HashMap::new();
+    for (v, &c) in component.iter().enumerate() {
+        if c != NO_GROUP {
+            buckets.entry(c).or_default().push(v as VertexId);
+        }
+    }
+    let mut groups: Vec<Vec<VertexId>> = buckets
+        .into_values()
+        .filter(|members| members.len() > k)
+        .collect();
+    groups.sort_by_key(|members| members[0]);
+    let mut group_of = vec![NO_GROUP; n];
+    for (idx, members) in groups.iter().enumerate() {
+        for &v in members {
+            group_of[v as usize] = idx as u32;
+        }
+    }
+    (groups, group_of)
+}
+
+/// Runs both comparisons on `g` for every k and cap; `name` labels failures.
+fn assert_setup_parity<G: GraphView>(name: &str, g: &G) {
+    for k in KS {
+        for cap in CAPS {
+            let strong = strong_side_vertices(g, k, cap);
+            assert_eq!(strong.len(), g.num_vertices(), "{name}, k {k}, cap {cap:?}");
+            for u in g.vertices() {
+                assert_eq!(
+                    strong[u as usize],
+                    is_strong_side_vertex(g, u, k, cap),
+                    "{name}: vertex {u} (degree {}), k {k}, cap {cap:?}",
+                    g.degree(u)
+                );
+            }
+        }
+
+        let cert = sparse_certificate(g, k);
+        let reference = reference_certificate(g, k);
+        assert_eq!(cert.forest_sizes, reference.forest_sizes, "{name}, k {k}");
+        assert_eq!(cert.graph, reference.graph, "{name}, k {k}");
+        assert_eq!(cert.side_groups, reference.side_groups, "{name}, k {k}");
+        assert_eq!(cert.group_of, reference.group_of, "{name}, k {k}");
+    }
+}
+
+/// Runs the comparisons on `g` as an [`UndirectedGraph`] and as a
+/// [`CsrGraph`].
+fn assert_setup_parity_on_both(name: &str, g: &UndirectedGraph) {
+    assert_setup_parity(&format!("{name} (vec)"), g);
+    assert_setup_parity(&format!("{name} (csr)"), &CsrGraph::from_view(g));
+}
+
+fn complete(n: usize) -> UndirectedGraph {
+    let edges = (0..n as VertexId).flat_map(|i| ((i + 1)..n as VertexId).map(move |j| (i, j)));
+    UndirectedGraph::from_edges(n, edges).unwrap()
+}
+
+#[test]
+fn seeded_random_graphs() {
+    for seed in 0..3u64 {
+        for (n, p) in [(40usize, 0.3), (90, 0.08), (160, 0.04)] {
+            let g = gnp(n, p, 0x5E7 ^ (seed << 8) ^ n as u64);
+            assert_setup_parity_on_both(&format!("gnp({n}, {p}) seed {seed}"), &g);
+        }
+        for (n, m) in [(120usize, 3usize), (80, 6)] {
+            let g = barabasi_albert(n, m, 0xBA5E ^ (seed << 8) ^ n as u64);
+            assert_setup_parity_on_both(&format!("ba({n}, {m}) seed {seed}"), &g);
+        }
+    }
+}
+
+#[test]
+fn table1_stand_ins() {
+    for dataset in SuiteDataset::all() {
+        let g = dataset.generate(SuiteScale::Tiny);
+        assert_setup_parity_on_both(dataset.name(), &g);
+    }
+}
+
+#[test]
+fn dataset_suites() {
+    let planted = planted_communities(&PlantedConfig {
+        num_communities: 4,
+        chain_length: 2,
+        community_size: (8, 10),
+        background_vertices: 250,
+        seed: 77,
+        ..PlantedConfig::default()
+    });
+    let collab = collaboration_graph(&CollaborationConfig {
+        num_groups: 4,
+        group_size: (6, 8),
+        pendant_collaborators: 8,
+        ..CollaborationConfig::default()
+    });
+    assert_setup_parity_on_both("planted", &planted.graph);
+    assert_setup_parity_on_both("figure1", &figure1_graph().graph);
+    assert_setup_parity_on_both("collaboration", &collab.graph);
+}
+
+#[test]
+fn complete_star_edgeless_and_disconnected_graphs() {
+    for n in [1usize, 2, 5, 9, 12] {
+        assert_setup_parity_on_both(&format!("K{n}"), &complete(n));
+    }
+
+    // A hub of degree 10, above the cap of 3, with two leaf pairs joined.
+    let mut star: Vec<(VertexId, VertexId)> = (1..=10).map(|leaf| (0, leaf)).collect();
+    star.extend([(1, 2), (3, 4)]);
+    let star = UndirectedGraph::from_edges(11, star).unwrap();
+    assert!(star.degree(0) > 3);
+    assert_setup_parity_on_both("star", &star);
+
+    assert_setup_parity_on_both("edgeless", &UndirectedGraph::from_edges(7, vec![]).unwrap());
+    assert_setup_parity_on_both("empty", &UndirectedGraph::from_edges(0, vec![]).unwrap());
+
+    // Two K5s, a path hanging off nothing, and an isolated vertex.
+    let mut parts: Vec<(VertexId, VertexId)> = Vec::new();
+    for base in [0u32, 5] {
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                parts.push((base + i, base + j));
+            }
+        }
+    }
+    parts.extend([(10, 11), (11, 12)]);
+    assert_setup_parity_on_both(
+        "disconnected",
+        &UndirectedGraph::from_edges(14, parts).unwrap(),
+    );
+}
