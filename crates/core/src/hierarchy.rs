@@ -34,17 +34,62 @@
 //! an extension of the paper's algorithm (the paper fixes a single k); it
 //! powers the `hierarchy` example and is the substrate of
 //! [`crate::index::ConnectivityIndex`].
+//!
+//! # Repair after an update batch
+//!
+//! [`ConnectivityIndex::apply_updates`] runs the same level loop over the
+//! post-update graph `G′`, consulting the forest built on the graph `G`
+//! before the batch. A pair is *updated* when the batch names it, and
+//! *net-deleted* when the batch deletes it and `G′` lacks it. Levels 1 and 2
+//! are still the connected and biconnected components of all of `G′`. Every
+//! node goes through the first of these rules that applies, and otherwise
+//! through exactly what the build does:
+//!
+//! * **R1 · a clean subtree is kept.** A node whose vertex set equals an old
+//!   node at the same level, and which holds no updated pair (both endpoints
+//!   inside), keeps that old node's whole subtree and its internal-edge
+//!   count. Exact because `G′[C] = G[C]`, and a node's descendants are the
+//!   deeper VCCs of its own induced subgraph.
+//! * **R2 · a grown k-VCC is accepted by k-fans.** When a parent `P` is
+//!   re-derived at level `k`, its children come from the connected
+//!   components of the k-core of `G′[P]` (the first step [`enumerate_kvccs`]
+//!   takes anyway). For a component `K`, let `C` be the largest old level-k
+//!   node inside `K`, found through the old forest's per-vertex leaves. `K`
+//!   is a k-VCC, with no `GLOBAL-CUT*`, when (a) every net-deleted pair
+//!   inside `C` has `κ ≥ k` in `G′[C]`, and (b) every `x ∈ K ∖ C` with fewer
+//!   than `k` neighbours in `C` has a k-fan into `C`: `κ(x, t) ≥ k` in
+//!   `G′[K]` plus one sink `t` adjacent to every member of `C` (Menger's fan
+//!   lemma). Otherwise `K` goes to [`enumerate_kvccs`]. Exact because `G[C]`
+//!   was k-connected, so a cut below `k` in `G′[C]` separates some
+//!   net-deleted pair, which (a) rules out; a cut `S` below `k` in `G′[K]`
+//!   then leaves `C ∖ S` connected, and each other `x` keeps an edge or a fan
+//!   path into `C ∖ S`; and no larger k-connected set inside `P` contains
+//!   `K`, a connected component of the k-core.
+//! * **R3 · the certified level is inherited.** A re-derived node equal to an
+//!   old node whose vertex set spans old levels `k ..= t` was t-connected in
+//!   `G`. With `cap′ = min(δ′, depth limit)`: if `cap′ ≤ t` and every
+//!   net-deleted pair inside it has `κ ≥ cap′` in `G′[C]`, it is certified
+//!   at `cap′` without a `GLOBAL-CUT*` — by the same argument as R2 (a).
+//!
+//! Each probe is one k-bounded [`VertexFlowGraph`] flow; the first failing
+//! probe ends its rule, and [`KvccOptions::budget`] is polled once per probe.
+//! The repaired forest equals a rebuild node for node.
 
-use kvcc_graph::kcore::degeneracy;
-use kvcc_graph::traversal::{connected_components, two_vccs};
-use kvcc_graph::{CsrGraph, GraphView, VertexId};
+use kvcc_flow::VertexFlowGraph;
+use kvcc_graph::kcore::{degeneracy, k_core_vertices};
+use kvcc_graph::traversal::{connected_components, connected_components_filtered, two_vccs};
+use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, EpochBitSet, GraphView, UpdateOp, VertexId};
 
 use crate::enumerate::enumerate_kvccs;
 use crate::error::KvccError;
 use crate::global_cut::{global_cut_with_scratch, CutScratch};
+use crate::index::ConnectivityIndex;
 use crate::options::KvccOptions;
-use crate::result::KVertexConnectedComponent;
+use crate::result::{KVertexConnectedComponent, KvccResult};
 use crate::stats::EnumerationStats;
+
+/// The origin of a node the level loop derived itself (no R1 subtree).
+pub(crate) const REDERIVED: u32 = u32::MAX;
 
 /// One level of the hierarchy: all k-VCCs for a fixed `k`, plus the index of
 /// each component's parent in the previous level.
@@ -70,6 +115,11 @@ impl KvccHierarchy {
     /// All levels, in increasing order of `k` (starting at `k = 1`).
     pub fn levels(&self) -> &[HierarchyLevel] {
         &self.levels
+    }
+
+    /// The levels, by value.
+    pub(crate) fn into_levels(self) -> Vec<HierarchyLevel> {
+        self.levels
     }
 
     /// Number of vertices of the graph the hierarchy was built from.
@@ -137,24 +187,180 @@ pub fn build_hierarchy<G: GraphView>(
     max_k: Option<u32>,
     options: &KvccOptions,
 ) -> Result<KvccHierarchy, KvccError> {
+    Ok(grow(graph, max_k, None, options)?.0)
+}
+
+/// The forest a repair starts from, plus the pairs of the batch that turned
+/// its graph `G` into the post-update graph `G′` (see the module docs).
+pub(crate) struct Prior<'a> {
+    forest: &'a ConnectivityIndex,
+    /// The pairs the batch names, as `(min, max)`, sorted and deduplicated.
+    updated: Vec<(VertexId, VertexId)>,
+    /// The updated pairs the batch deletes and `G′` lacks, in the same form.
+    net_deleted: Vec<(VertexId, VertexId)>,
+}
+
+/// An old node at the level being built whose vertex set a new node repeats.
+struct Match {
+    id: u32,
+    /// The deepest old level the same vertex set reaches (R3's `t`).
+    deepest: u32,
+    /// Whether the vertex set holds no updated pair (R1 applies).
+    clean: bool,
+}
+
+impl<'a> Prior<'a> {
+    /// The repair context of `forest` after `updates` (endpoints in range)
+    /// turned its graph into `after`.
+    pub(crate) fn new<G: GraphView>(
+        forest: &'a ConnectivityIndex,
+        after: &G,
+        updates: &[EdgeUpdate],
+    ) -> Self {
+        let mut updated = Vec::new();
+        let mut net_deleted = Vec::new();
+        for update in updates.iter().filter(|u| u.u != u.v) {
+            let pair = (update.u.min(update.v), update.u.max(update.v));
+            updated.push(pair);
+            if update.op == UpdateOp::Delete && !after.has_edge(update.u, update.v) {
+                net_deleted.push(pair);
+            }
+        }
+        for pairs in [&mut updated, &mut net_deleted] {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        Prior {
+            forest,
+            updated,
+            net_deleted,
+        }
+    }
+
+    /// The pairs the batch names (self-loops excluded).
+    pub(crate) fn pairs(&self) -> &[(VertexId, VertexId)] {
+        &self.updated
+    }
+
+    /// The pairs of `pairs` with both endpoints in the sorted `members`, as
+    /// positions in `members`.
+    fn inside<'p>(
+        pairs: &'p [(VertexId, VertexId)],
+        members: &'p [VertexId],
+    ) -> impl Iterator<Item = (VertexId, VertexId)> + 'p {
+        pairs.iter().filter_map(|&(a, b)| {
+            let a = members.binary_search(&a).ok()?;
+            let b = members.binary_search(&b).ok()?;
+            Some((a as VertexId, b as VertexId))
+        })
+    }
+
+    /// The old level-k node with exactly the vertex set `members`, found by
+    /// walking one member's leaves up to level `k`.
+    fn find(&self, k: u32, members: &[VertexId]) -> Option<Match> {
+        let forest = self.forest;
+        for &leaf in forest.leaves(members[0]) {
+            let mut node = leaf;
+            // Nodes below a level-k match are its subsets, so the first one
+            // of equal size on the way up is the deepest copy of it.
+            let mut deepest = None;
+            while forest.level(node) >= k {
+                let size = forest.members(node).len();
+                if deepest.is_none() && size == members.len() {
+                    deepest = Some(forest.level(node));
+                }
+                if forest.level(node) == k {
+                    if forest.members(node) == members {
+                        return Some(Match {
+                            id: node,
+                            deepest: deepest.unwrap_or(k),
+                            clean: Self::inside(&self.updated, members).next().is_none(),
+                        });
+                    }
+                    break;
+                }
+                node = forest.parent(node).expect("levels above 1 have parents");
+            }
+        }
+        None
+    }
+
+    /// R1 for a node with no certification to inherit: the old node whose
+    /// subtree it keeps, or [`REDERIVED`].
+    fn kept(&self, k: u32, component: &KVertexConnectedComponent) -> u32 {
+        match self.find(k, component.vertices()) {
+            Some(m) if m.clean => m.id,
+            _ => REDERIVED,
+        }
+    }
+
+    /// R1's subtrees one level down: the old level-k nodes whose parents the
+    /// new level above keeps (`placed[old id]` is the keeper's position).
+    fn kept_children(&self, k: u32, placed: &[u32], nodes: &mut Vec<Node>) {
+        for id in self.forest.level_nodes(k) {
+            let Some(parent) = self.forest.parent(id) else {
+                continue;
+            };
+            if placed[parent as usize] != REDERIVED {
+                nodes.push(Node {
+                    component: self.forest.node_component(id).expect("in range").clone(),
+                    parent: Some(placed[parent as usize] as usize),
+                    certified: k,
+                    origin: id,
+                });
+            }
+        }
+    }
+}
+
+/// A node of the level under construction.
+struct Node {
+    component: KVertexConnectedComponent,
+    parent: Option<usize>,
+    /// The level the component is certified up to.
+    certified: u32,
+    /// The old node whose subtree it keeps (R1), or [`REDERIVED`].
+    origin: u32,
+}
+
+/// The level loop behind [`build_hierarchy`] and the index repair: with no
+/// `prior` forest it is the build, with one it is the repair of the module
+/// docs. Returns the hierarchy and, per level and node, the old node whose
+/// subtree the node keeps, or [`REDERIVED`].
+pub(crate) fn grow<G: GraphView>(
+    graph: &G,
+    max_k: Option<u32>,
+    prior: Option<&Prior>,
+    options: &KvccOptions,
+) -> Result<(KvccHierarchy, Vec<Vec<u32>>), KvccError> {
     options.budget.check()?;
     let limit = max_k.unwrap_or_else(|| degeneracy(graph));
+    let mut run = LevelLoop::new(limit, prior, options);
     let mut levels: Vec<HierarchyLevel> = Vec::new();
+    let mut origins: Vec<Vec<u32>> = Vec::new();
     // `certified[i]`: the level the previous level's `components[i]` is
     // certified up to.
     let mut certified: Vec<u32> = Vec::new();
-    let mut scratch = CutScratch::new();
-    // One relabelling buffer shared by every slice of the whole construction.
-    let mut map: Vec<VertexId> = Vec::new();
+    // Old node id → position of the new node that keeps it (R1).
+    let mut placed = vec![REDERIVED; prior.map_or(0, |p| p.forest.num_nodes())];
 
     for k in 1..=limit {
-        // (component, parent, certified level) before the level is sorted.
-        let mut nodes: Vec<(KVertexConnectedComponent, Option<usize>, u32)> = Vec::new();
+        let mut nodes: Vec<Node> = Vec::new();
+        if let Some(prior) = prior {
+            prior.kept_children(k, &placed, &mut nodes);
+        }
         match levels.last() {
             None => {
                 for members in connected_components(graph) {
                     if members.len() >= 2 {
-                        nodes.push((KVertexConnectedComponent::new(members), None, 1));
+                        let component = KVertexConnectedComponent::new(members);
+                        let origin = prior.map_or(REDERIVED, |p| p.kept(1, &component));
+                        nodes.push(Node {
+                            component,
+                            parent: None,
+                            certified: 1,
+                            origin,
+                        });
                     }
                 }
             }
@@ -166,16 +372,31 @@ pub fn build_hierarchy<G: GraphView>(
                     }
                 }
                 for members in two_vccs(graph) {
-                    let sub = CsrGraph::extract_induced(graph, &members, &mut map);
-                    let level = certified_level(&sub, k, limit, options, &mut scratch)?;
                     let parent = root_of[members[0] as usize];
-                    nodes.push((KVertexConnectedComponent::new(members), Some(parent), level));
+                    if origins[0][parent] != REDERIVED {
+                        continue; // its kept subtree holds this node
+                    }
+                    let component = KVertexConnectedComponent::new(members);
+                    nodes.push(run.settle(k, component, parent, |c, map| {
+                        CsrGraph::extract_induced(graph, c.vertices(), map)
+                    })?);
                 }
             }
             Some(previous) => {
+                let above = origins.last().expect("one per level");
                 for (parent_idx, parent) in previous.components.iter().enumerate() {
+                    if above[parent_idx] != REDERIVED {
+                        continue;
+                    }
                     if certified[parent_idx] >= k {
-                        nodes.push((parent.clone(), Some(parent_idx), certified[parent_idx]));
+                        let component = parent.clone();
+                        let origin = prior.map_or(REDERIVED, |p| p.kept(k, &component));
+                        nodes.push(Node {
+                            component,
+                            parent: Some(parent_idx),
+                            certified: certified[parent_idx],
+                            origin,
+                        });
                         continue;
                     }
                     if parent.len() <= k as usize {
@@ -183,23 +404,17 @@ pub fn build_hierarchy<G: GraphView>(
                     }
                     // Slice the parent out of the input as one CSR work item
                     // (component vertex lists are sorted, so the rows come
-                    // out sorted for free) and let the enumerator's worklist
-                    // — the parallel one when `options.threads` says so —
-                    // drain it.
-                    let sub = CsrGraph::extract_induced(graph, parent.vertices(), &mut map);
-                    for comp in enumerate_kvccs(&sub, k, options)?.iter() {
-                        let child = CsrGraph::extract_induced(&sub, comp.vertices(), &mut map);
-                        let level = certified_level(&child, k, limit, options, &mut scratch)?;
-                        let mapped: Vec<VertexId> = comp
-                            .vertices()
+                    // out sorted for free).
+                    let sub = CsrGraph::extract_induced(graph, parent.vertices(), &mut run.map);
+                    for local in run.children(&sub, parent.vertices(), k)? {
+                        let mapped: Vec<VertexId> = local
                             .iter()
-                            .map(|&local| parent.vertices()[local as usize])
+                            .map(|&l| parent.vertices()[l as usize])
                             .collect();
-                        nodes.push((
-                            KVertexConnectedComponent::new(mapped),
-                            Some(parent_idx),
-                            level,
-                        ));
+                        let component = KVertexConnectedComponent::new(mapped);
+                        nodes.push(run.settle(k, component, parent_idx, |_, map| {
+                            CsrGraph::extract_induced(&sub, &local, map)
+                        })?);
                     }
                 }
             }
@@ -208,25 +423,284 @@ pub fn build_hierarchy<G: GraphView>(
             break;
         }
         // Keep the deterministic ordering used everywhere else.
-        nodes.sort_by(|a, b| a.0.cmp(&b.0));
+        nodes.sort_by(|a, b| a.component.cmp(&b.component));
         let mut level = HierarchyLevel {
             k,
             components: Vec::with_capacity(nodes.len()),
             parents: Vec::with_capacity(nodes.len()),
         };
+        let mut level_origins = Vec::with_capacity(nodes.len());
         certified.clear();
-        for (component, parent, up_to) in nodes {
-            level.components.push(component);
-            level.parents.push(parent);
-            certified.push(up_to);
+        for (i, node) in nodes.into_iter().enumerate() {
+            if node.origin != REDERIVED {
+                placed[node.origin as usize] = i as u32;
+            }
+            level.components.push(node.component);
+            level.parents.push(node.parent);
+            certified.push(node.certified);
+            level_origins.push(node.origin);
         }
         levels.push(level);
+        origins.push(level_origins);
     }
 
-    Ok(KvccHierarchy {
+    let hierarchy = KvccHierarchy {
         levels,
         num_vertices: graph.num_vertices(),
-    })
+    };
+    Ok((hierarchy, origins))
+}
+
+/// The scratch and settings one run of the level loop shares.
+struct LevelLoop<'a> {
+    limit: u32,
+    prior: Option<&'a Prior<'a>>,
+    options: &'a KvccOptions,
+    scratch: CutScratch,
+    /// The arena of R2's and R3's probes.
+    flow: VertexFlowGraph,
+    /// One relabelling buffer shared by every slice of the whole run.
+    map: Vec<VertexId>,
+    /// R2: the members of the k-core component under test.
+    in_piece: EpochBitSet,
+    /// R2: old nodes already visited by the candidate walk.
+    seen: EpochBitSet,
+}
+
+impl<'a> LevelLoop<'a> {
+    fn new(limit: u32, prior: Option<&'a Prior<'a>>, options: &'a KvccOptions) -> Self {
+        LevelLoop {
+            limit,
+            prior,
+            options,
+            scratch: CutScratch::new(),
+            flow: VertexFlowGraph::empty(),
+            map: Vec::new(),
+            in_piece: EpochBitSet::default(),
+            seen: EpochBitSet::default(),
+        }
+    }
+
+    /// Places a level-k node under `parent`: R1, else R3, else
+    /// [`certified_level`] on the induced graph `extract` slices out.
+    fn settle(
+        &mut self,
+        k: u32,
+        component: KVertexConnectedComponent,
+        parent: usize,
+        extract: impl FnOnce(&KVertexConnectedComponent, &mut Vec<VertexId>) -> CsrGraph,
+    ) -> Result<Node, KvccError> {
+        let matched = self.prior.and_then(|p| p.find(k, component.vertices()));
+        if let Some(m) = matched.as_ref().filter(|m| m.clean) {
+            return Ok(Node {
+                component,
+                parent: Some(parent),
+                certified: k,
+                origin: m.id,
+            });
+        }
+        let induced = extract(&component, &mut self.map);
+        let cap = (induced.min_degree() as u32).min(self.limit);
+        let inherited = matched.map_or(0, |m| m.deepest);
+        let certified = if cap > k
+            && cap <= inherited
+            && self.pairs_hold(&induced, component.vertices(), cap)?
+        {
+            cap
+        } else {
+            certified_level(&induced, k, self.limit, self.options, &mut self.scratch)?
+        };
+        Ok(Node {
+            component,
+            parent: Some(parent),
+            certified,
+            origin: REDERIVED,
+        })
+    }
+
+    /// The level-k children of a re-derived parent, as sorted local ids of
+    /// `sub` (the parent's induced graph; `parent` maps its ids back). The
+    /// build enumerates them; the repair first offers each k-core component
+    /// to R2.
+    fn children(
+        &mut self,
+        sub: &CsrGraph,
+        parent: &[VertexId],
+        k: u32,
+    ) -> Result<Vec<Vec<VertexId>>, KvccError> {
+        let local = |result: KvccResult| -> Vec<Vec<VertexId>> {
+            result.iter().map(|c| c.vertices().to_vec()).collect()
+        };
+        let Some(prior) = self.prior else {
+            return Ok(local(enumerate_kvccs(sub, k, self.options)?));
+        };
+        let mut alive = BitSet::new(sub.num_vertices());
+        for v in k_core_vertices(sub, k as usize) {
+            alive.insert(v as usize);
+        }
+        let mut accepted = Vec::new();
+        let mut rest: Vec<VertexId> = Vec::new();
+        for piece in connected_components_filtered(sub, &alive) {
+            if self.fans_hold(prior, sub, parent, &piece, k)? {
+                accepted.push(piece);
+            } else {
+                rest.extend_from_slice(&piece);
+            }
+        }
+        if accepted.is_empty() {
+            return Ok(local(enumerate_kvccs(sub, k, self.options)?));
+        }
+        if !rest.is_empty() {
+            // The rejected pieces share no edge, so one enumeration of their
+            // union finds exactly the k-VCCs inside each.
+            rest.sort_unstable();
+            let union = CsrGraph::extract_induced(sub, &rest, &mut self.map);
+            for comp in enumerate_kvccs(&union, k, self.options)?.iter() {
+                accepted.push(comp.vertices().iter().map(|&l| rest[l as usize]).collect());
+            }
+        }
+        Ok(accepted)
+    }
+
+    /// R2: whether the k-core component `piece` (sorted local ids of `sub`)
+    /// is a k-VCC by the k-fans into the largest old level-k node inside it.
+    fn fans_hold(
+        &mut self,
+        prior: &Prior,
+        sub: &CsrGraph,
+        parent: &[VertexId],
+        piece: &[VertexId],
+        k: u32,
+    ) -> Result<bool, KvccError> {
+        let Some(core) = self.largest_old_inside(prior, parent, piece, k) else {
+            return Ok(false);
+        };
+        let core_members = prior.forest.members(core);
+        // C ⊆ K ⊆ P, all sorted: C's ids in `sub` by binary search.
+        let core_local: Vec<VertexId> = core_members
+            .iter()
+            .map(|v| parent.binary_search(v).expect("C lies inside its parent") as VertexId)
+            .collect();
+        // (a) G′[C] is still k-connected.
+        if Prior::inside(&prior.net_deleted, core_members)
+            .next()
+            .is_some()
+        {
+            let induced = CsrGraph::extract_induced(sub, &core_local, &mut self.map);
+            if !self.pairs_hold(&induced, core_members, k)? {
+                return Ok(false);
+            }
+        }
+        if core_local.len() == piece.len() {
+            return Ok(true);
+        }
+        // (b) Every other member reaches C by k edges or by a k-fan. The
+        // fan graph is G′[K] plus a sink t adjacent to all of C, in the
+        // positions of `piece`.
+        let mut in_core = BitSet::new(sub.num_vertices());
+        for &v in &core_local {
+            in_core.insert(v as usize);
+        }
+        let sink = piece.len() as VertexId;
+        let mut loaded = false;
+        for (x, &v) in piece.iter().enumerate() {
+            if in_core.contains(v as usize) {
+                continue;
+            }
+            let into_core = sub
+                .neighbors(v)
+                .iter()
+                .filter(|&&w| in_core.contains(w as usize))
+                .take(k as usize)
+                .count();
+            if into_core >= k as usize {
+                continue;
+            }
+            self.options.budget.check()?;
+            if !loaded {
+                let induced = CsrGraph::extract_induced(sub, piece, &mut self.map);
+                let to_sink = piece
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &w)| in_core.contains(w as usize))
+                    .map(|(y, _)| (y as VertexId, sink));
+                let edges = induced.edges().chain(to_sink);
+                let fan = CsrGraph::from_edges(piece.len() + 1, edges)
+                    .expect("ids lie inside the fan graph");
+                self.flow.rebuild(&fan);
+                loaded = true;
+            }
+            if !self.flow.has_connectivity_at_least(x as VertexId, sink, k) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The largest old level-k node inside the k-core component `piece`,
+    /// among the old nodes its members' leaves lead to.
+    fn largest_old_inside(
+        &mut self,
+        prior: &Prior,
+        parent: &[VertexId],
+        piece: &[VertexId],
+        k: u32,
+    ) -> Option<u32> {
+        let forest = prior.forest;
+        self.in_piece.ensure(forest.num_vertices());
+        self.in_piece.clear_all();
+        for &l in piece {
+            self.in_piece.insert(parent[l as usize] as usize);
+        }
+        self.seen.ensure(forest.num_nodes());
+        self.seen.clear_all();
+        let mut best: Option<(usize, u32)> = None;
+        for &l in piece {
+            for &leaf in forest.leaves(parent[l as usize]) {
+                // A node seen before has had its level-k ancestor weighed.
+                let mut node = leaf;
+                while forest.level(node) > k && self.seen.insert(node as usize) {
+                    node = forest.parent(node).expect("levels above 1 have parents");
+                }
+                if forest.level(node) != k || !self.seen.insert(node as usize) {
+                    continue;
+                }
+                let members = forest.members(node);
+                if best.is_none_or(|(size, _)| members.len() > size)
+                    && members.len() <= piece.len()
+                    && members.iter().all(|&w| self.in_piece.contains(w as usize))
+                {
+                    best = Some((members.len(), node));
+                }
+            }
+        }
+        best.map(|(_, node)| node)
+    }
+
+    /// Whether every net-deleted pair inside `members` (the vertex set of
+    /// the induced graph `induced`) has local connectivity at least `j`.
+    fn pairs_hold(
+        &mut self,
+        induced: &CsrGraph,
+        members: &[VertexId],
+        j: u32,
+    ) -> Result<bool, KvccError> {
+        let Some(prior) = self.prior else {
+            return Ok(true);
+        };
+        let mut loaded = false;
+        for (a, b) in Prior::inside(&prior.net_deleted, members) {
+            self.options.budget.check()?;
+            if !loaded {
+                self.flow.rebuild(induced);
+                loaded = true;
+            }
+            if !self.flow.has_connectivity_at_least(a, b, j) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The level up to which a k-connected component `C`, given as its induced
@@ -268,7 +742,7 @@ fn certified_level(
 mod tests {
     use super::*;
     use crate::options::KvccOptions;
-    use kvcc_graph::UndirectedGraph;
+    use kvcc_graph::{EdgeUpdate, UndirectedGraph};
 
     fn complete(n: usize) -> UndirectedGraph {
         let mut edges = Vec::new();
@@ -413,6 +887,170 @@ mod tests {
         // A cap below κ stops the copies at the cap.
         let capped = build_hierarchy(&g, Some(3), &KvccOptions::default()).unwrap();
         assert_eq!(capped.levels().len(), 3);
+    }
+
+    /// Edges of a clique on `members`.
+    fn clique(members: &[VertexId]) -> Vec<(VertexId, VertexId)> {
+        let mut edges = Vec::new();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                edges.push((a, b));
+            }
+        }
+        edges
+    }
+
+    /// The graph `before` turns into under `batch`.
+    fn after(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> CsrGraph {
+        let mut delta = kvcc_graph::DeltaGraph::new(CsrGraph::from_view(before));
+        delta.apply(batch).unwrap();
+        delta.into_csr()
+    }
+
+    /// Repairs the hierarchy of `before` after `batch`, asserts that it
+    /// equals a rebuild, and returns each node's origin.
+    fn repair(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> Vec<Vec<u32>> {
+        let options = KvccOptions::default();
+        let forest = ConnectivityIndex::build(before, None, &options).unwrap();
+        let g = after(before, batch);
+        let prior = Prior::new(&forest, &g, batch);
+        let (repaired, origins) = grow(&g, None, Some(&prior), &options).unwrap();
+        let rebuilt = build_hierarchy(&g, None, &options).unwrap();
+        assert_eq!(repaired.levels().len(), rebuilt.levels().len());
+        for (a, b) in repaired.levels().iter().zip(rebuilt.levels()) {
+            assert_eq!(a.components, b.components, "level {}", a.k);
+            assert_eq!(a.parents, b.parents, "level {}", a.k);
+        }
+        origins
+    }
+
+    /// R2 on the one component of the 3-core of the graph after `batch`,
+    /// taken as a child of a level-2 node spanning the whole graph.
+    fn fans_at_level_3(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> bool {
+        let options = KvccOptions::default();
+        let forest = ConnectivityIndex::build(before, None, &options).unwrap();
+        let g = after(before, batch);
+        let prior = Prior::new(&forest, &g, batch);
+        let mut run = LevelLoop::new(3, Some(&prior), &options);
+        let parent: Vec<VertexId> = g.vertices().collect();
+        let mut alive = BitSet::new(g.num_vertices());
+        for v in k_core_vertices(&g, 3) {
+            alive.insert(v as usize);
+        }
+        let pieces = connected_components_filtered(&g, &alive);
+        assert_eq!(pieces.len(), 1, "the 3-core is one component");
+        run.fans_hold(&prior, &g, &parent, &pieces[0], 3).unwrap()
+    }
+
+    #[test]
+    fn r1_keeps_a_clean_subtree_and_rederives_the_touched_one() {
+        // Two K5s joined by the bridge 4-5: one root, then each K5 alone
+        // at levels 2 to 4. Deleting 0-1 touches the first K5 only.
+        let mut edges = clique(&[0, 1, 2, 3, 4]);
+        edges.extend(clique(&[5, 6, 7, 8, 9]));
+        edges.push((4, 5));
+        let g = UndirectedGraph::from_edges(10, edges).unwrap();
+        let origins = repair(&g, &[EdgeUpdate::delete(0, 1)]);
+        // Level 1 holds the deleted pair. The touched K5 (first by smallest
+        // member) is re-derived at levels 2 and 3 and, now only
+        // 3-connected, leaves level 4; the other one keeps its old nodes,
+        // ids 2, 4 and 6 of the old forest.
+        assert_eq!(
+            origins,
+            vec![
+                vec![REDERIVED],
+                vec![REDERIVED, 2],
+                vec![REDERIVED, 4],
+                vec![6]
+            ]
+        );
+    }
+
+    #[test]
+    fn r2_accepts_a_grown_k_core_component_by_fans() {
+        // K4 {0,1,2,3}; 4 sees 0 and 1, 5 sees 2 and 3. Inserting 4-5 lifts
+        // both into the 3-core, each with two neighbours in the K4 and a
+        // third fan path through the other: {0..5} is 3-connected.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend([(4, 0), (4, 1), (5, 2), (5, 3)]);
+        let g = UndirectedGraph::from_edges(6, edges).unwrap();
+        let batch = [EdgeUpdate::insert(4, 5)];
+        assert!(fans_at_level_3(&g, &batch));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r2_refuses_a_fan_that_a_two_vertex_cut_blocks() {
+        // K4 {0,1,2,3} and triangle {4,5,6}, attached by 4-0, 5-0 and 6-1.
+        // Every vertex then has degree at least 3, so the 3-core holds all
+        // seven, yet {0, 1} separates the triangle: 4 has no 3-fan into
+        // the K4, and the only 3-VCC is the K4.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend(clique(&[4, 5, 6]));
+        edges.extend([(4, 0), (5, 0)]);
+        let g = UndirectedGraph::from_edges(7, edges).unwrap();
+        let batch = [EdgeUpdate::insert(6, 1)];
+        assert!(!fans_at_level_3(&g, &batch));
+        repair(&g, &batch);
+        let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
+        assert_eq!(h.components_at(3).unwrap()[0].vertices(), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn r2_finds_no_old_node_when_a_deletion_drops_a_member_from_the_k_core() {
+        // K4 {0,1,2,3} plus 4 adjacent to 0, 1 and 2 is one 3-VCC. Deleting
+        // 4-0 drops 4 out of the 3-core, so no old 3-VCC lies inside the new
+        // component {0,1,2,3} and it is enumerated.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend([(4, 0), (4, 1), (4, 2)]);
+        let g = UndirectedGraph::from_edges(5, edges).unwrap();
+        let batch = [EdgeUpdate::delete(4, 0)];
+        assert!(!fans_at_level_3(&g, &batch));
+        let origins = repair(&g, &batch);
+        assert!(origins.iter().flatten().all(|&o| o == REDERIVED));
+    }
+
+    /// The level-2 node spanning all of the graph after `batch`, settled
+    /// with the forest of `before` under the depth limit `limit`.
+    fn settle_whole_graph(before: &UndirectedGraph, batch: &[EdgeUpdate], limit: u32) -> Node {
+        let options = KvccOptions::default();
+        let forest = ConnectivityIndex::build(before, None, &options).unwrap();
+        let g = after(before, batch);
+        let prior = Prior::new(&forest, &g, batch);
+        let mut run = LevelLoop::new(limit, Some(&prior), &options);
+        let everything = KVertexConnectedComponent::new(g.vertices().collect());
+        run.settle(2, everything, 0, |c, map| {
+            CsrGraph::extract_induced(&g, c.vertices(), map)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn r3_inherits_the_certified_level_of_an_unchanged_vertex_set() {
+        // K6 spans old levels 1..=5. Without the edge 0-1 it is
+        // 4-connected: κ(0, 1) = 4 through its four common neighbours, so
+        // one probe certifies it at min(δ′, limit) = 4.
+        let g = complete(6);
+        let batch = [EdgeUpdate::delete(0, 1)];
+        let node = settle_whole_graph(&g, &batch, 4);
+        assert_eq!((node.certified, node.origin), (4, REDERIVED));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r3_falls_back_to_the_cut_search_when_a_probe_fails() {
+        // Two K6s joined by the matching i-(i+6), i < 5: 5-connected, so
+        // the vertex set spans old levels 1..=5. Deleting 0-6 keeps δ′ = 5
+        // but leaves κ(0, 6) = 4, so the probe at 5 fails and the cut
+        // search certifies the node at 4.
+        let mut edges = clique(&[0, 1, 2, 3, 4, 5]);
+        edges.extend(clique(&[6, 7, 8, 9, 10, 11]));
+        edges.extend((0..5).map(|i| (i, i + 6)));
+        let g = UndirectedGraph::from_edges(12, edges).unwrap();
+        let batch = [EdgeUpdate::delete(0, 6)];
+        let node = settle_whole_graph(&g, &batch, 5);
+        assert_eq!((node.certified, node.origin), (4, REDERIVED));
+        repair(&g, &batch);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! `index_parity` integration suite); the index is the read path of the
 //! `kvcc-service` serving layer.
 
-use kvcc_graph::{CsrGraph, EdgeUpdate, GraphError, GraphView, VertexId};
+use kvcc_graph::{BitSet, EdgeUpdate, GraphError, GraphView, VertexId};
 
 use crate::error::KvccError;
-use crate::hierarchy::{build_hierarchy, KvccHierarchy};
+use crate::hierarchy::{build_hierarchy, grow, KvccHierarchy, Prior, REDERIVED};
 use crate::options::KvccOptions;
 use crate::result::KVertexConnectedComponent;
 
@@ -47,34 +47,30 @@ fn is_sorted_subset(child: &[VertexId], parent: &[VertexId]) -> bool {
     true
 }
 
-/// Counts, per component, the graph edges with both endpoints inside it
-/// (membership-marking sweep; `O(Σ_C Σ_{v∈C} deg(v))` total).
+/// Counts the graph edges with both endpoints inside `component`
+/// (membership-marking sweep over `inside`, which is left empty;
+/// `O(Σ_{v∈C} deg(v))`).
 fn count_internal_edges<G: GraphView>(
     graph: &G,
-    components: &[KVertexConnectedComponent],
-) -> Vec<u64> {
-    let mut inside = kvcc_graph::BitSet::new(graph.num_vertices());
-    components
-        .iter()
-        .map(|component| {
-            let members = component.vertices();
-            for &v in members {
-                inside.insert(v as usize);
-            }
-            let mut directed = 0u64;
-            for &v in members {
-                directed += graph
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&w| inside.contains(w as usize))
-                    .count() as u64;
-            }
-            for &v in members {
-                inside.remove(v as usize);
-            }
-            directed / 2
-        })
-        .collect()
+    component: &KVertexConnectedComponent,
+    inside: &mut BitSet,
+) -> u64 {
+    let members = component.vertices();
+    for &v in members {
+        inside.insert(v as usize);
+    }
+    let mut directed = 0u64;
+    for &v in members {
+        directed += graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| inside.contains(w as usize))
+            .count() as u64;
+    }
+    for &v in members {
+        inside.remove(v as usize);
+    }
+    directed / 2
 }
 
 /// Descending comparison of two ranking keys, each given as the node's
@@ -250,10 +246,10 @@ pub struct ConnectivityIndex {
     /// cap were never enumerated, so queries there are not answerable from
     /// the index (see [`ConnectivityIndex::covers`]).
     depth_limit: Option<u32>,
-    /// Mutation epoch: 0 for a freshly built index, incremented by every
-    /// [`ConnectivityIndex::apply_updates`] batch (whether repaired
-    /// incrementally or rebuilt). Persisted on the wire so cursors and
-    /// caches keyed on it survive a service restart.
+    /// Mutation epoch: 0 for a freshly built index, one more than the
+    /// previous index for each [`ConnectivityIndex::apply_updates`] batch.
+    /// Persisted on the wire so cursors and caches keyed on it survive a
+    /// service restart.
     epoch: u64,
 }
 
@@ -262,15 +258,18 @@ pub struct ConnectivityIndex {
 pub struct UpdateReport {
     /// The index epoch after the batch (`epoch_before + 1`).
     pub epoch: u64,
-    /// Forest nodes that were (re-)enumerated: the repaired subtree's node
-    /// count, or the whole forest when the batch fell back to a full
-    /// rebuild.
+    /// Forest nodes the repair derived itself rather than keeping an old
+    /// node's subtree: the nodes holding an updated pair, and the nodes
+    /// whose vertex set the batch changed. A component copied down the
+    /// levels it is certified for, as its own only child, counts once.
     pub repaired_nodes: u32,
-    /// Whether the blast radius exceeded the threshold and the index was
-    /// rebuilt from scratch instead of spliced.
+    /// Always `false`: the repair never falls back to a whole-graph rebuild.
+    /// Kept because protocol v6 carries it in `Updated` responses.
     pub rebuilt: bool,
-    /// Size of the affected vertex set (updated endpoints plus every member
-    /// of a forest root containing one).
+    /// Number of distinct vertices in the repaired nodes plus the updated
+    /// endpoints (0 for a batch that names no pair). A level-1 root holding
+    /// an updated pair is always repaired, so on a connected graph this
+    /// counts every vertex of the root.
     pub affected_vertices: u32,
 }
 
@@ -288,39 +287,55 @@ impl ConnectivityIndex {
         options: &KvccOptions,
     ) -> Result<Self, KvccError> {
         let hierarchy = build_hierarchy(graph, max_k, options)?;
-        let mut index = Self::from_hierarchy(graph, &hierarchy);
-        index.depth_limit = max_k;
-        Ok(index)
+        Ok(Self::flatten(graph, hierarchy, max_k, |_, _| None))
     }
 
     /// Flattens an already-built [`KvccHierarchy`] into index form. The graph
     /// the hierarchy was built from supplies the per-component internal edge
     /// counts backing [`ConnectivityIndex::ranked_components`].
     pub fn from_hierarchy<G: GraphView>(graph: &G, hierarchy: &KvccHierarchy) -> Self {
+        Self::flatten(graph, hierarchy.clone(), None, |_, _| None)
+    }
+
+    /// Flattens `hierarchy` into index form. `carried(level, i)` is the
+    /// internal edge count of the `i`-th node of the `level`-th level when it
+    /// is already known (a node a repair kept); every other node is counted
+    /// on `graph`.
+    fn flatten<G: GraphView>(
+        graph: &G,
+        hierarchy: KvccHierarchy,
+        depth_limit: Option<u32>,
+        carried: impl Fn(usize, usize) -> Option<u64>,
+    ) -> Self {
         let num_vertices = hierarchy.num_vertices();
         let mut ks = Vec::new();
         let mut parents = Vec::new();
         let mut components = Vec::new();
+        let mut internal_edges = Vec::new();
         let mut level_offsets = vec![0usize];
+        let mut inside = BitSet::new(graph.num_vertices());
 
         // Assign node ids level by level; hierarchy levels are contiguous
         // (construction stops at the first empty level), so level k occupies
         // level_offsets[k - 1]..level_offsets[k].
-        for (li, level) in hierarchy.levels().iter().enumerate() {
+        for (li, level) in hierarchy.into_levels().into_iter().enumerate() {
             debug_assert_eq!(level.k as usize, li + 1, "levels must be contiguous");
             let prev_start = if li == 0 { 0 } else { level_offsets[li - 1] };
-            for (comp, parent) in level.components.iter().zip(&level.parents) {
+            for (i, (comp, parent)) in level.components.into_iter().zip(level.parents).enumerate() {
                 ks.push(level.k);
                 parents.push(match parent {
                     None => NO_PARENT,
                     Some(idx) => (prev_start + idx) as u32,
                 });
-                components.push(comp.clone());
+                internal_edges.push(
+                    carried(li, i)
+                        .unwrap_or_else(|| count_internal_edges(graph, &comp, &mut inside)),
+                );
+                components.push(comp);
             }
             level_offsets.push(components.len());
         }
 
-        let internal_edges = count_internal_edges(graph, &components);
         Self::assemble(
             num_vertices,
             ks,
@@ -328,7 +343,7 @@ impl ConnectivityIndex {
             components,
             level_offsets,
             internal_edges,
-            None,
+            depth_limit,
         )
     }
 
@@ -684,236 +699,119 @@ impl ConnectivityIndex {
         self.epoch = epoch;
     }
 
-    /// Repairs the index after a batch of edge updates, without re-running
-    /// the full nested enumeration.
+    /// The index of the graph after a batch of edge updates, repaired from
+    /// this one without re-running the full nested enumeration.
     ///
     /// `graph` must be the **post-update** graph (e.g. a
     /// [`kvcc_graph::DeltaGraph`] the same updates were applied to) over the
     /// same vertex set the index was built on.
     ///
-    /// The blast radius is bounded by the forest itself: each updated
-    /// endpoint's leaf pointers are walked to their level-1 roots, and the
-    /// affected region is the union of those roots' members plus the
-    /// endpoints. No edge of either the old or the new graph crosses the
-    /// region boundary — level-1 components are connected components, every
-    /// old edge stays inside its root, and every updated edge has both
-    /// endpoints in the region — so re-running the hierarchy construction on
-    /// the region's induced subgraph and splicing the result over the
-    /// dropped subtrees reproduces a full rebuild **byte-identically** (the
-    /// per-level merge uses the same component ordering the enumeration
-    /// sorts by). When the region exceeds half the graph the method falls
-    /// back to a full rebuild instead.
+    /// The repair is one pass of the hierarchy's own level loop over `graph`
+    /// that consults this forest (rules R1–R3 in [`crate::hierarchy`]):
+    /// levels 1 and 2 are recomputed as the connected and biconnected
+    /// components of the whole graph; a node equal to an old one and holding
+    /// no updated pair keeps the old subtree and internal-edge counts; a
+    /// grown k-core component that holds an old k-VCC is accepted by k-fan
+    /// probes; and every other node is enumerated and certified exactly as
+    /// [`ConnectivityIndex::build`] does. The result is **byte-identical**
+    /// (`to_bytes`) to a rebuild on `graph`, with the epoch one past this
+    /// index's; an empty batch, which keeps every node, still advances it.
     ///
-    /// Either way the epoch advances by exactly 1. The repair honours
-    /// [`KvccOptions::budget`]: an expired deadline aborts with
-    /// [`KvccError::Interrupted`] and leaves the index (and its epoch)
-    /// untouched.
+    /// The repair honours [`KvccOptions::budget`]: an expired deadline
+    /// aborts with [`KvccError::Interrupted`]. This index is only read, so a
+    /// failed batch leaves it as it was.
     pub fn apply_updates<G: GraphView>(
-        &mut self,
+        &self,
         graph: &G,
         updates: &[EdgeUpdate],
         options: &KvccOptions,
-    ) -> Result<UpdateReport, KvccError> {
+    ) -> Result<(Self, UpdateReport), KvccError> {
         assert_eq!(
             graph.num_vertices(),
             self.num_vertices(),
             "apply_updates requires the post-update graph over the indexed vertex set"
         );
         options.budget.check()?;
-
-        // Updated endpoints, deduplicated and validated.
-        let mut endpoints: Vec<VertexId> = updates.iter().flat_map(|u| [u.u, u.v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        if let Some(&seed) = endpoints
+        if let Some(seed) = updates
             .iter()
-            .find(|&&v| v as usize >= self.num_vertices())
+            .flat_map(|u| [u.u, u.v])
+            .filter(|&v| v as usize >= self.num_vertices())
+            .min()
         {
             return Err(KvccError::SeedOutOfRange { seed });
         }
-        if endpoints.is_empty() {
-            // An empty batch is still a batch: the epoch advances so the
-            // service's at-most-once semantics stay simple.
-            self.epoch += 1;
-            return Ok(UpdateReport {
-                epoch: self.epoch,
-                repaired_nodes: 0,
+
+        let prior = Prior::new(self, graph, updates);
+        let mut affected = BitSet::new(self.num_vertices());
+        for &(u, v) in prior.pairs() {
+            affected.insert(u as usize);
+            affected.insert(v as usize);
+        }
+        let (hierarchy, origins) = grow(graph, self.depth_limit, Some(&prior), options)?;
+        let mut repaired_nodes = 0u32;
+        let levels = hierarchy.levels();
+        for (li, (level, kept)) in levels.iter().zip(&origins).enumerate() {
+            for (i, component) in level.components.iter().enumerate() {
+                // A component copied down as its own only child counts once.
+                let copied = level.parents[i]
+                    .is_some_and(|p| levels[li - 1].components[p].len() == component.len());
+                if kept[i] == REDERIVED && !copied {
+                    repaired_nodes += 1;
+                    for &v in component.vertices() {
+                        affected.insert(v as usize);
+                    }
+                }
+            }
+        }
+        let mut next = Self::flatten(graph, hierarchy, self.depth_limit, |li, i| {
+            match origins[li][i] {
+                REDERIVED => None,
+                old => Some(self.internal_edges[old as usize]),
+            }
+        });
+        next.epoch = self.epoch + 1;
+        let epoch = next.epoch;
+        Ok((
+            next,
+            UpdateReport {
+                epoch,
+                repaired_nodes,
                 rebuilt: false,
-                affected_vertices: 0,
-            });
+                affected_vertices: affected.count_ones() as u32,
+            },
+        ))
+    }
+
+    /// The deepest nodes containing `v` (its leaf pointers).
+    pub(crate) fn leaves(&self, v: VertexId) -> &[u32] {
+        &self.leaves_of[v as usize]
+    }
+
+    /// The level of node `id`.
+    pub(crate) fn level(&self, id: u32) -> u32 {
+        self.ks[id as usize]
+    }
+
+    /// The parent of node `id`; `None` for a level-1 root.
+    pub(crate) fn parent(&self, id: u32) -> Option<u32> {
+        match self.parents[id as usize] {
+            NO_PARENT => None,
+            p => Some(p),
         }
+    }
 
-        // Affected level-1 roots: walk each endpoint's leaves to the top of
-        // the forest.
-        let mut roots: Vec<u32> = Vec::new();
-        for &v in &endpoints {
-            for &leaf in &self.leaves_of[v as usize] {
-                let mut node = leaf;
-                while self.parents[node as usize] != NO_PARENT {
-                    node = self.parents[node as usize];
-                }
-                roots.push(node);
-            }
+    /// The members of node `id`.
+    pub(crate) fn members(&self, id: u32) -> &[VertexId] {
+        self.components[id as usize].vertices()
+    }
+
+    /// The node ids of level `k` (empty past the deepest level).
+    pub(crate) fn level_nodes(&self, k: u32) -> std::ops::Range<u32> {
+        let k = k as usize;
+        if k == 0 || k >= self.level_offsets.len() {
+            return 0..0;
         }
-        roots.sort_unstable();
-        roots.dedup();
-
-        // The affected vertex set: members of every affected root plus the
-        // endpoints themselves (which may be isolated or newly connected).
-        let mut affected: Vec<VertexId> = endpoints;
-        for &r in &roots {
-            affected.extend_from_slice(self.components[r as usize].vertices());
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let affected_vertices = affected.len() as u32;
-
-        // Blast-radius fallback: past half the graph an induced re-run stops
-        // paying for itself — rebuild outright.
-        if affected.len() * 2 > self.num_vertices() {
-            let mut rebuilt = Self::build(graph, self.depth_limit, options)?;
-            rebuilt.epoch = self.epoch + 1;
-            let report = UpdateReport {
-                epoch: rebuilt.epoch,
-                repaired_nodes: rebuilt.num_nodes() as u32,
-                rebuilt: true,
-                affected_vertices,
-            };
-            *self = rebuilt;
-            return Ok(report);
-        }
-        options.budget.check()?;
-
-        // Re-run the hierarchy construction on the affected region only.
-        let mut scratch = Vec::new();
-        let sub = CsrGraph::extract_induced(graph, &affected, &mut scratch);
-        let sub_hierarchy = build_hierarchy(&sub, self.depth_limit, options)?;
-        options.budget.check()?;
-
-        // Per-level internal edge counts of the repaired components,
-        // computed on the induced subgraph (members never leave the region,
-        // so the counts equal the full-graph ones).
-        let region_edges: Vec<Vec<u64>> = sub_hierarchy
-            .levels()
-            .iter()
-            .map(|level| count_internal_edges(&sub, &level.components))
-            .collect();
-
-        // Mark dropped nodes: a node goes iff its level-1 root is affected.
-        // Parents precede children, so one forward pass resolves the roots.
-        let num_nodes = self.components.len();
-        let mut root_of = vec![0u32; num_nodes];
-        for id in 0..num_nodes {
-            root_of[id] = match self.parents[id] {
-                NO_PARENT => id as u32,
-                p => root_of[p as usize],
-            };
-        }
-        let dropped = |id: usize| roots.binary_search(&root_of[id]).is_ok();
-
-        // Splice: merge the surviving nodes and the repaired region level by
-        // level, ordered by the component comparator — exactly the order the
-        // hierarchy construction sorts each level by, which is what makes
-        // the result byte-identical to a full rebuild.
-        let mut new_ks: Vec<u32> = Vec::new();
-        let mut new_parents: Vec<u32> = Vec::new();
-        let mut new_components: Vec<KVertexConnectedComponent> = Vec::new();
-        let mut new_internal: Vec<u64> = Vec::new();
-        let mut new_level_offsets = vec![0usize];
-        // Old node id → new node id for survivors; (level, idx) → new node
-        // id for repaired nodes.
-        let mut remap = vec![NO_PARENT; num_nodes];
-        let mut region_ids: Vec<Vec<u32>> = Vec::new();
-
-        let old_levels = self.level_offsets.len() - 1;
-        let region_levels = sub_hierarchy.levels().len();
-        for li in 0..old_levels.max(region_levels) {
-            let survivors: Vec<usize> = if li < old_levels {
-                (self.level_offsets[li]..self.level_offsets[li + 1])
-                    .filter(|&id| !dropped(id))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let region_level = sub_hierarchy.levels().get(li);
-            let repaired = region_level.map_or(0, |l| l.components.len());
-            if survivors.is_empty() && repaired == 0 {
-                break;
-            }
-            // Map the repaired components into graph ids. The affected list
-            // is sorted, so local → parent relabelling is monotone and the
-            // level's component order is preserved.
-            let mapped: Vec<KVertexConnectedComponent> = region_level
-                .map(|level| {
-                    level
-                        .components
-                        .iter()
-                        .map(|c| {
-                            KVertexConnectedComponent::new(
-                                c.vertices()
-                                    .iter()
-                                    .map(|&lv| affected[lv as usize])
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut ids_this_level = vec![0u32; repaired];
-            let (mut s, mut r) = (0usize, 0usize);
-            while s < survivors.len() || r < repaired {
-                // Survivors and repaired components are vertex-disjoint, so
-                // the comparator never ties and the merged order is total.
-                let take_survivor = r >= repaired
-                    || (s < survivors.len() && self.components[survivors[s]] < mapped[r]);
-                let new_id = new_components.len() as u32;
-                if take_survivor {
-                    let old_id = survivors[s];
-                    s += 1;
-                    remap[old_id] = new_id;
-                    new_ks.push(self.ks[old_id]);
-                    new_parents.push(match self.parents[old_id] {
-                        NO_PARENT => NO_PARENT,
-                        p => remap[p as usize],
-                    });
-                    new_components.push(self.components[old_id].clone());
-                    new_internal.push(self.internal_edges[old_id]);
-                } else {
-                    ids_this_level[r] = new_id;
-                    new_ks.push((li + 1) as u32);
-                    let parent = region_level
-                        .and_then(|level| level.parents[r])
-                        .map_or(NO_PARENT, |p| region_ids[li - 1][p]);
-                    new_parents.push(parent);
-                    new_components.push(mapped[r].clone());
-                    new_internal.push(region_edges[li][r]);
-                    r += 1;
-                }
-            }
-            region_ids.push(ids_this_level);
-            new_level_offsets.push(new_components.len());
-        }
-
-        let repaired_nodes = sub_hierarchy.total_components() as u32;
-        let epoch = self.epoch + 1;
-        let num_vertices = self.num_vertices();
-        let depth_limit = self.depth_limit;
-        *self = Self::assemble(
-            num_vertices,
-            new_ks,
-            new_parents,
-            new_components,
-            new_level_offsets,
-            new_internal,
-            depth_limit,
-        );
-        self.epoch = epoch;
-        Ok(UpdateReport {
-            epoch,
-            repaired_nodes,
-            rebuilt: false,
-            affected_vertices,
-        })
+        self.level_offsets[k - 1] as u32..self.level_offsets[k] as u32
     }
 
     /// Whether level-`k` queries are answerable from this index: `true` for
@@ -1387,7 +1285,8 @@ mod tests {
         let mut rebuilt = Vec::new();
         for (i, batch) in batches.iter().enumerate() {
             delta.apply(batch).unwrap();
-            let report = index
+            let report;
+            (index, report) = index
                 .apply_updates(&delta, batch, &KvccOptions::default())
                 .unwrap();
             assert_eq!(report.epoch, (i + 1) as u64);
@@ -1402,17 +1301,16 @@ mod tests {
                 "batch {i}: incremental repair must equal a full rebuild"
             );
         }
-        // Each non-empty batch touches a level-1 component holding more than
-        // half of the 9 vertices, which takes the blast-radius fallback; the
-        // empty batch touches nothing.
-        assert_eq!(rebuilt, [true, true, true, false]);
+        // The repair never rebuilds the whole graph, also when a batch
+        // touches a level-1 component holding most of the vertices.
+        assert_eq!(rebuilt, [false; 4]);
     }
 
     #[test]
     fn apply_updates_rejects_out_of_range_endpoints() {
         use kvcc_graph::EdgeUpdate;
         let g = mixed_graph();
-        let mut index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
+        let index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
         let before = index.to_bytes();
         let err = index
             .apply_updates(&g, &[EdgeUpdate::insert(0, 99)], &KvccOptions::default())
@@ -1426,7 +1324,7 @@ mod tests {
         use kvcc_flow::Budget;
         use kvcc_graph::EdgeUpdate;
         let g = mixed_graph();
-        let mut index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
+        let index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
         let before = index.to_bytes();
         let budget = Budget::cancellable();
         budget.cancel();

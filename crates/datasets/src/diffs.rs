@@ -29,8 +29,8 @@ pub struct DiffStreamConfig {
     /// Fraction of the inserts drawn by triadic closure — the new edge joins
     /// a vertex to one of its current two-hop neighbours, the way real
     /// social and collaboration networks grow. Closure inserts never leave
-    /// the endpoint's connected component, which keeps the incremental
-    /// repair's blast radius bounded by that component; the remaining
+    /// the endpoint's connected component and usually stay inside its
+    /// community, which keeps the incremental repair local; the remaining
     /// `1 - locality` inserts pick uniform absent pairs (and may bridge
     /// components). Clamped to `[0, 1]`.
     pub locality: f64,

@@ -148,7 +148,6 @@ struct SlotMetrics {
     local_fallbacks: AtomicU64,
     update_batches: AtomicU64,
     update_edges: AtomicU64,
-    update_rebuilds: AtomicU64,
     compactions: AtomicU64,
 }
 
@@ -191,7 +190,7 @@ impl SlotMetrics {
             local_fallbacks: self.local_fallbacks.load(Ordering::Relaxed),
             update_batches: self.update_batches.load(Ordering::Relaxed),
             update_edges: self.update_edges.load(Ordering::Relaxed),
-            update_rebuilds: self.update_rebuilds.load(Ordering::Relaxed),
+            update_rebuilds: 0,
             compactions: self.compactions.load(Ordering::Relaxed),
         }
     }
@@ -619,11 +618,12 @@ impl ServiceEngine {
     /// old slot's `Arc`); the handle swings to the updated graph in a single
     /// swap, with the slot epoch bumped by one.
     ///
-    /// The slot's connectivity index, when already built, is repaired
-    /// incrementally ([`ConnectivityIndex::apply_updates`]): only the
-    /// hierarchy subtrees whose level-1 components touch an updated endpoint
-    /// are re-enumerated, and the repaired forest is byte-identical to a
-    /// from-scratch rebuild. A slot whose index was never built stays
+    /// The slot's connectivity index, when already built, is repaired level
+    /// by level ([`ConnectivityIndex::apply_updates`]) into the new slot's
+    /// index, reading the old one in place: subtrees the batch leaves
+    /// untouched are kept, grown k-VCCs are accepted by k-fan probes, and
+    /// only the rest is re-enumerated. The repaired forest is byte-identical
+    /// to a from-scratch rebuild. A slot whose index was never built stays
     /// unindexed — the next query that needs it builds against the updated
     /// graph (and stamps it with the new epoch). The batch is applied to a
     /// [`DeltaGraph`] overlay, which is then folded into the slot's new
@@ -680,14 +680,10 @@ impl ServiceEngine {
         let epoch = slot.epoch + 1;
         let (index, report) = match slot.index.get() {
             Some(ix) => {
-                let mut repaired = ix.clone();
                 let options = self.config.enumeration.clone().with_budget(budget.clone());
-                let report = repaired
+                let (repaired, report) = ix
                     .apply_updates(&delta, &internal, &options)
                     .map_err(ServiceError::from)?;
-                if report.rebuilt {
-                    slot.metrics.update_rebuilds.fetch_add(1, Ordering::Relaxed);
-                }
                 (Some(repaired), report)
             }
             None => (

@@ -39,9 +39,11 @@
 //! * **mutable graphs (protocol v5)** — [`RequestBody::ApplyUpdates`]
 //!   applies a batch of edge inserts/deletes atomically
 //!   ([`ServiceEngine::apply_updates`]): in-flight queries keep their
-//!   snapshot, the slot's connectivity index is repaired incrementally
-//!   instead of rebuilt, every batch bumps the graph's epoch (reported by
-//!   `Stats`, stamped into page cursors so stale pagination is rejected),
+//!   snapshot, the slot's connectivity index is repaired level by level
+//!   (untouched subtrees kept, grown k-VCCs accepted by k-fan probes, only
+//!   the rest re-enumerated) instead of rebuilt, every batch bumps the
+//!   graph's epoch (reported by `Stats`, stamped into page cursors so stale
+//!   pagination is rejected),
 //!   and the answer ([`QueryResponse::Updated`]) is byte-identical to
 //!   reloading the updated graph from scratch;
 //! * **query-serving QoS (protocol v6)** — an opt-in [`qos`] layer in front

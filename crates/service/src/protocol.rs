@@ -373,8 +373,9 @@ pub struct SchedulingStats {
     /// Edge updates carried by those batches (inserts + deletes, counting
     /// redundant ones).
     pub update_edges: u64,
-    /// Update batches whose blast radius forced a full index rebuild
-    /// instead of an incremental splice.
+    /// Update batches that rebuilt the index from scratch. The repair
+    /// never does, so this stays 0; the field keeps the protocol-v6
+    /// `Stats` layout.
     pub update_rebuilds: u64,
     /// Update batches that changed the slot's graph (protocol v6): each one
     /// applies its edits to a [`kvcc_graph::DeltaGraph`] overlay and folds
@@ -455,10 +456,12 @@ pub enum QueryResponse {
     Updated {
         /// The slot's mutation epoch after the batch.
         epoch: u64,
-        /// Forest nodes the incremental repair re-enumerated (the whole
-        /// forest when `rebuilt`).
+        /// Forest nodes the repair derived itself instead of keeping an
+        /// old node's subtree (see [`kvcc::UpdateReport::repaired_nodes`]);
+        /// 0 when the slot had no index yet.
         repaired_nodes: u32,
-        /// Whether the blast radius forced a full index rebuild.
+        /// Whether the index was rebuilt from scratch: always `false`, as
+        /// the repair never rebuilds. Kept for the protocol-v6 layout.
         rebuilt: bool,
     },
     /// One page of a ranked component listing, with the cursor resuming

@@ -7,8 +7,8 @@
 //! [`ServiceEngine::apply_updates`] — an atomic slot swap plus incremental
 //! index repair — and the example queries the engine between batches to show
 //! the answers tracking the evolving graph, the mutation epoch advancing,
-//! and the per-batch repair telemetry (blast radius, repaired forest nodes,
-//! whether the blast radius forced a full rebuild).
+//! and the per-batch repair telemetry (vertices in repaired nodes, repaired
+//! forest nodes; the repair never rebuilds the whole index).
 //!
 //! Run with `cargo run --release --example live_graph`.
 
@@ -19,9 +19,9 @@ use kvcc_service::{EngineConfig, QueryRequest, QueryResponse, ServiceEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Disjoint dense blocks: the level-1 forest has one root per block, so
-    // updates that stay inside a block repair incrementally while uniform
-    // cross-block inserts blow the blast radius up until the repair falls
-    // back to a full rebuild. `locality: 0.8` mixes both regimes.
+    // an update inside a block repairs that block's chain and keeps every
+    // other block, while a uniform cross-block insert merges two roots and
+    // re-derives both. `locality: 0.95` mixes both.
     let planted = planted_communities(&PlantedConfig {
         num_communities: 20,
         chain_length: 1,
@@ -72,24 +72,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .count();
         let report = engine.apply_updates(id, batch)?;
         println!(
-            "batch {i}: {} updates ({} inserts, {} deletes) -> epoch {}, blast radius {} \
-             vertices, {} forest nodes repaired{}",
+            "batch {i}: {} updates ({} inserts, {} deletes) -> epoch {}, {} forest nodes \
+             repaired over {} vertices",
             batch.len(),
             inserts,
             batch.len() - inserts,
             report.epoch,
-            report.affected_vertices,
             report.repaired_nodes,
-            if report.rebuilt {
-                " (full rebuild)"
-            } else {
-                ""
-            }
+            report.affected_vertices,
         );
         count_kvccs("after the batch");
     }
 
-    // The Stats surface records the whole replay: batches, edges, rebuilds.
+    // The Stats surface records the whole replay: batches and edges.
     match engine.execute(&QueryRequest::GraphStats { graph: id }) {
         QueryResponse::Stats {
             num_edges,
@@ -99,11 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } => {
             println!(
                 "\nfinal state: {} edges at epoch {epoch}; {} update batches carried {} edge \
-                 updates, {} forced a full index rebuild",
-                num_edges,
-                scheduling.update_batches,
-                scheduling.update_edges,
-                scheduling.update_rebuilds
+                 updates",
+                num_edges, scheduling.update_batches, scheduling.update_edges,
             );
         }
         other => println!("unexpected stats response: {other:?}"),
