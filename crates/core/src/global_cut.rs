@@ -147,11 +147,6 @@ pub fn global_cut_with_scratch<G: GraphView>(
     flow.rebuild(&certificate.graph);
     let scratch_memory_bytes = flow.memory_bytes() + certificate.memory_bytes();
 
-    // Flow cap per LOC-CUT probe: `k` (stop at the k-th augmenting path,
-    // Lemma 6) unless the unbounded ablation asks for the exact value, in
-    // which case `n` exceeds any possible local connectivity.
-    let probe_limit = if options.k_bounded_flow { k } else { n as u32 };
-
     // --- Phase 1. ---
     let mut state = SweepState::new(n, side_groups.len());
     let ctx = SweepContext {
@@ -196,7 +191,7 @@ pub fn global_cut_with_scratch<G: GraphView>(
         }
         budget.check()?;
         stats.tested_vertices += 1;
-        if let Some(cut) = loc_cut(flow, g, source, v, k, probe_limit, stats, budget)? {
+        if let Some(cut) = loc_cut(flow, g, source, v, k, stats, budget)? {
             return Ok(GlobalCutOutcome {
                 cut: Some(cut),
                 scratch_memory_bytes,
@@ -224,7 +219,7 @@ pub fn global_cut_with_scratch<G: GraphView>(
                 }
                 budget.check()?;
                 stats.phase2_pairs_tested += 1;
-                if let Some(cut) = loc_cut(flow, g, a, b, k, probe_limit, stats, budget)? {
+                if let Some(cut) = loc_cut(flow, g, a, b, k, stats, budget)? {
                     return Ok(GlobalCutOutcome {
                         cut: Some(cut),
                         scratch_memory_bytes,
@@ -256,26 +251,20 @@ fn select_source<G: GraphView>(g: &G, strong: &[bool]) -> VertexId {
 
 /// `LOC-CUT(u, v)` (Algorithm 2, lines 12-17): answers trivially for adjacent
 /// or identical vertices (Lemma 5), otherwise runs a max-flow on the arena's
-/// substrate capped at `probe_limit` and converts the residual min-cut into a
-/// vertex cut when it has fewer than `k` vertices.
-///
-/// `probe_limit` is `k` on the default k-bounded path (the flow stops at the
-/// k-th augmenting path); the unbounded ablation passes `n`, in which case
-/// the exact minimum cut comes back and is discarded when it is not smaller
-/// than `k`.
+/// substrate capped at `k` (the flow stops at the k-th augmenting path,
+/// Lemma 6) and returns the residual min-cut, which then has fewer than `k`
+/// vertices, as a vertex cut.
 ///
 /// The adjacency shortcut is evaluated on the current subgraph `g`; the flow
 /// runs on the sparse certificate the arena was rebuilt with, a subgraph of
 /// `g`. Non-adjacency in `g` implies non-adjacency in any subgraph, so the
 /// arena's own adjacency check never answers for a pair that reaches it.
-#[allow(clippy::too_many_arguments)]
 fn loc_cut<G: GraphView>(
     flow: &mut VertexFlowGraph,
     g: &G,
     u: VertexId,
     v: VertexId,
     k: u32,
-    probe_limit: u32,
     stats: &mut EnumerationStats,
     budget: &Budget,
 ) -> Result<Option<Vec<VertexId>>, Interrupted> {
@@ -284,13 +273,10 @@ fn loc_cut<G: GraphView>(
         return Ok(None);
     }
     stats.loc_cut_flow_calls += 1;
-    Ok(
-        match flow.local_connectivity_budgeted(u, v, probe_limit, budget)? {
-            LocalConnectivity::AtLeast(_) => None,
-            LocalConnectivity::Cut(cut) if (cut.len() as u32) < k => Some(cut),
-            LocalConnectivity::Cut(_) => None,
-        },
-    )
+    Ok(match flow.local_connectivity_budgeted(u, v, k, budget)? {
+        LocalConnectivity::AtLeast(_) => None,
+        LocalConnectivity::Cut(cut) => Some(cut),
+    })
 }
 
 #[cfg(test)]
@@ -483,7 +469,6 @@ mod tests {
         // falls back to a minimum-degree vertex and phase 2 runs.
         let opts = KvccOptions {
             max_degree_for_side_vertex_check: Some(0),
-            k_bounded_flow: false,
             ..KvccOptions::default()
         };
         let mut stats = EnumerationStats::default();
@@ -491,25 +476,6 @@ mod tests {
         assert_valid_cut(&g, &out.cut.expect("cut must be found"), 3);
         let mut stats = EnumerationStats::default();
         assert!(global_cut(&complete(6), 3, &opts, &mut stats).cut.is_none());
-    }
-
-    #[test]
-    fn unbounded_flow_ablation_matches_the_bounded_default() {
-        let g = two_blocks();
-        for k in 2..=4u32 {
-            for variant in AlgorithmVariant::all() {
-                let mut s1 = EnumerationStats::default();
-                let mut s2 = EnumerationStats::default();
-                let bounded = global_cut(&g, k, &options_for(variant), &mut s1);
-                let unbounded_opts = options_for(variant).with_k_bounded_flow(false);
-                let unbounded = global_cut(&g, k, &unbounded_opts, &mut s2);
-                // A cut below k is found before either probe saturates, so
-                // the exact-flow ablation must return the identical cut (and
-                // do the identical amount of LOC-CUT work selecting it).
-                assert_eq!(bounded.cut, unbounded.cut, "variant {variant:?}, k {k}");
-                assert_eq!(s1.loc_cut_flow_calls, s2.loc_cut_flow_calls);
-            }
-        }
     }
 
     #[test]

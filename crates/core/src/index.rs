@@ -263,9 +263,6 @@ pub struct UpdateReport {
     /// whose vertex set the batch changed. A component copied down the
     /// levels it is certified for, as its own only child, counts once.
     pub repaired_nodes: u32,
-    /// Always `false`: the repair never falls back to a whole-graph rebuild.
-    /// Kept because protocol v6 carries it in `Updated` responses.
-    pub rebuilt: bool,
     /// Number of distinct vertices in the repaired nodes plus the updated
     /// endpoints (0 for a batch that names no pair). A level-1 root holding
     /// an updated pair is always repaired, so on a connected graph this
@@ -776,7 +773,6 @@ impl ConnectivityIndex {
             UpdateReport {
                 epoch,
                 repaired_nodes,
-                rebuilt: false,
                 affected_vertices: affected.count_ones() as u32,
             },
         ))
@@ -1282,7 +1278,6 @@ mod tests {
             // An empty batch still advances the epoch.
             vec![],
         ];
-        let mut rebuilt = Vec::new();
         for (i, batch) in batches.iter().enumerate() {
             delta.apply(batch).unwrap();
             let report;
@@ -1291,7 +1286,6 @@ mod tests {
                 .unwrap();
             assert_eq!(report.epoch, (i + 1) as u64);
             assert_eq!(index.epoch(), report.epoch);
-            rebuilt.push(report.rebuilt);
             let mut fresh =
                 ConnectivityIndex::build(&delta, None, &KvccOptions::default()).unwrap();
             fresh.set_epoch(index.epoch());
@@ -1301,9 +1295,6 @@ mod tests {
                 "batch {i}: incremental repair must equal a full rebuild"
             );
         }
-        // The repair never rebuilds the whole graph, also when a batch
-        // touches a level-1 component holding most of the vertices.
-        assert_eq!(rebuilt, [false; 4]);
     }
 
     #[test]

@@ -72,9 +72,9 @@ pub fn split_cost(num_vertices: usize, num_edges: usize, k: u32) -> u64 {
 /// described in the paper: the flow runs on the sparse certificate (§4.2), a
 /// strong side-vertex is preferred as the source (Algorithm 3, lines 4–7) and
 /// phase-1 vertices are tested farthest-first (line 11). The knobs pick the
-/// Fig. 10 variant, bound the side-vertex detection cost, select the
-/// k-bounded or exact flow probe, and configure the parallel runtime and
-/// cancellation.
+/// Fig. 10 variant, bound the side-vertex detection cost, and configure the
+/// parallel runtime and cancellation. Every `LOC-CUT` probe stops at `k`
+/// augmenting paths (Lemma 6): it only has to certify `κ(u, v) >= k`.
 ///
 /// Equality ignores the [`budget`](KvccOptions::budget): the budget is a
 /// runtime attachment (two configurations are "the same algorithm" whether
@@ -89,13 +89,6 @@ pub struct KvccOptions {
     /// [`crate::side_vertex`]). `None` means no cap. Only affects pruning
     /// effectiveness, never correctness.
     pub max_degree_for_side_vertex_check: Option<usize>,
-    /// Cap every `LOC-CUT` max-flow at `k` augmenting paths (Lemma 6): the
-    /// probe only has to certify `κ(u, v) >= k`, so Dinic stops at the k-th
-    /// path and skips the final level BFS once the bound is met. Disabling
-    /// computes the exact local connectivity per probe — the reference the
-    /// parity tests compare the bounded probe against; output is identical
-    /// either way.
-    pub k_bounded_flow: bool,
     /// Number of worker threads for the `KVCC-ENUM` worklist.
     ///
     /// * `1` (the default) — sequential processing, exactly the paper's
@@ -134,7 +127,6 @@ impl Default for KvccOptions {
         KvccOptions {
             variant: AlgorithmVariant::Full,
             max_degree_for_side_vertex_check: Some(4096),
-            k_bounded_flow: true,
             threads: 1,
             split_threshold: None,
             budget: Budget::unlimited(),
@@ -148,7 +140,6 @@ impl PartialEq for KvccOptions {
     fn eq(&self, other: &Self) -> bool {
         self.variant == other.variant
             && self.max_degree_for_side_vertex_check == other.max_degree_for_side_vertex_check
-            && self.k_bounded_flow == other.k_bounded_flow
             && self.threads == other.threads
             && self.split_threshold == other.split_threshold
     }
@@ -207,13 +198,6 @@ impl KvccOptions {
     /// Sets the worker-thread count (see [`KvccOptions::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables the k-bounded flow probe (see
-    /// [`KvccOptions::k_bounded_flow`]).
-    pub fn with_k_bounded_flow(mut self, bounded: bool) -> Self {
-        self.k_bounded_flow = bounded;
         self
     }
 

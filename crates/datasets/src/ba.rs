@@ -56,6 +56,7 @@ pub fn barabasi_albert(n: usize, edges_per_vertex: usize, seed: u64) -> Undirect
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvcc_graph::GraphView;
 
     #[test]
     fn produces_expected_edge_count() {

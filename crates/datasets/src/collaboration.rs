@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use kvcc_graph::{GraphBuilder, UndirectedGraph, VertexId};
+use kvcc_graph::{CsrSubgraph, GraphBuilder, GraphView, UndirectedGraph, VertexId};
 
 use crate::harary::harary;
 
@@ -135,7 +135,7 @@ pub fn collaboration_graph(config: &CollaborationConfig) -> CollaborationGraph {
 
 /// The ego network of `center`: the subgraph induced by the vertex and its
 /// neighbours (the paper's case study operates on exactly this subgraph).
-pub fn ego_subgraph(g: &UndirectedGraph, center: VertexId) -> kvcc_graph::InducedSubgraph {
+pub fn ego_subgraph(g: &UndirectedGraph, center: VertexId) -> CsrSubgraph {
     let mut members: Vec<VertexId> = vec![center];
     members.extend_from_slice(g.neighbors(center));
     g.induced_subgraph(&members)

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use kvcc_graph::{GraphBuilder, UndirectedGraph, VertexId};
+use kvcc_graph::{GraphBuilder, GraphView, UndirectedGraph, VertexId};
 
 /// Returns the subgraph induced by a uniformly random `fraction` of the
 /// vertices. The result keeps the sampled vertices relabelled to `0..s`;

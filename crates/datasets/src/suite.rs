@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use kvcc_graph::{GraphBuilder, UndirectedGraph, VertexId};
+use kvcc_graph::{GraphBuilder, GraphView, UndirectedGraph, VertexId};
 
 use crate::ba::barabasi_albert;
 use crate::harary::harary;

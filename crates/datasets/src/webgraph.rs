@@ -80,6 +80,7 @@ pub fn copying_model(config: &CopyingModelConfig) -> UndirectedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvcc_graph::GraphView;
 
     #[test]
     fn copying_model_is_deterministic() {

@@ -1,10 +1,10 @@
 //! Incremental, tolerant graph construction.
 
-use crate::graph::UndirectedGraph;
+use crate::csr::{CsrGraph, EdgeIngestStats};
 use crate::types::VertexId;
 
 /// A builder that accumulates edges with arbitrary (possibly sparse) vertex
-/// ids and produces a compact [`UndirectedGraph`].
+/// ids and produces a compact [`CsrGraph`].
 ///
 /// The builder:
 /// * accepts edges in any order,
@@ -77,43 +77,33 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finalises the builder into an [`UndirectedGraph`].
-    pub fn build(self) -> UndirectedGraph {
+    /// Finalises the builder into a [`CsrGraph`].
+    pub fn build(self) -> CsrGraph {
         self.build_diagnostic().0
     }
 
     /// Finalises the builder, also reporting how many self-loops and
     /// duplicate edges were dropped (io diagnostics for messy edge lists).
-    pub fn build_diagnostic(self) -> (UndirectedGraph, crate::csr::EdgeIngestStats) {
+    ///
+    /// # Panics
+    ///
+    /// If the vertex count exceeds the [`VertexId`] range: an edge touching
+    /// [`crate::INVALID_VERTEX`], or [`GraphBuilder::with_vertices`] beyond
+    /// it.
+    pub fn build_diagnostic(self) -> (CsrGraph, EdgeIngestStats) {
         let mut n = self.min_vertices.max(self.raw_order.len());
         for &(u, v) in &self.edges {
             n = n.max(u as usize + 1).max(v as usize + 1);
         }
-        let mut stats = crate::csr::EdgeIngestStats::default();
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        let mut pushed = 0usize;
-        for (u, v) in self.edges {
-            if u == v {
-                stats.self_loops += 1;
-                continue;
-            }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-            pushed += 1;
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let g = UndirectedGraph::from_normalized_adjacency(adj);
-        stats.duplicates = pushed - g.num_edges();
-        (g, stats)
+        CsrGraph::from_edges_diagnostic(n, self.edges)
+            .expect("more vertices than `VertexId` can number")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphView;
 
     #[test]
     fn builder_grows_to_cover_ids() {

@@ -1,16 +1,17 @@
-//! Compressed sparse row (CSR) graph representation.
+//! Compressed sparse row (CSR) graph representation: the workspace's one
+//! owned graph type ([`crate::UndirectedGraph`] is an alias of it).
 //!
-//! The seed representation (`Vec<Vec<VertexId>>`) pays one heap allocation
-//! and one pointer indirection per vertex; the enumeration's hot loops (BFS,
-//! flow-graph construction, sweeps) therefore chase pointers on every
-//! neighbour access. [`CsrGraph`] packs all adjacency into two flat arrays —
-//! `offsets` (length `n + 1`) and `neighbors` (length `2m`) — so neighbour
-//! iteration is a contiguous slice read and the whole structure is two
-//! allocations regardless of `n`.
+//! [`CsrGraph`] packs all adjacency into two flat arrays — `offsets` (length
+//! `n + 1`) and `neighbors` (length `2m`) — so neighbour iteration is a
+//! contiguous slice read and the whole structure is two allocations
+//! regardless of `n`, where a `Vec<Vec<VertexId>>` pays one heap allocation
+//! and one pointer indirection per vertex. The enumeration's hot loops (BFS,
+//! flow-arena construction, sweeps) read rows on every step.
 //!
-//! Both representations implement [`GraphView`], so every algorithm in the
-//! workspace accepts either; `KVCC-ENUM` uses CSR for all internal work
-//! items.
+//! [`CsrGraph`] implements [`GraphView`], alongside the borrowed `KCSR` views
+//! of [`crate::kcsr`] and the [`crate::DeltaGraph`] overlay, so every
+//! algorithm in the workspace accepts any of them; `KVCC-ENUM` holds every
+//! work item as a [`CsrGraph`].
 
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
@@ -44,7 +45,9 @@ const CSR_COMPACT_HEADER: usize = 4 + 1 + 4;
 /// Vertices are `0..n`; `neighbors(v)` is the slice
 /// `neighbors[offsets[v] .. offsets[v + 1]]`, sorted ascending and
 /// duplicate-free. Each undirected edge is stored twice (once per endpoint).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The storage-independent queries (edge iteration, degree statistics,
+/// common-neighbour counts) are [`GraphView`] defaults.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v + 1]` delimits the neighbour slice of `v`.
     offsets: Vec<u32>,
@@ -52,14 +55,24 @@ pub struct CsrGraph {
     neighbors: Vec<VertexId>,
 }
 
-/// An induced CSR subgraph together with the mapping back to the parent
-/// graph (CSR analogue of [`crate::InducedSubgraph`]).
+/// An induced subgraph together with the mapping back to the parent graph.
+///
+/// `graph` uses local ids `0..to_parent.len()`. Compositions of mappings
+/// (needed because `KVCC-ENUM` partitions recursively) are the caller's
+/// responsibility.
 #[derive(Clone, Debug)]
 pub struct CsrSubgraph {
     /// The subgraph, with vertices relabelled to `0..k`.
     pub graph: CsrGraph,
     /// `to_parent[local_id]` is the corresponding vertex id in the parent.
     pub to_parent: Vec<VertexId>,
+}
+
+impl Default for CsrGraph {
+    /// The graph with no vertices, [`CsrGraph::new(0)`](CsrGraph::new).
+    fn default() -> Self {
+        CsrGraph::new(0)
+    }
 }
 
 impl CsrGraph {
@@ -395,10 +408,9 @@ impl CsrGraph {
     }
 
     /// Extracts the subgraph induced by `vertices` together with the
-    /// local→parent mapping. Duplicate ids are ignored (first occurrence
-    /// wins); unlike [`CsrGraph::extract_induced`] the list does not have to
-    /// be sorted, matching the behaviour of
-    /// [`crate::UndirectedGraph::induced_subgraph`].
+    /// local→parent mapping, relabelling to `0..` in the order given.
+    /// Duplicate ids are ignored (first occurrence wins); unlike
+    /// [`CsrGraph::extract_induced`] the list does not have to be sorted.
     pub fn induced_subgraph(&self, vertices: &[VertexId]) -> CsrSubgraph {
         let mut to_parent: Vec<VertexId> = Vec::with_capacity(vertices.len());
         let mut to_local: Vec<VertexId> = vec![INVALID_VERTEX; self.num_vertices()];
@@ -488,37 +500,9 @@ impl GraphView for CsrGraph {
     }
 }
 
-impl GraphView for crate::UndirectedGraph {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        crate::UndirectedGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        crate::UndirectedGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        crate::UndirectedGraph::neighbors(self, v)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        crate::UndirectedGraph::memory_bytes(self)
-    }
-}
-
-impl From<&crate::UndirectedGraph> for CsrGraph {
-    fn from(g: &crate::UndirectedGraph) -> Self {
-        CsrGraph::from_view(g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UndirectedGraph;
 
     fn two_triangles_edges() -> Vec<Edge> {
         vec![(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
@@ -561,16 +545,33 @@ mod tests {
 
     #[test]
     fn csr_matches_vec_adjacency_exactly() {
-        let edges = two_triangles_edges();
-        let vec_graph = UndirectedGraph::from_edges(5, edges.clone()).unwrap();
-        let csr: CsrGraph = (&vec_graph).into();
-        assert_eq!(csr.num_vertices(), vec_graph.num_vertices());
-        assert_eq!(csr.num_edges(), vec_graph.num_edges());
-        for v in 0..5u32 {
-            assert_eq!(csr.neighbors(v), vec_graph.neighbors(v));
+        // Reference: one sorted, deduplicated `Vec` per vertex.
+        let mut edges = two_triangles_edges();
+        edges.extend([(1, 0), (4, 4), (3, 2)]);
+        let mut adjacency: Vec<Vec<VertexId>> = vec![Vec::new(); 5];
+        for &(u, v) in &edges {
+            if u != v {
+                adjacency[u as usize].push(v);
+                adjacency[v as usize].push(u);
+            }
         }
-        let direct = CsrGraph::from_edges(5, edges).unwrap();
-        assert_eq!(direct, csr);
+        for row in &mut adjacency {
+            row.sort_unstable();
+            row.dedup();
+        }
+        let csr = CsrGraph::from_edges(5, edges.clone()).unwrap();
+        assert_eq!(csr.num_vertices(), adjacency.len());
+        assert_eq!(
+            csr.num_edges(),
+            adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        );
+        for (v, row) in adjacency.iter().enumerate() {
+            assert_eq!(csr.neighbors(v as VertexId), row.as_slice());
+        }
+        assert_eq!(CsrGraph::from_view(&csr), csr);
+        let mut builder = crate::GraphBuilder::new();
+        builder.extend_edges(edges);
+        assert_eq!(builder.build(), csr);
     }
 
     #[test]
@@ -592,17 +593,33 @@ mod tests {
 
     #[test]
     fn induced_subgraph_matches_vec_version() {
-        let vec_graph =
-            UndirectedGraph::from_edges(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-                .unwrap();
-        let csr = CsrGraph::from_view(&vec_graph);
-        let a = vec_graph.induced_subgraph(&[1, 2, 3, 1]);
-        let b = csr.induced_subgraph(&[1, 2, 3, 1]);
-        assert_eq!(a.to_parent, b.to_parent);
-        assert_eq!(a.graph.num_edges(), b.graph.num_edges());
-        for v in 0..3u32 {
-            assert_eq!(a.graph.neighbors(v), b.graph.neighbors(v));
+        let g =
+            CsrGraph::from_edges(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]).unwrap();
+        // An unsorted list with a repeat: first occurrences set the order.
+        let sub = g.induced_subgraph(&[3, 1, 2, 3, 5]);
+        let to_parent: Vec<VertexId> = vec![3, 1, 2, 5];
+        assert_eq!(sub.to_parent, to_parent);
+        // Reference: each parent row filtered through the local ids, sorted.
+        for (local, &parent) in to_parent.iter().enumerate() {
+            let mut row: Vec<VertexId> = g
+                .neighbors(parent)
+                .iter()
+                .filter_map(|w| to_parent.iter().position(|p| p == w))
+                .map(|l| l as VertexId)
+                .collect();
+            row.sort_unstable();
+            assert_eq!(sub.graph.neighbors(local as VertexId), row.as_slice());
         }
+        assert_eq!(sub.graph.num_edges(), 2);
+    }
+
+    #[test]
+    fn default_is_the_empty_graph() {
+        let g = CsrGraph::default();
+        assert_eq!(g.num_vertices(), 0);
+        assert_eq!(g.num_edges(), 0);
+        assert_eq!(GraphView::edges(&g).count(), 0);
+        assert_eq!(g, CsrGraph::new(0));
     }
 
     #[test]

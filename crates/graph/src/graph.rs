@@ -1,332 +1,24 @@
-//! The core undirected graph representation.
+//! [`UndirectedGraph`], the name the workspace uses for an owned graph.
+//!
+//! It is [`CsrGraph`]: every owned graph is held in compressed sparse row
+//! form (see [`crate::csr`]), and the statistics that do not depend on the
+//! storage (edge iteration, degree statistics, common-neighbour counts) are
+//! [`crate::GraphView`] defaults. The tests below pin what callers of the name
+//! rely on: edge-list normalisation, those defaults and induced-subgraph
+//! relabelling.
 
-use crate::error::GraphError;
-use crate::types::{Edge, VertexId};
+use crate::csr::CsrGraph;
 
-/// A simple, undirected, unweighted graph.
-///
-/// Vertices are identified by consecutive integers `0..n`. The neighbour list
-/// of every vertex is kept **sorted and duplicate-free**, which makes
-/// [`has_edge`](UndirectedGraph::has_edge) a binary search and common-neighbour
-/// counting (needed by the strong side-vertex test of §5.1.1 and by the
-/// clustering coefficient of §6.1) a linear merge.
-///
-/// The representation intentionally stores each edge twice (once per
-/// endpoint); this doubles memory but keeps neighbourhood iteration cache
-/// friendly and branch free, which dominates the running time of the k-VCC
-/// enumeration (BFS, flow-graph construction, sweeps).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UndirectedGraph {
-    adj: Vec<Vec<VertexId>>,
-    num_edges: usize,
-}
-
-/// An induced subgraph together with the mapping back to the parent graph.
-///
-/// `graph` uses local ids `0..vertices.len()`; `to_parent[local]` is the id of
-/// that vertex in the graph the subgraph was extracted from. Compositions of
-/// mappings (needed because `KVCC-ENUM` partitions recursively) are the
-/// caller's responsibility.
-#[derive(Clone, Debug)]
-pub struct InducedSubgraph {
-    /// The subgraph, with vertices relabelled to `0..k`.
-    pub graph: UndirectedGraph,
-    /// `to_parent[local_id]` is the corresponding vertex id in the parent.
-    pub to_parent: Vec<VertexId>,
-}
-
-impl UndirectedGraph {
-    /// Creates an empty graph with `n` isolated vertices.
-    pub fn new(n: usize) -> Self {
-        UndirectedGraph {
-            adj: vec![Vec::new(); n],
-            num_edges: 0,
-        }
-    }
-
-    /// Builds a graph with `n` vertices from an edge list.
-    ///
-    /// Duplicate edges and self-loops are ignored. Returns an error if an
-    /// endpoint is `>= n`.
-    pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        Self::from_edges_diagnostic(n, edges).map(|(g, _)| g)
-    }
-
-    /// [`UndirectedGraph::from_edges`] variant that also reports how many
-    /// self-loops and duplicate edges were dropped.
-    ///
-    /// The entire edge list is **validated before any adjacency is built**:
-    /// out-of-range endpoints are detected up front, so a failed build can
-    /// never observe (or leak, through a future incremental API) a
-    /// half-populated adjacency structure.
-    pub fn from_edges_diagnostic<I>(
-        n: usize,
-        edges: I,
-    ) -> Result<(Self, crate::csr::EdgeIngestStats), GraphError>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        if n > VertexId::MAX as usize {
-            return Err(GraphError::TooManyVertices(n));
-        }
-        // Validation pass, before any mutation.
-        let edges: Vec<(VertexId, VertexId)> = edges.into_iter().collect();
-        for &(u, v) in &edges {
-            if u as usize >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: u as u64,
-                    num_vertices: n,
-                });
-            }
-            if v as usize >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: v as u64,
-                    num_vertices: n,
-                });
-            }
-        }
-        let mut stats = crate::csr::EdgeIngestStats::default();
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        let mut pushed = 0usize;
-        for &(u, v) in &edges {
-            if u == v {
-                stats.self_loops += 1;
-                continue;
-            }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-            pushed += 1;
-        }
-        let mut g = UndirectedGraph { adj, num_edges: 0 };
-        g.normalize();
-        stats.duplicates = pushed - g.num_edges;
-        Ok((g, stats))
-    }
-
-    /// Sorts and deduplicates every adjacency list and recomputes the edge
-    /// count. Called by constructors; kept private because the public API only
-    /// ever exposes normalised graphs.
-    fn normalize(&mut self) {
-        let mut total = 0usize;
-        for list in &mut self.adj {
-            list.sort_unstable();
-            list.dedup();
-            total += list.len();
-        }
-        self.num_edges = total / 2;
-    }
-
-    /// Internal constructor used by [`crate::GraphBuilder`]: takes adjacency
-    /// lists that are already sorted and deduplicated.
-    pub(crate) fn from_normalized_adjacency(adj: Vec<Vec<VertexId>>) -> Self {
-        let total: usize = adj.iter().map(Vec::len).sum();
-        UndirectedGraph {
-            adj,
-            num_edges: total / 2,
-        }
-    }
-
-    /// Number of vertices, `n`.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of undirected edges, `m`.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Returns `true` when the graph has no vertices.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Degree of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v as usize].len()
-    }
-
-    /// The sorted neighbour list of vertex `v`.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.adj[v as usize]
-    }
-
-    /// Tests whether the edge `(u, v)` exists (binary search).
-    #[inline]
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a as usize].binary_search(&b).is_ok()
-    }
-
-    /// Iterator over all vertex ids `0..n`.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        0..self.num_vertices() as VertexId
-    }
-
-    /// Iterator over all edges, each reported once with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, list)| {
-            let u = u as VertexId;
-            list.iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| (u, v))
-        })
-    }
-
-    /// Number of common neighbours of `u` and `v`, stopping early once `limit`
-    /// is reached (the strong side-vertex test only needs to know whether the
-    /// count reaches `k`). A `limit` of `usize::MAX` counts exactly.
-    pub fn common_neighbors_at_least(&self, u: VertexId, v: VertexId, limit: usize) -> usize {
-        let a = self.neighbors(u);
-        let b = self.neighbors(v);
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    if count >= limit {
-                        return count;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Exact number of common neighbours of `u` and `v`.
-    #[inline]
-    pub fn common_neighbor_count(&self, u: VertexId, v: VertexId) -> usize {
-        self.common_neighbors_at_least(u, v, usize::MAX)
-    }
-
-    /// Maximum degree over all vertices (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Minimum degree over all vertices (0 for the empty graph).
-    pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
-    }
-
-    /// A vertex of minimum degree, if the graph is non-empty.
-    pub fn min_degree_vertex(&self) -> Option<VertexId> {
-        self.adj
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, list)| list.len())
-            .map(|(v, _)| v as VertexId)
-    }
-
-    /// Average degree `2m / n` (0.0 for the empty graph).
-    pub fn average_degree(&self) -> f64 {
-        if self.adj.is_empty() {
-            0.0
-        } else {
-            2.0 * self.num_edges as f64 / self.adj.len() as f64
-        }
-    }
-
-    /// Extracts the subgraph induced by `vertices`, relabelling the vertices to
-    /// `0..vertices.len()` in the order given.
-    ///
-    /// Duplicate ids in `vertices` are ignored (the first occurrence wins).
-    /// The returned [`InducedSubgraph`] carries the local→parent id mapping.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> InducedSubgraph {
-        let mut to_parent: Vec<VertexId> = Vec::with_capacity(vertices.len());
-        let mut to_local: Vec<VertexId> = vec![crate::INVALID_VERTEX; self.num_vertices()];
-        for &v in vertices {
-            if to_local[v as usize] == crate::INVALID_VERTEX {
-                to_local[v as usize] = to_parent.len() as VertexId;
-                to_parent.push(v);
-            }
-        }
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); to_parent.len()];
-        for (local, &orig) in to_parent.iter().enumerate() {
-            let list = &mut adj[local];
-            for &w in self.neighbors(orig) {
-                let lw = to_local[w as usize];
-                if lw != crate::INVALID_VERTEX {
-                    list.push(lw);
-                }
-            }
-            list.sort_unstable();
-            // `self` is already duplicate free, so no dedup is needed.
-        }
-        InducedSubgraph {
-            graph: UndirectedGraph::from_normalized_adjacency(adj),
-            to_parent,
-        }
-    }
-
-    /// Returns a copy of the graph with the given vertices (and their incident
-    /// edges) removed, keeping the original vertex numbering.
-    ///
-    /// Removed vertices become isolated; this is the "remove the cut `S`" step
-    /// of `OVERLAP-PARTITION` where the caller wants to keep working in the
-    /// same id space.
-    pub fn without_vertices(&self, remove: &[VertexId]) -> UndirectedGraph {
-        let mut removed = crate::bitset::BitSet::new(self.num_vertices());
-        for &v in remove {
-            removed.insert(v as usize);
-        }
-        let mut adj: Vec<Vec<VertexId>> = Vec::with_capacity(self.num_vertices());
-        for (u, list) in self.adj.iter().enumerate() {
-            if removed.contains(u) {
-                adj.push(Vec::new());
-            } else {
-                adj.push(
-                    list.iter()
-                        .copied()
-                        .filter(|&w| !removed.contains(w as usize))
-                        .collect(),
-                );
-            }
-        }
-        UndirectedGraph::from_normalized_adjacency(adj)
-    }
-
-    /// Approximate number of heap bytes used by the adjacency structure.
-    ///
-    /// Used by the enumerator's memory tracker to reproduce the trends of
-    /// Fig. 12 without depending on allocator instrumentation.
-    pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.adj.capacity() * std::mem::size_of::<Vec<VertexId>>();
-        for list in &self.adj {
-            bytes += list.capacity() * std::mem::size_of::<VertexId>();
-        }
-        bytes + std::mem::size_of::<Self>()
-    }
-
-    /// Collects the degree of every vertex into a vector (handy for tests and
-    /// for the dataset statistics of Table 1).
-    pub fn degrees(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
-    }
-}
+/// A simple, undirected, unweighted graph on the vertices `0..n`, with
+/// sorted, duplicate-free neighbour lists: an alias of [`CsrGraph`].
+pub type UndirectedGraph = CsrGraph;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::GraphError;
+    use crate::types::VertexId;
+    use crate::GraphView;
 
     fn path_graph(n: usize) -> UndirectedGraph {
         UndirectedGraph::from_edges(n, (0..n as VertexId - 1).map(|i| (i, i + 1))).unwrap()
@@ -364,18 +56,6 @@ mod tests {
                 num_vertices: 2
             }
         ));
-    }
-
-    #[test]
-    fn from_edges_diagnostic_counts_dropped_input() {
-        let (g, stats) = UndirectedGraph::from_edges_diagnostic(
-            4,
-            vec![(0, 1), (1, 0), (1, 1), (2, 3), (2, 3), (3, 2)],
-        )
-        .unwrap();
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(stats.self_loops, 1);
-        assert_eq!(stats.duplicates, 3);
     }
 
     #[test]
@@ -420,18 +100,6 @@ mod tests {
         assert!(sub.graph.has_edge(0, 1)); // (1,2) in parent ids
         assert!(sub.graph.has_edge(1, 2)); // (2,3) in parent ids
         assert!(!sub.graph.has_edge(0, 2));
-    }
-
-    #[test]
-    fn without_vertices_keeps_numbering() {
-        let g = path_graph(5);
-        let h = g.without_vertices(&[2]);
-        assert_eq!(h.num_vertices(), 5);
-        assert_eq!(h.num_edges(), 2);
-        assert_eq!(h.degree(2), 0);
-        assert!(h.has_edge(0, 1));
-        assert!(h.has_edge(3, 4));
-        assert!(!h.has_edge(1, 2));
     }
 
     #[test]

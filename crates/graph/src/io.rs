@@ -13,6 +13,7 @@ use std::path::Path;
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::UndirectedGraph;
+use crate::view::GraphView;
 
 /// Parses a SNAP-style edge list from a string.
 ///

@@ -4,8 +4,7 @@
 //! peeling vertices of degree `< k`, because by Whitney's theorem
 //! (Theorem 3 of the paper) every k-VCC is contained in a k-core.
 
-use crate::graph::InducedSubgraph;
-use crate::graph::UndirectedGraph;
+use crate::csr::{CsrGraph, CsrSubgraph};
 use crate::types::VertexId;
 use crate::view::GraphView;
 
@@ -147,9 +146,9 @@ pub fn k_core_vertices<G: GraphView>(g: &G, k: usize) -> Vec<VertexId> {
         .collect()
 }
 
-/// Extracts the k-core as an [`InducedSubgraph`] (relabelled vertices plus the
+/// Extracts the k-core as a [`CsrSubgraph`] (relabelled vertices plus the
 /// mapping back to the input graph). Returns `None` when the k-core is empty.
-pub fn k_core_subgraph(g: &UndirectedGraph, k: usize) -> Option<InducedSubgraph> {
+pub fn k_core_subgraph(g: &CsrGraph, k: usize) -> Option<CsrSubgraph> {
     let vertices = k_core_vertices(g, k);
     if vertices.is_empty() {
         None
@@ -167,6 +166,7 @@ pub fn degeneracy<G: GraphView>(g: &G) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UndirectedGraph;
 
     /// A clique of size `c` with a pendant path of length `p` attached.
     fn clique_with_tail(c: usize, p: usize) -> UndirectedGraph {

@@ -9,8 +9,10 @@
 //!   used by the recursive partitioning.
 //! * [`bitset`] — word-packed [`BitSet`] / [`EpochBitSet`] masks backing
 //!   every hot-loop visited/alive/pruned flag in the workspace.
-//! * [`CsrGraph`] — the cache-friendly compressed-sparse-row representation
-//!   (two flat arrays) used for all enumeration work items.
+//! * [`CsrGraph`] — the one owned graph type: a compressed-sparse-row
+//!   representation (two flat arrays) with sorted, duplicate-free rows,
+//!   validated edge-list constructors and induced-subgraph extraction
+//!   ([`CsrSubgraph`]). [`UndirectedGraph`] is another name for it.
 //! * [`reorder`] — the hybrid locality relabelling (per-component BFS seeded
 //!   at each component's hub) with both id maps, applied via
 //!   [`csr::CsrGraph::reordered`].
@@ -19,9 +21,6 @@
 //!   base, folded back into a clean [`CsrGraph`] by [`DeltaGraph::compact`].
 //! * [`codec`] — the LEB128 varint and delta-row primitives every wire
 //!   format shares.
-//! * [`UndirectedGraph`] — a compact, sorted adjacency-list representation with
-//!   `u32` vertex identifiers, cheap induced-subgraph extraction and id
-//!   remapping ([`graph::InducedSubgraph`]).
 //! * [`GraphBuilder`] — tolerant construction from arbitrary edge lists
 //!   (duplicate edges and self-loops are dropped, isolated vertices kept).
 //! * [`traversal`] — BFS distances, connected and biconnected components,
@@ -73,7 +72,7 @@ pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, CsrSubgraph, EdgeIngestStats};
 pub use delta::{DeltaGraph, DeltaStats, EdgeUpdate, UpdateOp};
 pub use error::GraphError;
-pub use graph::{InducedSubgraph, UndirectedGraph};
+pub use graph::UndirectedGraph;
 pub use kcsr::{borrow_kcsr, decode_kcsr, write_kcsr_file, AlignedBytes, CsrGraphRef, MappedCsr};
 pub use load::{effective_threads, IngestedGraph, StreamingEdgeListLoader};
 pub use reorder::{hybrid_ordering, VertexOrdering};

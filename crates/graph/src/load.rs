@@ -1,12 +1,11 @@
 //! SNAP-scale graph ingestion straight from edge-list text to CSR.
 //!
-//! The original ingestion path ([`crate::io::read_snap_edge_list`]) slurps
-//! the whole file into one `String`, interns ids through a
-//! [`crate::GraphBuilder`], materialises a `Vec<Vec<VertexId>>` adjacency,
-//! sorts every row, and only then converts to CSR — four full-size
-//! intermediate structures between the file and the two flat arrays the
-//! enumerator actually wants. On a million-edge SNAP download that is the
-//! difference between fitting in memory comfortably and thrashing.
+//! The in-memory ingestion path ([`crate::io::read_snap_edge_list`])
+//! slurps the whole file into one `String`, interns ids through a
+//! [`crate::GraphBuilder`] into an edge list, and only then builds CSR from
+//! it ([`CsrGraph::from_edges_diagnostic`]) — the text, the edge list and the
+//! CSR arrays are all resident at once, between the file and the two flat
+//! arrays the enumerator actually wants.
 //!
 //! [`StreamingEdgeListLoader`] goes from a buffered line stream to CSR
 //! directly:
@@ -23,12 +22,11 @@
 //!    offset/neighbour arrays as it goes. No per-vertex `Vec` ever exists.
 //!
 //! The peak transient footprint is the directed pair runs (16 bytes per
-//! input edge) plus the interner — roughly half of what the
-//! builder-based path allocates, and the constant-size parse buffers make
-//! the profile flat rather than spiky. The loader reports the same
-//! duplicate/self-loop diagnostics as [`CsrGraph::from_edges_diagnostic`],
-//! so the two ingestion paths agree byte-for-byte on the graph *and* on
-//! what was dropped to produce it.
+//! input edge) plus the interner, with no copy of the text, and the
+//! constant-size parse buffers make the profile flat rather than spiky.
+//! The loader reports the same duplicate/self-loop diagnostics as
+//! [`CsrGraph::from_edges_diagnostic`], so the two ingestion paths agree
+//! byte-for-byte on the graph *and* on what was dropped to produce it.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};

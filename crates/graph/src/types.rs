@@ -2,10 +2,11 @@
 
 /// Identifier of a vertex inside a graph.
 ///
-/// Vertices are always numbered `0..n` inside a given [`crate::UndirectedGraph`].
-/// A `u32` keeps adjacency lists compact (half the size of `usize` on 64-bit
-/// platforms) while still supporting graphs with up to ~4.2 billion vertices,
-/// far beyond the datasets evaluated in the paper.
+/// Vertices are always numbered `0..n` inside a graph (see
+/// [`crate::GraphView`]). A `u32` keeps the CSR neighbour arrays compact (half
+/// the size of `usize` on 64-bit platforms) while still supporting graphs with
+/// up to ~4.2 billion vertices, far beyond the datasets evaluated in the
+/// paper.
 pub type VertexId = u32;
 
 /// Sentinel value used to mark "no vertex" (e.g. unreachable in BFS).

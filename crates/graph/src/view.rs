@@ -5,9 +5,10 @@
 //! forests, flow-graph construction, the sweep rules, …) only ever needs a
 //! *read* interface to a graph: the vertex count and, per vertex, a **sorted,
 //! duplicate-free** neighbour slice. [`GraphView`] captures exactly that
-//! contract, so the algorithms run unchanged on both the pointer-heavy
-//! [`crate::UndirectedGraph`] (`Vec<Vec<VertexId>>`) and the cache-friendly
-//! [`crate::CsrGraph`] (compressed sparse row) representation.
+//! contract, so the algorithms run unchanged on the owned
+//! [`crate::CsrGraph`] (compressed sparse row), the zero-copy `KCSR` views
+//! [`crate::CsrGraphRef`] and [`crate::MappedCsr`], and the
+//! [`crate::DeltaGraph`] update overlay.
 //!
 //! # Contract
 //!

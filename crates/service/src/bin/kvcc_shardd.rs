@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     let pool = if let Some(addr) = &args.listen {
         match TcpListener::bind(addr) {
             Ok(listener) => {
-                match ShardPool::serve_tcp_with_token(
+                match ShardPool::serve_tcp(
                     listener,
                     socket_options,
                     options,
@@ -132,7 +132,7 @@ fn main() -> ExitCode {
         let path = args.unix.as_deref().expect("parse guarantees one mode");
         match UnixListener::bind(path) {
             Ok(listener) => {
-                match ShardPool::serve_unix_with_token(
+                match ShardPool::serve_unix(
                     listener,
                     socket_options,
                     options,

@@ -691,7 +691,6 @@ impl ServiceEngine {
                 UpdateReport {
                     epoch,
                     repaired_nodes: 0,
-                    rebuilt: false,
                     affected_vertices: 0,
                 },
             ),
@@ -886,7 +885,9 @@ impl ServiceEngine {
                         Ok(report) => QueryResponse::Updated {
                             epoch: report.epoch,
                             repaired_nodes: report.repaired_nodes,
-                            rebuilt: report.rebuilt,
+                            // Protocol v6 still carries the field; the
+                            // repair has no whole-graph rebuild path.
+                            rebuilt: false,
                         },
                         Err(e) => QueryResponse::Error(e),
                     }

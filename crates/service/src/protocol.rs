@@ -375,7 +375,7 @@ pub struct SchedulingStats {
     pub update_edges: u64,
     /// Update batches that rebuilt the index from scratch. The repair
     /// never does, so this stays 0; the field keeps the protocol-v6
-    /// `Stats` layout.
+    /// `Stats` layout until the next protocol version drops it.
     pub update_rebuilds: u64,
     /// Update batches that changed the slot's graph (protocol v6): each one
     /// applies its edits to a [`kvcc_graph::DeltaGraph`] overlay and folds
@@ -461,7 +461,8 @@ pub enum QueryResponse {
         /// 0 when the slot had no index yet.
         repaired_nodes: u32,
         /// Whether the index was rebuilt from scratch: always `false`, as
-        /// the repair never rebuilds. Kept for the protocol-v6 layout.
+        /// the repair never rebuilds. Kept for the protocol-v6 layout until
+        /// the next protocol version drops it.
         rebuilt: bool,
     },
     /// One page of a ranked component listing, with the cursor resuming

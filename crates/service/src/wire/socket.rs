@@ -277,17 +277,17 @@ fn gate_connection(transport: &dyn Transport, token: &str) -> bool {
     transport.send(&response.to_bytes()).is_ok() && verdict
 }
 
-/// Accept-loop body shared by both socket families. `accept` yields
-/// transports until the listener errors or the shutdown flag is seen.
+/// Accept loop shared by both socket families. `accept` yields transports
+/// until the listener errors or the shutdown flag is seen.
 fn accept_loop<T: Transport + 'static>(
     shutdown: &AtomicBool,
     served: &Arc<AtomicU64>,
-    active: &Arc<AtomicUsize>,
     max_connections: usize,
     options: &KvccOptions,
     token: Option<&str>,
     mut accept: impl FnMut() -> io::Result<T>,
 ) {
+    let active = Arc::new(AtomicUsize::new(0));
     loop {
         let Ok(transport) = accept() else {
             if shutdown.load(Ordering::Relaxed) {
@@ -308,7 +308,7 @@ fn accept_loop<T: Transport + 'static>(
             continue; // over the cap: drop the connection (peer sees Closed)
         }
         let served = Arc::clone(served);
-        let active = Arc::clone(active);
+        let active = Arc::clone(&active);
         let options = options.clone();
         let token = token.map(str::to_string);
         std::thread::spawn(move || {
@@ -327,88 +327,38 @@ fn accept_loop<T: Transport + 'static>(
 }
 
 impl ShardPool {
-    /// Serves shard workers on a bound TCP listener with no auth gate.
-    pub fn serve_tcp(
-        listener: TcpListener,
-        socket_options: SocketOptions,
-        worker_options: KvccOptions,
-        max_connections: usize,
-    ) -> io::Result<ShardPool> {
-        ShardPool::serve_tcp_with_token(
-            listener,
-            socket_options,
-            worker_options,
-            max_connections,
-            None,
-        )
-    }
-
-    /// [`ShardPool::serve_tcp`] with an optional shared-secret auth token:
-    /// when `Some`, every connection must open with a matching
+    /// Serves shard workers on a bound TCP listener.
+    ///
+    /// With a `token`, every connection must open with a matching
     /// [`RequestBody::Handshake`] frame before any work item is served;
     /// mismatches are answered [`ServiceError::Unauthorized`] and the
     /// connection is closed. This is the in-process form of
-    /// `kvcc-shardd --token`. See
-    /// [`crate::wire::transport::authenticate`] for the client side.
-    pub fn serve_tcp_with_token(
+    /// `kvcc-shardd --token`. See [`crate::wire::transport::authenticate`]
+    /// for the client side.
+    pub fn serve_tcp(
         listener: TcpListener,
         socket_options: SocketOptions,
         worker_options: KvccOptions,
         max_connections: usize,
         token: Option<String>,
     ) -> io::Result<ShardPool> {
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let served = Arc::new(AtomicU64::new(0));
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let served = Arc::clone(&served);
-            let active = Arc::clone(&active);
-            std::thread::spawn(move || {
-                accept_loop(
-                    &shutdown,
-                    &served,
-                    &active,
-                    max_connections,
-                    &worker_options,
-                    token.as_deref(),
-                    || {
-                        let (stream, _) = listener.accept()?;
-                        stream.set_nodelay(true)?;
-                        TcpTransport::from_stream(stream, socket_options)
-                    },
-                );
-            })
-        };
-        Ok(ShardPool {
-            addr: PoolAddr::Tcp(addr),
-            shutdown,
-            accept_thread: Some(accept_thread),
-            served,
-        })
-    }
-
-    /// Serves shard workers on a bound Unix-socket listener with no auth
-    /// gate.
-    pub fn serve_unix(
-        listener: UnixListener,
-        socket_options: SocketOptions,
-        worker_options: KvccOptions,
-        max_connections: usize,
-    ) -> io::Result<ShardPool> {
-        ShardPool::serve_unix_with_token(
-            listener,
-            socket_options,
+        let addr = PoolAddr::Tcp(listener.local_addr()?);
+        Ok(ShardPool::spawn(
+            addr,
             worker_options,
             max_connections,
-            None,
-        )
+            token,
+            move || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nodelay(true)?;
+                TcpTransport::from_stream(stream, socket_options)
+            },
+        ))
     }
 
-    /// [`ShardPool::serve_unix`] with an optional shared-secret auth token;
-    /// same contract as [`ShardPool::serve_tcp_with_token`].
-    pub fn serve_unix_with_token(
+    /// Serves shard workers on a bound Unix-socket listener; same contract
+    /// as [`ShardPool::serve_tcp`].
+    pub fn serve_unix(
         listener: UnixListener,
         socket_options: SocketOptions,
         worker_options: KvccOptions,
@@ -425,31 +375,46 @@ impl ShardPool {
                 )
             })?
             .to_path_buf();
+        Ok(ShardPool::spawn(
+            PoolAddr::Unix(path),
+            worker_options,
+            max_connections,
+            token,
+            move || UnixTransport::from_stream(listener.accept()?.0, socket_options),
+        ))
+    }
+
+    /// Starts the accept thread over `accept`, the one part (with `addr`)
+    /// in which the socket families differ.
+    fn spawn<T: Transport + 'static>(
+        addr: PoolAddr,
+        worker_options: KvccOptions,
+        max_connections: usize,
+        token: Option<String>,
+        accept: impl FnMut() -> io::Result<T> + Send + 'static,
+    ) -> ShardPool {
         let shutdown = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
-        let active = Arc::new(AtomicUsize::new(0));
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
             let served = Arc::clone(&served);
-            let active = Arc::clone(&active);
             std::thread::spawn(move || {
                 accept_loop(
                     &shutdown,
                     &served,
-                    &active,
                     max_connections,
                     &worker_options,
                     token.as_deref(),
-                    || UnixTransport::from_stream(listener.accept()?.0, socket_options),
+                    accept,
                 );
             })
         };
-        Ok(ShardPool {
-            addr: PoolAddr::Unix(path),
+        ShardPool {
+            addr,
             shutdown,
             accept_thread: Some(accept_thread),
             served,
-        })
+        }
     }
 
     /// The TCP address the pool accepts on (`None` for Unix-socket pools).
@@ -521,6 +486,7 @@ mod tests {
             SocketOptions::default(),
             KvccOptions::default(),
             4,
+            None,
         )
         .unwrap();
         let addr = pool.local_addr().unwrap();
@@ -554,6 +520,7 @@ mod tests {
             SocketOptions::default(),
             KvccOptions::default(),
             4,
+            None,
         )
         .unwrap();
         let transport = UnixTransport::connect(&path, SocketOptions::default()).unwrap();
@@ -579,7 +546,7 @@ mod tests {
     fn token_armed_pool_rejects_mismatches_and_serves_after_handshake() {
         use crate::wire::transport::{authenticate, call_with, CallOptions};
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let pool = ShardPool::serve_tcp_with_token(
+        let pool = ShardPool::serve_tcp(
             listener,
             SocketOptions::default(),
             KvccOptions::default(),

@@ -14,7 +14,7 @@
 
 use kvcc_datasets::diffs::{diff_stream, DiffStreamConfig};
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
-use kvcc_graph::{CsrGraph, UpdateOp};
+use kvcc_graph::UpdateOp;
 use kvcc_service::{EngineConfig, QueryRequest, QueryResponse, ServiceEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 42,
         ..PlantedConfig::default()
     });
-    let base = CsrGraph::from_view(&planted.graph);
+    let base = planted.graph;
     println!(
         "base graph: {} vertices, {} edges, {} planted communities",
         base.num_vertices(),

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use kvcc::{enumerate_kvccs, KvccOptions};
-use kvcc_graph::{CsrGraph, UndirectedGraph};
+use kvcc_graph::UndirectedGraph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two dense groups (cliques on {0..4} and {4..8}) glued at vertex 4, plus
@@ -53,14 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.global_cut_calls, stats.loc_cut_flow_calls, stats.partitions, stats.elapsed
     );
 
-    // Every algorithm is generic over the graph representation: the same
-    // enumeration accepts the cache-friendly CSR form, and the worklist can
-    // run in parallel (one worker per core) with identical output.
-    let csr = CsrGraph::from_view(&graph);
-    let parallel = enumerate_kvccs(&csr, k, &KvccOptions::parallel())?;
+    // The worklist can run in parallel (one worker per core) with identical
+    // output.
+    let parallel = enumerate_kvccs(&graph, k, &KvccOptions::parallel())?;
     assert_eq!(parallel.components(), result.components());
     println!(
-        "CSR + parallel run agrees: {} components",
+        "parallel run agrees: {} components",
         parallel.num_components()
     );
     Ok(())

@@ -1,11 +1,13 @@
 //! Compile-time genericity check: every public entry point of `kvcc` (core)
-//! and `kvcc-baselines` must accept a [`CsrGraph`] — i.e. be generic over
-//! [`GraphView`] — not just the legacy `UndirectedGraph`.
+//! and `kvcc-baselines` must be generic over [`GraphView`], not tied to one
+//! concrete graph type.
 //!
-//! The test *instantiates* each entry point with a `CsrGraph` argument, so a
-//! regression to a concrete `&UndirectedGraph` parameter fails to compile
-//! rather than waiting for a runtime suite. The small runtime assertions only
-//! sanity-check that the instantiations returned plausible answers.
+//! The test *instantiates* each entry point with a [`CsrGraph`] argument, so
+//! a regression to a parameter of any other concrete type fails to compile
+//! rather than waiting for a runtime suite. [`UndirectedGraph`] is an alias
+//! of [`CsrGraph`], so `result_components_slice_any_view` now slices two
+//! equal CSR graphs. The small runtime assertions only sanity-check that the
+//! instantiations returned plausible answers.
 
 use kvcc::global_cut::{global_cut_with_scratch, CutScratch};
 use kvcc::{

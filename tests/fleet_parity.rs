@@ -323,6 +323,7 @@ fn a_tcp_fleet_through_a_shard_pool_reproduces_the_enumeration() {
         SocketOptions::default(),
         KvccOptions::default(),
         8,
+        None,
     )
     .unwrap();
     let addr = pool.local_addr().unwrap();
@@ -353,6 +354,7 @@ fn a_chaotic_tcp_fleet_still_reaches_parity() {
         SocketOptions::default(),
         KvccOptions::default(),
         8,
+        None,
     )
     .unwrap();
     let addr = pool.local_addr().unwrap();
@@ -386,6 +388,7 @@ fn a_unix_socket_fleet_reproduces_the_enumeration() {
         SocketOptions::default(),
         KvccOptions::default(),
         4,
+        None,
     )
     .unwrap();
     let connections: Vec<UnixTransport> = (0..2)

@@ -15,7 +15,7 @@ use kvcc::{enumerate_kvccs, KvccOptions};
 use kvcc_baselines::naive_kvccs;
 use kvcc_datasets::er::gnm;
 use kvcc_flow::{global_vertex_connectivity, is_k_vertex_connected};
-use kvcc_graph::{UndirectedGraph, VertexId};
+use kvcc_graph::{GraphView, UndirectedGraph, VertexId};
 
 /// Deterministic family of random graphs: for case `i`, an Erdős–Rényi
 /// `G(n, m)` with `n` and `m` derived from the seed.
@@ -146,7 +146,6 @@ fn every_reported_component_is_k_connected_even_with_ablation() {
         for k in 2u32..=4 {
             let options = KvccOptions {
                 max_degree_for_side_vertex_check: Some(0),
-                k_bounded_flow: false,
                 ..KvccOptions::default()
             };
             let result = enumerate_kvccs(&g, k, &options).unwrap();

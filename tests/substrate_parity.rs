@@ -1,11 +1,13 @@
-//! Representation- and scheduling-parity properties over random graphs.
+//! Copy- and scheduling-parity properties over random graphs.
 //!
-//! The CSR refactor must be invisible to every algorithm: on deterministic
-//! families of Erdős–Rényi and Barabási–Albert graphs from `kvcc-datasets`,
-//! [`kvcc_graph::CsrGraph`] and [`kvcc_graph::UndirectedGraph`] have to
-//! produce identical k-core, connected-component and k-VCC output for
-//! k ∈ {2, 3, 4}, and the parallel `KVCC-ENUM` worklist has to return exactly
-//! the sequential component sets with consistent statistics counters.
+//! On deterministic families of Erdős–Rényi and Barabási–Albert graphs from
+//! `kvcc-datasets`, a generated graph and its [`CsrGraph::from_view`] copy
+//! have to produce identical structure, k-core, connected-component and
+//! k-VCC output (with identical work counters) for k ∈ {2, 3, 4}, and the
+//! parallel `KVCC-ENUM` worklist has to return exactly the sequential
+//! component sets with consistent statistics counters. The `csr_and_vec_*`
+//! names are historical: [`UndirectedGraph`] is an alias of [`CsrGraph`], so
+//! those tests compare CSR with CSR.
 
 use kvcc::{enumerate_kvccs, KvccOptions};
 use kvcc_datasets::ba::barabasi_albert;
