@@ -50,26 +50,55 @@
 //!   inside), keeps that old node's whole subtree and its internal-edge
 //!   count. Exact because `G′[C] = G[C]`, and a node's descendants are the
 //!   deeper VCCs of its own induced subgraph.
-//! * **R2 · a grown k-VCC is accepted by k-fans.** When a parent `P` is
-//!   re-derived at level `k`, its children come from the connected
-//!   components of the k-core of `G′[P]` (the first step [`enumerate_kvccs`]
-//!   takes anyway). For a component `K`, let `C` be the largest old level-k
-//!   node inside `K`, found through the old forest's per-vertex leaves. `K`
-//!   is a k-VCC, with no `GLOBAL-CUT*`, when (a) every net-deleted pair
-//!   inside `C` has `κ ≥ k` in `G′[C]`, and (b) every `x ∈ K ∖ C` with fewer
-//!   than `k` neighbours in `C` has a k-fan into `C`: `κ(x, t) ≥ k` in
-//!   `G′[K]` plus one sink `t` adjacent to every member of `C` (Menger's fan
-//!   lemma). Otherwise `K` goes to [`enumerate_kvccs`]. Exact because `G[C]`
-//!   was k-connected, so a cut below `k` in `G′[C]` separates some
-//!   net-deleted pair, which (a) rules out; a cut `S` below `k` in `G′[K]`
-//!   then leaves `C ∖ S` connected, and each other `x` keeps an edge or a fan
-//!   path into `C ∖ S`; and no larger k-connected set inside `P` contains
-//!   `K`, a connected component of the k-core.
-//! * **R3 · the certified level is inherited.** A re-derived node equal to an
+//! * **R2 · a k-core component is accepted around an old k-VCC.** When a
+//!   parent `P` is re-derived at level `k`, its children come from the
+//!   connected components of the k-core of `G′[P]` (the first step
+//!   [`enumerate_kvccs`] takes anyway). For such a component `K`, let `C` be
+//!   the old level-k node that shares the most members with `K`, found
+//!   through the old forest's per-vertex leaves. Let `C′ = C ∩ K`, and
+//!   `D = C ∖ K` (say, members a deletion dropped out of the k-core). Let `T`
+//!   be the members of `C′` that were G-neighbours of `D`, in increasing
+//!   order; the repair takes `D`'s G′-neighbours and net-deleted partners in
+//!   `C′`, a superset, which the proof allows. The first `min(k, |T|)`
+//!   members of `T` are its *hubs*. `K` is a k-VCC, with no `GLOBAL-CUT*`,
+//!   when `|C′| > k` and:
+//!   - (a) every net-deleted pair inside `C′`, and every pair `(T[i], T[j])`
+//!     with `T[i]` a hub and `i < j`, has `κ ≥ k` in `G′[K]`;
+//!   - (b) every `x ∈ K ∖ C′` with fewer than `k` neighbours in `C′` has a
+//!     k-fan into `C′`: `κ(x, t) ≥ k` in `G′[K]` plus one sink `t` adjacent
+//!     to every member of `C′` (Menger's fan lemma).
+//!
+//!   Otherwise `K` goes to [`enumerate_kvccs`]. Exact: take any `S ⊆ K`
+//!   with `|S| < k`.
+//!   - `G[C] − S` is connected, since `G[C]` was k-connected. A path in it
+//!     between two members of `C′ ∖ S` runs through `C′` and `D`. Two
+//!     members of `C′` that follow each other on it are joined in `G′`, or
+//!     are a net-deleted pair, which (a) keeps on one side of `G′[K] − S`. So
+//!     the path can change sides only across a detour through `D`, and both
+//!     ends of a detour are members of `T`. Hence if `C′ ∖ S` meets two
+//!     sides of `G′[K] − S`, each of those sides holds a member of `T`.
+//!   - If some member of `T` lies outside `S`, take the first one, `T[i]`.
+//!     Every earlier member lies in `S`, so `i ≤ |S| < k` and `T[i]` is a
+//!     hub. Every later member of `T` outside `S` was probed against `T[i]`,
+//!     so they all lie on `T[i]`'s side (Even's argument, SIAM J. Comput.
+//!     1975). Hence `C′ ∖ S` lies on one side, and it is not empty, since
+//!     `|C′| > k`.
+//!   - By (b), every `x ∈ K ∖ (C′ ∪ S)` keeps an edge or a whole fan path
+//!     into `C′ ∖ S`. So `G′[K] − S` is connected, and `K` (with `|K| > k`)
+//!     is k-connected.
+//!
+//!   No larger k-connected set inside `P` contains `K`, a connected
+//!   component of the k-core, so `K` is a k-VCC. When `C ⊆ K`, `D` and `T`
+//!   are empty, and (a) probes only the net-deleted pairs.
+//! * **R3 · the certified level is a floor.** A re-derived node equal to an
 //!   old node whose vertex set spans old levels `k ..= t` was t-connected in
-//!   `G`. With `cap′ = min(δ′, depth limit)`: if `cap′ ≤ t` and every
-//!   net-deleted pair inside it has `κ ≥ cap′` in `G′[C]`, it is certified
-//!   at `cap′` without a `GLOBAL-CUT*` — by the same argument as R2 (a).
+//!   `G`. Let `cap′ = min(δ′, depth limit)` and `t′ = min(t, cap′)`. If every
+//!   net-deleted pair inside it has `κ ≥ t′` in `G′[C]`, it is t′-connected
+//!   in `G′`: a cut below `t′ ≤ t` leaves `G[C]` connected, so it separates
+//!   some net-deleted pair. The search for its certified level then starts
+//!   at `t′` instead of `k`. When `cap′ ≤ t` that settles it with no
+//!   `GLOBAL-CUT*`; otherwise one call at `cap′` runs, and a binary search
+//!   between `t′` and the cut size only when that call finds a cut.
 //!
 //! Each probe is one k-bounded [`VertexFlowGraph`] flow; the first failing
 //! probe ends its rule, and [`KvccOptions::budget`] is polled once per probe.
@@ -78,7 +107,7 @@
 use kvcc_flow::VertexFlowGraph;
 use kvcc_graph::kcore::{degeneracy, k_core_vertices};
 use kvcc_graph::traversal::{connected_components, connected_components_filtered, two_vccs};
-use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, EpochBitSet, GraphView, UpdateOp, VertexId};
+use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, UpdateOp, VertexId};
 
 use crate::enumerate::enumerate_kvccs;
 use crate::error::KvccError;
@@ -285,6 +314,35 @@ impl<'a> Prior<'a> {
         None
     }
 
+    /// R2's anchor: the old level-k node that shares the most members with
+    /// `members`, found by walking each member's leaves up to level `k`
+    /// (ties go to the smaller node id).
+    fn anchor(&self, k: u32, members: impl Iterator<Item = VertexId>) -> Option<u32> {
+        let forest = self.forest;
+        // One entry per member and level-k node holding it.
+        let mut hits: Vec<u32> = Vec::new();
+        for v in members {
+            let first = hits.len();
+            for &leaf in forest.leaves(v) {
+                let mut node = leaf;
+                while forest.level(node) > k {
+                    node = forest.parent(node).expect("levels above 1 have parents");
+                }
+                if forest.level(node) == k && !hits[first..].contains(&node) {
+                    hits.push(node);
+                }
+            }
+        }
+        hits.sort_unstable();
+        let mut best: Option<(usize, u32)> = None;
+        for run in hits.chunk_by(|a, b| a == b) {
+            if best.is_none_or(|(shared, _)| run.len() > shared) {
+                best = Some((run.len(), run[0]));
+            }
+        }
+        best.map(|(_, node)| node)
+    }
+
     /// R1 for a node with no certification to inherit: the old node whose
     /// subtree it keeps, or [`REDERIVED`].
     fn kept(&self, k: u32, component: &KVertexConnectedComponent) -> u32 {
@@ -406,7 +464,7 @@ pub(crate) fn grow<G: GraphView>(
                     // (component vertex lists are sorted, so the rows come
                     // out sorted for free).
                     let sub = CsrGraph::extract_induced(graph, parent.vertices(), &mut run.map);
-                    for local in run.children(&sub, parent.vertices(), k)? {
+                    for local in run.children(graph, &sub, parent.vertices(), k)? {
                         let mapped: Vec<VertexId> = local
                             .iter()
                             .map(|&l| parent.vertices()[l as usize])
@@ -461,10 +519,6 @@ struct LevelLoop<'a> {
     flow: VertexFlowGraph,
     /// One relabelling buffer shared by every slice of the whole run.
     map: Vec<VertexId>,
-    /// R2: the members of the k-core component under test.
-    in_piece: EpochBitSet,
-    /// R2: old nodes already visited by the candidate walk.
-    seen: EpochBitSet,
 }
 
 impl<'a> LevelLoop<'a> {
@@ -476,13 +530,11 @@ impl<'a> LevelLoop<'a> {
             scratch: CutScratch::new(),
             flow: VertexFlowGraph::empty(),
             map: Vec::new(),
-            in_piece: EpochBitSet::default(),
-            seen: EpochBitSet::default(),
         }
     }
 
-    /// Places a level-k node under `parent`: R1, else R3, else
-    /// [`certified_level`] on the induced graph `extract` slices out.
+    /// Places a level-k node under `parent`: R1, else [`certified_level`]
+    /// on the induced graph `extract` slices out, from R3's floor.
     fn settle(
         &mut self,
         k: u32,
@@ -501,15 +553,15 @@ impl<'a> LevelLoop<'a> {
         }
         let induced = extract(&component, &mut self.map);
         let cap = (induced.min_degree() as u32).min(self.limit);
-        let inherited = matched.map_or(0, |m| m.deepest);
-        let certified = if cap > k
-            && cap <= inherited
-            && self.pairs_hold(&induced, component.vertices(), cap)?
-        {
-            cap
-        } else {
-            certified_level(&induced, k, self.limit, self.options, &mut self.scratch)?
-        };
+        let inherited = matched.map_or(k, |m| m.deepest.min(cap));
+        let floor =
+            if inherited > k && self.pairs_hold(&induced, component.vertices(), inherited)? {
+                inherited
+            } else {
+                k
+            };
+        let certified =
+            certified_level(&induced, floor, self.limit, self.options, &mut self.scratch)?;
         Ok(Node {
             component,
             parent: Some(parent),
@@ -519,11 +571,12 @@ impl<'a> LevelLoop<'a> {
     }
 
     /// The level-k children of a re-derived parent, as sorted local ids of
-    /// `sub` (the parent's induced graph; `parent` maps its ids back). The
-    /// build enumerates them; the repair first offers each k-core component
-    /// to R2.
-    fn children(
+    /// `sub` (the parent's induced graph in `graph`; `parent` maps its ids
+    /// back). The build enumerates them; the repair first offers each k-core
+    /// component to R2.
+    fn children<G: GraphView>(
         &mut self,
+        graph: &G,
         sub: &CsrGraph,
         parent: &[VertexId],
         k: u32,
@@ -541,7 +594,7 @@ impl<'a> LevelLoop<'a> {
         let mut accepted = Vec::new();
         let mut rest: Vec<VertexId> = Vec::new();
         for piece in connected_components_filtered(sub, &alive) {
-            if self.fans_hold(prior, sub, parent, &piece, k)? {
+            if self.fans_hold(prior, graph, sub, parent, &piece, k)? {
                 accepted.push(piece);
             } else {
                 rest.extend_from_slice(&piece);
@@ -563,118 +616,100 @@ impl<'a> LevelLoop<'a> {
     }
 
     /// R2: whether the k-core component `piece` (sorted local ids of `sub`)
-    /// is a k-VCC by the k-fans into the largest old level-k node inside it.
-    fn fans_hold(
+    /// is a k-VCC, by probes anchored on the old level-k node `C` that
+    /// shares the most members with it. `graph` is `G′`, for the neighbours
+    /// of `C`'s members outside `K`.
+    fn fans_hold<G: GraphView>(
         &mut self,
         prior: &Prior,
+        graph: &G,
         sub: &CsrGraph,
         parent: &[VertexId],
         piece: &[VertexId],
         k: u32,
     ) -> Result<bool, KvccError> {
-        let Some(core) = self.largest_old_inside(prior, parent, piece, k) else {
+        let Some(anchor) = prior.anchor(k, piece.iter().map(|&l| parent[l as usize])) else {
             return Ok(false);
         };
-        let core_members = prior.forest.members(core);
-        // C ⊆ K ⊆ P, all sorted: C's ids in `sub` by binary search.
-        let core_local: Vec<VertexId> = core_members
-            .iter()
-            .map(|v| parent.binary_search(v).expect("C lies inside its parent") as VertexId)
-            .collect();
-        // (a) G′[C] is still k-connected.
-        if Prior::inside(&prior.net_deleted, core_members)
-            .next()
-            .is_some()
-        {
-            let induced = CsrGraph::extract_induced(sub, &core_local, &mut self.map);
-            if !self.pairs_hold(&induced, core_members, k)? {
-                return Ok(false);
+        // The position of a vertex in `piece`, which is its id in G′[K].
+        let position = |v: VertexId| -> Option<VertexId> {
+            let l = parent.binary_search(&v).ok()? as VertexId;
+            piece.binary_search(&l).ok().map(|x| x as VertexId)
+        };
+        // C′ = C ∩ K as positions, and D = C ∖ K.
+        let mut shared = Vec::new();
+        let mut dropped = Vec::new();
+        for &v in prior.forest.members(anchor) {
+            match position(v) {
+                Some(x) => shared.push(x),
+                None => dropped.push(v),
             }
         }
-        if core_local.len() == piece.len() {
+        if shared.len() <= k as usize {
+            return Ok(false);
+        }
+        let mut in_shared = BitSet::new(piece.len());
+        for &x in &shared {
+            in_shared.insert(x as usize);
+        }
+        let shared_position = |v: VertexId| position(v).filter(|&x| in_shared.contains(x as usize));
+        let is_dropped = |v: VertexId| dropped.binary_search(&v).is_ok();
+        // (a) The net-deleted pairs inside C′, and the hub pairs of T: the
+        // members of C′ that were G-neighbours of D, taken as D's
+        // G′-neighbours and net-deleted partners.
+        let mut pairs = Vec::new();
+        let mut touching = Vec::new();
+        for &(a, b) in &prior.net_deleted {
+            match (shared_position(a), shared_position(b)) {
+                (Some(x), Some(y)) => pairs.push((x, y)),
+                (Some(x), None) if is_dropped(b) => touching.push(x),
+                (None, Some(y)) if is_dropped(a) => touching.push(y),
+                _ => {}
+            }
+        }
+        for &d in &dropped {
+            touching.extend(
+                graph
+                    .neighbors(d)
+                    .iter()
+                    .filter_map(|&w| shared_position(w)),
+            );
+        }
+        touching.sort_unstable();
+        touching.dedup();
+        for (i, &hub) in touching.iter().enumerate().take(k as usize) {
+            pairs.extend(touching[i + 1..].iter().map(|&y| (hub, y)));
+        }
+        if pairs.is_empty() && shared.len() == piece.len() {
             return Ok(true);
         }
-        // (b) Every other member reaches C by k edges or by a k-fan. The
-        // fan graph is G′[K] plus a sink t adjacent to all of C, in the
-        // positions of `piece`.
-        let mut in_core = BitSet::new(sub.num_vertices());
-        for &v in &core_local {
-            in_core.insert(v as usize);
+        let induced = CsrGraph::extract_induced(sub, piece, &mut self.map);
+        if !self.probes_hold(&induced, pairs, k)? {
+            return Ok(false);
+        }
+        // (b) Every other member reaches C′ by k edges, or else by a k-fan:
+        // a flow of k into a sink t adjacent to all of C′.
+        let fanless: Vec<VertexId> = induced
+            .vertices()
+            .filter(|&x| {
+                !in_shared.contains(x as usize)
+                    && induced
+                        .neighbors(x)
+                        .iter()
+                        .filter(|&&y| in_shared.contains(y as usize))
+                        .take(k as usize)
+                        .count()
+                        < k as usize
+            })
+            .collect();
+        if fanless.is_empty() {
+            return Ok(true);
         }
         let sink = piece.len() as VertexId;
-        let mut loaded = false;
-        for (x, &v) in piece.iter().enumerate() {
-            if in_core.contains(v as usize) {
-                continue;
-            }
-            let into_core = sub
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| in_core.contains(w as usize))
-                .take(k as usize)
-                .count();
-            if into_core >= k as usize {
-                continue;
-            }
-            self.options.budget.check()?;
-            if !loaded {
-                let induced = CsrGraph::extract_induced(sub, piece, &mut self.map);
-                let to_sink = piece
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| in_core.contains(w as usize))
-                    .map(|(y, _)| (y as VertexId, sink));
-                let edges = induced.edges().chain(to_sink);
-                let fan = CsrGraph::from_edges(piece.len() + 1, edges)
-                    .expect("ids lie inside the fan graph");
-                self.flow.rebuild(&fan);
-                loaded = true;
-            }
-            if !self.flow.has_connectivity_at_least(x as VertexId, sink, k) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The largest old level-k node inside the k-core component `piece`,
-    /// among the old nodes its members' leaves lead to.
-    fn largest_old_inside(
-        &mut self,
-        prior: &Prior,
-        parent: &[VertexId],
-        piece: &[VertexId],
-        k: u32,
-    ) -> Option<u32> {
-        let forest = prior.forest;
-        self.in_piece.ensure(forest.num_vertices());
-        self.in_piece.clear_all();
-        for &l in piece {
-            self.in_piece.insert(parent[l as usize] as usize);
-        }
-        self.seen.ensure(forest.num_nodes());
-        self.seen.clear_all();
-        let mut best: Option<(usize, u32)> = None;
-        for &l in piece {
-            for &leaf in forest.leaves(parent[l as usize]) {
-                // A node seen before has had its level-k ancestor weighed.
-                let mut node = leaf;
-                while forest.level(node) > k && self.seen.insert(node as usize) {
-                    node = forest.parent(node).expect("levels above 1 have parents");
-                }
-                if forest.level(node) != k || !self.seen.insert(node as usize) {
-                    continue;
-                }
-                let members = forest.members(node);
-                if best.is_none_or(|(size, _)| members.len() > size)
-                    && members.len() <= piece.len()
-                    && members.iter().all(|&w| self.in_piece.contains(w as usize))
-                {
-                    best = Some((members.len(), node));
-                }
-            }
-        }
-        best.map(|(_, node)| node)
+        let to_sink = shared.iter().map(|&x| (x, sink));
+        let fan = CsrGraph::from_edges(piece.len() + 1, induced.edges().chain(to_sink))
+            .expect("ids lie inside the fan graph");
+        self.probes_hold(&fan, fanless.into_iter().map(|x| (x, sink)), k)
     }
 
     /// Whether every net-deleted pair inside `members` (the vertex set of
@@ -688,11 +723,22 @@ impl<'a> LevelLoop<'a> {
         let Some(prior) = self.prior else {
             return Ok(true);
         };
+        self.probes_hold(induced, Prior::inside(&prior.net_deleted, members), j)
+    }
+
+    /// Whether every pair of `pairs` has local connectivity at least `j` in
+    /// `graph`, which is loaded into the arena before the first probe.
+    fn probes_hold(
+        &mut self,
+        graph: &CsrGraph,
+        pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+        j: u32,
+    ) -> Result<bool, KvccError> {
         let mut loaded = false;
-        for (a, b) in Prior::inside(&prior.net_deleted, members) {
+        for (a, b) in pairs {
             self.options.budget.check()?;
             if !loaded {
-                self.flow.rebuild(induced);
+                self.flow.rebuild(graph);
                 loaded = true;
             }
             if !self.flow.has_connectivity_at_least(a, b, j) {
@@ -703,18 +749,19 @@ impl<'a> LevelLoop<'a> {
     }
 }
 
-/// The level up to which a k-connected component `C`, given as its induced
-/// CSR graph, is certified: `κ(C)` capped at `min(δ(C), limit)`.
+/// The level up to which a component `C`, given as its induced CSR graph
+/// and known to be `floor`-connected, is certified: `κ(C)` capped at
+/// `min(δ(C), limit)`.
 fn certified_level(
     component: &CsrGraph,
-    k: u32,
+    floor: u32,
     limit: u32,
     options: &KvccOptions,
     scratch: &mut CutScratch,
 ) -> Result<u32, KvccError> {
     let cap = (component.min_degree() as u32).min(limit);
-    if cap <= k {
-        return Ok(k);
+    if cap <= floor {
+        return Ok(floor);
     }
     // The size of a cut below `j`, or `None` when `C` is j-connected.
     let mut cut_below = |j: u32| -> Result<Option<u32>, KvccError> {
@@ -726,7 +773,7 @@ fn certified_level(
     // κ(C) <= s.
     let (mut lo, mut hi) = match cut_below(cap)? {
         None => return Ok(cap),
-        Some(size) => (k, size),
+        Some(size) => (floor, size),
     };
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
@@ -822,10 +869,11 @@ mod tests {
 
     #[test]
     fn csr_input_builds_the_same_hierarchy() {
+        // The same edge set as a CSR graph and as a delta over another base.
         let g = two_triangles_with_pendant();
-        let csr = kvcc_graph::CsrGraph::from_view(&g);
+        let delta = crate::testing::rebased(&g);
         let a = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        let b = build_hierarchy(&csr, None, &KvccOptions::default()).unwrap();
+        let b = build_hierarchy(&delta, None, &KvccOptions::default()).unwrap();
         assert_eq!(a.max_k(), b.max_k());
         for (la, lb) in a.levels().iter().zip(b.levels()) {
             assert_eq!(la.components, lb.components);
@@ -939,7 +987,8 @@ mod tests {
         }
         let pieces = connected_components_filtered(&g, &alive);
         assert_eq!(pieces.len(), 1, "the 3-core is one component");
-        run.fans_hold(&prior, &g, &parent, &pieces[0], 3).unwrap()
+        run.fans_hold(&prior, &g, &g, &parent, &pieces[0], 3)
+            .unwrap()
     }
 
     #[test]
@@ -997,17 +1046,88 @@ mod tests {
     }
 
     #[test]
-    fn r2_finds_no_old_node_when_a_deletion_drops_a_member_from_the_k_core() {
+    fn r2_accepts_the_k_core_survivors_when_a_deletion_drops_a_member() {
         // K4 {0,1,2,3} plus 4 adjacent to 0, 1 and 2 is one 3-VCC. Deleting
-        // 4-0 drops 4 out of the 3-core, so no old 3-VCC lies inside the new
-        // component {0,1,2,3} and it is enumerated.
+        // 4-0 drops 4 out of the 3-core. The old 3-VCC shares four members
+        // with the new component {0,1,2,3}, and T = {0, 1, 2} (the dropped
+        // member's neighbours and deleted partner) is pairwise adjacent, so
+        // R2 accepts the component with no flow.
         let mut edges = clique(&[0, 1, 2, 3]);
         edges.extend([(4, 0), (4, 1), (4, 2)]);
         let g = UndirectedGraph::from_edges(5, edges).unwrap();
         let batch = [EdgeUpdate::delete(4, 0)];
-        assert!(!fans_at_level_3(&g, &batch));
+        assert!(fans_at_level_3(&g, &batch));
         let origins = repair(&g, &batch);
         assert!(origins.iter().flatten().all(|&o| o == REDERIVED));
+    }
+
+    #[test]
+    fn r2_refuses_the_survivors_when_a_dropped_member_was_a_bridge() {
+        // K4 {0,1,2,3} and K4 {4,5,6,7} joined by 0-4 and 1-5, plus 8
+        // adjacent to 2, 3 and 6: one 3-VCC, in which 8 carries the third
+        // path between the blocks. Deleting 8-3 drops 8 out of the 3-core,
+        // so T = {2, 3, 6}, and κ(2, 6) = 2 in G′[K] ({0, 1} separates
+        // them): R2 refuses, and level 3 becomes the two K4s. Deleting 8-6
+        // instead refuses the same way, with 6 in T only as 8's deleted
+        // partner.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend(clique(&[4, 5, 6, 7]));
+        edges.extend([(0, 4), (1, 5), (8, 2), (8, 3), (8, 6)]);
+        let g = UndirectedGraph::from_edges(9, edges).unwrap();
+        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        assert_eq!(h.components_at(3).unwrap()[0].len(), 9);
+        for batch in [[EdgeUpdate::delete(8, 3)], [EdgeUpdate::delete(8, 6)]] {
+            assert!(!fans_at_level_3(&g, &batch));
+            repair(&g, &batch);
+            let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
+            let level3: Vec<&[VertexId]> = h
+                .components_at(3)
+                .unwrap()
+                .iter()
+                .map(|c| c.vertices())
+                .collect();
+            assert_eq!(level3, [&[0, 1, 2, 3], &[4, 5, 6, 7]]);
+        }
+    }
+
+    #[test]
+    fn r2_refuses_by_a_later_hub_when_a_cut_holds_the_first() {
+        // K5 {0,1,2,3,4} and K5 {0,1,5,6,7} share 0 and 1; 8 is adjacent to
+        // 0, 2 and 5, which makes the whole graph one 3-VCC. Deleting 8-0
+        // drops 8 out of the 3-core, and T = {0, 2, 5}. The first hub, 0,
+        // is adjacent to both others, but the cut {0, 1} separates 2 from 5,
+        // which only the second hub's probe sees: R2 refuses.
+        let mut edges = clique(&[0, 1, 2, 3, 4]);
+        edges.extend(clique(&[0, 1, 5, 6, 7]));
+        edges.extend([(8, 0), (8, 2), (8, 5)]);
+        let g = UndirectedGraph::from_edges(9, edges).unwrap();
+        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        assert_eq!(h.components_at(3).unwrap()[0].len(), 9);
+        let batch = [EdgeUpdate::delete(8, 0)];
+        assert!(!fans_at_level_3(&g, &batch));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r2_probes_each_hub_against_the_later_members_of_t() {
+        // The Petersen graph (outer cycle 0..5, spokes i-(i+5), inner
+        // pentagram) plus 10 adjacent to the whole outer cycle: one 3-VCC.
+        // Deleting 10-0, 10-1 and 10-2 drops 10 out of the 3-core. T =
+        // {0, 1, 2, 3, 4} has more than k = 3 members, so the hubs 0, 1 and
+        // 2 are each probed against every later member of T, by a flow for
+        // the pairs two apart on the cycle, and all hold: the Petersen graph
+        // is accepted.
+        let mut edges: Vec<(VertexId, VertexId)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
+        edges.extend((0..5).map(|i| (i, i + 5)));
+        edges.extend([(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]);
+        edges.extend((0..5).map(|i| (10, i)));
+        let g = UndirectedGraph::from_edges(11, edges).unwrap();
+        let batch = [0, 1, 2].map(|i| EdgeUpdate::delete(10, i));
+        assert!(fans_at_level_3(&g, &batch));
+        repair(&g, &batch);
+        let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
+        let petersen: Vec<VertexId> = (0..10).collect();
+        assert_eq!(h.components_at(3).unwrap()[0].vertices(), petersen);
     }
 
     /// The level-2 node spanning all of the graph after `batch`, settled
@@ -1050,6 +1170,30 @@ mod tests {
         let batch = [EdgeUpdate::delete(0, 6)];
         let node = settle_whole_graph(&g, &batch, 5);
         assert_eq!((node.certified, node.origin), (4, REDERIVED));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r3_starts_the_cut_search_at_the_inherited_level() {
+        // Two K6s joined by the matching 0-6, 1-7, 2-8: 3-connected, so the
+        // vertex set spans old levels 1..=3. Inserting 3-9 gives κ′ = 4
+        // under δ′ = 5, so t′ = 3: the cut search starts there and certifies
+        // the node where the build does.
+        let mut edges = clique(&[0, 1, 2, 3, 4, 5]);
+        edges.extend(clique(&[6, 7, 8, 9, 10, 11]));
+        edges.extend((0..3).map(|i| (i, i + 6)));
+        let g = UndirectedGraph::from_edges(12, edges).unwrap();
+        let batch = [EdgeUpdate::insert(3, 9)];
+        let node = settle_whole_graph(&g, &batch, 5);
+        let built = certified_level(
+            &after(&g, &batch),
+            2,
+            5,
+            &KvccOptions::default(),
+            &mut CutScratch::new(),
+        )
+        .unwrap();
+        assert_eq!((node.certified, built), (4, 4));
         repair(&g, &batch);
     }
 

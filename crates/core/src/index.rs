@@ -708,8 +708,11 @@ impl ConnectivityIndex {
     /// levels 1 and 2 are recomputed as the connected and biconnected
     /// components of the whole graph; a node equal to an old one and holding
     /// no updated pair keeps the old subtree and internal-edge counts; a
-    /// grown k-core component that holds an old k-VCC is accepted by k-fan
-    /// probes; and every other node is enumerated and certified exactly as
+    /// k-core component that shares more than k members with an old k-VCC
+    /// is accepted by flow probes around those members; a re-derived node
+    /// equal to an old one starts its certification at the old level when
+    /// its deleted pairs still hold there; and every other node is
+    /// enumerated and certified exactly as
     /// [`ConnectivityIndex::build`] does. The result is **byte-identical**
     /// (`to_bytes`) to a rebuild on `graph`, with the epoch one past this
     /// index's; an empty batch, which keeps every node, still advances it.

@@ -55,6 +55,8 @@ pub mod sweep;
 pub mod verify;
 
 mod enumerate;
+#[cfg(test)]
+mod testing;
 
 pub use enumerate::{enumerate_kvccs, KvccEnumerator};
 pub use error::KvccError;

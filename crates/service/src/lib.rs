@@ -40,8 +40,8 @@
 //!   applies a batch of edge inserts/deletes atomically
 //!   ([`ServiceEngine::apply_updates`]): in-flight queries keep their
 //!   snapshot, the slot's connectivity index is repaired level by level
-//!   (untouched subtrees kept, grown k-VCCs accepted by k-fan probes, only
-//!   the rest re-enumerated) instead of rebuilt, every batch bumps the
+//!   (untouched subtrees kept, k-VCCs that grew or lost members accepted
+//!   by flow probes, only the rest re-enumerated) instead of rebuilt, every batch bumps the
 //!   graph's epoch (reported by `Stats`, stamped into page cursors so stale
 //!   pagination is rejected),
 //!   and the answer ([`QueryResponse::Updated`]) is byte-identical to

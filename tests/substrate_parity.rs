@@ -1,20 +1,21 @@
-//! Copy- and scheduling-parity properties over random graphs.
+//! Substrate- and scheduling-parity properties over random graphs.
 //!
 //! On deterministic families of Erdős–Rényi and Barabási–Albert graphs from
-//! `kvcc-datasets`, a generated graph and its [`CsrGraph::from_view`] copy
-//! have to produce identical structure, k-core, connected-component and
-//! k-VCC output (with identical work counters) for k ∈ {2, 3, 4}, and the
-//! parallel `KVCC-ENUM` worklist has to return exactly the sequential
-//! component sets with consistent statistics counters. The `csr_and_vec_*`
-//! names are historical: [`UndirectedGraph`] is an alias of [`CsrGraph`], so
-//! those tests compare CSR with CSR.
+//! `kvcc-datasets`, a generated CSR graph and a [`DeltaGraph`] with the same
+//! edge set over a different base have to produce identical structure,
+//! k-core, connected-component and k-VCC output (with identical work
+//! counters) for k ∈ {2, 3, 4}, and the parallel `KVCC-ENUM` worklist has to
+//! return exactly the sequential component sets with consistent statistics
+//! counters. The `csr_and_vec_*` names are historical: [`UndirectedGraph`]
+//! is an alias of [`CsrGraph`], and the second side of those tests is now
+//! the delta view an index repair reads.
 
 use kvcc::{enumerate_kvccs, KvccOptions};
 use kvcc_datasets::ba::barabasi_albert;
 use kvcc_datasets::er::gnm;
 use kvcc_graph::kcore::{core_numbers, k_core_vertices};
 use kvcc_graph::traversal::{connected_component_ids, connected_components};
-use kvcc_graph::{CsrGraph, GraphView, UndirectedGraph};
+use kvcc_graph::{CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph, VertexId};
 
 /// The deterministic random-graph family the parity checks run over.
 fn graph_family() -> Vec<(String, UndirectedGraph)> {
@@ -28,40 +29,73 @@ fn graph_family() -> Vec<(String, UndirectedGraph)> {
     graphs
 }
 
+/// A [`DeltaGraph`] with exactly the edge set of `g`, over a different
+/// base: the base lacks every third edge of `g` and holds the pairs
+/// `(v, v + 1 mod n)` that `g` lacks, and the overlay inserts the former and
+/// deletes the latter.
+fn rebased(g: &CsrGraph) -> DeltaGraph {
+    let n = g.num_vertices() as VertexId;
+    let mut base_edges = Vec::new();
+    let mut updates = Vec::new();
+    for (i, (u, v)) in g.edges().enumerate() {
+        if i % 3 == 0 {
+            updates.push(EdgeUpdate::insert(u, v));
+        } else {
+            base_edges.push((u, v));
+        }
+    }
+    for v in 0..n {
+        let w = (v + 1) % n;
+        if v != w && !g.has_edge(v, w) {
+            base_edges.push((v, w));
+            updates.push(EdgeUpdate::delete(v, w));
+        }
+    }
+    let base = CsrGraph::from_edges(n as usize, base_edges).unwrap();
+    assert_ne!(&base, g, "the base must differ from g");
+    let mut delta = DeltaGraph::new(base);
+    delta.apply(&updates).unwrap();
+    delta
+}
+
 #[test]
 fn csr_and_vec_views_agree_on_basic_structure() {
     for (name, g) in graph_family() {
-        let csr = CsrGraph::from_view(&g);
-        assert_eq!(csr.num_vertices(), g.num_vertices(), "{name}");
-        assert_eq!(csr.num_edges(), g.num_edges(), "{name}");
+        let delta = rebased(&g);
+        assert_eq!(delta.num_vertices(), g.num_vertices(), "{name}");
+        assert_eq!(delta.num_edges(), g.num_edges(), "{name}");
         for v in g.vertices() {
-            assert_eq!(csr.neighbors(v), g.neighbors(v), "{name}, vertex {v}");
+            assert_eq!(delta.neighbors(v), g.neighbors(v), "{name}, vertex {v}");
         }
-        assert_eq!(GraphView::edges(&csr).count(), g.num_edges(), "{name}");
+        assert_eq!(GraphView::edges(&delta).count(), g.num_edges(), "{name}");
     }
 }
 
 #[test]
 fn csr_and_vec_produce_identical_kcores_and_components() {
     for (name, g) in graph_family() {
-        let csr = CsrGraph::from_view(&g);
-        assert_eq!(core_numbers(&g), core_numbers(&csr), "{name}: core numbers");
+        let delta = rebased(&g);
+        assert_eq!(
+            core_numbers(&g),
+            core_numbers(&delta),
+            "{name}: core numbers"
+        );
         assert_eq!(
             connected_components(&g),
-            connected_components(&csr),
+            connected_components(&delta),
             "{name}: components"
         );
         let (ids_vec, count_vec) = connected_component_ids(&g);
-        let (ids_csr, count_csr) = connected_component_ids(&csr);
+        let (ids_delta, count_delta) = connected_component_ids(&delta);
         assert_eq!(
             (ids_vec, count_vec),
-            (ids_csr, count_csr),
+            (ids_delta, count_delta),
             "{name}: component ids"
         );
         for k in 2usize..=4 {
             assert_eq!(
                 k_core_vertices(&g, k),
-                k_core_vertices(&csr, k),
+                k_core_vertices(&delta, k),
                 "{name}: {k}-core"
             );
         }
@@ -71,10 +105,10 @@ fn csr_and_vec_produce_identical_kcores_and_components() {
 #[test]
 fn csr_and_vec_produce_identical_kvccs() {
     for (name, g) in graph_family() {
-        let csr = CsrGraph::from_view(&g);
+        let delta = rebased(&g);
         for k in 2u32..=4 {
             let a = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
-            let b = enumerate_kvccs(&csr, k, &KvccOptions::default()).unwrap();
+            let b = enumerate_kvccs(&delta, k, &KvccOptions::default()).unwrap();
             assert_eq!(a.components(), b.components(), "{name}, k {k}");
             // The internal work is identical too, not just the output.
             assert_eq!(

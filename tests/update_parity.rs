@@ -298,6 +298,22 @@ fn stand_ins_repair_exactly_under_churn_shaped_streams() {
 }
 
 #[test]
+fn stand_ins_repair_exactly_under_deletion_heavy_streams() {
+    // 80% deletes: a deletion often drops a member of an old k-VCC out of
+    // the k-core, so R2 anchors on the old node that shares the most
+    // members with the surviving component. This seed reaches both of its
+    // outcomes there: acceptance, and refusal by a hub probe that nothing
+    // else would have refused.
+    assert_stand_in_grid_parity(&DiffStreamConfig {
+        batches: 3,
+        batch_size: 16,
+        delete_fraction: 0.8,
+        locality: 1.0,
+        seed: 4,
+    });
+}
+
+#[test]
 fn stand_ins_repair_exactly_under_uniform_streams() {
     assert_stand_in_grid_parity(&DiffStreamConfig {
         batches: 3,
