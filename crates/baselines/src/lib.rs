@@ -7,8 +7,12 @@
 //!
 //! * [`kcore_cc`] — connected components of the k-core ("k-CC" in the
 //!   figures);
-//! * [`kecc`] — k-edge connected components, computed by recursive global
-//!   min-edge-cut partitioning ([`stoer_wagner`] provides the cut);
+//! * [`kecc`] — k-edge connected components, computed by recursive edge-cut
+//!   partitioning; each cut comes from unit-capacity Dinic flows from a
+//!   minimum-degree source, stopped at `k`;
+//! * [`stoer_wagner`] — the global minimum edge cut
+//!   ([`global_min_edge_cut`]), also the tests' oracle for the k-ECCs' edge
+//!   connectivity;
 //! * [`bicc`] — biconnected components (Hopcroft–Tarjan), re-exported from
 //!   [`kvcc_graph::traversal`], whose linear-time level 2 of the k-VCC
 //!   hierarchy they also are; here a flow-free oracle for the `k = 2` case

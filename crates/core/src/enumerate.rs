@@ -29,11 +29,8 @@
 //!   results and statistics merge deterministically (see
 //!   [`KvccOptions::threads`]).
 //! * The parallel runtime is a **work-stealing** pool: each worker owns a
-//!   deque it pushes and pops LIFO (depth-first locality), idle workers steal
-//!   FIFO from a victim, and an oversized component can be *deferred* back
-//!   onto the worklist instead of cut in-worker
-//!   ([`KvccOptions::split_threshold`]) so one giant component fans out
-//!   across the pool.
+//!   deque it pushes and pops LIFO (depth-first locality), and idle workers
+//!   steal FIFO from a victim.
 //! * Every loop polls [`KvccOptions::budget`]; an expired deadline or a
 //!   cancelled token interrupts the run at the next checkpoint and returns
 //!   [`KvccError::Interrupted`] carrying the partial statistics.
@@ -49,7 +46,7 @@ use kvcc_graph::{CsrGraph, GraphView, SubgraphView, VertexId};
 
 use crate::error::KvccError;
 use crate::global_cut::{global_cut_with_scratch, CutScratch};
-use crate::options::{effective_threads, split_cost, AlgorithmVariant, KvccOptions};
+use crate::options::{effective_threads, AlgorithmVariant, KvccOptions};
 use crate::partition::overlap_partition;
 use crate::result::{KVertexConnectedComponent, KvccResult};
 use crate::stats::{EnumerationStats, MemoryTracker};
@@ -446,15 +443,7 @@ impl KvccEnumerator {
     /// Handles one work item: k-core pruning, component split, cut-or-report.
     ///
     /// New work items are pushed to `created`; the caller owns queueing and
-    /// the associated memory accounting. With
-    /// [`KvccOptions::split_threshold`] set, a surviving component whose
-    /// [`split_cost`] exceeds the threshold is *deferred* — pushed to
-    /// `created` as its own work item instead of cut inline — so the
-    /// expensive `GLOBAL-CUT` calls of a skewed worklist spread across the
-    /// pool. Deferral is only legal when the item actually shrank (peeling
-    /// removed vertices or the item fell apart into several components);
-    /// otherwise the identical item would bounce on the worklist forever,
-    /// so a non-shrinking item is always cut inline.
+    /// the associated memory accounting.
     #[allow(clippy::too_many_arguments)]
     fn process_item(
         &self,
@@ -477,9 +466,7 @@ impl KvccEnumerator {
         }
 
         // Line 3: identify connected components of the masked subgraph.
-        let components = view.components();
-        let shrank = removed > 0 || components.len() > 1;
-        for component in components {
+        for component in view.components() {
             // A k-VCC needs strictly more than k vertices (Definition 2).
             if component.len() <= k as usize {
                 continue;
@@ -491,17 +478,6 @@ impl KvccEnumerator {
                 .iter()
                 .map(|&local| item.to_original[local as usize])
                 .collect();
-
-            // Skew-aware splitting: fan an oversized component back out to
-            // the pool instead of serialising its cut loop on this worker.
-            if shrank && self.should_defer(&sub, k) {
-                stats.splits += 1;
-                created.push(WorkItem {
-                    graph: sub,
-                    to_original,
-                });
-                continue;
-            }
 
             // Lines 5-11: find a cut; report or partition.
             let outcome = global_cut_with_scratch(&sub, k, &self.options, stats, &mut scratch.cut)?;
@@ -527,17 +503,6 @@ impl KvccEnumerator {
             }
         }
         Ok(())
-    }
-
-    /// The skew-aware splitting decision: defer when the component's
-    /// [`split_cost`] exceeds [`KvccOptions::split_threshold`]. A function of
-    /// the item content only, so the processed item *set* — and with it every
-    /// deterministic counter — is identical for every thread count at a fixed
-    /// threshold.
-    fn should_defer(&self, sub: &CsrGraph, k: u32) -> bool {
-        self.options
-            .split_threshold
-            .is_some_and(|threshold| split_cost(sub.num_vertices(), sub.num_edges(), k) > threshold)
     }
 
     /// Applies `OVERLAP-PARTITION` and pushes the pieces, handling the
@@ -756,8 +721,8 @@ mod tests {
     #[test]
     fn schedulers_and_split_thresholds_agree_exactly() {
         // Triangles connected by bridge edges: every overlap partition leaves
-        // a dangling bridge stub that peels, so the shrink-guarded deferral
-        // actually engages (and the fan-out exercises stealing).
+        // a dangling bridge stub that peels, and the fan-out exercises
+        // stealing.
         let mut edges = Vec::new();
         for b in 0..8u32 {
             let base = b * 3;
@@ -770,54 +735,28 @@ mod tests {
         }
         let g = UndirectedGraph::from_edges(24, edges).unwrap();
         let reference = enumerate_kvccs(&g, 2, &KvccOptions::default()).unwrap();
-        for threshold in [None, Some(0), Some(10)] {
-            for threads in [1usize, 2, 4] {
-                let opts = KvccOptions::default()
-                    .with_threads(threads)
-                    .with_split_threshold(threshold);
-                let r = enumerate_kvccs(&g, 2, &opts).unwrap();
-                let label = format!("threshold {threshold:?}, {threads} threads");
-                assert_eq!(r.components(), reference.components(), "{label}");
-                assert_eq!(
-                    r.stats().partitions,
-                    reference.stats().partitions,
-                    "{label}"
-                );
-                assert_eq!(
-                    r.stats().global_cut_calls,
-                    reference.stats().global_cut_calls,
-                    "{label}"
-                );
-                assert!(!r.stats().cancelled);
-                assert!(r.stats().work_items_executed > 0, "{label}");
-                if threshold == Some(0) {
-                    // Forced splitting must actually defer something on a
-                    // worklist with shrinking items.
-                    assert!(r.stats().splits > 0, "{label}");
-                }
-                if threshold.is_none() {
-                    assert_eq!(r.stats().splits, 0, "{label}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_counters_are_deterministic_per_threshold() {
-        let g = two_triangles();
-        for threshold in [None, Some(0), Some(5)] {
-            let opts = KvccOptions::default().with_split_threshold(threshold);
-            let a = enumerate_kvccs(&g, 2, &opts).unwrap();
-            let b = enumerate_kvccs(&g, 2, &opts.clone().with_threads(3)).unwrap();
+        for threads in [1usize, 2, 4] {
+            let opts = KvccOptions::default().with_threads(threads);
+            let r = enumerate_kvccs(&g, 2, &opts).unwrap();
+            let label = format!("{threads} threads");
+            assert_eq!(r.components(), reference.components(), "{label}");
             assert_eq!(
-                a.stats().splits,
-                b.stats().splits,
-                "threshold {threshold:?}"
+                r.stats().partitions,
+                reference.stats().partitions,
+                "{label}"
             );
             assert_eq!(
-                a.stats().work_items_executed,
-                b.stats().work_items_executed,
-                "threshold {threshold:?}"
+                r.stats().global_cut_calls,
+                reference.stats().global_cut_calls,
+                "{label}"
+            );
+            assert!(!r.stats().cancelled);
+            assert!(r.stats().work_items_executed > 0, "{label}");
+            // The processed item set does not depend on the schedule.
+            assert_eq!(
+                r.stats().work_items_executed,
+                reference.stats().work_items_executed,
+                "{label}"
             );
         }
     }

@@ -31,9 +31,13 @@
 //! [`GraphView`]) input as one compact CSR work item through one reusable
 //! relabelling buffer — no per-level whole-graph copies — and drains on the
 //! parallel worklist when [`KvccOptions::threads`] asks for it. This module is
-//! an extension of the paper's algorithm (the paper fixes a single k); it
-//! powers the `hierarchy` example and is the substrate of
-//! [`crate::index::ConnectivityIndex`].
+//! an extension of the paper's algorithm (the paper fixes a single k). Its
+//! level loop writes each finished level straight into the flat forest of a
+//! [`ConnectivityIndex`] (node ids level by level, each parent as a node id
+//! one level up), so the index is the one form the hierarchy takes:
+//! [`ConnectivityIndex::build`] runs the loop, and
+//! [`ConnectivityIndex::components_at`] and [`ConnectivityIndex::parent`]
+//! read its levels and links back.
 //!
 //! # Repair after an update batch
 //!
@@ -112,112 +116,13 @@ use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, UpdateOp, VertexId};
 use crate::enumerate::enumerate_kvccs;
 use crate::error::KvccError;
 use crate::global_cut::{global_cut_with_scratch, CutScratch};
-use crate::index::ConnectivityIndex;
+use crate::index::{ConnectivityIndex, NO_PARENT};
 use crate::options::KvccOptions;
 use crate::result::{KVertexConnectedComponent, KvccResult};
 use crate::stats::EnumerationStats;
 
 /// The origin of a node the level loop derived itself (no R1 subtree).
 pub(crate) const REDERIVED: u32 = u32::MAX;
-
-/// One level of the hierarchy: all k-VCCs for a fixed `k`, plus the index of
-/// each component's parent in the previous level.
-#[derive(Clone, Debug)]
-pub struct HierarchyLevel {
-    /// The connectivity parameter of this level.
-    pub k: u32,
-    /// The k-VCCs of the input graph, sorted by smallest member.
-    pub components: Vec<KVertexConnectedComponent>,
-    /// `parents[i]` is the index (in the previous level) of the component that
-    /// contains `components[i]`; `None` for the first level.
-    pub parents: Vec<Option<usize>>,
-}
-
-/// The full nested decomposition of a graph.
-#[derive(Clone, Debug)]
-pub struct KvccHierarchy {
-    levels: Vec<HierarchyLevel>,
-    num_vertices: usize,
-}
-
-impl KvccHierarchy {
-    /// All levels, in increasing order of `k` (starting at `k = 1`).
-    pub fn levels(&self) -> &[HierarchyLevel] {
-        &self.levels
-    }
-
-    /// The levels, by value.
-    pub(crate) fn into_levels(self) -> Vec<HierarchyLevel> {
-        self.levels
-    }
-
-    /// Number of vertices of the graph the hierarchy was built from.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// The largest `k` for which at least one k-VCC exists (0 for an edgeless
-    /// graph).
-    pub fn max_k(&self) -> u32 {
-        self.levels.last().map(|l| l.k).unwrap_or(0)
-    }
-
-    /// The components at a specific level, if that level exists.
-    pub fn components_at(&self, k: u32) -> Option<&[KVertexConnectedComponent]> {
-        self.levels
-            .iter()
-            .find(|l| l.k == k)
-            .map(|l| l.components.as_slice())
-    }
-
-    /// The *vertex connectivity number* of `v`: the largest `k` such that `v`
-    /// belongs to some k-VCC (0 if the vertex is isolated or outside every
-    /// component). This is the vertex-connectivity analogue of the core
-    /// number.
-    pub fn connectivity_number(&self, v: VertexId) -> u32 {
-        let mut best = 0;
-        for level in &self.levels {
-            if level.components.iter().any(|c| c.contains(v)) {
-                best = level.k;
-            }
-        }
-        best
-    }
-
-    /// Vertex connectivity numbers for every vertex of the input graph.
-    pub fn connectivity_numbers(&self) -> Vec<u32> {
-        let mut numbers = vec![0u32; self.num_vertices];
-        for level in &self.levels {
-            for comp in &level.components {
-                for &v in comp.vertices() {
-                    numbers[v as usize] = numbers[v as usize].max(level.k);
-                }
-            }
-        }
-        numbers
-    }
-
-    /// Total number of components across all levels.
-    pub fn total_components(&self) -> usize {
-        self.levels.iter().map(|l| l.components.len()).sum()
-    }
-}
-
-/// Builds the k-VCC hierarchy of `graph` for `k = 1 ..= max_k`.
-///
-/// `max_k = None` uses the graph degeneracy as the upper bound (no k-VCC can
-/// exist beyond it, because a k-VCC has minimum degree `>= k`);
-/// `max_k = Some(0)` builds an empty hierarchy. Construction stops early at
-/// the first level with no components. An expired
-/// [`KvccOptions::budget`] interrupts the build with
-/// [`KvccError::Interrupted`], also before the first level.
-pub fn build_hierarchy<G: GraphView>(
-    graph: &G,
-    max_k: Option<u32>,
-    options: &KvccOptions,
-) -> Result<KvccHierarchy, KvccError> {
-    Ok(grow(graph, max_k, None, options)?.0)
-}
 
 /// The forest a repair starts from, plus the pairs of the batch that turned
 /// its graph `G` into the post-update graph `G′` (see the module docs).
@@ -353,7 +258,7 @@ impl<'a> Prior<'a> {
     }
 
     /// R1's subtrees one level down: the old level-k nodes whose parents the
-    /// new level above keeps (`placed[old id]` is the keeper's position).
+    /// new level above keeps (`placed[old id]` is the keeper's node id).
     fn kept_children(&self, k: u32, placed: &[u32], nodes: &mut Vec<Node>) {
         for id in self.forest.level_nodes(k) {
             let Some(parent) = self.forest.parent(id) else {
@@ -362,7 +267,7 @@ impl<'a> Prior<'a> {
             if placed[parent as usize] != REDERIVED {
                 nodes.push(Node {
                     component: self.forest.node_component(id).expect("in range").clone(),
-                    parent: Some(placed[parent as usize] as usize),
+                    parent: placed[parent as usize],
                     certified: k,
                     origin: id,
                 });
@@ -374,64 +279,72 @@ impl<'a> Prior<'a> {
 /// A node of the level under construction.
 struct Node {
     component: KVertexConnectedComponent,
-    parent: Option<usize>,
+    /// The node id of its parent, or [`NO_PARENT`] at level 1.
+    parent: u32,
     /// The level the component is certified up to.
     certified: u32,
     /// The old node whose subtree it keeps (R1), or [`REDERIVED`].
     origin: u32,
 }
 
-/// The level loop behind [`build_hierarchy`] and the index repair: with no
-/// `prior` forest it is the build, with one it is the repair of the module
-/// docs. Returns the hierarchy and, per level and node, the old node whose
-/// subtree the node keeps, or [`REDERIVED`].
+/// The level loop behind [`ConnectivityIndex::build`] and the index repair:
+/// with no `prior` forest it is the build, with one it is the repair of the
+/// module docs. Each finished level goes straight into the index's flat
+/// arrays. Returns the index (depth limit `max_k`, epoch 0) and, per node
+/// id, the old node whose subtree the node keeps, or [`REDERIVED`].
 pub(crate) fn grow<G: GraphView>(
     graph: &G,
     max_k: Option<u32>,
     prior: Option<&Prior>,
     options: &KvccOptions,
-) -> Result<(KvccHierarchy, Vec<Vec<u32>>), KvccError> {
+) -> Result<(ConnectivityIndex, Vec<u32>), KvccError> {
     options.budget.check()?;
     let limit = max_k.unwrap_or_else(|| degeneracy(graph));
     let mut run = LevelLoop::new(limit, prior, options);
-    let mut levels: Vec<HierarchyLevel> = Vec::new();
-    let mut origins: Vec<Vec<u32>> = Vec::new();
-    // `certified[i]`: the level the previous level's `components[i]` is
-    // certified up to.
+    // The index's flat arrays: per node id, level by level.
+    let mut ks: Vec<u32> = Vec::new();
+    let mut parents: Vec<u32> = Vec::new();
+    let mut components: Vec<KVertexConnectedComponent> = Vec::new();
+    let mut level_offsets = vec![0usize];
+    let mut internal_edges: Vec<u64> = Vec::new();
+    let mut origins: Vec<u32> = Vec::new();
+    // Per node id: the level its component is certified up to.
     let mut certified: Vec<u32> = Vec::new();
-    // Old node id → position of the new node that keeps it (R1).
+    // Old node id → id of the new node that keeps it (R1).
     let mut placed = vec![REDERIVED; prior.map_or(0, |p| p.forest.num_nodes())];
+    let mut inside = BitSet::new(graph.num_vertices());
 
     for k in 1..=limit {
         let mut nodes: Vec<Node> = Vec::new();
         if let Some(prior) = prior {
             prior.kept_children(k, &placed, &mut nodes);
         }
-        match levels.last() {
-            None => {
+        match k {
+            1 => {
                 for members in connected_components(graph) {
                     if members.len() >= 2 {
                         let component = KVertexConnectedComponent::new(members);
                         let origin = prior.map_or(REDERIVED, |p| p.kept(1, &component));
                         nodes.push(Node {
                             component,
-                            parent: None,
+                            parent: NO_PARENT,
                             certified: 1,
                             origin,
                         });
                     }
                 }
             }
-            Some(roots) if k == 2 => {
-                let mut root_of = vec![usize::MAX; graph.num_vertices()];
-                for (i, root) in roots.components.iter().enumerate() {
+            2 => {
+                // Level 1 holds every node so far.
+                let mut root_of = vec![NO_PARENT; graph.num_vertices()];
+                for (id, root) in components.iter().enumerate() {
                     for &v in root.vertices() {
-                        root_of[v as usize] = i;
+                        root_of[v as usize] = id as u32;
                     }
                 }
                 for members in two_vccs(graph) {
                     let parent = root_of[members[0] as usize];
-                    if origins[0][parent] != REDERIVED {
+                    if origins[parent as usize] != REDERIVED {
                         continue; // its kept subtree holds this node
                     }
                     let component = KVertexConnectedComponent::new(members);
@@ -440,19 +353,20 @@ pub(crate) fn grow<G: GraphView>(
                     })?);
                 }
             }
-            Some(previous) => {
-                let above = origins.last().expect("one per level");
-                for (parent_idx, parent) in previous.components.iter().enumerate() {
-                    if above[parent_idx] != REDERIVED {
+            _ => {
+                let above = level_offsets[k as usize - 2]..level_offsets[k as usize - 1];
+                for parent_id in above {
+                    if origins[parent_id] != REDERIVED {
                         continue;
                     }
-                    if certified[parent_idx] >= k {
+                    let parent = &components[parent_id];
+                    if certified[parent_id] >= k {
                         let component = parent.clone();
                         let origin = prior.map_or(REDERIVED, |p| p.kept(k, &component));
                         nodes.push(Node {
                             component,
-                            parent: Some(parent_idx),
-                            certified: certified[parent_idx],
+                            parent: parent_id as u32,
+                            certified: certified[parent_id],
                             origin,
                         });
                         continue;
@@ -470,7 +384,7 @@ pub(crate) fn grow<G: GraphView>(
                             .map(|&l| parent.vertices()[l as usize])
                             .collect();
                         let component = KVertexConnectedComponent::new(mapped);
-                        nodes.push(run.settle(k, component, parent_idx, |_, map| {
+                        nodes.push(run.settle(k, component, parent_id as u32, |_, map| {
                             CsrGraph::extract_induced(&sub, &local, map)
                         })?);
                     }
@@ -482,31 +396,57 @@ pub(crate) fn grow<G: GraphView>(
         }
         // Keep the deterministic ordering used everywhere else.
         nodes.sort_by(|a, b| a.component.cmp(&b.component));
-        let mut level = HierarchyLevel {
-            k,
-            components: Vec::with_capacity(nodes.len()),
-            parents: Vec::with_capacity(nodes.len()),
-        };
-        let mut level_origins = Vec::with_capacity(nodes.len());
-        certified.clear();
-        for (i, node) in nodes.into_iter().enumerate() {
-            if node.origin != REDERIVED {
-                placed[node.origin as usize] = i as u32;
-            }
-            level.components.push(node.component);
-            level.parents.push(node.parent);
+        for node in nodes {
+            let edges = match node.origin {
+                REDERIVED => count_internal_edges(graph, node.component.vertices(), &mut inside),
+                old => {
+                    placed[old as usize] = components.len() as u32;
+                    prior
+                        .and_then(|p| p.forest.internal_edges_of(old))
+                        .expect("a kept node has an old node")
+                }
+            };
+            ks.push(k);
+            parents.push(node.parent);
+            components.push(node.component);
+            internal_edges.push(edges);
             certified.push(node.certified);
-            level_origins.push(node.origin);
+            origins.push(node.origin);
         }
-        levels.push(level);
-        origins.push(level_origins);
+        level_offsets.push(components.len());
     }
 
-    let hierarchy = KvccHierarchy {
-        levels,
-        num_vertices: graph.num_vertices(),
-    };
-    Ok((hierarchy, origins))
+    let index = ConnectivityIndex::assemble(
+        graph.num_vertices(),
+        ks,
+        parents,
+        components,
+        level_offsets,
+        internal_edges,
+        max_k,
+    );
+    Ok((index, origins))
+}
+
+/// Counts the graph edges with both endpoints inside `members`
+/// (membership-marking sweep over `inside`, which is left empty;
+/// `O(Σ_{v∈C} deg(v))`).
+fn count_internal_edges<G: GraphView>(graph: &G, members: &[VertexId], inside: &mut BitSet) -> u64 {
+    for &v in members {
+        inside.insert(v as usize);
+    }
+    let mut directed = 0u64;
+    for &v in members {
+        directed += graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| inside.contains(w as usize))
+            .count() as u64;
+    }
+    for &v in members {
+        inside.remove(v as usize);
+    }
+    directed / 2
 }
 
 /// The scratch and settings one run of the level loop shares.
@@ -539,14 +479,14 @@ impl<'a> LevelLoop<'a> {
         &mut self,
         k: u32,
         component: KVertexConnectedComponent,
-        parent: usize,
+        parent: u32,
         extract: impl FnOnce(&KVertexConnectedComponent, &mut Vec<VertexId>) -> CsrGraph,
     ) -> Result<Node, KvccError> {
         let matched = self.prior.and_then(|p| p.find(k, component.vertices()));
         if let Some(m) = matched.as_ref().filter(|m| m.clean) {
             return Ok(Node {
                 component,
-                parent: Some(parent),
+                parent,
                 certified: k,
                 origin: m.id,
             });
@@ -564,7 +504,7 @@ impl<'a> LevelLoop<'a> {
             certified_level(&induced, floor, self.limit, self.options, &mut self.scratch)?;
         Ok(Node {
             component,
-            parent: Some(parent),
+            parent,
             certified,
             origin: REDERIVED,
         })
@@ -810,61 +750,71 @@ mod tests {
         .unwrap()
     }
 
+    /// The index of `g` under the depth limit `max_k`.
+    fn build(g: &UndirectedGraph, max_k: Option<u32>) -> ConnectivityIndex {
+        ConnectivityIndex::build(g, max_k, &KvccOptions::default()).unwrap()
+    }
+
     #[test]
     fn hierarchy_of_a_clique() {
         let g = complete(6);
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        let h = build(&g, None);
         assert_eq!(h.max_k(), 5);
-        assert_eq!(h.levels().len(), 5);
-        for level in h.levels() {
-            assert_eq!(level.components.len(), 1);
-            assert_eq!(level.components[0].len(), 6);
+        assert!(h.components_at(6).is_empty());
+        for k in 1..=5 {
+            let level = h.components_at(k);
+            assert_eq!(level.len(), 1);
+            assert_eq!(level[0].len(), 6);
         }
-        assert_eq!(h.connectivity_number(0), 5);
-        assert_eq!(h.connectivity_numbers(), vec![5; 6]);
-        assert_eq!(h.total_components(), 5);
+        assert_eq!(h.max_connectivity_of(0), 5);
+        let numbers: Vec<u32> = g.vertices().map(|v| h.max_connectivity_of(v)).collect();
+        assert_eq!(numbers, vec![5; 6]);
+        assert_eq!(h.num_nodes(), 5);
     }
 
     #[test]
     fn hierarchy_of_glued_triangles() {
         let g = two_triangles_with_pendant();
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        let h = build(&g, None);
         assert_eq!(h.max_k(), 2);
         // Level 1: one connected component with all 6 vertices.
-        let level1 = h.components_at(1).unwrap();
+        let level1 = h.components_at(1);
         assert_eq!(level1.len(), 1);
         assert_eq!(level1[0].len(), 6);
         // Level 2: the two triangles, both children of the level-1 component.
-        let level2 = &h.levels()[1];
-        assert_eq!(level2.components.len(), 2);
-        assert!(level2.parents.iter().all(|p| *p == Some(0)));
+        assert_eq!(h.components_at(2).len(), 2);
+        assert!(h.level_nodes(2).all(|id| h.parent(id) == Some(0)));
         // Connectivity numbers: triangle members 2, pendant vertex 1.
-        assert_eq!(h.connectivity_number(2), 2);
-        assert_eq!(h.connectivity_number(5), 1);
-        assert_eq!(h.components_at(3), None);
+        assert_eq!(h.max_connectivity_of(2), 2);
+        assert_eq!(h.max_connectivity_of(5), 1);
+        assert!(h.components_at(3).is_empty());
     }
 
     #[test]
     fn parents_contain_their_children() {
         let g = two_triangles_with_pendant();
-        let h = build_hierarchy(&g, Some(3), &KvccOptions::default()).unwrap();
-        for window in h.levels().windows(2) {
-            let (upper, lower) = (&window[0], &window[1]);
-            for (comp, parent) in lower.components.iter().zip(&lower.parents) {
-                let parent = &upper.components[parent.expect("non-root level has parents")];
-                for &v in comp.vertices() {
+        let h = build(&g, Some(3));
+        for k in 2..=h.max_k() {
+            for id in h.level_nodes(k) {
+                let parent = h.parent(id).expect("non-root level has parents");
+                assert_eq!(h.node_k(parent), Some(k - 1));
+                let parent = h.node_component(parent).unwrap();
+                for &v in h.members(id) {
                     assert!(parent.contains(v));
                 }
             }
         }
+        assert!(h.level_nodes(1).all(|id| h.parent(id).is_none()));
+        assert_eq!(h.parent(h.num_nodes() as u32), None, "out of range");
     }
 
     #[test]
     fn explicit_max_k_truncates_the_hierarchy() {
         let g = complete(8);
-        let h = build_hierarchy(&g, Some(3), &KvccOptions::default()).unwrap();
+        let h = build(&g, Some(3));
         assert_eq!(h.max_k(), 3);
-        assert_eq!(h.levels().len(), 3);
+        let sizes: Vec<usize> = (1..=4).map(|k| h.components_at(k).len()).collect();
+        assert_eq!(sizes, [1, 1, 1, 0]);
     }
 
     #[test]
@@ -872,13 +822,11 @@ mod tests {
         // The same edge set as a CSR graph and as a delta over another base.
         let g = two_triangles_with_pendant();
         let delta = crate::testing::rebased(&g);
-        let a = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        let b = build_hierarchy(&delta, None, &KvccOptions::default()).unwrap();
+        let options = KvccOptions::default();
+        let a = build(&g, None);
+        let b = ConnectivityIndex::build(&delta, None, &options).unwrap();
         assert_eq!(a.max_k(), b.max_k());
-        for (la, lb) in a.levels().iter().zip(b.levels()) {
-            assert_eq!(la.components, lb.components);
-            assert_eq!(la.parents, lb.parents);
-        }
+        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]
@@ -890,7 +838,7 @@ mod tests {
         let options = KvccOptions::default().with_budget(budget);
         let g = two_triangles_with_pendant();
         assert!(matches!(
-            build_hierarchy(&g, None, &options),
+            ConnectivityIndex::build(&g, None, &options),
             Err(KvccError::Interrupted { .. })
         ));
     }
@@ -898,10 +846,10 @@ mod tests {
     #[test]
     fn zero_depth_cap_builds_an_empty_hierarchy() {
         let g = two_triangles_with_pendant();
-        let h = build_hierarchy(&g, Some(0), &KvccOptions::default()).unwrap();
-        assert!(h.levels().is_empty());
+        let h = build(&g, Some(0));
+        assert_eq!(h.num_nodes(), 0);
         assert_eq!(h.max_k(), 0);
-        assert_eq!(h.connectivity_numbers(), vec![0; 6]);
+        assert!(g.vertices().all(|v| h.max_connectivity_of(v) == 0));
     }
 
     #[test]
@@ -919,22 +867,22 @@ mod tests {
         }
         edges.extend([(8, 9), (9, 0)]);
         let g = UndirectedGraph::from_edges(10, edges).unwrap();
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        let sizes: Vec<Vec<usize>> = h
-            .levels()
-            .iter()
-            .map(|l| l.components.iter().map(|c| c.len()).collect())
+        let h = build(&g, None);
+        let sizes: Vec<Vec<usize>> = (1..=h.max_k())
+            .map(|k| h.components_at(k).iter().map(|c| c.len()).collect())
             .collect();
         assert_eq!(sizes, vec![vec![10], vec![8], vec![5, 5], vec![5, 5]]);
-        assert_eq!(h.levels()[3].components, h.levels()[2].components);
-        assert_eq!(h.levels()[3].parents, vec![Some(0), Some(1)]);
-        for level in h.levels() {
-            let direct = enumerate_kvccs(&g, level.k, &KvccOptions::default()).unwrap();
-            assert_eq!(level.components.as_slice(), direct.components());
+        assert_eq!(h.components_at(4), h.components_at(3));
+        // Each level-4 K5 hangs under its own copy at level 3.
+        let parents: Vec<Option<u32>> = h.level_nodes(4).map(|id| h.parent(id)).collect();
+        assert_eq!(parents, h.level_nodes(3).map(Some).collect::<Vec<_>>());
+        for k in 1..=h.max_k() {
+            let direct = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
+            assert_eq!(h.components_at(k), direct.components());
         }
         // A cap below κ stops the copies at the cap.
-        let capped = build_hierarchy(&g, Some(3), &KvccOptions::default()).unwrap();
-        assert_eq!(capped.levels().len(), 3);
+        let capped = build(&g, Some(3));
+        assert_eq!(capped.max_k(), 3);
     }
 
     /// Edges of a clique on `members`.
@@ -955,20 +903,16 @@ mod tests {
         delta.into_csr()
     }
 
-    /// Repairs the hierarchy of `before` after `batch`, asserts that it
-    /// equals a rebuild, and returns each node's origin.
-    fn repair(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> Vec<Vec<u32>> {
+    /// Repairs the index of `before` after `batch`, asserts that it equals
+    /// a rebuild, and returns each node's origin, by node id.
+    fn repair(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> Vec<u32> {
         let options = KvccOptions::default();
         let forest = ConnectivityIndex::build(before, None, &options).unwrap();
         let g = after(before, batch);
         let prior = Prior::new(&forest, &g, batch);
         let (repaired, origins) = grow(&g, None, Some(&prior), &options).unwrap();
-        let rebuilt = build_hierarchy(&g, None, &options).unwrap();
-        assert_eq!(repaired.levels().len(), rebuilt.levels().len());
-        for (a, b) in repaired.levels().iter().zip(rebuilt.levels()) {
-            assert_eq!(a.components, b.components, "level {}", a.k);
-            assert_eq!(a.parents, b.parents, "level {}", a.k);
-        }
+        let rebuilt = ConnectivityIndex::build(&g, None, &options).unwrap();
+        assert_eq!(repaired.to_bytes(), rebuilt.to_bytes());
         origins
     }
 
@@ -1004,15 +948,7 @@ mod tests {
         // member) is re-derived at levels 2 and 3 and, now only
         // 3-connected, leaves level 4; the other one keeps its old nodes,
         // ids 2, 4 and 6 of the old forest.
-        assert_eq!(
-            origins,
-            vec![
-                vec![REDERIVED],
-                vec![REDERIVED, 2],
-                vec![REDERIVED, 4],
-                vec![6]
-            ]
-        );
+        assert_eq!(origins, [REDERIVED, REDERIVED, 2, REDERIVED, 4, 6]);
     }
 
     #[test]
@@ -1041,8 +977,8 @@ mod tests {
         let batch = [EdgeUpdate::insert(6, 1)];
         assert!(!fans_at_level_3(&g, &batch));
         repair(&g, &batch);
-        let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
-        assert_eq!(h.components_at(3).unwrap()[0].vertices(), &[0, 1, 2, 3]);
+        let h = build(&after(&g, &batch), None);
+        assert_eq!(h.components_at(3)[0].vertices(), &[0, 1, 2, 3]);
     }
 
     #[test]
@@ -1058,7 +994,7 @@ mod tests {
         let batch = [EdgeUpdate::delete(4, 0)];
         assert!(fans_at_level_3(&g, &batch));
         let origins = repair(&g, &batch);
-        assert!(origins.iter().flatten().all(|&o| o == REDERIVED));
+        assert!(origins.iter().all(|&o| o == REDERIVED));
     }
 
     #[test]
@@ -1074,18 +1010,14 @@ mod tests {
         edges.extend(clique(&[4, 5, 6, 7]));
         edges.extend([(0, 4), (1, 5), (8, 2), (8, 3), (8, 6)]);
         let g = UndirectedGraph::from_edges(9, edges).unwrap();
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        assert_eq!(h.components_at(3).unwrap()[0].len(), 9);
+        let h = build(&g, None);
+        assert_eq!(h.components_at(3)[0].len(), 9);
         for batch in [[EdgeUpdate::delete(8, 3)], [EdgeUpdate::delete(8, 6)]] {
             assert!(!fans_at_level_3(&g, &batch));
             repair(&g, &batch);
-            let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
-            let level3: Vec<&[VertexId]> = h
-                .components_at(3)
-                .unwrap()
-                .iter()
-                .map(|c| c.vertices())
-                .collect();
+            let h = build(&after(&g, &batch), None);
+            let level3: Vec<&[VertexId]> =
+                h.components_at(3).iter().map(|c| c.vertices()).collect();
             assert_eq!(level3, [&[0, 1, 2, 3], &[4, 5, 6, 7]]);
         }
     }
@@ -1101,8 +1033,8 @@ mod tests {
         edges.extend(clique(&[0, 1, 5, 6, 7]));
         edges.extend([(8, 0), (8, 2), (8, 5)]);
         let g = UndirectedGraph::from_edges(9, edges).unwrap();
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        assert_eq!(h.components_at(3).unwrap()[0].len(), 9);
+        let h = build(&g, None);
+        assert_eq!(h.components_at(3)[0].len(), 9);
         let batch = [EdgeUpdate::delete(8, 0)];
         assert!(!fans_at_level_3(&g, &batch));
         repair(&g, &batch);
@@ -1125,9 +1057,9 @@ mod tests {
         let batch = [0, 1, 2].map(|i| EdgeUpdate::delete(10, i));
         assert!(fans_at_level_3(&g, &batch));
         repair(&g, &batch);
-        let h = build_hierarchy(&after(&g, &batch), None, &KvccOptions::default()).unwrap();
+        let h = build(&after(&g, &batch), None);
         let petersen: Vec<VertexId> = (0..10).collect();
-        assert_eq!(h.components_at(3).unwrap()[0].vertices(), petersen);
+        assert_eq!(h.components_at(3)[0].vertices(), petersen);
     }
 
     /// The level-2 node spanning all of the graph after `batch`, settled
@@ -1200,9 +1132,9 @@ mod tests {
     #[test]
     fn empty_graph_has_an_empty_hierarchy() {
         let g = UndirectedGraph::new(4);
-        let h = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        let h = build(&g, None);
         assert_eq!(h.max_k(), 0);
-        assert_eq!(h.total_components(), 0);
-        assert_eq!(h.connectivity_number(1), 0);
+        assert_eq!(h.num_nodes(), 0);
+        assert_eq!(h.max_connectivity_of(1), 0);
     }
 }

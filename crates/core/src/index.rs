@@ -1,11 +1,12 @@
-//! The [`ConnectivityIndex`]: the full k-VCC hierarchy flattened into a
-//! query-ready forest.
+//! The [`ConnectivityIndex`]: the full k-VCC hierarchy as a query-ready
+//! forest.
 //!
-//! Building the hierarchy costs one nested enumeration (§2.2 nesting); every
-//! question the paper's case study asks afterwards — "all 4-VCCs containing
-//! author *Jiawei Han*" (§6.4), "how connected are these two authors", "what
-//! are the k-VCCs at level k" — is then answered **without touching flow
-//! code**:
+//! Building it costs one nested enumeration (§2.2 nesting): the level loop
+//! of [`crate::hierarchy`] writes each level straight into the index's flat
+//! arrays. Every question the paper's case study asks afterwards — "all
+//! 4-VCCs containing author *Jiawei Han*" (§6.4), "how connected are these
+//! two authors", "what are the k-VCCs at level k" — is then answered
+//! **without touching flow code**:
 //!
 //! * [`kvccs_containing`](ConnectivityIndex::kvccs_containing) — an ancestor
 //!   walk from the seed's leaf components up to level `k`;
@@ -24,12 +25,12 @@
 use kvcc_graph::{BitSet, EdgeUpdate, GraphError, GraphView, VertexId};
 
 use crate::error::KvccError;
-use crate::hierarchy::{build_hierarchy, grow, KvccHierarchy, Prior, REDERIVED};
+use crate::hierarchy::{grow, Prior, REDERIVED};
 use crate::options::KvccOptions;
 use crate::result::KVertexConnectedComponent;
 
 /// Sentinel parent id for root nodes (level-1 components).
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Whether sorted list `child` is contained in sorted list `parent`
 /// (linear two-pointer merge).
@@ -45,32 +46,6 @@ fn is_sorted_subset(child: &[VertexId], parent: &[VertexId]) -> bool {
         j += 1;
     }
     true
-}
-
-/// Counts the graph edges with both endpoints inside `component`
-/// (membership-marking sweep over `inside`, which is left empty;
-/// `O(Σ_{v∈C} deg(v))`).
-fn count_internal_edges<G: GraphView>(
-    graph: &G,
-    component: &KVertexConnectedComponent,
-    inside: &mut BitSet,
-) -> u64 {
-    let members = component.vertices();
-    for &v in members {
-        inside.insert(v as usize);
-    }
-    let mut directed = 0u64;
-    for &v in members {
-        directed += graph
-            .neighbors(v)
-            .iter()
-            .filter(|&&w| inside.contains(w as usize))
-            .count() as u64;
-    }
-    for &v in members {
-        inside.remove(v as usize);
-    }
-    directed / 2
 }
 
 /// Descending comparison of two ranking keys, each given as the node's
@@ -210,7 +185,8 @@ pub fn density_of(internal_edges: u64, size: usize) -> f64 {
     internal_edges as f64 / possible as f64
 }
 
-/// A flattened k-VCC hierarchy supporting O(depth) containment queries.
+/// The k-VCC hierarchy as a flat forest supporting O(depth) containment
+/// queries.
 ///
 /// Nodes are stored level-contiguously (all level-1 components, then all
 /// level-2 components, …), each with the id of the unique level-(k−1)
@@ -271,86 +247,33 @@ pub struct UpdateReport {
 }
 
 impl ConnectivityIndex {
-    /// Builds the index for `graph` by constructing the nested hierarchy once
-    /// (`max_k = None` bounds it by the degeneracy) and flattening it.
+    /// Builds the index for `graph` with the level loop of
+    /// [`crate::hierarchy`], which certifies each component once and writes
+    /// every level straight into the forest (`max_k = None` bounds it by the
+    /// degeneracy: a k-VCC has minimum degree `>= k`).
     ///
     /// With an explicit `max_k` the hierarchy is **truncated**: the index can
     /// only answer queries for `k <= max_k` (checked via
     /// [`ConnectivityIndex::covers`]), and the per-vertex / pairwise
-    /// connectivity values saturate at the cap.
+    /// connectivity values saturate at the cap; `max_k = Some(0)` builds an
+    /// empty index. Construction stops early at the first level with no
+    /// components. An expired [`KvccOptions::budget`] interrupts the build
+    /// with [`KvccError::Interrupted`], also before the first level.
     pub fn build<G: GraphView>(
         graph: &G,
         max_k: Option<u32>,
         options: &KvccOptions,
     ) -> Result<Self, KvccError> {
-        let hierarchy = build_hierarchy(graph, max_k, options)?;
-        Ok(Self::flatten(graph, hierarchy, max_k, |_, _| None))
-    }
-
-    /// Flattens an already-built [`KvccHierarchy`] into index form. The graph
-    /// the hierarchy was built from supplies the per-component internal edge
-    /// counts backing [`ConnectivityIndex::ranked_components`].
-    pub fn from_hierarchy<G: GraphView>(graph: &G, hierarchy: &KvccHierarchy) -> Self {
-        Self::flatten(graph, hierarchy.clone(), None, |_, _| None)
-    }
-
-    /// Flattens `hierarchy` into index form. `carried(level, i)` is the
-    /// internal edge count of the `i`-th node of the `level`-th level when it
-    /// is already known (a node a repair kept); every other node is counted
-    /// on `graph`.
-    fn flatten<G: GraphView>(
-        graph: &G,
-        hierarchy: KvccHierarchy,
-        depth_limit: Option<u32>,
-        carried: impl Fn(usize, usize) -> Option<u64>,
-    ) -> Self {
-        let num_vertices = hierarchy.num_vertices();
-        let mut ks = Vec::new();
-        let mut parents = Vec::new();
-        let mut components = Vec::new();
-        let mut internal_edges = Vec::new();
-        let mut level_offsets = vec![0usize];
-        let mut inside = BitSet::new(graph.num_vertices());
-
-        // Assign node ids level by level; hierarchy levels are contiguous
-        // (construction stops at the first empty level), so level k occupies
-        // level_offsets[k - 1]..level_offsets[k].
-        for (li, level) in hierarchy.into_levels().into_iter().enumerate() {
-            debug_assert_eq!(level.k as usize, li + 1, "levels must be contiguous");
-            let prev_start = if li == 0 { 0 } else { level_offsets[li - 1] };
-            for (i, (comp, parent)) in level.components.into_iter().zip(level.parents).enumerate() {
-                ks.push(level.k);
-                parents.push(match parent {
-                    None => NO_PARENT,
-                    Some(idx) => (prev_start + idx) as u32,
-                });
-                internal_edges.push(
-                    carried(li, i)
-                        .unwrap_or_else(|| count_internal_edges(graph, &comp, &mut inside)),
-                );
-                components.push(comp);
-            }
-            level_offsets.push(components.len());
-        }
-
-        Self::assemble(
-            num_vertices,
-            ks,
-            parents,
-            components,
-            level_offsets,
-            internal_edges,
-            depth_limit,
-        )
+        Ok(grow(graph, max_k, None, options)?.0)
     }
 
     /// Builds the derived query arrays (leaf pointers, per-vertex maximum
-    /// connectivity) from the forest core — shared by
-    /// [`ConnectivityIndex::from_hierarchy`] and
+    /// connectivity, ranking orders) from the forest core — shared by the
+    /// level loop of [`crate::hierarchy`] and
     /// [`ConnectivityIndex::from_bytes`], so a deserialised index is
     /// guaranteed to answer queries exactly like the freshly built one it was
     /// saved from.
-    fn assemble(
+    pub(crate) fn assemble(
         num_vertices: usize,
         ks: Vec<u32>,
         parents: Vec<u32>,
@@ -523,6 +446,16 @@ impl ConnectivityIndex {
     /// id).
     pub fn node_component(&self, id: u32) -> Option<&KVertexConnectedComponent> {
         self.components.get(id as usize)
+    }
+
+    /// The parent of forest node `id`: the one node a level up whose
+    /// component contains it (§2.2 nesting). `None` for a level-1 root and
+    /// for an out-of-range node id.
+    pub fn parent(&self, id: u32) -> Option<u32> {
+        match self.parents.get(id as usize).copied()? {
+            NO_PARENT => None,
+            p => Some(p),
+        }
     }
 
     /// Deserialises a buffer produced by [`ConnectivityIndex::to_bytes`],
@@ -747,28 +680,20 @@ impl ConnectivityIndex {
             affected.insert(u as usize);
             affected.insert(v as usize);
         }
-        let (hierarchy, origins) = grow(graph, self.depth_limit, Some(&prior), options)?;
+        let (mut next, origins) = grow(graph, self.depth_limit, Some(&prior), options)?;
         let mut repaired_nodes = 0u32;
-        let levels = hierarchy.levels();
-        for (li, (level, kept)) in levels.iter().zip(&origins).enumerate() {
-            for (i, component) in level.components.iter().enumerate() {
-                // A component copied down as its own only child counts once.
-                let copied = level.parents[i]
-                    .is_some_and(|p| levels[li - 1].components[p].len() == component.len());
-                if kept[i] == REDERIVED && !copied {
-                    repaired_nodes += 1;
-                    for &v in component.vertices() {
-                        affected.insert(v as usize);
-                    }
+        for (id, component) in next.components.iter().enumerate() {
+            // A component copied down as its own only child counts once.
+            let copied = next
+                .parent(id as u32)
+                .is_some_and(|p| next.components[p as usize].len() == component.len());
+            if origins[id] == REDERIVED && !copied {
+                repaired_nodes += 1;
+                for &v in component.vertices() {
+                    affected.insert(v as usize);
                 }
             }
         }
-        let mut next = Self::flatten(graph, hierarchy, self.depth_limit, |li, i| {
-            match origins[li][i] {
-                REDERIVED => None,
-                old => Some(self.internal_edges[old as usize]),
-            }
-        });
         next.epoch = self.epoch + 1;
         let epoch = next.epoch;
         Ok((
@@ -789,14 +714,6 @@ impl ConnectivityIndex {
     /// The level of node `id`.
     pub(crate) fn level(&self, id: u32) -> u32 {
         self.ks[id as usize]
-    }
-
-    /// The parent of node `id`; `None` for a level-1 root.
-    pub(crate) fn parent(&self, id: u32) -> Option<u32> {
-        match self.parents[id as usize] {
-            NO_PARENT => None,
-            p => Some(p),
-        }
     }
 
     /// The members of node `id`.

@@ -17,9 +17,10 @@
 //!   [`stats`], and result verification helpers in [`verify`];
 //! * three extensions beyond the paper: the nested k-VCC [`hierarchy`] across
 //!   all levels of `k`, localized seed-vertex [`query`]s
-//!   ([`kvccs_containing`]), and the flattened [`ConnectivityIndex`] that
-//!   answers repeated seed/level/pairwise-connectivity queries from the
-//!   prebuilt hierarchy without re-running any flow computation.
+//!   ([`kvccs_containing`]), and the [`ConnectivityIndex`], the forest the
+//!   hierarchy's level loop writes, which answers repeated
+//!   seed/level/pairwise-connectivity queries without re-running any flow
+//!   computation and repairs itself after edge updates.
 //!
 //! # Quick start
 //!
@@ -60,7 +61,6 @@ mod testing;
 
 pub use enumerate::{enumerate_kvccs, KvccEnumerator};
 pub use error::KvccError;
-pub use hierarchy::{build_hierarchy, KvccHierarchy};
 pub use index::{ConnectivityIndex, RankBy, RankedComponent, UpdateReport};
 // Edge updates are defined next to `DeltaGraph` in `kvcc-graph`; re-exported
 // here because `ConnectivityIndex::apply_updates` consumes them.

@@ -60,10 +60,9 @@ impl AlgorithmVariant {
 ///
 /// `|E|` approximates the cost of one sparse-certificate construction and
 /// `k·|V|` the `O(k)` bounded flow probes over the phase-1 vertices — the
-/// two components of a `GLOBAL-CUT*` call. Work items whose cost exceeds
-/// [`KvccOptions::split_threshold`] are fanned out instead of processed
-/// inline (see [`KvccOptions::split_threshold`]); the same model orders and
-/// splits shard work items in `kvcc-service`.
+/// two components of a `GLOBAL-CUT*` call. `kvcc-service` orders shard work
+/// items largest-first by it, and its admission control turns it into a
+/// predicted run time.
 pub fn split_cost(num_vertices: usize, num_edges: usize, k: u32) -> u64 {
     num_edges as u64 + k as u64 * num_vertices as u64
 }
@@ -103,16 +102,6 @@ pub struct KvccOptions {
     /// `elapsed`, the peak-memory estimate and the steal count depend on
     /// scheduling.
     pub threads: usize,
-    /// Skew-aware work splitting: a surviving component whose
-    /// [`split_cost`] exceeds this threshold is pushed back onto the
-    /// worklist as its own work item instead of being cut in-worker, so a
-    /// giant component fans out across the pool instead of serialising on
-    /// one worker. `None` (the default) never defers. Splitting only
-    /// re-schedules work — the component set, the partition count and every
-    /// pruning counter stay byte-identical for any threshold; only
-    /// [`crate::EnumerationStats::splits`] and
-    /// [`crate::EnumerationStats::work_items_executed`] reflect the choice.
-    pub split_threshold: Option<u64>,
     /// Cooperative cancellation token polled by the worklist (per work
     /// item), the `GLOBAL-CUT*` phase loops (per probe) and Dinic (per BFS
     /// phase). When it expires mid-run the enumeration stops at the next
@@ -128,7 +117,6 @@ impl Default for KvccOptions {
             variant: AlgorithmVariant::Full,
             max_degree_for_side_vertex_check: Some(4096),
             threads: 1,
-            split_threshold: None,
             budget: Budget::unlimited(),
         }
     }
@@ -141,7 +129,6 @@ impl PartialEq for KvccOptions {
         self.variant == other.variant
             && self.max_degree_for_side_vertex_check == other.max_degree_for_side_vertex_check
             && self.threads == other.threads
-            && self.split_threshold == other.split_threshold
     }
 }
 
@@ -198,13 +185,6 @@ impl KvccOptions {
     /// Sets the worker-thread count (see [`KvccOptions::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the skew-aware splitting threshold (see
-    /// [`KvccOptions::split_threshold`]).
-    pub fn with_split_threshold(mut self, threshold: Option<u64>) -> Self {
-        self.split_threshold = threshold;
         self
     }
 
@@ -266,7 +246,7 @@ mod tests {
             KvccOptions::for_variant(AlgorithmVariant::Basic).variant,
             AlgorithmVariant::Basic
         );
-        assert_eq!(opts.split_threshold, None);
+        assert_eq!(opts.threads, 1);
         assert!(opts.budget.is_unlimited());
     }
 
@@ -274,7 +254,7 @@ mod tests {
     fn equality_ignores_the_budget_attachment() {
         let armed = KvccOptions::default().with_budget(Budget::cancellable());
         assert_eq!(armed, KvccOptions::default());
-        let different = KvccOptions::default().with_split_threshold(Some(100));
+        let different = KvccOptions::default().with_threads(2);
         assert_ne!(different, KvccOptions::default());
     }
 

@@ -49,20 +49,14 @@ pub struct EnumerationStats {
     /// (Theorem 5), so it also separates the subgraph it is applied to.
     pub fallback_recuts: u64,
     /// Work items drained from the `KVCC-ENUM` worklist (initial k-core
-    /// components + partition pieces + deferred splits). Deterministic for a
-    /// fixed [`crate::KvccOptions::split_threshold`], independent of thread
-    /// count.
+    /// components + partition pieces). Deterministic: independent of the
+    /// thread count.
     pub work_items_executed: u64,
     /// Work items a worker took from another worker's deque (parallel runs
     /// only). The one counter that is genuinely scheduling-dependent: it
     /// varies run to run and is reported for observability, never compared
     /// for parity.
     pub steals: u64,
-    /// Components deferred back onto the worklist by skew-aware splitting
-    /// instead of being cut in-worker (see
-    /// [`crate::KvccOptions::split_threshold`]). Deterministic for a fixed
-    /// threshold.
-    pub splits: u64,
     /// Whether the run was interrupted by its [`crate::KvccOptions::budget`]
     /// before completing. Set on the partial statistics carried by
     /// [`crate::KvccError::Interrupted`]; always `false` on a completed run.
@@ -128,7 +122,6 @@ impl EnumerationStats {
         self.fallback_recuts += other.fallback_recuts;
         self.work_items_executed += other.work_items_executed;
         self.steals += other.steals;
-        self.splits += other.splits;
         self.cancelled |= other.cancelled;
         self.peak_memory_bytes = self.peak_memory_bytes.max(other.peak_memory_bytes);
         self.elapsed += other.elapsed;

@@ -139,7 +139,6 @@ pub struct LoadReport {
 struct SlotMetrics {
     work_items: AtomicU64,
     steals: AtomicU64,
-    splits: AtomicU64,
     cancelled_runs: AtomicU64,
     retries: AtomicU64,
     requeues: AtomicU64,
@@ -158,7 +157,6 @@ impl SlotMetrics {
         self.work_items
             .fetch_add(stats.work_items_executed, Ordering::Relaxed);
         self.steals.fetch_add(stats.steals, Ordering::Relaxed);
-        self.splits.fetch_add(stats.splits, Ordering::Relaxed);
         if stats.cancelled {
             self.cancelled_runs.fetch_add(1, Ordering::Relaxed);
         }
@@ -181,7 +179,7 @@ impl SlotMetrics {
         SchedulingStats {
             work_items: self.work_items.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
+            splits: 0,
             cancelled_runs: self.cancelled_runs.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             requeues: self.requeues.load(Ordering::Relaxed),
@@ -989,14 +987,7 @@ impl ServiceEngine {
     ///
     /// Items come back **largest-first** by the enumeration cost model
     /// ([`kvcc::split_cost`]), so round-robin shipment starts the expensive
-    /// items earliest. When the engine's enumeration options set a
-    /// [`KvccOptions::split_threshold`], an item whose cost exceeds it is
-    /// additionally *pre-split on the coordinator*: one `GLOBAL-CUT` +
-    /// `OVERLAP-PARTITION` step replaces the oversized item with its pieces
-    /// (recursively, until every piece fits or is a k-VCC), so a skewed
-    /// graph hands a shard fleet balanced granules instead of one giant
-    /// item. The union of the pieces' enumerations equals the original
-    /// item's (the partition lemma), so the merge invariant is unaffected.
+    /// items earliest.
     pub fn partition_work(&self, graph: GraphId, k: u32) -> Result<Vec<CsrWorkItem>, ServiceError> {
         if k == 0 {
             return Err(ServiceError::Enumeration("k must be at least 1".into()));
@@ -1007,7 +998,7 @@ impl ServiceEngine {
         // The core is already peeled; the mask supplies the component split.
         let view = SubgraphView::from_vertices(g, &core);
         let mut map = Vec::new();
-        let mut pending: Vec<CsrWorkItem> = Vec::new();
+        let mut items: Vec<CsrWorkItem> = Vec::new();
         for component in view.components() {
             if component.len() <= k as usize {
                 continue;
@@ -1017,57 +1008,7 @@ impl ServiceEngine {
             // at loaded ids even when the slot stores the graph reordered.
             let to_original: Vec<VertexId> =
                 component.iter().map(|&v| slot.to_external(v)).collect();
-            pending.push(CsrWorkItem::new(sub, to_original));
-        }
-
-        let mut items = Vec::new();
-        if let Some(threshold) = self.config.enumeration.split_threshold {
-            // Pre-split oversized items on the coordinator. Each partition
-            // strictly shrinks every piece (each side omits at least one
-            // vertex of another side), so the loop terminates; pieces that
-            // turn out to be k-VCCs (no cut) ship whole regardless of size.
-            let mut stats = EnumerationStats::default();
-            let mut scratch = CutScratch::new();
-            while let Some(item) = pending.pop() {
-                let sub = item.graph();
-                if item_cost(&item, k) <= threshold || sub.num_vertices() <= k as usize {
-                    items.push(item);
-                    continue;
-                }
-                let outcome = global_cut_with_scratch(
-                    sub,
-                    k,
-                    &self.config.enumeration,
-                    &mut stats,
-                    &mut scratch,
-                )
-                .map_err(|_| ServiceError::DeadlineExceeded)?;
-                let Some(cut) = outcome.cut else {
-                    items.push(item); // the item is a k-VCC: atomic by nature
-                    continue;
-                };
-                let parts = kvcc::partition::overlap_partition(sub, &cut);
-                if parts.len() < 2 {
-                    // Defensive: an unsplittable cut ships the item whole
-                    // rather than looping (the shard's enumerator owns the
-                    // fallback recut logic).
-                    items.push(item);
-                    continue;
-                }
-                for part in parts {
-                    if part.len() <= k as usize {
-                        continue;
-                    }
-                    let piece = CsrGraph::extract_induced(sub, &part, &mut map);
-                    let piece_to_original: Vec<VertexId> = part
-                        .iter()
-                        .map(|&local| item.to_original()[local as usize])
-                        .collect();
-                    pending.push(CsrWorkItem::new(piece, piece_to_original));
-                }
-            }
-        } else {
-            items = pending;
+            items.push(CsrWorkItem::new(sub, to_original));
         }
 
         // Largest-first, ties broken by the id map for determinism.
@@ -1941,16 +1882,8 @@ mod tests {
     }
 
     #[test]
-    fn presplit_partition_work_reproduces_the_enumeration() {
-        // A split threshold of 0 forces the coordinator to pre-split every
-        // item down to k-VCC granules; the merged shard outputs must still
-        // equal the whole-graph enumeration, and the listing must come back
-        // largest-first under the cost model.
-        let engine = ServiceEngine::new(EngineConfig {
-            enumeration: KvccOptions::default().with_split_threshold(Some(0)),
-            ..EngineConfig::default()
-        });
-        let id = engine.load_graph("mixed", &mixed_graph());
+    fn partitioned_work_items_reproduce_the_enumeration() {
+        let (engine, id) = engine_with_graph();
         let g = mixed_graph();
         for k in 1..=3u32 {
             let items = engine.partition_work(id, k).unwrap();
@@ -1959,26 +1892,6 @@ mod tests {
                 costs.windows(2).all(|w| w[0] >= w[1]),
                 "largest-first: {costs:?}"
             );
-            let mut merged: Vec<KVertexConnectedComponent> = Vec::new();
-            for item in &items {
-                let shipped = CsrWorkItem::from_bytes(&item.to_bytes()).unwrap();
-                merged.extend(run_work_item(&shipped, k, &KvccOptions::default()).unwrap());
-            }
-            // No dedup: pieces must partition the k-VCC set exactly (each
-            // k-VCC has a non-cut vertex on exactly one side of every cut),
-            // which is the invariant `enumerate_sharded` relies on.
-            merged.sort();
-            let direct = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
-            assert_eq!(merged, direct.components().to_vec(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn partitioned_work_items_reproduce_the_enumeration() {
-        let (engine, id) = engine_with_graph();
-        let g = mixed_graph();
-        for k in 1..=3u32 {
-            let items = engine.partition_work(id, k).unwrap();
             let mut merged: Vec<KVertexConnectedComponent> = Vec::new();
             for item in &items {
                 // Ship through bytes, as a shard would receive it.

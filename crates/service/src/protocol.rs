@@ -330,8 +330,8 @@ impl PageCursor {
 /// direct (non-index-served) enumerations the engine ran against it and
 /// reported by [`QueryResponse::Stats`].
 ///
-/// `work_items` and `splits` are deterministic functions of the workload and
-/// the engine's enumeration options; `steals` is genuinely
+/// `work_items` is a deterministic function of the workload and the
+/// engine's enumeration options; `steals` is genuinely
 /// scheduling-dependent (it varies run to run and across thread counts) and
 /// exists for observability, never for parity comparison. `cancelled_runs`
 /// counts enumerations interrupted mid-run by a request deadline.
@@ -348,7 +348,9 @@ pub struct SchedulingStats {
     pub work_items: u64,
     /// Work items taken from another worker's deque (work stealing).
     pub steals: u64,
-    /// Components deferred by skew-aware splitting.
+    /// Components the enumeration deferred to other workers. It no longer
+    /// defers any, so this stays 0; the field keeps the protocol-v6 `Stats`
+    /// layout until the next protocol version drops it.
     pub splits: u64,
     /// Enumerations interrupted mid-run by a deadline or cancellation.
     pub cancelled_runs: u64,
@@ -730,9 +732,10 @@ pub enum RequestBody {
     },
     /// Apply a batch of edge inserts/deletes to a loaded graph (protocol
     /// v5), answered with [`QueryResponse::Updated`]. The engine mutates
-    /// the graph, repairs its [`kvcc::ConnectivityIndex`] incrementally
-    /// (blast radius bounded by the touched leaves' ancestor subtrees,
-    /// falling back to a full rebuild past a threshold) and advances the
+    /// the graph, repairs its [`kvcc::ConnectivityIndex`] level by level
+    /// ([`kvcc::ConnectivityIndex::apply_updates`]: a node the batch left
+    /// unchanged keeps its old subtree, only the others are derived again,
+    /// and the result equals a rebuild byte for byte) and advances the
     /// slot's epoch by exactly one — atomically: queries in flight keep
     /// reading the pre-update snapshot, and a failed batch leaves the slot
     /// untouched. Vertex ids are in the graph's loaded id space. Redundant

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example hierarchy`.
 
-use kvcc::{build_hierarchy, KvccOptions};
+use kvcc::{ConnectivityIndex, KvccOptions};
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,23 +29,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         planted.communities.len()
     );
 
-    let hierarchy = build_hierarchy(&planted.graph, None, &KvccOptions::default())?;
-    println!("deepest connectivity level: k = {}", hierarchy.max_k());
+    let index = ConnectivityIndex::build(&planted.graph, None, &KvccOptions::default())?;
+    println!("deepest connectivity level: k = {}", index.max_k());
     println!("\nlevel  #components  largest  total members");
-    for level in hierarchy.levels() {
-        let largest = level.components.iter().map(|c| c.len()).max().unwrap_or(0);
-        let members: usize = level.components.iter().map(|c| c.len()).sum();
+    for k in 1..=index.max_k() {
+        let level = index.components_at(k);
+        let largest = level.iter().map(|c| c.len()).max().unwrap_or(0);
+        let members: usize = level.iter().map(|c| c.len()).sum();
         println!(
             "{:>5}  {:>11}  {:>7}  {:>13}",
-            level.k,
-            level.components.len(),
+            k,
+            level.len(),
             largest,
             members
         );
     }
 
     // Vertex connectivity numbers: how deeply each vertex is embedded.
-    let numbers = hierarchy.connectivity_numbers();
+    let numbers = (0..index.num_vertices() as u32).map(|v| index.max_connectivity_of(v));
     let mut histogram = std::collections::BTreeMap::new();
     for n in numbers {
         *histogram.entry(n).or_insert(0usize) += 1;

@@ -10,9 +10,8 @@
 #![warn(missing_docs)]
 
 pub use kvcc::{
-    build_hierarchy, enumerate_kvccs, kvccs_containing, AlgorithmVariant, ConnectivityIndex,
-    EnumerationStats, KVertexConnectedComponent, KvccEnumerator, KvccError, KvccHierarchy,
-    KvccOptions, KvccResult, UpdateReport,
+    enumerate_kvccs, kvccs_containing, AlgorithmVariant, ConnectivityIndex, EnumerationStats,
+    KVertexConnectedComponent, KvccEnumerator, KvccError, KvccOptions, KvccResult, UpdateReport,
 };
 pub use kvcc_flow::{global_vertex_connectivity, is_k_vertex_connected};
 pub use kvcc_graph::{

@@ -10,10 +10,7 @@
 //! instantiations returned plausible answers.
 
 use kvcc::global_cut::{global_cut_with_scratch, CutScratch};
-use kvcc::{
-    build_hierarchy, enumerate_kvccs, kvccs_containing, ConnectivityIndex, KvccEnumerator,
-    KvccOptions,
-};
+use kvcc::{enumerate_kvccs, kvccs_containing, ConnectivityIndex, KvccEnumerator, KvccOptions};
 use kvcc_graph::{CsrGraph, UndirectedGraph};
 
 use kvcc_baselines::{
@@ -40,10 +37,8 @@ fn core_entry_points_accept_csr() {
     let query = kvccs_containing(&g, 2, 2, &options).unwrap();
     assert_eq!(query.len(), 2);
 
-    let hierarchy = build_hierarchy(&g, None, &options).unwrap();
-    assert_eq!(hierarchy.max_k(), 2);
-
     let index = ConnectivityIndex::build(&g, None, &options).unwrap();
+    assert_eq!(index.max_k(), 2);
     assert_eq!(index.components_at(2), enumerated.components());
 
     kvcc::verify::verify_kvccs(&g, &enumerated, true).unwrap();

@@ -1,23 +1,23 @@
 //! Hierarchy nesting invariants, `ConnectivityIndex` parity, and parity of
-//! `build_hierarchy` with the per-level construction it replaced.
+//! the index build with the per-level construction it replaced.
 //!
 //! Three families of cross-crate checks:
 //!
-//! * **nesting** — every (k+1)-VCC of the hierarchy lies inside exactly one
+//! * **nesting** — every (k+1)-VCC of the index lies inside exactly one
 //!   k-VCC, the recorded parent is that component, and per-level components
 //!   match a direct `enumerate_kvccs` run;
 //! * **parity** — the [`ConnectivityIndex`] answers every query byte-identical
 //!   to the direct (un-indexed) paths: `components_at` vs `enumerate_kvccs`,
-//!   `kvccs_containing` vs the localized query, `max_connectivity_of` vs the
-//!   hierarchy's connectivity numbers;
-//! * **reference** — `build_hierarchy`, which certifies each component once,
-//!   matches a test-only per-level loop that enumerates every level inside
-//!   every parent, node for node and in the index's `KIDX` bytes.
+//!   `kvccs_containing` vs the localized query, `max_connectivity_of` vs a
+//!   brute force over the levels;
+//! * **reference** — `ConnectivityIndex::build`, which certifies each
+//!   component once, matches a test-only per-level loop that enumerates every
+//!   level inside every parent, node for node and in the index's `KIDX`
+//!   bytes.
 
-use kvcc::hierarchy::HierarchyLevel;
 use kvcc::{
-    build_hierarchy, enumerate_kvccs, kvccs_containing, AlgorithmVariant, ConnectivityIndex,
-    KVertexConnectedComponent, KvccHierarchy, KvccOptions,
+    enumerate_kvccs, kvccs_containing, AlgorithmVariant, ConnectivityIndex,
+    KVertexConnectedComponent, KvccOptions,
 };
 use kvcc_graph::codec::{encode_row, varint};
 use kvcc_graph::kcore::degeneracy;
@@ -53,64 +53,76 @@ fn suites() -> Vec<(&'static str, UndirectedGraph)> {
     ]
 }
 
-fn assert_nesting_invariants(name: &str, g: &UndirectedGraph, hierarchy: &KvccHierarchy) {
+fn assert_nesting_invariants(name: &str, g: &UndirectedGraph, index: &ConnectivityIndex) {
     let options = KvccOptions::default();
-    for (li, level) in hierarchy.levels().iter().enumerate() {
+    let ks: Vec<u32> = (0..index.num_nodes() as u32)
+        .map(|id| index.node_k(id).unwrap())
+        .collect();
+    let levels: Vec<u32> = (1..=index.max_k()).collect();
+    let mut distinct = ks.clone();
+    distinct.dedup();
+    assert_eq!(
+        distinct, levels,
+        "{name}: levels must be contiguous from k = 1"
+    );
+    for k in 1..=index.max_k() {
+        // Per-level components match a direct enumeration of the same k...
+        let direct = enumerate_kvccs(g, k, &options).unwrap();
         assert_eq!(
-            level.k as usize,
-            li + 1,
-            "{name}: levels must be contiguous from k = 1"
-        );
-        // Per-level components match a direct enumeration of the same k.
-        let direct = enumerate_kvccs(g, level.k, &options).unwrap();
-        assert_eq!(
-            level.components.as_slice(),
+            index.components_at(k),
             direct.components(),
-            "{name}: hierarchy level {} disagrees with direct enumeration",
-            level.k
+            "{name}: hierarchy level {k} disagrees with direct enumeration"
         );
-        if li == 0 {
-            assert!(
-                level.parents.iter().all(|p| p.is_none()),
-                "{name}: level 1 has no parents"
-            );
+        // ...and are the level's nodes, in node-id order.
+        let nodes: Vec<&KVertexConnectedComponent> = (0..ks.len() as u32)
+            .filter(|&id| ks[id as usize] == k)
+            .map(|id| index.node_component(id).unwrap())
+            .collect();
+        assert!(
+            nodes.iter().copied().eq(index.components_at(k)),
+            "{name}: level {k} nodes"
+        );
+    }
+    for id in 0..ks.len() as u32 {
+        let k = ks[id as usize];
+        let comp = index.node_component(id).unwrap();
+        if k == 1 {
+            assert_eq!(index.parent(id), None, "{name}: level 1 has no parents");
             continue;
         }
-        let upper = &hierarchy.levels()[li - 1];
-        for (comp, parent) in level.components.iter().zip(&level.parents) {
-            // The recorded parent contains the child...
-            let parent_idx = parent.expect("non-root level has parents");
-            let parent_comp = &upper.components[parent_idx];
-            for &v in comp.vertices() {
-                assert!(
-                    parent_comp.contains(v),
-                    "{name}: child not inside its recorded parent"
-                );
-            }
-            // ...and is the *only* container: k-VCCs overlap in < k vertices,
-            // so a (k+1)-VCC (which has > k vertices) fits in at most one.
-            let containers = upper
-                .components
-                .iter()
-                .filter(|c| comp.vertices().iter().all(|&v| c.contains(v)))
-                .count();
-            assert_eq!(
-                containers, 1,
-                "{name}: every (k+1)-VCC lies inside exactly one k-VCC"
+        // The recorded parent sits one level up and contains the child...
+        let parent = index.parent(id).expect("non-root level has parents");
+        assert_eq!(index.node_k(parent), Some(k - 1), "{name}: node {id}");
+        let parent_comp = index.node_component(parent).unwrap();
+        for &v in comp.vertices() {
+            assert!(
+                parent_comp.contains(v),
+                "{name}: child not inside its recorded parent"
             );
         }
+        // ...and is the *only* container: k-VCCs overlap in < k vertices,
+        // so a (k+1)-VCC (which has > k vertices) fits in at most one.
+        let containers = index
+            .components_at(k - 1)
+            .iter()
+            .filter(|c| comp.vertices().iter().all(|&v| c.contains(v)))
+            .count();
+        assert_eq!(
+            containers, 1,
+            "{name}: every (k+1)-VCC lies inside exactly one k-VCC"
+        );
     }
 }
 
 #[test]
 fn hierarchy_nesting_invariants_hold_on_all_suites() {
     for (name, g) in suites() {
-        let hierarchy = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
+        let index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
         assert!(
-            hierarchy.max_k() >= 2,
+            index.max_k() >= 2,
             "{name}: suite must have a non-trivial hierarchy"
         );
-        assert_nesting_invariants(name, &g, &hierarchy);
+        assert_nesting_invariants(name, &g, &index);
     }
 }
 
@@ -148,9 +160,16 @@ fn index_seed_queries_match_the_direct_query_on_all_suites() {
 #[test]
 fn per_vertex_connectivity_matches_the_hierarchy_on_all_suites() {
     for (name, g) in suites() {
-        let hierarchy = build_hierarchy(&g, None, &KvccOptions::default()).unwrap();
-        let index = ConnectivityIndex::from_hierarchy(&g, &hierarchy);
-        let numbers = hierarchy.connectivity_numbers();
+        let index = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
+        // Brute force: the deepest level with a component holding the vertex.
+        let mut numbers = vec![0u32; g.num_vertices()];
+        for k in 1..=index.max_k() {
+            for comp in index.components_at(k) {
+                for &v in comp.vertices() {
+                    numbers[v as usize] = numbers[v as usize].max(k);
+                }
+            }
+        }
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(
                 index.max_connectivity_of(v),
@@ -292,14 +311,22 @@ fn ranked_listings_cover_the_forest_with_true_metadata_on_all_suites() {
     }
 }
 
-/// The per-level construction `build_hierarchy` replaced: every level is
+/// One level of the per-level reference: its components, sorted, and the
+/// position of each one's parent in the level above.
+struct Level {
+    k: u32,
+    components: Vec<KVertexConnectedComponent>,
+    parents: Vec<Option<usize>>,
+}
+
+/// The per-level construction the index build replaced: every level is
 /// enumerated inside every component of the level above.
 fn per_level_reference(
     g: &UndirectedGraph,
     max_k: Option<u32>,
     options: &KvccOptions,
-) -> Vec<HierarchyLevel> {
-    let mut levels: Vec<HierarchyLevel> = Vec::new();
+) -> Vec<Level> {
+    let mut levels: Vec<Level> = Vec::new();
     let mut map = Vec::new();
     for k in 1..=max_k.unwrap_or_else(|| degeneracy(g)) {
         let mut nodes = Vec::new();
@@ -326,7 +353,7 @@ fn per_level_reference(
         }
         nodes.sort();
         let (components, parents) = nodes.into_iter().unzip();
-        levels.push(HierarchyLevel {
+        levels.push(Level {
             k,
             components,
             parents,
@@ -337,7 +364,7 @@ fn per_level_reference(
 
 /// The `KIDX` v3 bytes of a fresh index over `levels`, written from the
 /// layout `ConnectivityIndex::to_bytes` documents.
-fn kidx_bytes(g: &UndirectedGraph, levels: &[HierarchyLevel], max_k: Option<u32>) -> Vec<u8> {
+fn kidx_bytes(g: &UndirectedGraph, levels: &[Level], max_k: Option<u32>) -> Vec<u8> {
     let mut out = b"KIDX\x03".to_vec();
     out.extend_from_slice(&(g.num_vertices() as u32).to_le_bytes());
     varint::encode_u32(max_k.map_or(0, |cap| cap + 1), &mut out);
@@ -375,19 +402,33 @@ fn assert_matches_reference(
     options: &KvccOptions,
 ) {
     let context = format!("{name}, max_k {max_k:?}, {options:?}");
-    let built = build_hierarchy(g, max_k, options).unwrap();
+    let index = ConnectivityIndex::build(g, max_k, options).unwrap();
     let reference = per_level_reference(g, max_k, options);
-    assert_eq!(built.levels().len(), reference.len(), "{context}: depth");
-    for (got, want) in built.levels().iter().zip(&reference) {
-        assert_eq!(got.k, want.k, "{context}");
+    assert_eq!(index.max_k() as usize, reference.len(), "{context}: depth");
+    let mut id = 0u32;
+    let mut previous_start = 0u32;
+    for want in &reference {
         assert_eq!(
-            got.components, want.components,
+            index.components_at(want.k),
+            want.components.as_slice(),
             "{context}: level {}",
             want.k
         );
-        assert_eq!(got.parents, want.parents, "{context}: level {}", want.k);
+        let start = id;
+        for (c, parent) in want.components.iter().zip(&want.parents) {
+            assert_eq!(index.node_k(id), Some(want.k), "{context}: node {id}");
+            assert_eq!(index.node_component(id), Some(c), "{context}: node {id}");
+            assert_eq!(
+                index.parent(id),
+                parent.map(|p| previous_start + p as u32),
+                "{context}: level {}, node {id}",
+                want.k
+            );
+            id += 1;
+        }
+        previous_start = start;
     }
-    let index = ConnectivityIndex::build(g, max_k, options).unwrap();
+    assert_eq!(id as usize, index.num_nodes(), "{context}: node count");
     assert_eq!(
         index.to_bytes(),
         kidx_bytes(g, &reference, max_k),

@@ -1,15 +1,10 @@
 //! Scheduling parity and cooperative-cancellation acceptance suite (PR 5).
 //!
-//! The work-stealing runtime and skew-aware work splitting are pure
-//! *scheduling* changes: on the planted-partition, Fig. 1 and collaboration
-//! suites, every combination of
-//!
-//! * thread count ({2, 3, 8} — plus the sequential reference),
-//! * forced split threshold ({off, 0 = split everything splittable, a
-//!   moderate cost bound})
-//!
-//! must report the **byte-identical** component set and identical
-//! deterministic statistics counters. Deadlines are the second contract:
+//! The work-stealing runtime is a pure *scheduling* change: on the
+//! planted-partition, Fig. 1 and collaboration suites, every thread count
+//! ({2, 3, 8}) must report the **byte-identical** component set and
+//! identical deterministic statistics counters to the sequential reference.
+//! Deadlines are the second contract:
 //! pre-expired and mid-run budgets interrupt with
 //! `ServiceError::DeadlineExceeded` (code 5) / `KvccError::Interrupted`,
 //! never a panic or a poisoned scratch, and the engine stays fully usable
@@ -55,57 +50,24 @@ fn stealing_and_splitting_match_sequential_byte_for_byte() {
     for (name, g, k_max) in suites() {
         for k in 2..=k_max {
             let sequential = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
-            for threshold in [None, Some(0), Some(400)] {
-                for threads in [2usize, 3, 8] {
-                    let opts = KvccOptions::default()
-                        .with_threads(threads)
-                        .with_split_threshold(threshold);
-                    let run = enumerate_kvccs(&g, k, &opts).unwrap();
-                    let label =
-                        format!("{name}, k {k}, threshold {threshold:?}, {threads} threads");
-                    assert_eq!(run.components(), sequential.components(), "{label}");
-                    // Deterministic counters: the processed item set is
-                    // scheduling-independent (splits/work items depend
-                    // only on the threshold, checked separately below).
-                    let (s, p) = (sequential.stats(), run.stats());
-                    assert_eq!(p.global_cut_calls, s.global_cut_calls, "{label}");
-                    assert_eq!(p.partitions, s.partitions, "{label}");
-                    assert_eq!(p.loc_cut_flow_calls, s.loc_cut_flow_calls, "{label}");
-                    assert_eq!(p.tested_vertices, s.tested_vertices, "{label}");
-                    assert_eq!(
-                        p.kcore_removed_vertices, s.kcore_removed_vertices,
-                        "{label}"
-                    );
-                    assert!(!p.cancelled, "{label}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn split_counters_depend_only_on_the_threshold() {
-    for (name, g, k_max) in suites() {
-        let k = k_max;
-        for threshold in [None, Some(0), Some(400)] {
-            let base = enumerate_kvccs(
-                &g,
-                k,
-                &KvccOptions::default().with_split_threshold(threshold),
-            )
-            .unwrap();
-            for threads in [2usize, 8] {
-                let opts = KvccOptions::default()
-                    .with_threads(threads)
-                    .with_split_threshold(threshold);
+            for threads in [2usize, 3, 8] {
+                let opts = KvccOptions::default().with_threads(threads);
                 let run = enumerate_kvccs(&g, k, &opts).unwrap();
-                let label = format!("{name}, threshold {threshold:?}, {threads} thr");
-                assert_eq!(run.stats().splits, base.stats().splits, "{label}");
+                let label = format!("{name}, k {k}, {threads} threads");
+                assert_eq!(run.components(), sequential.components(), "{label}");
+                // Deterministic counters: the processed item set is
+                // scheduling-independent.
+                let (s, p) = (sequential.stats(), run.stats());
+                assert_eq!(p.global_cut_calls, s.global_cut_calls, "{label}");
+                assert_eq!(p.partitions, s.partitions, "{label}");
+                assert_eq!(p.loc_cut_flow_calls, s.loc_cut_flow_calls, "{label}");
+                assert_eq!(p.tested_vertices, s.tested_vertices, "{label}");
                 assert_eq!(
-                    run.stats().work_items_executed,
-                    base.stats().work_items_executed,
+                    p.kcore_removed_vertices, s.kcore_removed_vertices,
                     "{label}"
                 );
+                assert_eq!(p.work_items_executed, s.work_items_executed, "{label}");
+                assert!(!p.cancelled, "{label}");
             }
         }
     }
