@@ -719,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_and_split_thresholds_agree_exactly() {
+    fn schedulers_agree_exactly() {
         // Triangles connected by bridge edges: every overlap partition leaves
         // a dangling bridge stub that peels, and the fan-out exercises
         // stealing.

@@ -54,26 +54,25 @@
 //!   inside), keeps that old node's whole subtree and its internal-edge
 //!   count. Exact because `G′[C] = G[C]`, and a node's descendants are the
 //!   deeper VCCs of its own induced subgraph.
-//! * **R2 · a k-core component is accepted around an old k-VCC.** When a
-//!   parent `P` is re-derived at level `k`, its children come from the
-//!   connected components of the k-core of `G′[P]` (the first step
-//!   [`enumerate_kvccs`] takes anyway). For such a component `K`, let `C` be
-//!   the old level-k node that shares the most members with `K`, found
-//!   through the old forest's per-vertex leaves. Let `C′ = C ∩ K`, and
-//!   `D = C ∖ K` (say, members a deletion dropped out of the k-core). Let `T`
-//!   be the members of `C′` that were G-neighbours of `D`, in increasing
-//!   order; the repair takes `D`'s G′-neighbours and net-deleted partners in
-//!   `C′`, a superset, which the proof allows. The first `min(k, |T|)`
-//!   members of `T` are its *hubs*. `K` is a k-VCC, with no `GLOBAL-CUT*`,
-//!   when `|C′| > k` and:
+//! * **R2 · a k-core component is accepted around an old k-VCC, or split
+//!   on the cut that refutes it.** When a parent `P` is re-derived at level
+//!   `k`, its children come from a worklist seeded with the connected
+//!   components of the k-core of `G′[P]` (the first step [`enumerate_kvccs`]
+//!   takes anyway). For a component `K` on the worklist, let `C` be the old
+//!   level-k node that shares the most members with `K`, found through the
+//!   old forest's per-vertex leaves. Let `C′ = C ∩ K`, and `D = C ∖ K` (say,
+//!   members a deletion dropped out of the k-core). Let `T` be the members
+//!   of `C′` that were G-neighbours of `D`, in increasing order; the repair
+//!   takes `D`'s G′-neighbours and net-deleted partners in `C′`, a superset,
+//!   which the proof allows. The first `min(k, |T|)` members of `T` are its
+//!   *hubs*. `K` is a k-VCC, with no `GLOBAL-CUT*`, when `|C′| > k` and:
 //!   - (a) every net-deleted pair inside `C′`, and every pair `(T[i], T[j])`
 //!     with `T[i]` a hub and `i < j`, has `κ ≥ k` in `G′[K]`;
 //!   - (b) every `x ∈ K ∖ C′` with fewer than `k` neighbours in `C′` has a
-//!     k-fan into `C′`: `κ(x, t) ≥ k` in `G′[K]` plus one sink `t` adjacent
+//!     k-fan into `C′`: `κ(t, x) ≥ k` in `G′[K]` plus one sink `t` adjacent
 //!     to every member of `C′` (Menger's fan lemma).
 //!
-//!   Otherwise `K` goes to [`enumerate_kvccs`]. Exact: take any `S ⊆ K`
-//!   with `|S| < k`.
+//!   Exact: take any `S ⊆ K` with `|S| < k`.
 //!   - `G[C] − S` is connected, since `G[C]` was k-connected. A path in it
 //!     between two members of `C′ ∖ S` runs through `C′` and `D`. Two
 //!     members of `C′` that follow each other on it are joined in `G′`, or
@@ -91,9 +90,31 @@
 //!     into `C′ ∖ S`. So `G′[K] − S` is connected, and `K` (with `|K| > k`)
 //!     is k-connected.
 //!
-//!   No larger k-connected set inside `P` contains `K`, a connected
-//!   component of the k-core, so `K` is a k-VCC. When `C ⊆ K`, `D` and `T`
-//!   are empty, and (a) probes only the net-deleted pairs.
+//!   The proof uses only that `C` was k-connected in `G`, so it holds for
+//!   every component on the worklist. No larger k-connected set inside the
+//!   graph `K` was taken from (`G′[P]`, or a part below) contains `K`, a
+//!   connected component of that graph's k-core, so `K` is a k-VCC of it.
+//!   When `C ⊆ K`, `D` and `T` are empty, and (a) probes only the
+//!   net-deleted pairs.
+//!
+//!   **A refusal is a cut.** Each probe is one k-bounded flow, and the
+//!   first that fails returns a minimum vertex cut `S` of `G′[K]` with
+//!   `|S| < k`. `S` separates two vertices of `K`: a hub pair's or a
+//!   net-deleted pair's cut separates the pair's two ends, and a fan
+//!   probe's cut separates `x` from `C′ ∖ S`, which is not empty because
+//!   `|C′| > k`. `K` then takes Algorithm 1's cut step: `OVERLAP-PARTITION`
+//!   splits `G′[K]` along `S`, and the k-core components of each part go
+//!   back on the worklist. Every k-VCC of `G′[K]` has more than `|S|`
+//!   members and stays connected without `S`, so it lies in exactly one
+//!   part; and every k-VCC of a part is one of `G′[K]`, since a larger
+//!   k-connected set would lie in the same part. Each part misses a vertex
+//!   of `K`, so the worklist ends. A component with no anchor `C`, or with
+//!   `|C′| ≤ k`, goes to [`enumerate_kvccs`] on its own.
+//!
+//!   (b)'s probes run from `t` to `x`, which gives the same verdicts since
+//!   κ is symmetric. Each Dinic phase's reverse BFS then starts at `x` and
+//!   stops at the first member of `C′` it reaches, where from `t` it would
+//!   label every member of `C′` first.
 //! * **R3 · the certified level is a floor.** A re-derived node equal to an
 //!   old node whose vertex set spans old levels `k ..= t` was t-connected in
 //!   `G`. Let `cap′ = min(δ′, depth limit)` and `t′ = min(t, cap′)`. If every
@@ -104,11 +125,11 @@
 //!   `GLOBAL-CUT*`; otherwise one call at `cap′` runs, and a binary search
 //!   between `t′` and the cut size only when that call finds a cut.
 //!
-//! Each probe is one k-bounded [`VertexFlowGraph`] flow; the first failing
-//! probe ends its rule, and [`KvccOptions::budget`] is polled once per probe.
-//! The repaired forest equals a rebuild node for node.
+//! Each probe is one bounded [`VertexFlowGraph`] flow; the first failing
+//! probe ends its rule, and [`KvccOptions::budget`] is polled once per Dinic
+//! phase. The repaired forest equals a rebuild node for node.
 
-use kvcc_flow::VertexFlowGraph;
+use kvcc_flow::{LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::kcore::{degeneracy, k_core_vertices};
 use kvcc_graph::traversal::{connected_components, connected_components_filtered, two_vccs};
 use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, UpdateOp, VertexId};
@@ -118,7 +139,8 @@ use crate::error::KvccError;
 use crate::global_cut::{global_cut_with_scratch, CutScratch};
 use crate::index::{ConnectivityIndex, NO_PARENT};
 use crate::options::KvccOptions;
-use crate::result::{KVertexConnectedComponent, KvccResult};
+use crate::partition::overlap_partition;
+use crate::result::KVertexConnectedComponent;
 use crate::stats::EnumerationStats;
 
 /// The origin of a node the level loop derived itself (no R1 subtree).
@@ -198,13 +220,13 @@ impl<'a> Prior<'a> {
             // Nodes below a level-k match are its subsets, so the first one
             // of equal size on the way up is the deepest copy of it.
             let mut deepest = None;
-            while forest.level(node) >= k {
-                let size = forest.members(node).len();
-                if deepest.is_none() && size == members.len() {
-                    deepest = Some(forest.level(node));
+            while forest.node_k(node)? >= k {
+                let old = forest.node_component(node)?.vertices();
+                if deepest.is_none() && old.len() == members.len() {
+                    deepest = Some(forest.node_k(node)?);
                 }
-                if forest.level(node) == k {
-                    if forest.members(node) == members {
+                if forest.node_k(node)? == k {
+                    if old == members {
                         return Some(Match {
                             id: node,
                             deepest: deepest.unwrap_or(k),
@@ -213,16 +235,16 @@ impl<'a> Prior<'a> {
                     }
                     break;
                 }
-                node = forest.parent(node).expect("levels above 1 have parents");
+                node = forest.parent(node)?;
             }
         }
         None
     }
 
-    /// R2's anchor: the old level-k node that shares the most members with
-    /// `members`, found by walking each member's leaves up to level `k`
-    /// (ties go to the smaller node id).
-    fn anchor(&self, k: u32, members: impl Iterator<Item = VertexId>) -> Option<u32> {
+    /// The members of R2's anchor: the old level-k node that shares the
+    /// most members with `members`, found by walking each member's leaves
+    /// up to level `k` (ties go to the smaller node id).
+    fn anchor(&self, k: u32, members: impl Iterator<Item = VertexId>) -> Option<&'a [VertexId]> {
         let forest = self.forest;
         // One entry per member and level-k node holding it.
         let mut hits: Vec<u32> = Vec::new();
@@ -230,10 +252,10 @@ impl<'a> Prior<'a> {
             let first = hits.len();
             for &leaf in forest.leaves(v) {
                 let mut node = leaf;
-                while forest.level(node) > k {
-                    node = forest.parent(node).expect("levels above 1 have parents");
+                while forest.node_k(node)? > k {
+                    node = forest.parent(node)?;
                 }
-                if forest.level(node) == k && !hits[first..].contains(&node) {
+                if forest.node_k(node)? == k && !hits[first..].contains(&node) {
                     hits.push(node);
                 }
             }
@@ -245,7 +267,7 @@ impl<'a> Prior<'a> {
                 best = Some((run.len(), run[0]));
             }
         }
-        best.map(|(_, node)| node)
+        Some(forest.node_component(best?.1)?.vertices())
     }
 
     /// R1 for a node with no certification to inherit: the old node whose
@@ -274,6 +296,19 @@ impl<'a> Prior<'a> {
             }
         }
     }
+}
+
+/// R2's verdict on a k-core component `K` (see the module docs).
+#[derive(Debug, PartialEq, Eq)]
+enum Verdict {
+    /// `K` is a k-VCC.
+    Kvcc,
+    /// A vertex cut of `G′[K]` with fewer than `k` vertices, as sorted
+    /// positions in `K`.
+    Cut(Vec<VertexId>),
+    /// `K` has no anchor, or shares at most `k` members with it: it goes to
+    /// [`enumerate_kvccs`].
+    Enumerate,
 }
 
 /// A node of the level under construction.
@@ -512,8 +547,8 @@ impl<'a> LevelLoop<'a> {
 
     /// The level-k children of a re-derived parent, as sorted local ids of
     /// `sub` (the parent's induced graph in `graph`; `parent` maps its ids
-    /// back). The build enumerates them; the repair first offers each k-core
-    /// component to R2.
+    /// back). The build enumerates them; the repair runs R2's worklist,
+    /// seeded with the k-core components of `sub`.
     fn children<G: GraphView>(
         &mut self,
         graph: &G,
@@ -521,44 +556,46 @@ impl<'a> LevelLoop<'a> {
         parent: &[VertexId],
         k: u32,
     ) -> Result<Vec<Vec<VertexId>>, KvccError> {
-        let local = |result: KvccResult| -> Vec<Vec<VertexId>> {
-            result.iter().map(|c| c.vertices().to_vec()).collect()
-        };
         let Some(prior) = self.prior else {
-            return Ok(local(enumerate_kvccs(sub, k, self.options)?));
+            let result = enumerate_kvccs(sub, k, self.options)?;
+            return Ok(result.iter().map(|c| c.vertices().to_vec()).collect());
         };
-        let mut alive = BitSet::new(sub.num_vertices());
-        for v in k_core_vertices(sub, k as usize) {
-            alive.insert(v as usize);
-        }
-        let mut accepted = Vec::new();
-        let mut rest: Vec<VertexId> = Vec::new();
-        for piece in connected_components_filtered(sub, &alive) {
-            if self.fans_hold(prior, graph, sub, parent, &piece, k)? {
-                accepted.push(piece);
-            } else {
-                rest.extend_from_slice(&piece);
+        let mut found = Vec::new();
+        let mut work = k_core_components(sub, k);
+        while let Some(piece) = work.pop() {
+            match self.fans_hold(prior, graph, sub, parent, &piece, k)? {
+                Verdict::Kvcc => found.push(piece),
+                Verdict::Cut(cut) => {
+                    let induced = CsrGraph::extract_induced(sub, &piece, &mut self.map);
+                    let parts = overlap_partition(&induced, &cut);
+                    assert!(parts.len() > 1, "a refusing probe's cut splits G′[K]");
+                    for part in parts {
+                        // A core's ids map back through `part`, then `piece`.
+                        let within = CsrGraph::extract_induced(&induced, &part, &mut self.map);
+                        for core in k_core_components(&within, k) {
+                            work.push(
+                                core.iter()
+                                    .map(|&x| piece[part[x as usize] as usize])
+                                    .collect(),
+                            );
+                        }
+                    }
+                }
+                Verdict::Enumerate => {
+                    let induced = CsrGraph::extract_induced(sub, &piece, &mut self.map);
+                    for c in enumerate_kvccs(&induced, k, self.options)?.iter() {
+                        found.push(c.vertices().iter().map(|&x| piece[x as usize]).collect());
+                    }
+                }
             }
         }
-        if accepted.is_empty() {
-            return Ok(local(enumerate_kvccs(sub, k, self.options)?));
-        }
-        if !rest.is_empty() {
-            // The rejected pieces share no edge, so one enumeration of their
-            // union finds exactly the k-VCCs inside each.
-            rest.sort_unstable();
-            let union = CsrGraph::extract_induced(sub, &rest, &mut self.map);
-            for comp in enumerate_kvccs(&union, k, self.options)?.iter() {
-                accepted.push(comp.vertices().iter().map(|&l| rest[l as usize]).collect());
-            }
-        }
-        Ok(accepted)
+        Ok(found)
     }
 
-    /// R2: whether the k-core component `piece` (sorted local ids of `sub`)
-    /// is a k-VCC, by probes anchored on the old level-k node `C` that
-    /// shares the most members with it. `graph` is `G′`, for the neighbours
-    /// of `C`'s members outside `K`.
+    /// R2's verdict on the k-core component `piece` (sorted local ids of
+    /// `sub`), by probes anchored on the old level-k node `C` that shares
+    /// the most members with it. `graph` is `G′`, for the neighbours of
+    /// `C`'s members outside `K`.
     fn fans_hold<G: GraphView>(
         &mut self,
         prior: &Prior,
@@ -567,9 +604,9 @@ impl<'a> LevelLoop<'a> {
         parent: &[VertexId],
         piece: &[VertexId],
         k: u32,
-    ) -> Result<bool, KvccError> {
+    ) -> Result<Verdict, KvccError> {
         let Some(anchor) = prior.anchor(k, piece.iter().map(|&l| parent[l as usize])) else {
-            return Ok(false);
+            return Ok(Verdict::Enumerate);
         };
         // The position of a vertex in `piece`, which is its id in G′[K].
         let position = |v: VertexId| -> Option<VertexId> {
@@ -579,14 +616,14 @@ impl<'a> LevelLoop<'a> {
         // C′ = C ∩ K as positions, and D = C ∖ K.
         let mut shared = Vec::new();
         let mut dropped = Vec::new();
-        for &v in prior.forest.members(anchor) {
+        for &v in anchor {
             match position(v) {
                 Some(x) => shared.push(x),
                 None => dropped.push(v),
             }
         }
         if shared.len() <= k as usize {
-            return Ok(false);
+            return Ok(Verdict::Enumerate);
         }
         let mut in_shared = BitSet::new(piece.len());
         for &x in &shared {
@@ -621,14 +658,14 @@ impl<'a> LevelLoop<'a> {
             pairs.extend(touching[i + 1..].iter().map(|&y| (hub, y)));
         }
         if pairs.is_empty() && shared.len() == piece.len() {
-            return Ok(true);
+            return Ok(Verdict::Kvcc);
         }
         let induced = CsrGraph::extract_induced(sub, piece, &mut self.map);
-        if !self.probes_hold(&induced, pairs, k)? {
-            return Ok(false);
+        if let Some(cut) = self.first_cut(&induced, pairs, k)? {
+            return Ok(Verdict::Cut(cut));
         }
         // (b) Every other member reaches C′ by k edges, or else by a k-fan:
-        // a flow of k into a sink t adjacent to all of C′.
+        // a flow of k between it and a sink t adjacent to all of C′.
         let fanless: Vec<VertexId> = induced
             .vertices()
             .filter(|&x| {
@@ -643,13 +680,16 @@ impl<'a> LevelLoop<'a> {
             })
             .collect();
         if fanless.is_empty() {
-            return Ok(true);
+            return Ok(Verdict::Kvcc);
         }
         let sink = piece.len() as VertexId;
         let to_sink = shared.iter().map(|&x| (x, sink));
         let fan = CsrGraph::from_edges(piece.len() + 1, induced.edges().chain(to_sink))
             .expect("ids lie inside the fan graph");
-        self.probes_hold(&fan, fanless.into_iter().map(|x| (x, sink)), k)
+        // From t to x: each phase's reverse BFS starts at x and stops at the
+        // first member of C′ it reaches. The cut never holds t or x.
+        let cut = self.first_cut(&fan, fanless.into_iter().map(|x| (sink, x)), k)?;
+        Ok(cut.map_or(Verdict::Kvcc, Verdict::Cut))
     }
 
     /// Whether every net-deleted pair inside `members` (the vertex set of
@@ -663,30 +703,46 @@ impl<'a> LevelLoop<'a> {
         let Some(prior) = self.prior else {
             return Ok(true);
         };
-        self.probes_hold(induced, Prior::inside(&prior.net_deleted, members), j)
+        let pairs = Prior::inside(&prior.net_deleted, members);
+        Ok(self.first_cut(induced, pairs, j)?.is_none())
     }
 
-    /// Whether every pair of `pairs` has local connectivity at least `j` in
-    /// `graph`, which is loaded into the arena before the first probe.
-    fn probes_hold(
+    /// The minimum vertex cut (sorted, fewer than `j` vertices) of the first
+    /// pair of `pairs` whose local connectivity in `graph` is below `j`, or
+    /// `None` when every pair reaches `j`. `graph` is loaded into the arena
+    /// before the first probe.
+    fn first_cut(
         &mut self,
         graph: &CsrGraph,
         pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
         j: u32,
-    ) -> Result<bool, KvccError> {
+    ) -> Result<Option<Vec<VertexId>>, KvccError> {
         let mut loaded = false;
         for (a, b) in pairs {
-            self.options.budget.check()?;
             if !loaded {
                 self.flow.rebuild(graph);
                 loaded = true;
             }
-            if !self.flow.has_connectivity_at_least(a, b, j) {
-                return Ok(false);
+            let probe = self
+                .flow
+                .local_connectivity_budgeted(a, b, j, &self.options.budget)?;
+            if let LocalConnectivity::Cut(cut) = probe {
+                return Ok(Some(cut));
             }
         }
-        Ok(true)
+        Ok(None)
     }
+}
+
+/// The connected components of the k-core of `graph`, as sorted vertex
+/// lists. Each has more than `k` vertices, since each member has `k`
+/// neighbours in it.
+fn k_core_components(graph: &CsrGraph, k: u32) -> Vec<Vec<VertexId>> {
+    let mut alive = BitSet::new(graph.num_vertices());
+    for v in k_core_vertices(graph, k as usize) {
+        alive.insert(v as usize);
+    }
+    connected_components_filtered(graph, &alive)
 }
 
 /// The level up to which a component `C`, given as its induced CSR graph
@@ -799,7 +855,7 @@ mod tests {
                 let parent = h.parent(id).expect("non-root level has parents");
                 assert_eq!(h.node_k(parent), Some(k - 1));
                 let parent = h.node_component(parent).unwrap();
-                for &v in h.members(id) {
+                for &v in h.node_component(id).unwrap().vertices() {
                     assert!(parent.contains(v));
                 }
             }
@@ -916,23 +972,32 @@ mod tests {
         origins
     }
 
-    /// R2 on the one component of the 3-core of the graph after `batch`,
-    /// taken as a child of a level-2 node spanning the whole graph.
-    fn fans_at_level_3(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> bool {
+    /// R2's verdict on the one component of the 3-core of the graph after
+    /// `batch`, taken as a child of a level-2 node spanning the whole
+    /// graph. A cut is checked to have fewer than 3 vertices and to split
+    /// the component, and comes back as vertex ids.
+    fn fans_at_level_3(before: &UndirectedGraph, batch: &[EdgeUpdate]) -> Verdict {
         let options = KvccOptions::default();
         let forest = ConnectivityIndex::build(before, None, &options).unwrap();
         let g = after(before, batch);
         let prior = Prior::new(&forest, &g, batch);
         let mut run = LevelLoop::new(3, Some(&prior), &options);
         let parent: Vec<VertexId> = g.vertices().collect();
-        let mut alive = BitSet::new(g.num_vertices());
-        for v in k_core_vertices(&g, 3) {
-            alive.insert(v as usize);
-        }
-        let pieces = connected_components_filtered(&g, &alive);
+        let pieces = k_core_components(&g, 3);
         assert_eq!(pieces.len(), 1, "the 3-core is one component");
-        run.fans_hold(&prior, &g, &g, &parent, &pieces[0], 3)
-            .unwrap()
+        let piece = &pieces[0];
+        match run.fans_hold(&prior, &g, &g, &parent, piece, 3).unwrap() {
+            Verdict::Cut(cut) => {
+                assert!(cut.len() < 3, "a cut below k: {cut:?}");
+                let induced = CsrGraph::extract_induced(&g, piece, &mut Vec::new());
+                assert!(
+                    overlap_partition(&induced, &cut).len() > 1,
+                    "the cut splits the component"
+                );
+                Verdict::Cut(cut.iter().map(|&x| piece[x as usize]).collect())
+            }
+            verdict => verdict,
+        }
     }
 
     #[test]
@@ -960,7 +1025,7 @@ mod tests {
         edges.extend([(4, 0), (4, 1), (5, 2), (5, 3)]);
         let g = UndirectedGraph::from_edges(6, edges).unwrap();
         let batch = [EdgeUpdate::insert(4, 5)];
-        assert!(fans_at_level_3(&g, &batch));
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Kvcc);
         repair(&g, &batch);
     }
 
@@ -969,13 +1034,13 @@ mod tests {
         // K4 {0,1,2,3} and triangle {4,5,6}, attached by 4-0, 5-0 and 6-1.
         // Every vertex then has degree at least 3, so the 3-core holds all
         // seven, yet {0, 1} separates the triangle: 4 has no 3-fan into
-        // the K4, and the only 3-VCC is the K4.
+        // the K4, its probe returns that cut, and the only 3-VCC is the K4.
         let mut edges = clique(&[0, 1, 2, 3]);
         edges.extend(clique(&[4, 5, 6]));
         edges.extend([(4, 0), (5, 0)]);
         let g = UndirectedGraph::from_edges(7, edges).unwrap();
         let batch = [EdgeUpdate::insert(6, 1)];
-        assert!(!fans_at_level_3(&g, &batch));
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Cut(vec![0, 1]));
         repair(&g, &batch);
         let h = build(&after(&g, &batch), None);
         assert_eq!(h.components_at(3)[0].vertices(), &[0, 1, 2, 3]);
@@ -992,7 +1057,7 @@ mod tests {
         edges.extend([(4, 0), (4, 1), (4, 2)]);
         let g = UndirectedGraph::from_edges(5, edges).unwrap();
         let batch = [EdgeUpdate::delete(4, 0)];
-        assert!(fans_at_level_3(&g, &batch));
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Kvcc);
         let origins = repair(&g, &batch);
         assert!(origins.iter().all(|&o| o == REDERIVED));
     }
@@ -1003,9 +1068,9 @@ mod tests {
         // adjacent to 2, 3 and 6: one 3-VCC, in which 8 carries the third
         // path between the blocks. Deleting 8-3 drops 8 out of the 3-core,
         // so T = {2, 3, 6}, and κ(2, 6) = 2 in G′[K] ({0, 1} separates
-        // them): R2 refuses, and level 3 becomes the two K4s. Deleting 8-6
-        // instead refuses the same way, with 6 in T only as 8's deleted
-        // partner.
+        // them): R2 refuses with that cut, and level 3 becomes the two K4s.
+        // Deleting 8-6 instead refuses the same way, with 6 in T only as
+        // 8's deleted partner.
         let mut edges = clique(&[0, 1, 2, 3]);
         edges.extend(clique(&[4, 5, 6, 7]));
         edges.extend([(0, 4), (1, 5), (8, 2), (8, 3), (8, 6)]);
@@ -1013,7 +1078,7 @@ mod tests {
         let h = build(&g, None);
         assert_eq!(h.components_at(3)[0].len(), 9);
         for batch in [[EdgeUpdate::delete(8, 3)], [EdgeUpdate::delete(8, 6)]] {
-            assert!(!fans_at_level_3(&g, &batch));
+            assert_eq!(fans_at_level_3(&g, &batch), Verdict::Cut(vec![0, 1]));
             repair(&g, &batch);
             let h = build(&after(&g, &batch), None);
             let level3: Vec<&[VertexId]> =
@@ -1028,7 +1093,7 @@ mod tests {
         // 0, 2 and 5, which makes the whole graph one 3-VCC. Deleting 8-0
         // drops 8 out of the 3-core, and T = {0, 2, 5}. The first hub, 0,
         // is adjacent to both others, but the cut {0, 1} separates 2 from 5,
-        // which only the second hub's probe sees: R2 refuses.
+        // which only the second hub's probe sees: R2 refuses with that cut.
         let mut edges = clique(&[0, 1, 2, 3, 4]);
         edges.extend(clique(&[0, 1, 5, 6, 7]));
         edges.extend([(8, 0), (8, 2), (8, 5)]);
@@ -1036,8 +1101,76 @@ mod tests {
         let h = build(&g, None);
         assert_eq!(h.components_at(3)[0].len(), 9);
         let batch = [EdgeUpdate::delete(8, 0)];
-        assert!(!fans_at_level_3(&g, &batch));
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Cut(vec![0, 1]));
         repair(&g, &batch);
+    }
+
+    #[test]
+    fn r2_splits_a_refused_component_on_the_cut_of_its_probe() {
+        // K5 minus 0-2 on {0..4} and K5 on {5..9}, joined by 0-5 and 1-6:
+        // level 3 holds the two blocks. Inserting 0-2 makes the whole graph
+        // one 3-core component, anchored on the first block. 5 has no 3-fan
+        // into it, and the probe's cut {0, 1} splits the component into the
+        // two blocks, each of which R2 then accepts. The second block equals
+        // an old node and holds no updated pair, so it keeps its old nodes,
+        // ids 3 and 4, through R1.
+        let mut edges = clique(&[0, 1, 2, 3, 4]);
+        edges.retain(|&e| e != (0, 2));
+        edges.extend(clique(&[5, 6, 7, 8, 9]));
+        edges.extend([(0, 5), (1, 6)]);
+        let g = UndirectedGraph::from_edges(10, edges).unwrap();
+        let h = build(&g, None);
+        let level3: Vec<&[VertexId]> = h.components_at(3).iter().map(|c| c.vertices()).collect();
+        assert_eq!(level3, [&[0, 1, 2, 3, 4], &[5, 6, 7, 8, 9]]);
+        let batch = [EdgeUpdate::insert(0, 2)];
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Cut(vec![0, 1]));
+        let origins = repair(&g, &batch);
+        assert_eq!(origins, [REDERIVED, REDERIVED, REDERIVED, 3, REDERIVED, 4]);
+    }
+
+    #[test]
+    fn r2_enumerates_a_component_with_no_anchor() {
+        // K4 minus 0-1 on {0,1,2,3} and K4 minus 4-5 on {2,3,4,5}: one 2-VCC
+        // with an empty 3-core. Inserting 0-1 and 4-5 makes the whole graph
+        // one 3-core component, two K4s sharing 2 and 3, and no old level-3
+        // node meets it: it is enumerated, into the two K4s.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend(clique(&[2, 3, 4, 5]));
+        edges.retain(|&e| e != (0, 1) && e != (4, 5));
+        let g = UndirectedGraph::from_edges(6, edges).unwrap();
+        assert!(build(&g, None).components_at(3).is_empty());
+        let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(4, 5)];
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Enumerate);
+        repair(&g, &batch);
+        let h = build(&after(&g, &batch), None);
+        let level3: Vec<&[VertexId]> = h.components_at(3).iter().map(|c| c.vertices()).collect();
+        assert_eq!(level3, [&[0, 1, 2, 3], &[2, 3, 4, 5]]);
+    }
+
+    #[test]
+    fn r2_enumerates_a_component_that_shares_at_most_k_members_with_its_anchor() {
+        // K4 {0,1,2,3}, plus 4 adjacent to 2 and 3, and K4 minus 5-6 on
+        // {2,3,5,6}: level 3 holds the first K4 only. Deleting 0-1 and
+        // inserting 1-4 and 5-6 drops 0 out of the 3-core and leaves one
+        // component, the K4s {1,2,3,4} and {2,3,5,6} sharing 2 and 3. It
+        // shares only C′ = {1, 2, 3} with the old K4: no more than k
+        // members, so it is enumerated, into the two K4s.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend([(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)]);
+        let g = UndirectedGraph::from_edges(7, edges).unwrap();
+        let h = build(&g, None);
+        let level3: Vec<&[VertexId]> = h.components_at(3).iter().map(|c| c.vertices()).collect();
+        assert_eq!(level3, [&[0, 1, 2, 3]]);
+        let batch = [
+            EdgeUpdate::delete(0, 1),
+            EdgeUpdate::insert(1, 4),
+            EdgeUpdate::insert(5, 6),
+        ];
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Enumerate);
+        repair(&g, &batch);
+        let h = build(&after(&g, &batch), None);
+        let level3: Vec<&[VertexId]> = h.components_at(3).iter().map(|c| c.vertices()).collect();
+        assert_eq!(level3, [&[1, 2, 3, 4], &[2, 3, 5, 6]]);
     }
 
     #[test]
@@ -1055,7 +1188,7 @@ mod tests {
         edges.extend((0..5).map(|i| (10, i)));
         let g = UndirectedGraph::from_edges(11, edges).unwrap();
         let batch = [0, 1, 2].map(|i| EdgeUpdate::delete(10, i));
-        assert!(fans_at_level_3(&g, &batch));
+        assert_eq!(fans_at_level_3(&g, &batch), Verdict::Kvcc);
         repair(&g, &batch);
         let h = build(&after(&g, &batch), None);
         let petersen: Vec<VertexId> = (0..10).collect();

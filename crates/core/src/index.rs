@@ -642,11 +642,14 @@ impl ConnectivityIndex {
     /// components of the whole graph; a node equal to an old one and holding
     /// no updated pair keeps the old subtree and internal-edge counts; a
     /// k-core component that shares more than k members with an old k-VCC
-    /// is accepted by flow probes around those members; a re-derived node
-    /// equal to an old one starts its certification at the old level when
-    /// its deleted pairs still hold there; and every other node is
-    /// enumerated and certified exactly as
-    /// [`ConnectivityIndex::build`] does. The result is **byte-identical**
+    /// is accepted by flow probes around those members, or else split on
+    /// the vertex cut below k that the first failing probe returns, the
+    /// k-core components of each part taking the same test; a component
+    /// with no such old k-VCC is enumerated on its own; and a re-derived
+    /// node equal to an old one starts its certification at the old level
+    /// when its deleted pairs still hold there, every other one being
+    /// certified exactly as [`ConnectivityIndex::build`] does. The result
+    /// is **byte-identical**
     /// (`to_bytes`) to a rebuild on `graph`, with the epoch one past this
     /// index's; an empty batch, which keeps every node, still advances it.
     ///
@@ -709,16 +712,6 @@ impl ConnectivityIndex {
     /// The deepest nodes containing `v` (its leaf pointers).
     pub(crate) fn leaves(&self, v: VertexId) -> &[u32] {
         &self.leaves_of[v as usize]
-    }
-
-    /// The level of node `id`.
-    pub(crate) fn level(&self, id: u32) -> u32 {
-        self.ks[id as usize]
-    }
-
-    /// The members of node `id`.
-    pub(crate) fn members(&self, id: u32) -> &[VertexId] {
-        self.components[id as usize].vertices()
     }
 
     /// The node ids of level `k` (empty past the deepest level).

@@ -620,8 +620,9 @@ impl ServiceEngine {
     /// by level ([`ConnectivityIndex::apply_updates`]) into the new slot's
     /// index, reading the old one in place: subtrees the batch leaves
     /// untouched are kept, k-core components that grew or lost members of
-    /// an old k-VCC are accepted by flow probes around it, and only the
-    /// rest is re-enumerated. The repaired forest is byte-identical
+    /// an old k-VCC are accepted by flow probes around it or split on the
+    /// cut a failing probe finds, and only a component that no old k-VCC
+    /// anchors is enumerated. The repaired forest is byte-identical
     /// to a from-scratch rebuild. A slot whose index was never built stays
     /// unindexed — the next query that needs it builds against the updated
     /// graph (and stamps it with the new epoch). The batch is applied to a

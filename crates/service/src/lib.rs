@@ -41,10 +41,10 @@
 //!   ([`ServiceEngine::apply_updates`]): in-flight queries keep their
 //!   snapshot, the slot's connectivity index is repaired level by level
 //!   (untouched subtrees kept, k-VCCs that grew or lost members accepted
-//!   by flow probes, only the rest re-enumerated) instead of rebuilt, every batch bumps the
-//!   graph's epoch (reported by `Stats`, stamped into page cursors so stale
-//!   pagination is rejected),
-//!   and the answer ([`QueryResponse::Updated`]) is byte-identical to
+//!   by flow probes or split on the cut a failing probe finds) instead of
+//!   rebuilt, every batch bumps the graph's epoch (reported by `Stats`,
+//!   stamped into page cursors so stale pagination is rejected), and the
+//!   answer ([`QueryResponse::Updated`]) is byte-identical to
 //!   reloading the updated graph from scratch;
 //! * **query-serving QoS (protocol v6)** — an opt-in [`qos`] layer in front
 //!   of every query path: a bounded result cache keyed by

@@ -46,7 +46,7 @@ fn suites() -> Vec<(String, UndirectedGraph, u32)> {
 }
 
 #[test]
-fn stealing_and_splitting_match_sequential_byte_for_byte() {
+fn stealing_matches_sequential_byte_for_byte() {
     for (name, g, k_max) in suites() {
         for k in 2..=k_max {
             let sequential = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
