@@ -15,9 +15,12 @@
 //!   from [`kvcc_graph::traversal`] in `O(n + m)`.
 //! * **Each new component is certified.** When a component `C` first appears
 //!   at level `k`, its connectivity `κ(C)` is computed, capped at
-//!   `min(δ(C), depth limit)`: one `GLOBAL-CUT*` call at the cap, and only
-//!   when that call finds a cut `S`, a binary search between `k` and `|S|`
-//!   (`κ(C) ≤ |S|`, since `S` separates `C`).
+//!   `min(δ(C), depth limit)`. One bounded flow runs first, from a
+//!   minimum-degree vertex to a vertex farthest from it. A cut `S` it
+//!   returns separates `C`, so `κ(C) ≤ |S|`, and `|S| = k` settles `C` at
+//!   `k`. Otherwise one `GLOBAL-CUT*` call at the cap runs when the probe
+//!   found no cut, and a binary search between `k` and the size of the cut
+//!   the probe or that call found runs when either found one.
 //! * **A certified component is copied, not re-enumerated.** Say `C` is
 //!   certified at `t`. By the maximality in the k-VCC definition (§2), `C` is
 //!   then the only j-VCC inside itself for every `k ≤ j ≤ t`: a larger
@@ -27,10 +30,13 @@
 //!   child, and enumerated with [`enumerate_kvccs`] only at level `t + 1`.
 //!
 //! The output is the same forest as enumerating every level inside every
-//! parent. Each enumeration slices its parent out of the (arbitrary
-//! [`GraphView`]) input as one compact CSR work item through one reusable
-//! relabelling buffer — no per-level whole-graph copies — and drains on the
-//! parallel worklist when [`KvccOptions::threads`] asks for it. This module is
+//! parent. **Each component is sliced once.** Its induced graph, one compact
+//! CSR work item, comes out of the (arbitrary [`GraphView`]) input at level
+//! 2 and out of the parent's slice below, through one reusable relabelling
+//! buffer. That slice certifies the component, travels with its copies, and
+//! is the graph its children are enumerated in (on the parallel worklist
+//! when [`KvccOptions::threads`] asks for it); its edge count is the node's
+//! internal-edge count. No level copies the whole graph. This module is
 //! an extension of the paper's algorithm (the paper fixes a single k). Its
 //! level loop writes each finished level straight into the flat forest of a
 //! [`ConnectivityIndex`] (node ids level by level, each parent as a node id
@@ -115,23 +121,53 @@
 //!   κ is symmetric. Each Dinic phase's reverse BFS then starts at `x` and
 //!   stops at the first member of `C′` it reaches, where from `t` it would
 //!   label every member of `C′` first.
-//! * **R3 · the certified level is a floor.** A re-derived node equal to an
-//!   old node whose vertex set spans old levels `k ..= t` was t-connected in
-//!   `G`. Let `cap′ = min(δ′, depth limit)` and `t′ = min(t, cap′)`. If every
-//!   net-deleted pair inside it has `κ ≥ t′` in `G′[C]`, it is t′-connected
-//!   in `G′`: a cut below `t′ ≤ t` leaves `G[C]` connected, so it separates
-//!   some net-deleted pair. The search for its certified level then starts
-//!   at `t′` instead of `k`. When `cap′ ≤ t` that settles it with no
-//!   `GLOBAL-CUT*`; otherwise one call at `cap′` runs, and a binary search
-//!   between `t′` and the cut size only when that call finds a cut.
+//! * **R3 · the certified level is bounded on both sides.** A re-derived
+//!   node equal to an old node whose vertex set spans old levels `k ..= t`
+//!   was t-connected in `G`. Let `cap′ = min(δ′, depth limit)` and
+//!   `t′ = min(t, cap′)`.
+//!   - *The floor.* If every net-deleted pair inside it has `κ ≥ t′` in
+//!     `G′[C]`, it is t′-connected in `G′`: a cut below `t′ ≤ t` leaves
+//!     `G[C]` connected, so it separates some net-deleted pair. The search
+//!     for its certified level then starts at `t′` instead of `k`.
+//!   - *The cap.* Let `ins` be the updated pairs inside it that are not
+//!     net-deleted, at least the number of edges the batch inserted there.
+//!     The search stops at `min(cap′, t + ins)`. Let `S` be a minimum cut of
+//!     `G[C]`, and `a–b` a new edge. `S` still separates `G′[C]` unless
+//!     `a` and `b` lie on the only two sides of `G[C] − S`. Then `S` plus
+//!     whichever of `a` or `b` does not stand alone on its side separates
+//!     `G′[C]`; if both stand alone, `|C| = κ + 2`, and `κ` can rise only to
+//!     `|C| − 1`. So each inserted edge raises `κ` by at most one, and
+//!     deleting edges never raises it. Without a depth limit, or
+//!     with `t` below it, the old certified level `min(κ, δ, limit)` is `κ`
+//!     itself, since `κ ≤ δ`; when `t` equals the limit, `t + ins ≥ cap′`,
+//!     and the cap changes nothing.
+//!   - *The probe.* The certification's first probe (above) settles the
+//!     node at the floor when its cut has the floor's size: `κ ≤ |S|`, and
+//!     `κ ≥` floor is known.
+//!
+//!   So a node whose floor holds and that gained no edge inside is settled
+//!   by its floor's probes alone (its cap is its floor), and an insert that
+//!   leaves an old minimum cut standing is usually settled by the probe.
+//!   Otherwise one `GLOBAL-CUT*` call at the cap runs, and a binary search
+//!   between the floor and a cut's size only when the probe or that call
+//!   finds a cut.
+//!
+//! R2 slices a piece `K` once, for its probes, and that slice certifies `K`
+//! and serves its copies and children, as in the build; R1's nodes need no
+//! slice. A re-derived level-1 node, a connected component of `G′`, counts
+//! its internal edges as half its members' degree sum.
 //!
 //! Each probe is one bounded [`VertexFlowGraph`] flow; the first failing
 //! probe ends its rule, and [`KvccOptions::budget`] is polled once per Dinic
 //! phase. The repaired forest equals a rebuild node for node.
 
+use std::cmp::Reverse;
+
 use kvcc_flow::{LocalConnectivity, VertexFlowGraph};
-use kvcc_graph::kcore::{degeneracy, k_core_vertices};
-use kvcc_graph::traversal::{connected_components, connected_components_filtered, two_vccs};
+use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::traversal::{
+    bfs_distances, connected_components, connected_components_filtered, two_vccs, UNREACHABLE,
+};
 use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, UpdateOp, VertexId};
 
 use crate::enumerate::enumerate_kvccs;
@@ -163,6 +199,9 @@ struct Match {
     deepest: u32,
     /// Whether the vertex set holds no updated pair (R1 applies).
     clean: bool,
+    /// The updated pairs inside the vertex set that are not net-deleted:
+    /// at least the number of edges the batch inserted there (R3's cap).
+    inserted: u32,
 }
 
 impl<'a> Prior<'a> {
@@ -227,10 +266,13 @@ impl<'a> Prior<'a> {
                 }
                 if forest.node_k(node)? == k {
                     if old == members {
+                        let updated = Self::inside(&self.updated, members).count() as u32;
+                        let deleted = Self::inside(&self.net_deleted, members).count() as u32;
                         return Some(Match {
                             id: node,
                             deepest: deepest.unwrap_or(k),
-                            clean: Self::inside(&self.updated, members).next().is_none(),
+                            clean: updated == 0,
+                            inserted: updated - deleted,
                         });
                     }
                     break;
@@ -292,6 +334,7 @@ impl<'a> Prior<'a> {
                     parent: placed[parent as usize],
                     certified: k,
                     origin: id,
+                    slice: None,
                 });
             }
         }
@@ -311,6 +354,10 @@ enum Verdict {
     Enumerate,
 }
 
+/// A child of a re-derived parent: sorted local ids of the parent's slice,
+/// and its own slice when R2's verdict built one.
+type Child = (Vec<VertexId>, Option<CsrGraph>);
+
 /// A node of the level under construction.
 struct Node {
     component: KVertexConnectedComponent,
@@ -320,6 +367,10 @@ struct Node {
     certified: u32,
     /// The old node whose subtree it keeps (R1), or [`REDERIVED`].
     origin: u32,
+    /// The induced graph of `component` (positions in it as vertex ids), for
+    /// a re-derived node below level 1: built once, it certifies the node
+    /// and is the graph its copies and children are taken from.
+    slice: Option<CsrGraph>,
 }
 
 /// The level loop behind [`ConnectivityIndex::build`] and the index repair:
@@ -334,7 +385,9 @@ pub(crate) fn grow<G: GraphView>(
     options: &KvccOptions,
 ) -> Result<(ConnectivityIndex, Vec<u32>), KvccError> {
     options.budget.check()?;
-    let limit = max_k.unwrap_or_else(|| degeneracy(graph));
+    // Without a depth limit the loop runs until a level is empty; δ(C) caps
+    // every certification, and no δ(C) exceeds the degeneracy.
+    let limit = max_k.unwrap_or(u32::MAX);
     let mut run = LevelLoop::new(limit, prior, options);
     // The index's flat arrays: per node id, level by level.
     let mut ks: Vec<u32> = Vec::new();
@@ -347,9 +400,12 @@ pub(crate) fn grow<G: GraphView>(
     let mut certified: Vec<u32> = Vec::new();
     // Old node id → id of the new node that keeps it (R1).
     let mut placed = vec![REDERIVED; prior.map_or(0, |p| p.forest.num_nodes())];
-    let mut inside = BitSet::new(graph.num_vertices());
+    // Per node of the last finished level: its slice, if the next level
+    // reads it.
+    let mut slices: Vec<Option<CsrGraph>> = Vec::new();
 
     for k in 1..=limit {
+        let above_slices = std::mem::take(&mut slices);
         let mut nodes: Vec<Node> = Vec::new();
         if let Some(prior) = prior {
             prior.kept_children(k, &placed, &mut nodes);
@@ -365,6 +421,7 @@ pub(crate) fn grow<G: GraphView>(
                             parent: NO_PARENT,
                             certified: 1,
                             origin,
+                            slice: None,
                         });
                     }
                 }
@@ -390,10 +447,12 @@ pub(crate) fn grow<G: GraphView>(
             }
             _ => {
                 let above = level_offsets[k as usize - 2]..level_offsets[k as usize - 1];
-                for parent_id in above {
-                    if origins[parent_id] != REDERIVED {
+                for (parent_id, slice) in above.zip(above_slices) {
+                    // Kept nodes, and nodes too small to hold a level-k
+                    // node, carry no slice.
+                    let Some(sub) = slice else {
                         continue;
-                    }
+                    };
                     let parent = &components[parent_id];
                     if certified[parent_id] >= k {
                         let component = parent.clone();
@@ -403,24 +462,18 @@ pub(crate) fn grow<G: GraphView>(
                             parent: parent_id as u32,
                             certified: certified[parent_id],
                             origin,
+                            slice: Some(sub),
                         });
                         continue;
                     }
-                    if parent.len() <= k as usize {
-                        continue;
-                    }
-                    // Slice the parent out of the input as one CSR work item
-                    // (component vertex lists are sorted, so the rows come
-                    // out sorted for free).
-                    let sub = CsrGraph::extract_induced(graph, parent.vertices(), &mut run.map);
-                    for local in run.children(graph, &sub, parent.vertices(), k)? {
+                    for (local, slice) in run.children(graph, &sub, parent.vertices(), k)? {
                         let mapped: Vec<VertexId> = local
                             .iter()
                             .map(|&l| parent.vertices()[l as usize])
                             .collect();
                         let component = KVertexConnectedComponent::new(mapped);
                         nodes.push(run.settle(k, component, parent_id as u32, |_, map| {
-                            CsrGraph::extract_induced(&sub, &local, map)
+                            slice.unwrap_or_else(|| CsrGraph::extract_induced(&sub, &local, map))
                         })?);
                     }
                 }
@@ -432,15 +485,28 @@ pub(crate) fn grow<G: GraphView>(
         // Keep the deterministic ordering used everywhere else.
         nodes.sort_by(|a, b| a.component.cmp(&b.component));
         for node in nodes {
-            let edges = match node.origin {
-                REDERIVED => count_internal_edges(graph, node.component.vertices(), &mut inside),
-                old => {
+            let edges = match (node.origin, &node.slice) {
+                (REDERIVED, Some(slice)) => slice.num_edges() as u64,
+                // A level-1 node is a connected component: it holds every
+                // edge of its members.
+                (REDERIVED, None) => {
+                    debug_assert_eq!(k, 1, "a re-derived node below level 1 has a slice");
+                    let members = node.component.vertices();
+                    members.iter().map(|&v| graph.degree(v) as u64).sum::<u64>() / 2
+                }
+                (old, _) => {
                     placed[old as usize] = components.len() as u32;
                     prior
                         .and_then(|p| p.forest.internal_edges_of(old))
                         .expect("a kept node has an old node")
                 }
             };
+            // The next level copies a node certified past k, and takes the
+            // children of a larger one from its slice.
+            let read_below = k < limit
+                && node.origin == REDERIVED
+                && (node.certified > k || node.component.len() > k as usize + 1);
+            slices.push(node.slice.filter(|_| read_below));
             ks.push(k);
             parents.push(node.parent);
             components.push(node.component);
@@ -463,34 +529,16 @@ pub(crate) fn grow<G: GraphView>(
     Ok((index, origins))
 }
 
-/// Counts the graph edges with both endpoints inside `members`
-/// (membership-marking sweep over `inside`, which is left empty;
-/// `O(Σ_{v∈C} deg(v))`).
-fn count_internal_edges<G: GraphView>(graph: &G, members: &[VertexId], inside: &mut BitSet) -> u64 {
-    for &v in members {
-        inside.insert(v as usize);
-    }
-    let mut directed = 0u64;
-    for &v in members {
-        directed += graph
-            .neighbors(v)
-            .iter()
-            .filter(|&&w| inside.contains(w as usize))
-            .count() as u64;
-    }
-    for &v in members {
-        inside.remove(v as usize);
-    }
-    directed / 2
-}
-
 /// The scratch and settings one run of the level loop shares.
 struct LevelLoop<'a> {
     limit: u32,
     prior: Option<&'a Prior<'a>>,
     options: &'a KvccOptions,
     scratch: CutScratch,
-    /// The arena of R2's and R3's probes.
+    /// The counters of the certifications' `GLOBAL-CUT*` calls.
+    stats: EnumerationStats,
+    /// The arena of R2's and R3's probes and of the certifications' first
+    /// probe.
     flow: VertexFlowGraph,
     /// One relabelling buffer shared by every slice of the whole run.
     map: Vec<VertexId>,
@@ -503,13 +551,15 @@ impl<'a> LevelLoop<'a> {
             prior,
             options,
             scratch: CutScratch::new(),
+            stats: EnumerationStats::default(),
             flow: VertexFlowGraph::empty(),
             map: Vec::new(),
         }
     }
 
-    /// Places a level-k node under `parent`: R1, else [`certified_level`]
-    /// on the induced graph `extract` slices out, from R3's floor.
+    /// Places a level-k node under `parent`: R1, else
+    /// [`certified_level`](Self::certified_level) on the slice `extract`
+    /// returns, between R3's floor and cap. The node keeps the slice.
     fn settle(
         &mut self,
         k: u32,
@@ -524,49 +574,61 @@ impl<'a> LevelLoop<'a> {
                 parent,
                 certified: k,
                 origin: m.id,
+                slice: None,
             });
         }
         let induced = extract(&component, &mut self.map);
         let cap = (induced.min_degree() as u32).min(self.limit);
-        let inherited = matched.map_or(k, |m| m.deepest.min(cap));
-        let floor =
-            if inherited > k && self.pairs_hold(&induced, component.vertices(), inherited)? {
-                inherited
-            } else {
-                k
-            };
-        let certified =
-            certified_level(&induced, floor, self.limit, self.options, &mut self.scratch)?;
+        let (floor, cap) = match matched {
+            Some(m) => {
+                let inherited = m.deepest.min(cap);
+                let floor = if inherited > k
+                    && self.pairs_hold(&induced, component.vertices(), inherited)?
+                {
+                    inherited
+                } else {
+                    k
+                };
+                (floor, cap.min(m.deepest.saturating_add(m.inserted)))
+            }
+            None => (k, cap),
+        };
+        let certified = self.certified_level(&induced, floor, cap)?;
         Ok(Node {
             component,
             parent,
             certified,
             origin: REDERIVED,
+            slice: Some(induced),
         })
     }
 
-    /// The level-k children of a re-derived parent, as sorted local ids of
-    /// `sub` (the parent's induced graph in `graph`; `parent` maps its ids
-    /// back). The build enumerates them; the repair runs R2's worklist,
-    /// seeded with the k-core components of `sub`.
+    /// The level-k children of a re-derived parent, as local ids of `sub`
+    /// (the parent's slice; `parent` maps its ids back). The build
+    /// enumerates them; the repair runs R2's worklist, seeded with the
+    /// k-core components of `sub`.
     fn children<G: GraphView>(
         &mut self,
         graph: &G,
         sub: &CsrGraph,
         parent: &[VertexId],
         k: u32,
-    ) -> Result<Vec<Vec<VertexId>>, KvccError> {
+    ) -> Result<Vec<Child>, KvccError> {
         let Some(prior) = self.prior else {
             let result = enumerate_kvccs(sub, k, self.options)?;
-            return Ok(result.iter().map(|c| c.vertices().to_vec()).collect());
+            return Ok(result
+                .iter()
+                .map(|c| (c.vertices().to_vec(), None))
+                .collect());
         };
         let mut found = Vec::new();
         let mut work = k_core_components(sub, k);
         while let Some(piece) = work.pop() {
-            match self.fans_hold(prior, graph, sub, parent, &piece, k)? {
-                Verdict::Kvcc => found.push(piece),
+            let (verdict, slice) = self.fans_hold(prior, graph, sub, parent, &piece, k)?;
+            match verdict {
+                Verdict::Kvcc => found.push((piece, slice)),
                 Verdict::Cut(cut) => {
-                    let induced = CsrGraph::extract_induced(sub, &piece, &mut self.map);
+                    let induced = slice.expect("a refusing probe ran on the slice");
                     let parts = overlap_partition(&induced, &cut);
                     assert!(parts.len() > 1, "a refusing probe's cut splits G′[K]");
                     for part in parts {
@@ -584,7 +646,8 @@ impl<'a> LevelLoop<'a> {
                 Verdict::Enumerate => {
                     let induced = CsrGraph::extract_induced(sub, &piece, &mut self.map);
                     for c in enumerate_kvccs(&induced, k, self.options)?.iter() {
-                        found.push(c.vertices().iter().map(|&x| piece[x as usize]).collect());
+                        let local = c.vertices().iter().map(|&x| piece[x as usize]).collect();
+                        found.push((local, None));
                     }
                 }
             }
@@ -594,7 +657,8 @@ impl<'a> LevelLoop<'a> {
 
     /// R2's verdict on the k-core component `piece` (sorted local ids of
     /// `sub`), by probes anchored on the old level-k node `C` that shares
-    /// the most members with it. `graph` is `G′`, for the neighbours of
+    /// the most members with it, and the slice `G′[K]` when the probes
+    /// needed it (always for a cut). `graph` is `G′`, for the neighbours of
     /// `C`'s members outside `K`.
     fn fans_hold<G: GraphView>(
         &mut self,
@@ -604,9 +668,9 @@ impl<'a> LevelLoop<'a> {
         parent: &[VertexId],
         piece: &[VertexId],
         k: u32,
-    ) -> Result<Verdict, KvccError> {
+    ) -> Result<(Verdict, Option<CsrGraph>), KvccError> {
         let Some(anchor) = prior.anchor(k, piece.iter().map(|&l| parent[l as usize])) else {
-            return Ok(Verdict::Enumerate);
+            return Ok((Verdict::Enumerate, None));
         };
         // The position of a vertex in `piece`, which is its id in G′[K].
         let position = |v: VertexId| -> Option<VertexId> {
@@ -623,7 +687,7 @@ impl<'a> LevelLoop<'a> {
             }
         }
         if shared.len() <= k as usize {
-            return Ok(Verdict::Enumerate);
+            return Ok((Verdict::Enumerate, None));
         }
         let mut in_shared = BitSet::new(piece.len());
         for &x in &shared {
@@ -658,11 +722,11 @@ impl<'a> LevelLoop<'a> {
             pairs.extend(touching[i + 1..].iter().map(|&y| (hub, y)));
         }
         if pairs.is_empty() && shared.len() == piece.len() {
-            return Ok(Verdict::Kvcc);
+            return Ok((Verdict::Kvcc, None));
         }
         let induced = CsrGraph::extract_induced(sub, piece, &mut self.map);
         if let Some(cut) = self.first_cut(&induced, pairs, k)? {
-            return Ok(Verdict::Cut(cut));
+            return Ok((Verdict::Cut(cut), Some(induced)));
         }
         // (b) Every other member reaches C′ by k edges, or else by a k-fan:
         // a flow of k between it and a sink t adjacent to all of C′.
@@ -680,16 +744,15 @@ impl<'a> LevelLoop<'a> {
             })
             .collect();
         if fanless.is_empty() {
-            return Ok(Verdict::Kvcc);
+            return Ok((Verdict::Kvcc, Some(induced)));
         }
+        // The sink t takes the next id, adjacent to C′ (sorted positions).
         let sink = piece.len() as VertexId;
-        let to_sink = shared.iter().map(|&x| (x, sink));
-        let fan = CsrGraph::from_edges(piece.len() + 1, induced.edges().chain(to_sink))
-            .expect("ids lie inside the fan graph");
+        let fan = induced.with_apex(&shared);
         // From t to x: each phase's reverse BFS starts at x and stops at the
         // first member of C′ it reaches. The cut never holds t or x.
         let cut = self.first_cut(&fan, fanless.into_iter().map(|x| (sink, x)), k)?;
-        Ok(cut.map_or(Verdict::Kvcc, Verdict::Cut))
+        Ok((cut.map_or(Verdict::Kvcc, Verdict::Cut), Some(induced)))
     }
 
     /// Whether every net-deleted pair inside `members` (the vertex set of
@@ -732,6 +795,67 @@ impl<'a> LevelLoop<'a> {
         }
         Ok(None)
     }
+
+    /// The level up to which a component `C`, given as its slice and known
+    /// to be `floor`-connected, is certified: `min(κ(C), cap)`, for a `cap`
+    /// between `floor` and `min(δ(C), depth limit)`.
+    ///
+    /// One probe runs first, from a minimum-degree vertex to a vertex
+    /// farthest from it: its cut `S` separates `C`, so `κ(C) ≤ |S|`, and a
+    /// cut of the floor's size settles `C` with no `GLOBAL-CUT*`. A larger
+    /// cut bounds a binary search between `floor` and `|S|`. Without a cut,
+    /// one `GLOBAL-CUT*` call at `cap` runs first, and the search runs only
+    /// when that call finds a cut, up to its size.
+    fn certified_level(
+        &mut self,
+        component: &CsrGraph,
+        floor: u32,
+        cap: u32,
+    ) -> Result<u32, KvccError> {
+        if cap <= floor {
+            return Ok(floor);
+        }
+        let source = component
+            .vertices()
+            .min_by_key(|&v| component.degree(v))
+            .expect("a component has members");
+        let dist = bfs_distances(component, source);
+        let target = component
+            .vertices()
+            .filter(|&v| dist[v as usize] != UNREACHABLE)
+            .max_by_key(|&v| (dist[v as usize], Reverse(v)))
+            .expect("the source reaches itself");
+        let probe = self.first_cut(component, [(source, target)], cap)?;
+        // The size of a cut below `j`, or `None` when `C` is j-connected.
+        let mut cut_below = |j: u32| -> Result<Option<u32>, KvccError> {
+            let outcome = global_cut_with_scratch(
+                component,
+                j,
+                self.options,
+                &mut self.stats,
+                &mut self.scratch,
+            )?;
+            Ok(outcome.cut.map(|cut| cut.len() as u32))
+        };
+        // Invariant: lo <= κ(C) <= hi. A cut of size s separates C, so
+        // κ(C) <= s.
+        let (mut lo, mut hi) = match probe.map(|cut| cut.len() as u32) {
+            Some(size) if size == floor => return Ok(floor),
+            Some(size) => (floor, size),
+            None => match cut_below(cap)? {
+                None => return Ok(cap),
+                Some(size) => (floor, size),
+            },
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            match cut_below(mid)? {
+                None => lo = mid,
+                Some(size) => hi = size,
+            }
+        }
+        Ok(lo)
+    }
 }
 
 /// The connected components of the k-core of `graph`, as sorted vertex
@@ -743,42 +867,6 @@ fn k_core_components(graph: &CsrGraph, k: u32) -> Vec<Vec<VertexId>> {
         alive.insert(v as usize);
     }
     connected_components_filtered(graph, &alive)
-}
-
-/// The level up to which a component `C`, given as its induced CSR graph
-/// and known to be `floor`-connected, is certified: `κ(C)` capped at
-/// `min(δ(C), limit)`.
-fn certified_level(
-    component: &CsrGraph,
-    floor: u32,
-    limit: u32,
-    options: &KvccOptions,
-    scratch: &mut CutScratch,
-) -> Result<u32, KvccError> {
-    let cap = (component.min_degree() as u32).min(limit);
-    if cap <= floor {
-        return Ok(floor);
-    }
-    // The size of a cut below `j`, or `None` when `C` is j-connected.
-    let mut cut_below = |j: u32| -> Result<Option<u32>, KvccError> {
-        let mut stats = EnumerationStats::default();
-        let outcome = global_cut_with_scratch(component, j, options, &mut stats, scratch)?;
-        Ok(outcome.cut.map(|cut| cut.len() as u32))
-    };
-    // Invariant: lo <= κ(C) <= hi. A cut of size s separates C, so
-    // κ(C) <= s.
-    let (mut lo, mut hi) = match cut_below(cap)? {
-        None => return Ok(cap),
-        Some(size) => (floor, size),
-    };
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        match cut_below(mid)? {
-            None => lo = mid,
-            Some(size) => hi = size,
-        }
-    }
-    Ok(lo)
 }
 
 #[cfg(test)]
@@ -986,10 +1074,14 @@ mod tests {
         let pieces = k_core_components(&g, 3);
         assert_eq!(pieces.len(), 1, "the 3-core is one component");
         let piece = &pieces[0];
-        match run.fans_hold(&prior, &g, &g, &parent, piece, 3).unwrap() {
+        let (verdict, slice) = run.fans_hold(&prior, &g, &g, &parent, piece, 3).unwrap();
+        let induced = CsrGraph::extract_induced(&g, piece, &mut Vec::new());
+        if let Some(slice) = slice {
+            assert_eq!(slice, induced, "the verdict's slice is G′[K]");
+        }
+        match verdict {
             Verdict::Cut(cut) => {
                 assert!(cut.len() < 3, "a cut below k: {cut:?}");
-                let induced = CsrGraph::extract_induced(&g, piece, &mut Vec::new());
                 assert!(
                     overlap_partition(&induced, &cut).len() > 1,
                     "the cut splits the component"
@@ -1195,19 +1287,55 @@ mod tests {
         assert_eq!(h.components_at(3)[0].vertices(), petersen);
     }
 
-    /// The level-2 node spanning all of the graph after `batch`, settled
-    /// with the forest of `before` under the depth limit `limit`.
-    fn settle_whole_graph(before: &UndirectedGraph, batch: &[EdgeUpdate], limit: u32) -> Node {
+    /// The level-2 node spanning all of `g`, settled under the depth limit
+    /// `limit`, and the `GLOBAL-CUT*` calls its certification took. With
+    /// `prior` as `(before, batch)` it is settled as the repair of the index
+    /// of `before` after `batch` does, else as the build does.
+    fn settle_whole(
+        g: &CsrGraph,
+        prior: Option<(&UndirectedGraph, &[EdgeUpdate])>,
+        limit: u32,
+    ) -> (Node, u64) {
         let options = KvccOptions::default();
-        let forest = ConnectivityIndex::build(before, None, &options).unwrap();
-        let g = after(before, batch);
-        let prior = Prior::new(&forest, &g, batch);
-        let mut run = LevelLoop::new(limit, Some(&prior), &options);
+        let forest = prior.map(|(before, _)| build(before, None));
+        let prior = forest
+            .as_ref()
+            .zip(prior)
+            .map(|(forest, (_, batch))| Prior::new(forest, g, batch));
+        let mut run = LevelLoop::new(limit, prior.as_ref(), &options);
         let everything = KVertexConnectedComponent::new(g.vertices().collect());
-        run.settle(2, everything, 0, |c, map| {
-            CsrGraph::extract_induced(&g, c.vertices(), map)
-        })
-        .unwrap()
+        let node = run
+            .settle(2, everything, 0, |c, map| {
+                CsrGraph::extract_induced(g, c.vertices(), map)
+            })
+            .unwrap();
+        (node, run.stats.global_cut_calls)
+    }
+
+    /// The level-2 node spanning all of the graph after `batch`, settled
+    /// with the forest of `before` under the depth limit `limit`, and the
+    /// `GLOBAL-CUT*` calls its certification took.
+    fn settle_whole_graph(
+        before: &UndirectedGraph,
+        batch: &[EdgeUpdate],
+        limit: u32,
+    ) -> (Node, u64) {
+        settle_whole(&after(before, batch), Some((before, batch)), limit)
+    }
+
+    /// The level the build certifies all of `g` at, as a level-2 node
+    /// under the depth limit `limit`.
+    fn built_level(g: &CsrGraph, limit: u32) -> u32 {
+        settle_whole(g, None, limit).0.certified
+    }
+
+    /// Two K6s, on 0..6 and 6..12, joined by the matching `i`-`(i + 6)` for
+    /// `i < matched`.
+    fn two_k6s(matched: VertexId) -> UndirectedGraph {
+        let mut edges = clique(&[0, 1, 2, 3, 4, 5]);
+        edges.extend(clique(&[6, 7, 8, 9, 10, 11]));
+        edges.extend((0..matched).map(|i| (i, i + 6)));
+        UndirectedGraph::from_edges(12, edges).unwrap()
     }
 
     #[test]
@@ -1217,7 +1345,7 @@ mod tests {
         // one probe certifies it at min(δ′, limit) = 4.
         let g = complete(6);
         let batch = [EdgeUpdate::delete(0, 1)];
-        let node = settle_whole_graph(&g, &batch, 4);
+        let (node, _) = settle_whole_graph(&g, &batch, 4);
         assert_eq!((node.certified, node.origin), (4, REDERIVED));
         repair(&g, &batch);
     }
@@ -1228,12 +1356,9 @@ mod tests {
         // the vertex set spans old levels 1..=5. Deleting 0-6 keeps δ′ = 5
         // but leaves κ(0, 6) = 4, so the probe at 5 fails and the cut
         // search certifies the node at 4.
-        let mut edges = clique(&[0, 1, 2, 3, 4, 5]);
-        edges.extend(clique(&[6, 7, 8, 9, 10, 11]));
-        edges.extend((0..5).map(|i| (i, i + 6)));
-        let g = UndirectedGraph::from_edges(12, edges).unwrap();
+        let g = two_k6s(5);
         let batch = [EdgeUpdate::delete(0, 6)];
-        let node = settle_whole_graph(&g, &batch, 5);
+        let (node, _) = settle_whole_graph(&g, &batch, 5);
         assert_eq!((node.certified, node.origin), (4, REDERIVED));
         repair(&g, &batch);
     }
@@ -1244,22 +1369,78 @@ mod tests {
         // vertex set spans old levels 1..=3. Inserting 3-9 gives κ′ = 4
         // under δ′ = 5, so t′ = 3: the cut search starts there and certifies
         // the node where the build does.
-        let mut edges = clique(&[0, 1, 2, 3, 4, 5]);
-        edges.extend(clique(&[6, 7, 8, 9, 10, 11]));
-        edges.extend((0..3).map(|i| (i, i + 6)));
-        let g = UndirectedGraph::from_edges(12, edges).unwrap();
+        let g = two_k6s(3);
         let batch = [EdgeUpdate::insert(3, 9)];
-        let node = settle_whole_graph(&g, &batch, 5);
-        let built = certified_level(
-            &after(&g, &batch),
-            2,
-            5,
-            &KvccOptions::default(),
-            &mut CutScratch::new(),
-        )
-        .unwrap();
+        let (node, _) = settle_whole_graph(&g, &batch, 5);
+        let built = built_level(&after(&g, &batch), 5);
         assert_eq!((node.certified, built), (4, 4));
         repair(&g, &batch);
+    }
+
+    #[test]
+    fn r3_keeps_the_old_level_after_a_deletion_only_batch() {
+        // Two K6s joined by the matching 0-6, 1-7, 2-8 span old levels
+        // 1..=3, below δ = 5. Deleting 4-5 lowers δ′ to 4, and {0, 1, 2}
+        // still cuts: κ′ = 3. The batch inserts nothing inside, so the cap
+        // t + 0 = 3 meets the floor, which the deleted pair's probe holds
+        // at 3, and no GLOBAL-CUT* runs.
+        let g = two_k6s(3);
+        let batch = [EdgeUpdate::delete(4, 5)];
+        let (node, calls) = settle_whole_graph(&g, &batch, 5);
+        let built = built_level(&after(&g, &batch), 5);
+        assert_eq!((node.certified, built, calls), (3, 3, 0));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r3_caps_the_search_at_the_old_level_plus_the_inserted_pairs() {
+        // Two K7s joined by the matching 0-7, 1-8, 2-9 span old levels
+        // 1..=3. Inserting 3-10 and 4-11 gives κ′ = 5 = t + 2 under
+        // δ′ = 6: the cap binds below δ′ and is tight. The probe from 5 to
+        // 12 routes 5 paths, and one GLOBAL-CUT* call at the cap certifies
+        // the node, where the build needs a binary search.
+        let mut edges = clique(&[0, 1, 2, 3, 4, 5, 6]);
+        edges.extend(clique(&[7, 8, 9, 10, 11, 12, 13]));
+        edges.extend((0..3).map(|i| (i, i + 7)));
+        let g = UndirectedGraph::from_edges(14, edges).unwrap();
+        let batch = [EdgeUpdate::insert(3, 10), EdgeUpdate::insert(4, 11)];
+        let (node, calls) = settle_whole_graph(&g, &batch, 6);
+        let built = built_level(&after(&g, &batch), 6);
+        assert_eq!((node.certified, built, calls), (5, 5, 1));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn r3_settles_by_one_probe_when_an_insert_leaves_the_cut_standing() {
+        // Two K6s joined by the matching 0-6, 1-7, 2-8 span old levels
+        // 1..=3. Inserting 0-7 leaves the cut {0, 1, 2} standing, so κ′
+        // stays 3, under the cap t + 1 = 4 and δ′ = 5. The probe from 3 to
+        // 9 returns a cut of the floor's size, which settles the node with
+        // no GLOBAL-CUT*.
+        let g = two_k6s(3);
+        let batch = [EdgeUpdate::insert(0, 7)];
+        let (node, calls) = settle_whole_graph(&g, &batch, 5);
+        let built = built_level(&after(&g, &batch), 5);
+        assert_eq!((node.certified, built, calls), (3, 3, 0));
+        repair(&g, &batch);
+    }
+
+    #[test]
+    fn certification_settles_a_built_component_whose_probe_cut_has_k_members() {
+        // The two K5s sharing 3 and 4 form a 2-VCC with δ = 4. The probe
+        // from 0 to 5 returns the cut {3, 4} of size k = 2, so the build
+        // certifies the node at 2 with no GLOBAL-CUT*, and the index still
+        // equals the per-level enumeration.
+        let mut edges = clique(&[0, 1, 2, 3, 4]);
+        edges.extend(clique(&[3, 4, 5, 6, 7]));
+        let g = CsrGraph::from_edges(8, edges).unwrap();
+        let (node, calls) = settle_whole(&g, None, u32::MAX);
+        assert_eq!((node.certified, calls), (2, 0));
+        let h = ConnectivityIndex::build(&g, None, &KvccOptions::default()).unwrap();
+        for k in 1..=h.max_k() + 1 {
+            let direct = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
+            assert_eq!(h.components_at(k), direct.components(), "k = {k}");
+        }
     }
 
     #[test]

@@ -205,9 +205,13 @@ pub struct ConnectivityIndex {
     /// `level_offsets[k - 1]..level_offsets[k]` are the node ids of level `k`
     /// (length `max_k + 1`).
     level_offsets: Vec<usize>,
-    /// Per vertex: ids of the deepest nodes containing it (a vertex can have
-    /// several because k-VCCs overlap in up to `k − 1` vertices).
-    leaves_of: Vec<Vec<u32>>,
+    /// `leaf_offsets[v]..leaf_offsets[v + 1]` delimits, in `leaf_ids`, the
+    /// ids of the deepest nodes containing vertex `v`, ascending (a vertex
+    /// can have several because k-VCCs overlap in up to `k − 1` vertices).
+    /// Length `num_vertices + 1`.
+    leaf_offsets: Vec<u32>,
+    /// The concatenated per-vertex leaf pointers of `leaf_offsets`.
+    leaf_ids: Vec<u32>,
     /// Per vertex: the largest `k` with a k-VCC containing the vertex.
     max_k_of: Vec<u32>,
     /// Per node: number of graph edges with both endpoints inside the
@@ -249,8 +253,9 @@ pub struct UpdateReport {
 impl ConnectivityIndex {
     /// Builds the index for `graph` with the level loop of
     /// [`crate::hierarchy`], which certifies each component once and writes
-    /// every level straight into the forest (`max_k = None` bounds it by the
-    /// degeneracy: a k-VCC has minimum degree `>= k`).
+    /// every level straight into the forest (`max_k = None` runs it until a
+    /// level is empty, which happens past the degeneracy at the latest: a
+    /// k-VCC has minimum degree `>= k`).
     ///
     /// With an explicit `max_k` the hierarchy is **truncated**: the index can
     /// only answer queries for `k <= max_k` (checked via
@@ -272,7 +277,8 @@ impl ConnectivityIndex {
     /// level loop of [`crate::hierarchy`] and
     /// [`ConnectivityIndex::from_bytes`], so a deserialised index is
     /// guaranteed to answer queries exactly like the freshly built one it was
-    /// saved from.
+    /// saved from. The leaf pointers and connectivity numbers take
+    /// `O(Σ|C| + n)`; the ranking orders sort the nodes.
     pub(crate) fn assemble(
         num_vertices: usize,
         ks: Vec<u32>,
@@ -283,26 +289,54 @@ impl ConnectivityIndex {
         depth_limit: Option<u32>,
     ) -> Self {
         // Leaf-most memberships: a node keeps vertex v iff no child keeps v.
-        // Sweep the nodes once, marking each node's members as "covered" in
-        // its parent; everything left uncovered is a leaf pointer.
-        let mut covered: Vec<Vec<VertexId>> = vec![Vec::new(); components.len()];
-        for id in (0..components.len()).rev() {
-            if parents[id] != NO_PARENT {
-                let members: Vec<VertexId> = components[id].vertices().to_vec();
-                covered[parents[id] as usize].extend(members);
-            }
+        // The children of each node, as a CSR in node-id order.
+        let mut child_offsets = vec![0u32; components.len() + 1];
+        for &p in parents.iter().filter(|&&p| p != NO_PARENT) {
+            child_offsets[p as usize + 1] += 1;
         }
-        let mut leaves_of: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
+        for id in 0..components.len() {
+            child_offsets[id + 1] += child_offsets[id];
+        }
+        let mut child_ids = vec![0u32; child_offsets[components.len()] as usize];
+        let mut cursor = child_offsets.clone();
+        for (id, &p) in parents.iter().enumerate().filter(|&(_, &p)| p != NO_PARENT) {
+            child_ids[cursor[p as usize] as usize] = id as u32;
+            cursor[p as usize] += 1;
+        }
+        // Per node in id order, its children stamp their members with its
+        // id; an unstamped member is a leaf pointer. The pairs come out in
+        // ascending node id, and a stable counting sort by vertex keeps that.
+        let mut stamp = vec![u32::MAX; num_vertices];
+        let mut leaves: Vec<(VertexId, u32)> = Vec::new();
+        let mut leaf_offsets = vec![0u32; num_vertices + 1];
         let mut max_k_of = vec![0u32; num_vertices];
         for (id, comp) in components.iter().enumerate() {
-            let mut cov = std::mem::take(&mut covered[id]);
-            cov.sort_unstable();
-            for &v in comp.vertices() {
-                max_k_of[v as usize] = max_k_of[v as usize].max(ks[id]);
-                if cov.binary_search(&v).is_err() {
-                    leaves_of[v as usize].push(id as u32);
+            let children = child_offsets[id] as usize..child_offsets[id + 1] as usize;
+            for &child in &child_ids[children] {
+                for &v in components[child as usize].vertices() {
+                    stamp[v as usize] = id as u32;
                 }
             }
+            for &v in comp.vertices() {
+                max_k_of[v as usize] = max_k_of[v as usize].max(ks[id]);
+                if stamp[v as usize] != id as u32 {
+                    leaves.push((v, id as u32));
+                    leaf_offsets[v as usize + 1] += 1;
+                }
+            }
+        }
+        assert!(
+            u32::try_from(leaves.len()).is_ok(),
+            "leaf pointers fit u32 offsets"
+        );
+        for v in 0..num_vertices {
+            leaf_offsets[v + 1] += leaf_offsets[v];
+        }
+        let mut leaf_ids = vec![0u32; leaves.len()];
+        let mut cursor = leaf_offsets.clone();
+        for (v, id) in leaves {
+            leaf_ids[cursor[v as usize] as usize] = id;
+            cursor[v as usize] += 1;
         }
 
         // Ranking permutations: one sort per key over the flat metadata
@@ -323,7 +357,8 @@ impl ConnectivityIndex {
             parents,
             components,
             level_offsets,
-            leaves_of,
+            leaf_offsets,
+            leaf_ids,
             max_k_of,
             internal_edges,
             rank_orders,
@@ -646,10 +681,13 @@ impl ConnectivityIndex {
     /// the vertex cut below k that the first failing probe returns, the
     /// k-core components of each part taking the same test; a component
     /// with no such old k-VCC is enumerated on its own; and a re-derived
-    /// node equal to an old one starts its certification at the old level
-    /// when its deleted pairs still hold there, every other one being
-    /// certified exactly as [`ConnectivityIndex::build`] does. The result
-    /// is **byte-identical**
+    /// node equal to an old one certified at `t` searches its certified
+    /// level between a floor, `t` when its deleted pairs still hold there,
+    /// and a cap, `t` plus the pairs the batch may have inserted inside it,
+    /// with a first flow probe whose cut settles it at the floor when it is
+    /// that small. Every other node is certified exactly as
+    /// [`ConnectivityIndex::build`] does, and each re-derived node's induced
+    /// graph is sliced once. The result is **byte-identical**
     /// (`to_bytes`) to a rebuild on `graph`, with the epoch one past this
     /// index's; an empty batch, which keeps every node, still advances it.
     ///
@@ -711,7 +749,8 @@ impl ConnectivityIndex {
 
     /// The deepest nodes containing `v` (its leaf pointers).
     pub(crate) fn leaves(&self, v: VertexId) -> &[u32] {
-        &self.leaves_of[v as usize]
+        let v = v as usize;
+        &self.leaf_ids[self.leaf_offsets[v] as usize..self.leaf_offsets[v + 1] as usize]
     }
 
     /// The node ids of level `k` (empty past the deepest level).
@@ -735,7 +774,7 @@ impl ConnectivityIndex {
 
     /// Number of vertices of the indexed graph.
     pub fn num_vertices(&self) -> usize {
-        self.leaves_of.len()
+        self.leaf_offsets.len() - 1
     }
 
     /// Total number of components across all levels of the forest.
@@ -783,7 +822,7 @@ impl ConnectivityIndex {
             return Err(KvccError::SeedOutOfRange { seed });
         }
         let mut hit_ids: Vec<u32> = Vec::new();
-        for &leaf in &self.leaves_of[seed as usize] {
+        for &leaf in self.leaves(seed) {
             if let Some(id) = self.ancestor_at(leaf, k) {
                 hit_ids.push(id);
             }
@@ -818,7 +857,7 @@ impl ConnectivityIndex {
         // and report the deepest marked node. Chains are at most max_k long,
         // so this is O(leaves · depth) with a sorted-id merge at the end.
         let mut marked: Vec<u32> = Vec::new();
-        for &leaf in &self.leaves_of[u as usize] {
+        for &leaf in self.leaves(u) {
             let mut node = leaf;
             loop {
                 marked.push(node);
@@ -831,7 +870,7 @@ impl ConnectivityIndex {
         marked.sort_unstable();
         marked.dedup();
         let mut best = 0u32;
-        for &leaf in &self.leaves_of[v as usize] {
+        for &leaf in self.leaves(v) {
             let mut node = leaf;
             loop {
                 if marked.binary_search(&node).is_ok() {
@@ -857,11 +896,8 @@ impl ConnectivityIndex {
                 .map(|c| std::mem::size_of_val(c.vertices()))
                 .sum::<usize>()
             + self.level_offsets.capacity() * std::mem::size_of::<usize>()
-            + self
-                .leaves_of
-                .iter()
-                .map(|l| l.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+            + self.leaf_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.leaf_ids.capacity() * std::mem::size_of::<u32>()
             + self.max_k_of.capacity() * std::mem::size_of::<u32>()
             + self.internal_edges.capacity() * std::mem::size_of::<u64>()
             + self

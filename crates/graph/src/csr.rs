@@ -407,6 +407,35 @@ impl CsrGraph {
         CsrGraph { offsets, neighbors }
     }
 
+    /// A copy of the graph plus one vertex, id `n`, adjacent to every vertex
+    /// of `adjacent` (sorted ascending and duplicate-free). The new vertex
+    /// has the largest id, so each of its neighbours keeps a sorted row with
+    /// `n` pushed last, and its own row is `adjacent` itself: no row is
+    /// sorted again.
+    pub fn with_apex(&self, adjacent: &[VertexId]) -> CsrGraph {
+        debug_assert!(
+            adjacent.windows(2).all(|w| w[0] < w[1]),
+            "vertex list must be sorted"
+        );
+        let n = self.num_vertices();
+        let apex = n as VertexId;
+        let mut offsets = Vec::with_capacity(n + 2);
+        let mut neighbors = Vec::with_capacity(self.neighbors.len() + 2 * adjacent.len());
+        offsets.push(0u32);
+        let mut next = adjacent.iter().peekable();
+        for v in 0..n as VertexId {
+            neighbors.extend_from_slice(self.neighbors(v));
+            if next.next_if_eq(&&v).is_some() {
+                neighbors.push(apex);
+            }
+            offsets.push(neighbors.len() as u32);
+        }
+        debug_assert!(next.peek().is_none(), "adjacent ids lie in the graph");
+        neighbors.extend_from_slice(adjacent);
+        offsets.push(neighbors.len() as u32);
+        CsrGraph { offsets, neighbors }
+    }
+
     /// Extracts the subgraph induced by `vertices` together with the
     /// local→parent mapping, relabelling to `0..` in the order given.
     /// Duplicate ids are ignored (first occurrence wins); unlike
@@ -589,6 +618,17 @@ mod tests {
         // Reuse the same buffer for a second extraction.
         let sub2 = CsrGraph::extract_induced(&g, &[0, 1, 2], &mut map);
         assert_eq!(sub2.num_edges(), 3);
+    }
+
+    #[test]
+    fn with_apex_matches_from_edges() {
+        let g = CsrGraph::from_edges(5, two_triangles_edges()).unwrap();
+        for adjacent in [vec![], vec![2], vec![0, 3, 4], vec![0, 1, 2, 3, 4]] {
+            let apex = adjacent.iter().map(|&v| (v, 5));
+            let expected =
+                CsrGraph::from_edges(6, two_triangles_edges().into_iter().chain(apex)).unwrap();
+            assert_eq!(g.with_apex(&adjacent), expected, "apex on {adjacent:?}");
+        }
     }
 
     #[test]

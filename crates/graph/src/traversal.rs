@@ -130,7 +130,8 @@ pub fn connected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
 
 /// The biconnected components of `g` (Hopcroft & Tarjan, CACM 1973,
 /// "Algorithm 447"), as vertex sets sorted ascending and ordered by smallest
-/// vertex. One iterative DFS with low-links and an edge stack: `O(n + m)`.
+/// vertex. One iterative DFS with low-links and a vertex stack: `O(n + m)`,
+/// plus sorting each component's members.
 ///
 /// Bridges appear as 2-vertex components; isolated vertices do not appear at
 /// all. The components with at least three vertices are exactly the 2-VCCs
@@ -140,7 +141,8 @@ pub fn biconnected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
     let mut disc = vec![u32::MAX; n]; // discovery times
     let mut low = vec![u32::MAX; n];
     let mut timer = 0u32;
-    let mut edge_stack: Vec<(VertexId, VertexId)> = Vec::new();
+    // Discovered vertices not yet assigned to a component, in DFS order.
+    let mut vertex_stack: Vec<VertexId> = Vec::new();
     let mut components: Vec<Vec<VertexId>> = Vec::new();
 
     // Iterative DFS frame: (vertex, parent, next neighbour index).
@@ -154,6 +156,7 @@ pub fn biconnected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
         low[root as usize] = timer;
         timer += 1;
         stack.push((root, VertexId::MAX, 0));
+        vertex_stack.push(root);
 
         while !stack.is_empty() {
             let top = stack.len() - 1;
@@ -164,14 +167,13 @@ pub fn biconnected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
                 let v = neighbors[idx];
                 if disc[v as usize] == u32::MAX {
                     // Tree edge.
-                    edge_stack.push((u, v));
                     disc[v as usize] = timer;
                     low[v as usize] = timer;
                     timer += 1;
                     stack.push((v, u, 0));
+                    vertex_stack.push(v);
                 } else if v != parent && disc[v as usize] < disc[u as usize] {
                     // Back edge.
-                    edge_stack.push((u, v));
                     low[u as usize] = low[u as usize].min(disc[v as usize]);
                 }
             } else {
@@ -181,34 +183,24 @@ pub fn biconnected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
                 if let Some(&(p, _, _)) = stack.last() {
                     low[p as usize] = low[p as usize].min(low[u as usize]);
                     if low[u as usize] >= disc[p as usize] {
-                        // (p, u) closes a biconnected component.
-                        let mut members: Vec<VertexId> = Vec::new();
-                        while let Some(&(a, b)) = edge_stack.last() {
-                            if disc[a as usize] >= disc[u as usize] {
-                                edge_stack.pop();
-                                members.push(a);
-                                members.push(b);
-                            } else {
+                        // (p, u) closes a biconnected component: `p` plus
+                        // the vertices discovered from `u` on that no
+                        // earlier component took.
+                        let mut members = vec![p];
+                        while let Some(w) = vertex_stack.pop() {
+                            members.push(w);
+                            if w == u {
                                 break;
                             }
                         }
-                        // The closing edge (p, u) itself.
-                        if let Some(&(a, b)) = edge_stack.last() {
-                            if (a, b) == (p, u) {
-                                edge_stack.pop();
-                                members.push(a);
-                                members.push(b);
-                            }
-                        }
                         members.sort_unstable();
-                        members.dedup();
-                        if !members.is_empty() {
-                            components.push(members);
-                        }
+                        components.push(members);
                     }
                 }
             }
         }
+        // Only the root is left; each component it belongs to took it as `p`.
+        vertex_stack.clear();
     }
     components.sort();
     components

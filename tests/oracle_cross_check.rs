@@ -1,9 +1,11 @@
 //! Cross-checks of the optimised enumerator against independent oracles:
 //! the brute-force subset oracle on tiny random graphs and Tarjan's
-//! biconnected components for the k = 2 case.
+//! biconnected components for the k = 2 case. The biconnected components,
+//! which also give the index its level 2, are checked against their
+//! definition on the same tiny graphs.
 
 use kvcc::{enumerate_kvccs, KvccOptions};
-use kvcc_baselines::bicc::two_vccs;
+use kvcc_baselines::bicc::{biconnected_components, two_vccs};
 use kvcc_baselines::naive_kvccs;
 use kvcc_datasets::er::{gnm, gnp};
 use kvcc_graph::{UndirectedGraph, VertexId};
@@ -14,6 +16,51 @@ fn sorted_components(result: &kvcc::KvccResult) -> Vec<Vec<VertexId>> {
     comps
 }
 
+/// The blocks of a tiny graph by their definition: the maximal vertex sets
+/// that induce one edge (a bridge), or at least three vertices that stay
+/// connected when any one of them is removed. Sorted as
+/// [`biconnected_components`] sorts its output.
+fn blocks_by_definition(g: &UndirectedGraph) -> Vec<Vec<VertexId>> {
+    let n = g.num_vertices();
+    assert!(n <= 16, "subset oracle for tiny graphs only");
+    let members = |mask: u32| (0..n as VertexId).filter(move |&v| mask >> v & 1 == 1);
+    let connected = |mask: u32| {
+        let Some(start) = members(mask).next() else {
+            return false;
+        };
+        let mut seen = 1u32 << start;
+        let mut stack = vec![start];
+        while let Some(u) = stack.pop() {
+            for &w in g.neighbors(u) {
+                if mask >> w & 1 == 1 && seen >> w & 1 == 0 {
+                    seen |= 1 << w;
+                    stack.push(w);
+                }
+            }
+        }
+        seen == mask
+    };
+    let block_like = |mask: u32| match mask.count_ones() {
+        0 | 1 => false,
+        2 => connected(mask),
+        _ => connected(mask) && members(mask).all(|v| connected(mask & !(1 << v))),
+    };
+    let mut candidates: Vec<u32> = (1..1u32 << n).filter(|&m| block_like(m)).collect();
+    // Largest first: a set inside a larger candidate lies inside a maximal
+    // one, which is kept before it is seen.
+    candidates.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
+    let mut maximal: Vec<u32> = Vec::new();
+    for m in candidates {
+        if !maximal.iter().any(|&b| b & m == m) {
+            maximal.push(m);
+        }
+    }
+    let mut blocks: Vec<Vec<VertexId>> =
+        maximal.into_iter().map(|m| members(m).collect()).collect();
+    blocks.sort();
+    blocks
+}
+
 #[test]
 fn matches_the_naive_oracle_on_tiny_random_graphs() {
     // 40 deterministic random graphs with 8-12 vertices, k in {2, 3, 4}.
@@ -21,6 +68,12 @@ fn matches_the_naive_oracle_on_tiny_random_graphs() {
         let n = 8 + (seed % 5) as usize;
         let p = 0.25 + 0.05 * (seed % 7) as f64;
         let g = gnp(n, p, seed);
+        // Bridges included: Hopcroft–Tarjan against the definition.
+        assert_eq!(
+            biconnected_components(&g),
+            blocks_by_definition(&g),
+            "biconnected components (seed {seed}, n {n})"
+        );
         for k in 2..=4u32 {
             let expected = naive_kvccs(&g, k);
             let result = enumerate_kvccs(&g, k, &KvccOptions::default())
