@@ -21,7 +21,8 @@
 //! * k-core peeling and component splitting run on a [`SubgraphView`] vertex
 //!   mask — no copy is made until a component survives both filters, at which
 //!   point it is extracted once into CSR form through a reusable relabelling
-//!   buffer ([`CsrGraph::extract_induced`]).
+//!   buffer ([`CsrGraph::extract_induced`]). A component that is the whole
+//!   work item (nothing peeled, one component) is not copied at all.
 //! * Each `GLOBAL-CUT` probe reuses a per-worker [`CutScratch`] flow arena
 //!   instead of rebuilding its network from scratch.
 //! * The work items created by `OVERLAP-PARTITION` are independent, so with
@@ -466,7 +467,23 @@ impl KvccEnumerator {
         }
 
         // Line 3: identify connected components of the masked subgraph.
-        for component in view.components() {
+        let components = view.components();
+        if components.len() == 1 && components[0].len() == item.graph.num_vertices() {
+            // One component with nothing peeled is the whole item, and has
+            // more than k vertices since its degrees are at least k: the
+            // item's graph and mapping serve without a copy.
+            return self.cut_or_report(
+                &item.graph,
+                item.to_original,
+                k,
+                created,
+                results,
+                stats,
+                memory,
+                scratch,
+            );
+        }
+        for component in components {
             // A k-VCC needs strictly more than k vertices (Definition 2).
             if component.len() <= k as usize {
                 continue;
@@ -478,29 +495,49 @@ impl KvccEnumerator {
                 .iter()
                 .map(|&local| item.to_original[local as usize])
                 .collect();
+            self.cut_or_report(
+                &sub,
+                to_original,
+                k,
+                created,
+                results,
+                stats,
+                memory,
+                scratch,
+            )?;
+        }
+        Ok(())
+    }
 
-            // Lines 5-11: find a cut; report or partition.
-            let outcome = global_cut_with_scratch(&sub, k, &self.options, stats, &mut scratch.cut)?;
-            memory.allocate(outcome.scratch_memory_bytes);
-            memory.release(outcome.scratch_memory_bytes);
-
-            match outcome.cut {
-                None => {
-                    results.push(KVertexConnectedComponent::new(to_original));
-                }
-                Some(cut) => {
-                    self.partition_and_push(
-                        &sub,
-                        &to_original,
-                        cut,
-                        k,
-                        created,
-                        results,
-                        stats,
-                        scratch,
-                    )?;
-                }
-            }
+    /// Lines 5-11 of Algorithm 1 on one connected component `sub` of more
+    /// than `k` vertices: find a cut, then report `sub` or partition it.
+    #[allow(clippy::too_many_arguments)]
+    fn cut_or_report(
+        &self,
+        sub: &CsrGraph,
+        to_original: Vec<VertexId>,
+        k: u32,
+        created: &mut Vec<WorkItem>,
+        results: &mut Vec<KVertexConnectedComponent>,
+        stats: &mut EnumerationStats,
+        memory: &mut MemoryTracker,
+        scratch: &mut WorkerScratch,
+    ) -> Result<(), KvccError> {
+        let outcome = global_cut_with_scratch(sub, k, &self.options, stats, &mut scratch.cut)?;
+        memory.allocate(outcome.scratch_memory_bytes);
+        memory.release(outcome.scratch_memory_bytes);
+        match outcome.cut {
+            None => results.push(KVertexConnectedComponent::new(to_original)),
+            Some(cut) => self.partition_and_push(
+                sub,
+                &to_original,
+                cut,
+                k,
+                created,
+                results,
+                stats,
+                scratch,
+            )?,
         }
         Ok(())
     }

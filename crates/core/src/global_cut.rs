@@ -16,7 +16,14 @@
 //! The functions are generic over [`GraphView`]. The probes run on the
 //! implicit vertex-split arena of [`VertexFlowGraph`], which lives in a
 //! caller-owned [`CutScratch`] so that a worklist issuing many probes (the
-//! enumerator) performs no per-probe allocation in steady state.
+//! enumerator) performs no per-probe allocation in steady state. Phase 1
+//! fixes its source on the arena ([`VertexFlowGraph::fix_source`]): the
+//! first probe labels the certificate by BFS distance from it, and every
+//! unit of every phase-1 probe is routed by one search guided by those
+//! labels. Phase 2's pairs change source from probe to probe and run
+//! sink-bounded Dinic phases. Either way a probe stops at `k` units and
+//! reads the cut closest to its source, so the cuts and counters do not
+//! depend on the route.
 
 use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::traversal::vertices_by_descending_distance;
@@ -64,8 +71,9 @@ impl CutScratch {
 /// fresh [`CutScratch`]; hot loops should hold their own arena instead.
 ///
 /// Errors with [`Interrupted`] when [`KvccOptions::budget`] expires mid-call
-/// (polled once per `LOC-CUT` probe and per Dinic BFS phase); the scratch
-/// arena stays reusable afterwards.
+/// (polled once per `LOC-CUT` probe, once per augmenting-path search of a
+/// phase-1 probe from the fixed source, and once per Dinic BFS phase of a
+/// phase-2 probe); the scratch arena stays reusable afterwards.
 pub fn global_cut<G: GraphView>(
     g: &G,
     k: u32,
@@ -142,9 +150,13 @@ pub fn global_cut_with_scratch<G: GraphView>(
 
     // --- Flow arena over the certificate: one copy of its CSR rows, into
     // buffers reused from earlier calls. Each probe then resets only the
-    // vertices its flow touched.
+    // vertices its flow touched. Phase 1's probes share their source, so the
+    // arena labels the certificate from it once, at the first probe, and
+    // routes each of their units by a search guided by those labels; phase
+    // 2's pairs keep the Dinic phases.
     let flow = &mut scratch.flow;
     flow.rebuild(&certificate.graph);
+    flow.fix_source(source);
     let scratch_memory_bytes = flow.memory_bytes() + certificate.memory_bytes();
 
     // --- Phase 1. ---

@@ -103,10 +103,11 @@ pub struct KvccOptions {
     /// scheduling.
     pub threads: usize,
     /// Cooperative cancellation token polled by the worklist (per work
-    /// item), the `GLOBAL-CUT*` phase loops (per probe) and Dinic (per BFS
-    /// phase). When it expires mid-run the enumeration stops at the next
-    /// checkpoint and returns [`crate::KvccError::Interrupted`] carrying the
-    /// partial statistics. The default is [`Budget::unlimited`] —
+    /// item), the `GLOBAL-CUT*` phase loops (per probe) and the flow probes:
+    /// once per Dinic BFS phase, and once per augmenting-path search for a
+    /// probe from the fixed phase-1 source. When it expires mid-run the
+    /// enumeration stops at the next checkpoint and returns
+    /// [`crate::KvccError::Interrupted`] carrying the partial statistics. The default is [`Budget::unlimited`] —
     /// allocation-free and never expiring. Ignored by [`PartialEq`].
     pub budget: Budget,
 }

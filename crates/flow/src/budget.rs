@@ -7,10 +7,11 @@
 //! a wall-clock deadline and an explicit cancellation flag — behind one
 //! cheap [`expired`](Budget::expired) poll. The convention throughout the
 //! workspace is **cooperative, coarse-grained checking**: hot loops poll at
-//! natural phase boundaries (one Dinic BFS phase, one `GLOBAL-CUT` probe,
-//! one work item), never per edge, so the cost of being interruptible is a
-//! handful of nanoseconds per phase while the interrupt latency stays
-//! bounded by the largest single phase.
+//! natural phase boundaries (one Dinic BFS phase, one augmenting-path search
+//! of a probe from a fixed source, one `GLOBAL-CUT` probe, one work item),
+//! never per edge, so the cost of being interruptible is a handful of
+//! nanoseconds per phase while the interrupt latency stays bounded by the
+//! largest single phase.
 //!
 //! An unlimited budget ([`Budget::unlimited`], also the `Default`) carries
 //! neither a deadline nor a flag and allocates nothing, so code paths that

@@ -8,10 +8,12 @@
 //!   copy of the graph's CSR rows plus two flow fields per vertex, since a
 //!   unit vertex capacity lets each vertex carry at most one unit) and the
 //!   `LOC-CUT` probes on it: unit-capacity Dinic (Even & Tarjan) whose
-//!   phases are bounded by a reverse BFS from the sink and stop at the k-th
-//!   unit (Lemma 6). [`VertexFlowGraph::local_connectivity`] returns either
-//!   "connectivity at least `k`" or the minimum vertex cut closest to the
-//!   source, which every maximum flow shares.
+//!   phases are bounded by a reverse BFS from the sink, or, from a source
+//!   fixed for many probes ([`VertexFlowGraph::fix_source`]), one search
+//!   per unit guided by a single BFS labelling from that source; both stop
+//!   at the k-th unit (Lemma 6). [`VertexFlowGraph::local_connectivity`]
+//!   returns either "connectivity at least `k`" or the minimum vertex cut
+//!   closest to the source, which every maximum flow shares.
 //! * [`FlowNetwork`], [`dinic::max_flow`] and [`mincut`] — an explicit
 //!   residual-arc network with a general-capacity Dinic and residual
 //!   reachability, for flows that need arc capacities (the edge cuts of
@@ -20,9 +22,10 @@
 //!   `global_vertex_connectivity` and an uncertified `find_vertex_cut` used as
 //!   a test oracle for the optimised enumerator.
 //! * [`budget`] — the cooperative [`Budget`] cancellation token polled by the
-//!   Dinic phase loop (and, above this crate, by the `GLOBAL-CUT` and
-//!   `KVCC-ENUM` loops), which is what makes deadlines interrupt a running
-//!   flow computation instead of merely gating its start.
+//!   Dinic phase loop and per search of a fixed-source probe (and, above this
+//!   crate, by the `GLOBAL-CUT` and `KVCC-ENUM` loops), which is what makes
+//!   deadlines interrupt a running flow computation instead of merely gating
+//!   its start.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

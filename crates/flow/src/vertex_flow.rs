@@ -43,6 +43,44 @@
 //! the sink's side. A node whose arcs are used up is dropped from the phase
 //! (its label cleared) the first time the DFS backs out of it.
 //!
+//! # Fixed-source probes
+//!
+//! Phase 1 of `GLOBAL-CUT` probes one source `u` against many sinks, each
+//! probe from zero flow. [`VertexFlowGraph::fix_source`] names that source,
+//! and the first flow probe from it labels every node once with its
+//! zero-flow BFS distance from `u_out`: `2·d(u, w) − 1` for `w_in` and
+//! `2·d(u, w)` for `w_out`, so the arena stores `d(u, w)` per vertex. A node
+//! the BFS does not reach stays unlabelled. Later probes from `u` reuse the
+//! labels; probes from any other vertex keep the Dinic phases above, and
+//! [`rebuild`](VertexFlowGraph::rebuild) drops the labels with the graph.
+//!
+//! Each unit of a fixed-source probe is routed by one iterative DFS from the
+//! sink `v_in` over residual predecessor arcs. At an in-node `w_in` it tries
+//! the neighbours nearer the source first (`x_out` with `d(u, x) < d(u, w)`,
+//! the lower-labelled predecessors), then the other neighbours, then `w_out`
+//! if `w` is busy; an in-node next to the source steps straight to `u_out`,
+//! whose arc to it is uncapacitated. At zero flow the first unit therefore
+//! walks a shortest path without backtracking, and later units leave it
+//! only where earlier units block the way.
+//!
+//! The searches of a probe run in rounds, as Dinic's augmentations run in
+//! phases: within a round a node found dead stays dead, and an in-node
+//! resumes its scan where the round's previous path left it, so a round
+//! scans each row about once however many units it routes, plus the path
+//! each search walks again from the sink. A failed search ends its round,
+//! and the next round starts from cleared marks. A search from cleared
+//! marks is exhaustive: it enters each node at most once and skips only
+//! unlabelled nodes, and a node `u_out` cannot reach at zero flow it cannot
+//! reach under any flow from `u` either. (Every arc of a residual network
+//! is an arc of the zero-flow network or the reverse of an arc carrying
+//! flow, and by induction over augmentations every arc that carries flow
+//! joins two nodes reachable at zero flow; so a residual path from `u_out`
+//! never leaves the labelled nodes.) A probe therefore ends when `k` units
+//! are routed or when a round's first search fails, and then the flow is
+//! maximum. Each round but the last routes a unit, so a probe stays
+//! `O(k·(n + m))`, and the budget is polled once per search, that is once
+//! per augmentation and once per round, instead of once per phase.
+//!
 //! # Which cut a probe returns
 //!
 //! A probe that routes fewer than `k` units has found a maximum flow. The
@@ -52,7 +90,8 @@
 //! source sides. The probe reads its cut from one exhaustive forward BFS:
 //! the vertices whose in-node is reached and whose out-node is not, in
 //! ascending order. So the cut does not depend on which augmenting paths
-//! the phases happened to find, and any other maximum-flow algorithm on the
+//! the phases happened to find, nor on whether the fixed-source search or
+//! the Dinic phases found them, and any other maximum-flow algorithm on the
 //! same network returns the same cut.
 
 use kvcc_graph::{GraphView, VertexId};
@@ -65,6 +104,12 @@ const NONE: VertexId = VertexId::MAX;
 
 /// Distance of a node the current search has not labelled, or has dropped.
 const UNLABELLED: u32 = u32::MAX;
+
+/// Marks of the fixed-source search in `dist`: on the current DFS path,
+/// found dead this round, and on an earlier path of this round.
+const ON_PATH: u32 = 0;
+const DEAD: u32 = 1;
+const PASSED: u32 = 2;
 
 /// The unit of flow one vertex carries: the neighbour it enters from and the
 /// neighbour it leaves towards. Both fields are set or both are empty,
@@ -164,16 +209,25 @@ pub struct VertexFlowGraph {
     units: Vec<Unit>,
     /// The vertices whose unit the current probe set (the undo log).
     touched: Vec<VertexId>,
-    /// Per node: the distance to the sink in the current phase, or (while a
-    /// cut is read) any value but [`UNLABELLED`] for a reached node.
+    /// Per node: the distance to the sink in the current phase, the mark of
+    /// a fixed-source search ([`ON_PATH`], [`DEAD`] or [`PASSED`]), or (while
+    /// a cut is read) any value but [`UNLABELLED`] for a reached node.
     dist: Vec<u32>,
-    /// Per node: the current-arc cursor of the blocking-path DFS.
+    /// Per node: the current-arc cursor of the blocking-path DFS, or the
+    /// scan position of a fixed-source search.
     cursor: Vec<u32>,
     /// The nodes the last search labelled, in order; `dist` is cleared
     /// through it, so every other entry stays [`UNLABELLED`].
     queue: Vec<NodeId>,
     /// The DFS path, as nodes from the source.
     path: Vec<NodeId>,
+    /// The source named by [`fix_source`](Self::fix_source), if any.
+    fixed: Option<VertexId>,
+    /// The source whose labels `depth` holds, if any.
+    labelled: Option<VertexId>,
+    /// Per vertex: the BFS distance from the labelled source, or
+    /// [`UNLABELLED`] where the source does not reach.
+    depth: Vec<u32>,
 }
 
 impl VertexFlowGraph {
@@ -191,11 +245,13 @@ impl VertexFlowGraph {
     }
 
     /// Re-targets the arena at a new graph, reusing every buffer (see the
-    /// scratch-arena contract in the type docs). Costs one copy of the CSR
-    /// rows.
+    /// scratch-arena contract in the type docs), and releases the fixed
+    /// source with its labels. Costs one copy of the CSR rows.
     pub fn rebuild<G: GraphView>(&mut self, g: &G) {
         let n = g.num_vertices();
         self.clear_labels();
+        self.fixed = None;
+        self.labelled = None;
         let Rows { offsets, targets } = &mut self.rows;
         offsets.clear();
         offsets.reserve(n + 1);
@@ -211,9 +267,21 @@ impl VertexFlowGraph {
             self.units.resize(n, Unit::IDLE);
             self.dist.resize(2 * n, UNLABELLED);
             self.cursor.resize(2 * n, 0);
+            self.depth.resize(n, UNLABELLED);
         }
         // Size the search buffers once, so no probe grows one mid-flow.
         self.queue.reserve(2 * n);
+    }
+
+    /// Fixes `u` as the source of the probes to come: each flow probe from
+    /// `u` routes its units by the label-guided search of the
+    /// [module docs](self#fixed-source-probes), while probes from any other
+    /// vertex keep the Dinic phases. The labels are computed by the first
+    /// flow probe from `u`, so fixing a source that no probe uses costs
+    /// nothing. Answers are the same either way; the source stays fixed
+    /// until the next call or [`rebuild`](Self::rebuild).
+    pub fn fix_source(&mut self, u: VertexId) {
+        self.fixed = Some(u);
     }
 
     /// k-bounded boolean connectivity probe: `true` iff `κ(u, v) >= k`
@@ -260,6 +328,7 @@ impl VertexFlowGraph {
             + bytes(&self.cursor)
             + bytes(&self.queue)
             + bytes(&self.path)
+            + bytes(&self.depth)
     }
 
     /// Max-flow value from `u` to `v`, early-terminated at `limit`: the
@@ -311,7 +380,9 @@ impl VertexFlowGraph {
     }
 
     /// [`local_connectivity_nonadjacent`](Self::local_connectivity_nonadjacent)
-    /// under a cooperative [`Budget`], polled once per Dinic phase.
+    /// under a cooperative [`Budget`], polled once per Dinic phase, or once
+    /// per augmenting-path search when `u` is the
+    /// [fixed source](Self::fix_source).
     ///
     /// On [`Interrupted`] the arena is reset before returning, so the very
     /// next probe on this `VertexFlowGraph` — budgeted or not — starts from
@@ -349,9 +420,10 @@ impl VertexFlowGraph {
     }
 
     /// Routes up to `limit` units from `u` to `v` (distinct, non-adjacent)
-    /// by sink-bounded Dinic phases and returns the flow. The flow stays in
-    /// place for [`source_side_cut`](Self::source_side_cut); the caller
-    /// [`undo`](Self::undo)es it, also on [`Interrupted`].
+    /// and returns the flow: from the fixed source by the label-guided
+    /// search, from any other source by sink-bounded Dinic phases. The flow
+    /// stays in place for [`source_side_cut`](Self::source_side_cut); the
+    /// caller [`undo`](Self::undo)es it, also on [`Interrupted`].
     fn route(
         &mut self,
         u: VertexId,
@@ -361,6 +433,30 @@ impl VertexFlowGraph {
     ) -> Result<u32, Interrupted> {
         let (source, sink) = (Self::node_out(u), Self::node_in(v));
         let mut flow = 0;
+        if self.fixed == Some(u) {
+            if self.labelled != Some(u) {
+                self.label_from(u);
+            }
+            // The searches of one round share their marks and cursors; a
+            // failed search ends the round, and one that fails from cleared
+            // marks proves the flow maximum.
+            self.clear_labels();
+            let mut cleared = true;
+            while flow < limit {
+                budget.check()?;
+                if self.search_from_sink(source, sink) {
+                    self.push_unit(source, sink);
+                    flow += 1;
+                    cleared = false;
+                } else if cleared {
+                    break;
+                } else {
+                    self.clear_labels();
+                    cleared = true;
+                }
+            }
+            return Ok(flow);
+        }
         // Once `flow == limit` the outer condition fails immediately, so a
         // probe that meets its bound never pays a final no-progress phase.
         while flow < limit {
@@ -369,10 +465,138 @@ impl VertexFlowGraph {
                 break;
             }
             while flow < limit && self.augment(source, sink) {
+                self.push_unit(source, sink);
                 flow += 1;
             }
         }
         Ok(flow)
+    }
+
+    /// The fixed source's labels: a BFS from `u` over the rows that gives
+    /// each vertex its distance from `u`, leaving the vertices it does not
+    /// reach [`UNLABELLED`].
+    fn label_from(&mut self, u: VertexId) {
+        // The BFS borrows the search queue, emptied before and after.
+        self.clear_labels();
+        let n = self.num_vertices();
+        let Self {
+            rows, depth, queue, ..
+        } = self;
+        depth[..n].fill(UNLABELLED);
+        depth[u as usize] = 0;
+        queue.push(u);
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            let next = depth[v as usize] + 1;
+            for &y in rows.of(v) {
+                if depth[y as usize] == UNLABELLED {
+                    depth[y as usize] = next;
+                    queue.push(y);
+                }
+            }
+        }
+        queue.clear();
+        self.labelled = Some(u);
+    }
+
+    /// Finds one augmenting path for a probe from the fixed source: a DFS
+    /// from `sink` over residual predecessor arcs that enters only labelled
+    /// nodes and tries lower-labelled predecessors first (see the
+    /// [module docs](self#fixed-source-probes)). On success `path` holds the
+    /// path's nodes from `source` to `sink`.
+    ///
+    /// The marks in `dist` and the in-nodes' cursors carry over from the
+    /// round's earlier searches: a node found dead stays dead, and a node on
+    /// an earlier path resumes its scan where that path left it. So a search
+    /// may miss a path that exists, but one that starts from cleared marks
+    /// is exhaustive.
+    fn search_from_sink(&mut self, source: NodeId, sink: NodeId) -> bool {
+        let Self {
+            rows,
+            units,
+            dist,
+            cursor,
+            queue,
+            path,
+            depth,
+            ..
+        } = self;
+        // A node entered for the first time this round starts its scan.
+        let enter =
+            |node: NodeId, dist: &mut [u32], cursor: &mut [u32], queue: &mut Vec<NodeId>| {
+                if dist[node as usize] == UNLABELLED {
+                    cursor[node as usize] = 0;
+                    queue.push(node);
+                }
+                dist[node as usize] = ON_PATH;
+            };
+        enter(sink, dist, cursor, queue);
+        path.clear();
+        path.push(sink);
+        while let Some(&node) = path.last() {
+            if node == source {
+                for &on_path in path.iter() {
+                    dist[on_path as usize] = PASSED;
+                }
+                path.reverse();
+                return true;
+            }
+            let v = node / 2;
+            let open = |pred: NodeId| {
+                matches!(dist[pred as usize], UNLABELLED | PASSED)
+                    && depth[pred as usize / 2] != UNLABELLED
+            };
+            let next = if node & 1 == 1 {
+                // v_out: its one predecessor.
+                Some(units[v as usize].predecessor_of_out(node)).filter(|&pred| open(pred))
+            } else if depth[v as usize] == 1 {
+                // v is the source's neighbour, and the arc u_out → v_in is
+                // uncapacitated.
+                Some(source)
+            } else {
+                // v_in: the neighbours nearer the source (cursor below the
+                // row's length), then the others (one pass more), then v_out
+                // if v is busy.
+                let row = rows.of(v);
+                let len = row.len() as u32;
+                let own = depth[v as usize];
+                let c = &mut cursor[node as usize];
+                let mut next = None;
+                while *c < 2 * len {
+                    let (x, nearer) = if *c < len {
+                        (row[*c as usize], true)
+                    } else {
+                        (row[(*c - len) as usize], false)
+                    };
+                    *c += 1;
+                    let pred = Self::node_out(x);
+                    if (depth[x as usize] < own) == nearer && open(pred) {
+                        next = Some(pred);
+                        break;
+                    }
+                }
+                if next.is_none() && *c == 2 * len {
+                    *c += 1;
+                    if units[v as usize].busy() && open(node + 1) {
+                        next = Some(node + 1);
+                    }
+                }
+                next
+            };
+            match next {
+                Some(pred) => {
+                    enter(pred, dist, cursor, queue);
+                    path.push(pred);
+                }
+                None => {
+                    dist[node as usize] = DEAD;
+                    path.pop();
+                }
+            }
+        }
+        false
     }
 
     /// Resets the labels of the last search.
@@ -443,13 +667,12 @@ impl VertexFlowGraph {
 
     /// Finds one augmenting path in the phase's level graph — a DFS from
     /// `source` that steps only to a node one closer to the sink, with a
-    /// current-arc cursor per node — and routes one unit along it. Returns
+    /// current-arc cursor per node — and leaves it in `path`. Returns
     /// `false` when the phase has no path left.
     fn augment(&mut self, source: NodeId, sink: NodeId) -> bool {
         let Self {
             rows,
             units,
-            touched,
             dist,
             cursor,
             path,
@@ -506,15 +729,22 @@ impl VertexFlowGraph {
                 }
             }
         }
-        if path.is_empty() {
-            return false;
-        }
-        // Route the unit. Only two kinds of step change a field: an
-        // adjacency arc x_out → y_in (y's unit now enters from x, x's leaves
-        // towards y) and a reversed vertex arc w_out → w_in (w's unit is
-        // cancelled). A reversed adjacency arc y_in → x_out needs no write:
-        // the step into y_in before it and the step out of x_out after it
-        // already set both fields.
+        !path.is_empty()
+    }
+
+    /// Routes one unit along `path`, an augmenting path from `source` to
+    /// `sink`. Only two kinds of step change a field: an adjacency arc
+    /// x_out → y_in (y's unit now enters from x, x's leaves towards y) and a
+    /// reversed vertex arc w_out → w_in (w's unit is cancelled). A reversed
+    /// adjacency arc y_in → x_out needs no write: the step into y_in before
+    /// it and the step out of x_out after it already set both fields.
+    fn push_unit(&mut self, source: NodeId, sink: NodeId) {
+        let Self {
+            units,
+            touched,
+            path,
+            ..
+        } = self;
         for step in path.windows(2) {
             let (from, to) = (step[0], step[1]);
             if from & 1 == 0 {
@@ -535,7 +765,6 @@ impl VertexFlowGraph {
                 units[y as usize].in_from = x;
             }
         }
-        true
     }
 
     /// The vertices whose in-node `source` reaches in the residual network
@@ -717,6 +946,60 @@ mod tests {
             flow.local_connectivity_nonadjacent(4, 0, 3),
             LocalConnectivity::Cut(vec![3, 10])
         );
+    }
+
+    #[test]
+    fn a_second_unit_can_cancel_the_first_through_a_vertex_under_a_fixed_source() {
+        // The graph of the test above. From the fixed source 0 the first
+        // unit descends the labels along 0-1-2-3-4. The second finds 3_out
+        // blocked, leaves 4 through 10, and reaches 1_out, whose unit it
+        // follows forward to 2_in and back over 2's vertex arc, 3_in and 7
+        // to 5: 1's unit now leaves towards 8 and 2's is cancelled.
+        let g = UndirectedGraph::from_edges(
+            11,
+            vec![
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (0, 5),
+                (5, 6),
+                (6, 7),
+                (7, 3),
+                (1, 8),
+                (8, 9),
+                (9, 10),
+                (10, 4),
+            ],
+        )
+        .unwrap();
+        let mut flow = VertexFlowGraph::build(&g);
+        flow.fix_source(0);
+        assert_eq!(flow.max_flow_value(0, 4, 10), 2);
+        assert!(flow.has_connectivity_at_least(0, 4, 2));
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(0, 4, 3),
+            LocalConnectivity::Cut(vec![1, 5])
+        );
+        // A probe from another source runs the Dinic phases beside the
+        // fixed source's labels, and fixing that source relabels.
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(4, 0, 3),
+            LocalConnectivity::Cut(vec![3, 10])
+        );
+        flow.fix_source(4);
+        assert_eq!(
+            flow.local_connectivity_nonadjacent(4, 0, 3),
+            LocalConnectivity::Cut(vec![3, 10])
+        );
+        assert_eq!(flow.max_flow_value(4, 0, 10), 2);
+        // An interrupted fixed-source probe leaves the arena reusable.
+        let expired = Budget::with_timeout(std::time::Duration::ZERO);
+        assert_eq!(
+            flow.local_connectivity_budgeted(4, 0, 3, &expired),
+            Err(Interrupted)
+        );
+        assert_eq!(flow.max_flow_value(4, 0, 10), 2);
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! phases reroute earlier units), the planted, Fig. 1 and collaboration
 //! suites, and complete graphs. One arena serves every graph in turn, so
 //! it is also exercised growing, shrinking and after interrupted probes.
+//!
+//! The same comparison runs with the source fixed
+//! ([`VertexFlowGraph::fix_source`]), as phase 1 of `GLOBAL-CUT*` fixes
+//! it: each sampled source in turn against every sink, so the label-guided
+//! search is checked on the same inputs, rerouting through reversed arcs on
+//! the grid and sparse G(n, p) graphs included. Its labels must not outlive
+//! a rebuild onto a smaller or a larger graph.
 
 use kvcc_datasets::ba::barabasi_albert;
 use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
@@ -196,6 +203,129 @@ fn arena_probes_match_the_materialised_reference() {
         }
     }
     assert!(compared > 10_000, "only {compared} probes compared");
+}
+
+/// Every vertex of a graph of at most 60 vertices, else `count` distinct
+/// vertices drawn by a seeded generator.
+fn sources(g: &UndirectedGraph, count: usize, seed: u64) -> Vec<VertexId> {
+    let n = g.num_vertices() as u64;
+    if n <= 60 {
+        return g.vertices().collect();
+    }
+    let mut state = seed | 1;
+    let mut picked = Vec::new();
+    while picked.len() < count {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let s = (state % n) as VertexId;
+        if !picked.contains(&s) {
+            picked.push(s);
+        }
+    }
+    picked
+}
+
+#[test]
+fn fixed_source_probes_match_the_materialised_reference() {
+    // One arena for every input, fixed at each source in turn: every
+    // non-adjacent sink, every limit, with interrupted probes from the fixed
+    // source before the clean ones.
+    let mut arena = VertexFlowGraph::empty();
+    let expired = Budget::with_timeout(Duration::ZERO);
+    let mut compared = 0usize;
+    for (i, (name, g)) in inputs().into_iter().enumerate() {
+        arena.rebuild(&g);
+        let mut reference = Reference::build(&g);
+        let n = g.num_vertices() as u32;
+        for u in sources(&g, 6, 0x50C + i as u64) {
+            arena.fix_source(u);
+            let sinks: Vec<VertexId> = g
+                .vertices()
+                .filter(|&v| v != u && !g.has_edge(u, v))
+                .collect();
+            for &v in &sinks {
+                // Interrupted before the first unit, and perhaps after some.
+                assert_eq!(
+                    arena.local_connectivity_budgeted(u, v, n, &expired),
+                    Err(Interrupted),
+                    "{name}: {u} -> {v}"
+                );
+                let short = Budget::with_timeout(Duration::from_micros(5));
+                let early = arena.local_connectivity_budgeted(u, v, n, &short);
+                for k in [1, 2, 3, 5, n] {
+                    let (value, expected) = reference.probe(u, v, k);
+                    if k == n {
+                        if let Ok(answer) = &early {
+                            assert_eq!(answer, &expected, "{name}: {u} -> {v} under a deadline");
+                        }
+                    }
+                    assert_eq!(
+                        arena.local_connectivity_nonadjacent(u, v, k),
+                        expected,
+                        "{name}: fixed-source LOC-CUT({u}, {v}) at k = {k}"
+                    );
+                    assert_eq!(
+                        arena.max_flow_value(u, v, k),
+                        value,
+                        "{name}: fixed-source flow {u} -> {v}, limit {k}"
+                    );
+                    assert_eq!(
+                        arena.has_connectivity_at_least(u, v, k),
+                        value >= k,
+                        "{name}: fixed-source boolean probe {u} -> {v}, k = {k}"
+                    );
+                    compared += 1;
+                }
+            }
+            // A probe from another source between two fixed-source probes
+            // runs the Dinic phases and leaves the labels alone.
+            if let Some(&v) = sinks.first() {
+                if let Some(w) = g
+                    .vertices()
+                    .find(|&w| w != u && w != v && !g.has_edge(w, v))
+                {
+                    let (value, _) = reference.probe(w, v, n);
+                    assert_eq!(arena.max_flow_value(w, v, n), value, "{name}: {w} -> {v}");
+                }
+                let (value, expected) = reference.probe(u, v, n);
+                assert_eq!(arena.local_connectivity_nonadjacent(u, v, n), expected);
+                assert_eq!(arena.max_flow_value(u, v, n), value, "{name}: {u} -> {v}");
+            }
+        }
+    }
+    assert!(compared > 10_000, "only {compared} probes compared");
+}
+
+#[test]
+fn fixed_source_labels_do_not_outlive_their_graph() {
+    // Vertex 0 is fixed and labelled last on each graph and fixed first on
+    // the next, after a rebuild onto a smaller and then a larger graph. The
+    // first graph leaves most vertices unlabelled (0 lies on a 6-cycle apart
+    // from a 5 × 5 grid), so a label that outlived its graph would hide
+    // vertices from the next one's probes; past the smaller graph's end the
+    // buffers still hold the first graph's labels.
+    let mut edges: Vec<(VertexId, VertexId)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+    edges.extend(grid(5, 5).edges().map(|(a, b)| (a + 6, b + 6)));
+    let apart = UndirectedGraph::from_edges(31, edges).unwrap();
+    let small = grid(4, 5);
+    let larger = grid(9, 9);
+    let mut arena = VertexFlowGraph::empty();
+    for g in [&apart, &small, &larger, &small, &apart] {
+        arena.rebuild(g);
+        let mut reference = Reference::build(g);
+        let n = g.num_vertices() as u32;
+        for u in [0, n / 2, n - 1, 0] {
+            arena.fix_source(u);
+            for v in g.vertices().filter(|&v| v != u && !g.has_edge(u, v)) {
+                for k in [2, n] {
+                    let (value, expected) = reference.probe(u, v, k);
+                    assert_eq!(arena.local_connectivity_nonadjacent(u, v, k), expected);
+                    assert_eq!(arena.max_flow_value(u, v, k), value, "{u} -> {v}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -52,17 +52,23 @@ fn heavy_graph() -> UndirectedGraph {
     .graph
 }
 
-/// A graph whose `k = 3` enumeration runs long enough (hundreds of
-/// milliseconds even in release builds) that a 20 ms deadline reliably
-/// interrupts the leader *after* every waiter has joined its flight. The
-/// doomed execution is deadline-capped, so tests never pay the full
-/// enumeration cost.
+/// A graph whose `k = 3` enumeration runs long enough (0.4–0.5 s in a
+/// release build) that a 20 ms deadline reliably interrupts the leader
+/// *after* every waiter has joined its flight. The doomed execution is
+/// deadline-capped, so tests never pay the full enumeration cost.
+///
+/// One chain of 300 planted blocks, consecutive blocks sharing two
+/// vertices, with no background: `k = 3` splits off one block per
+/// `GLOBAL-CUT*` call, 599 calls over shrinking copies of the chain. The
+/// run time lies in those calls and their partitions, not in the 1,182
+/// flow probes, so faster probes do not undercut the deadline.
 fn doomed_graph() -> UndirectedGraph {
     planted_communities(&PlantedConfig {
-        num_communities: 24,
-        chain_length: 2,
+        num_communities: 300,
+        chain_length: 300,
         community_size: (30, 36),
-        background_vertices: 4000,
+        background_vertices: 0,
+        attachment_edges_per_community: 0,
         seed: 0xD003,
         ..PlantedConfig::default()
     })
