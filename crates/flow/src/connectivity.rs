@@ -47,7 +47,7 @@ pub fn find_vertex_cut<G: GraphView>(g: &G, k: u32) -> Option<Vec<VertexId>> {
         if v == source {
             continue;
         }
-        if let LocalConnectivity::Cut(cut) = flow.local_connectivity(g, source, v, k) {
+        if let LocalConnectivity::Cut(cut) = flow.local_connectivity_nonadjacent(source, v, k) {
             return Some(cut);
         }
     }
@@ -55,7 +55,7 @@ pub fn find_vertex_cut<G: GraphView>(g: &G, k: u32) -> Option<Vec<VertexId>> {
     let neighbors = g.neighbors(source).to_vec();
     for (i, &a) in neighbors.iter().enumerate() {
         for &b in &neighbors[i + 1..] {
-            if let LocalConnectivity::Cut(cut) = flow.local_connectivity(g, a, b, k) {
+            if let LocalConnectivity::Cut(cut) = flow.local_connectivity_nonadjacent(a, b, k) {
                 return Some(cut);
             }
         }

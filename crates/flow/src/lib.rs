@@ -11,9 +11,10 @@
 //!   phases are bounded by a reverse BFS from the sink, or, from a source
 //!   fixed for many probes ([`VertexFlowGraph::fix_source`]), one search
 //!   per unit guided by a single BFS labelling from that source; both stop
-//!   at the k-th unit (Lemma 6). [`VertexFlowGraph::local_connectivity`]
-//!   returns either "connectivity at least `k`" or the minimum vertex cut
-//!   closest to the source, which every maximum flow shares.
+//!   at the k-th unit (Lemma 6).
+//!   [`VertexFlowGraph::local_connectivity_nonadjacent`] returns either
+//!   "connectivity at least `k`" or the minimum vertex cut closest to the
+//!   source, which every maximum flow shares.
 //! * [`FlowNetwork`], [`dinic::max_flow`] and [`mincut`] — an explicit
 //!   residual-arc network with a general-capacity Dinic and residual
 //!   reachability, for flows that need arc capacities (the edge cuts of

@@ -290,10 +290,10 @@ impl VertexFlowGraph {
     ///
     /// This is the cheapest probe the arena offers: the flow stops at the
     /// k-th augmenting path and, unlike
-    /// [`VertexFlowGraph::local_connectivity`], no cut is read on the
-    /// negative side. Verification workloads (`is_k_vertex_connected` over
-    /// every reported component) only need the boolean, which is why they
-    /// run here.
+    /// [`local_connectivity_nonadjacent`](Self::local_connectivity_nonadjacent),
+    /// no cut is read on the negative side. Verification workloads
+    /// (`is_k_vertex_connected` over every reported component) only need the
+    /// boolean, which is why they run here.
     pub fn has_connectivity_at_least(&mut self, u: VertexId, v: VertexId, k: u32) -> bool {
         self.max_flow_value(u, v, k) >= k
     }
@@ -346,29 +346,16 @@ impl VertexFlowGraph {
         flow
     }
 
-    /// `LOC-CUT(u, v)` from Algorithm 2: tests whether `κ(u, v) >= k`.
+    /// `LOC-CUT(u, v)` from Algorithm 2: tests whether `κ(u, v) >= k` in the
+    /// arena's graph.
     ///
     /// * Returns [`LocalConnectivity::AtLeast`]`(k)` when `u == v`, when the
-    ///   two vertices are adjacent in `g` (Lemma 5), or when `k` units of
-    ///   flow can be routed.
+    ///   two vertices are adjacent in the arena's rows (Lemma 5), or when `k`
+    ///   units of flow can be routed.
     /// * Otherwise returns the minimum `u`-`v` vertex cut (size `< k`).
-    pub fn local_connectivity<G: GraphView>(
-        &mut self,
-        g: &G,
-        u: VertexId,
-        v: VertexId,
-        k: u32,
-    ) -> LocalConnectivity {
-        if u == v || g.has_edge(u, v) {
-            return LocalConnectivity::AtLeast(k);
-        }
-        self.local_connectivity_nonadjacent(u, v, k)
-    }
-
-    /// [`local_connectivity`](Self::local_connectivity) without the caller's
-    /// graph: for callers such as `GLOBAL-CUT` that test adjacency on their
-    /// current subgraph while the arena holds its sparse certificate. Pairs
-    /// adjacent in the arena's own graph still answer `AtLeast(k)`.
+    ///
+    /// Callers such as `GLOBAL-CUT`, whose arena holds a sparse certificate
+    /// of their current subgraph, test adjacency on that subgraph first.
     pub fn local_connectivity_nonadjacent(
         &mut self,
         u: VertexId,
@@ -861,11 +848,11 @@ mod tests {
         // Both {1} and {2} separate the ends; the probe returns the minimum
         // cut closest to the source, from either side.
         assert_eq!(
-            flow.local_connectivity(&g, 0, 3, 2),
+            flow.local_connectivity_nonadjacent(0, 3, 2),
             LocalConnectivity::Cut(vec![1])
         );
         assert_eq!(
-            flow.local_connectivity(&g, 3, 0, 2),
+            flow.local_connectivity_nonadjacent(3, 0, 2),
             LocalConnectivity::Cut(vec![2])
         );
     }
@@ -875,7 +862,7 @@ mod tests {
         let g = complete(6);
         let mut flow = VertexFlowGraph::build(&g);
         // All pairs are adjacent, so Lemma 5 applies to every entry point.
-        assert!(flow.local_connectivity(&g, 0, 5, 5).is_at_least_k());
+        assert!(flow.has_connectivity_at_least(0, 5, 5));
         assert_eq!(
             flow.local_connectivity_nonadjacent(0, 5, 9),
             LocalConnectivity::AtLeast(9)
@@ -888,8 +875,8 @@ mod tests {
         let g = UndirectedGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6))).unwrap();
         let mut flow = VertexFlowGraph::build(&g);
         assert_eq!(flow.max_flow_value(0, 3, 10), 2);
-        assert!(flow.local_connectivity(&g, 0, 3, 2).is_at_least_k());
-        match flow.local_connectivity(&g, 0, 3, 3) {
+        assert!(flow.local_connectivity_nonadjacent(0, 3, 2).is_at_least_k());
+        match flow.local_connectivity_nonadjacent(0, 3, 3) {
             LocalConnectivity::Cut(cut) => assert_eq!(cut.len(), 2),
             other => panic!("expected a 2-cut, got {other:?}"),
         }
@@ -899,7 +886,7 @@ mod tests {
     fn portal_vertices_form_the_cut() {
         let g = two_cliques_with_two_cut_vertices();
         let mut flow = VertexFlowGraph::build(&g);
-        match flow.local_connectivity(&g, 0, 4, 3) {
+        match flow.local_connectivity_nonadjacent(0, 4, 3) {
             LocalConnectivity::Cut(mut cut) => {
                 cut.sort_unstable();
                 assert_eq!(cut, vec![8, 9]);
@@ -907,7 +894,7 @@ mod tests {
             other => panic!("expected the portal cut, got {other:?}"),
         }
         // With k = 2 the pair is 2-local-connected (through the two portals).
-        assert!(flow.local_connectivity(&g, 0, 4, 2).is_at_least_k());
+        assert!(flow.local_connectivity_nonadjacent(0, 4, 2).is_at_least_k());
     }
 
     #[test]
@@ -1076,7 +1063,7 @@ mod tests {
         assert!(flow.has_connectivity_at_least(5, 5, 7));
         // The arena stays reusable after boolean probes.
         assert_eq!(flow.max_flow_value(0, 4, 100), 2);
-        match flow.local_connectivity(&g, 0, 4, 3) {
+        match flow.local_connectivity_nonadjacent(0, 4, 3) {
             LocalConnectivity::Cut(mut cut) => {
                 cut.sort_unstable();
                 assert_eq!(cut, vec![8, 9]);

@@ -38,9 +38,7 @@ use std::time::{Duration, Instant};
 
 use kvcc::{KVertexConnectedComponent, KvccOptions};
 
-use crate::protocol::{
-    QueryResponse, Request, RequestBody, Response, ResponseBody, SchedulingStats, ServiceError,
-};
+use crate::protocol::{QueryResponse, Request, RequestBody, Response, ResponseBody, ServiceError};
 use crate::wire::transport::{Transport, TransportError};
 use crate::wire::{run_work_item, CsrWorkItem};
 
@@ -122,18 +120,6 @@ pub struct FleetStats {
     /// Items completed by local execution on the coordinator (retry budget
     /// exhausted, or no live workers left).
     pub local_fallbacks: u64,
-}
-
-impl FleetStats {
-    /// Folds the fleet counters into the wire-visible scheduling telemetry
-    /// of a graph slot.
-    pub fn fold_into(&self, scheduling: &mut SchedulingStats) {
-        scheduling.retries += self.retries;
-        scheduling.requeues += self.requeues;
-        scheduling.quarantines += self.quarantines;
-        scheduling.reinstatements += self.reinstatements;
-        scheduling.local_fallbacks += self.local_fallbacks;
-    }
 }
 
 /// A finished sharded enumeration: the merged components (byte-identical to

@@ -1079,13 +1079,15 @@ impl ServiceEngine {
                     self.qos.cache.count_miss();
                 }
                 let response = self.admit_and_execute(request, scratch, budget);
+                // Cache before retiring the flight: a caller arriving in
+                // between would find neither and run the query again.
+                if use_cache {
+                    self.cache_insert(&key, &response);
+                }
                 // Waiters receive exactly what the leader produced — error
                 // responses included (a failed execution propagates rather
                 // than wedging anyone).
                 leader.publish(response.clone());
-                if use_cache {
-                    self.cache_insert(&key, &response);
-                }
                 response
             }
         }
@@ -1298,7 +1300,7 @@ impl ServiceEngine {
                 }
                 let (u, v) = (slot.to_internal(u), slot.to_internal(v));
                 scratch.flow.rebuild(g);
-                let value = match scratch.flow.local_connectivity(g, u, v, limit) {
+                let value = match scratch.flow.local_connectivity_nonadjacent(u, v, limit) {
                     LocalConnectivity::AtLeast(value) => value,
                     LocalConnectivity::Cut(cut) => cut.len() as u32,
                 };

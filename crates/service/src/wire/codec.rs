@@ -1,9 +1,10 @@
 //! Byte-codec primitives of the service protocol.
 //!
 //! The varint, delta-row and bounds-checked-reader primitives live in
-//! [`kvcc_graph::codec`], shared with the graph crate's own wire formats;
-//! they are re-exported here so the whole wire layer (and external
-//! transport implementations) reach them through one path.
+//! [`kvcc_graph::codec`], shared with the graph crate's own wire formats,
+//! so protocol rows decode through the same one loop as `KIDX`, compact CSR
+//! and work-item rows. They are re-exported here so the whole wire layer
+//! (and external transport implementations) reach them through one path.
 //! On top of them this module adds the two composite encodings the protocol
 //! needs: length-prefixed byte strings and UTF-8 text.
 

@@ -6,9 +6,9 @@
 //! locality ordering and two seeded random shuffles — and mapping the output
 //! back through the [`VertexOrdering`] must be **byte-identical** to the
 //! baseline CSR enumeration. Randomized fuzzes of the varint delta codec
-//! (scalar vs batched decoder, including adversarial and truncated inputs)
-//! and of the shared [`kvcc_graph::BitSet`] (against a `Vec<bool>` model)
-//! ride along.
+//! (round trips, plus adversarial, truncated and garbage inputs to its one
+//! row decoder) and of the shared [`kvcc_graph::BitSet`] (against a
+//! `Vec<bool>` model) ride along.
 
 use kvcc::{enumerate_kvccs, KVertexConnectedComponent, KvccOptions};
 use kvcc_datasets::ba::barabasi_albert;
@@ -16,7 +16,7 @@ use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
 use kvcc_datasets::er::gnm;
 use kvcc_datasets::figure1::figure1_graph;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
-use kvcc_graph::codec::{decode_row, decode_row_into, decode_row_scalar_into, encode_row, varint};
+use kvcc_graph::codec::{decode_row, encode_row, varint};
 use kvcc_graph::reorder::{hybrid_ordering, VertexOrdering};
 use kvcc_graph::{BitSet, CsrGraph, UndirectedGraph, VertexId};
 
@@ -166,21 +166,16 @@ fn randomized_varint_delta_codec_roundtrip() {
     }
 }
 
-/// Differential fuzz of the batched four-gaps-per-window row decoder against
-/// the scalar reference: random valid rows, adversarial gap sizes straddling
-/// every varint length, random garbage, and truncations at every boundary.
-/// Both decoders must accept/reject identically, and truncation must error —
-/// never panic. On failure the partially-appended buffer contents are
-/// unspecified, so contents are only compared on success.
+/// Fuzz of the row decoder: random valid rows, adversarial gap sizes
+/// straddling every varint length, random garbage, and truncations at every
+/// boundary. Valid rows must decode exactly; truncation and over-count must
+/// error, and garbage must never panic.
 #[test]
-fn batched_decoder_matches_scalar_reference_under_fuzz() {
+fn row_decoder_under_fuzz() {
     let mut rng = XorShift(0xBA7C4);
     let mut buf = Vec::new();
-    let mut scalar = Vec::new();
-    let mut batched = Vec::new();
     for round in 0..600 {
-        // Rows whose gap sizes hop across every varint byte-length, so the
-        // batched window check and the scalar tail both get exercised.
+        // Rows whose gap sizes hop across every varint byte-length.
         let len = rng.below(48) as usize;
         let mut row: Vec<VertexId> = Vec::with_capacity(len);
         let mut current: u64 = rng.below(1 << 16);
@@ -201,33 +196,26 @@ fn batched_decoder_matches_scalar_reference_under_fuzz() {
         }
         buf.clear();
         encode_row(&row, &mut buf);
-        let s = decode_row_scalar_into(&buf, 0, row.len(), &mut scalar);
-        let b = decode_row_into(&buf, 0, row.len(), &mut batched);
-        assert_eq!(s, b, "round {round}: end positions diverged");
-        assert_eq!(s, Some(buf.len()), "round {round}");
-        assert_eq!(scalar, row, "round {round}: scalar decode");
-        assert_eq!(batched, row, "round {round}: batched decode");
-        // Every truncation must fail in both decoders (each encoded value
-        // needs all of its bytes), without panicking.
+        assert_eq!(
+            decode_row(&buf, 0, row.len()),
+            Some((row.clone(), buf.len())),
+            "round {round}"
+        );
+        // Every truncation must fail (each encoded value needs all of its
+        // bytes), without panicking.
         for cut in 0..buf.len() {
             assert!(
-                decode_row_scalar_into(&buf[..cut], 0, row.len(), &mut scalar).is_none(),
-                "round {round} cut {cut}: scalar accepted a truncation"
-            );
-            assert!(
-                decode_row_into(&buf[..cut], 0, row.len(), &mut batched).is_none(),
-                "round {round} cut {cut}: batched accepted a truncation"
+                decode_row(&buf[..cut], 0, row.len()).is_none(),
+                "round {round} cut {cut}: accepted a truncation"
             );
         }
-        // Over-count requests fail identically too.
-        assert_eq!(
-            decode_row_scalar_into(&buf, 0, row.len() + 1, &mut scalar).is_none(),
-            decode_row_into(&buf, 0, row.len() + 1, &mut batched).is_none(),
-            "round {round}: over-count divergence"
+        assert!(
+            decode_row(&buf, 0, row.len() + 1).is_none(),
+            "round {round}: accepted an over-count"
         );
     }
-    // Pure garbage bytes: whatever the scalar decoder says, the batched one
-    // must agree (accept with the same end position or reject).
+    // Pure garbage bytes: an accepted row must still be strictly increasing
+    // and end inside the buffer, at least one byte per value.
     for round in 0..400 {
         let len = rng.below(40) as usize;
         buf.clear();
@@ -235,11 +223,16 @@ fn batched_decoder_matches_scalar_reference_under_fuzz() {
             buf.push(rng.next() as u8);
         }
         let count = rng.below(12) as usize;
-        let s = decode_row_scalar_into(&buf, 0, count, &mut scalar);
-        let b = decode_row_into(&buf, 0, count, &mut batched);
-        assert_eq!(s, b, "garbage round {round}");
-        if s.is_some() {
-            assert_eq!(scalar, batched, "garbage round {round}: decoded values");
+        if let Some((row, end)) = decode_row(&buf, 0, count) {
+            assert_eq!(row.len(), count, "garbage round {round}");
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "garbage round {round}: row not strictly increasing"
+            );
+            assert!(
+                count <= end && end <= buf.len(),
+                "garbage round {round}: end {end} outside the buffer"
+            );
         }
     }
 }
