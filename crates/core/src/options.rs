@@ -197,11 +197,10 @@ impl KvccOptions {
 }
 
 /// Resolves a requested worker count to a concrete one (`0` means
-/// [`std::thread::available_parallelism`]). The helper now lives in
-/// `kvcc_graph::load`, where the streaming loader's sort fan-out also uses
-/// it; re-exported here so `kvcc::effective_threads` keeps working for the
-/// enumeration worklist ([`KvccOptions::threads`]) and the `kvcc-service`
-/// batch pool.
+/// [`std::thread::available_parallelism`]). The helper lives at the root of
+/// `kvcc_graph`; re-exported here so `kvcc::effective_threads` keeps working
+/// for the enumeration worklist ([`KvccOptions::threads`]) and the
+/// `kvcc-service` batch pool.
 pub use kvcc_graph::effective_threads;
 
 #[cfg(test)]

@@ -33,8 +33,9 @@
 //!   the effectiveness study (Figs. 7–9).
 //! * [`io`] — SNAP-style edge-list reading and writing (Table 1 datasets).
 //! * [`load`] — SNAP-scale streaming ingestion: [`StreamingEdgeListLoader`]
-//!   builds CSR directly from a chunked parse → parallel sort → k-way merge
-//!   pipeline, never materialising per-vertex `Vec`s.
+//!   scans the text once as bytes, numbering raw ids through a dense table
+//!   bounded by the vertex count (a hash map past it), then builds CSR by
+//!   counting sort; the text is never held whole.
 //! * [`kcsr`] — the aligned `KCSR` v3 binary format whose offset/neighbour
 //!   arrays can be **borrowed** from the byte buffer ([`CsrGraphRef`],
 //!   [`MappedCsr`]) instead of decoded: file-backed loads are O(header)
@@ -74,7 +75,32 @@ pub use delta::{DeltaGraph, DeltaStats, EdgeUpdate, UpdateOp};
 pub use error::GraphError;
 pub use graph::UndirectedGraph;
 pub use kcsr::{borrow_kcsr, decode_kcsr, write_kcsr_file, AlignedBytes, CsrGraphRef, MappedCsr};
-pub use load::{effective_threads, IngestedGraph, StreamingEdgeListLoader};
+pub use load::{IngestedGraph, StreamingEdgeListLoader};
 pub use reorder::{hybrid_ordering, VertexOrdering};
 pub use types::{VertexId, INVALID_VERTEX};
 pub use view::{GraphView, SubgraphView};
+
+/// Resolves a requested worker count to a concrete one: `0` means
+/// [`std::thread::available_parallelism`], anything else is taken verbatim.
+/// Shared by the enumeration worklist and the `kvcc-service` batch pool
+/// (re-exported as `kvcc::effective_threads`).
+pub fn effective_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn effective_threads_resolves_zero_to_available_parallelism() {
+        assert_eq!(effective_threads(3), 3);
+        assert!(effective_threads(0) >= 1);
+    }
+}

@@ -451,9 +451,11 @@ impl ServiceEngine {
     /// [`crate::protocol::RequestBody::LoadGraph`]:
     ///
     /// * [`LoadFormat::EdgeList`] streams the file through
-    ///   [`StreamingEdgeListLoader`] (chunked parse → sorted-run merge →
-    ///   direct CSR emission), so the text form is never materialised as
-    ///   per-vertex adjacency `Vec`s.
+    ///   [`StreamingEdgeListLoader`] in two linear passes: one byte scan
+    ///   that numbers raw ids (a dense table below a bound that grows with
+    ///   the vertex count, a hash map above it) into one pair list, then a
+    ///   counting-sort CSR build. The text is never held whole, and no
+    ///   per-vertex adjacency `Vec` exists.
     /// * [`LoadFormat::Kcsr`] opens an aligned `KCSR` v3 file. Under
     ///   [`OrderingPolicy::Preserve`] the validated file bytes are
     ///   **borrowed** in place ([`MappedCsr`], `zero_copy: true` in the

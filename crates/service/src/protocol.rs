@@ -81,7 +81,9 @@ impl OrderingPolicy {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LoadFormat {
     /// A SNAP-style text edge list, ingested through the streaming loader
-    /// (`kvcc_graph::load::StreamingEdgeListLoader`).
+    /// (`kvcc_graph::load::StreamingEdgeListLoader`): a byte scan that
+    /// numbers raw ids through a bounded dense table (a hash map past the
+    /// bound), then a counting-sort CSR build.
     #[default]
     EdgeList,
     /// The aligned `KCSR` v3 binary format. Under

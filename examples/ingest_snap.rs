@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PathBuf::from(&args[0])
     };
 
-    // 1. Stream the text file into CSR: chunked parse, parallel run sort,
-    //    k-way merge — the per-vertex adjacency Vecs never exist.
+    // 1. Stream the text file into CSR: one byte scan that numbers raw ids
+    //    into a pair list, then a counting sort — the text is never held
+    //    whole and no per-vertex adjacency Vec exists.
     let started = Instant::now();
     let ingested = StreamingEdgeListLoader::new().load_path(&edge_path)?;
     let ingest_elapsed = started.elapsed();

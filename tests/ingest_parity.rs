@@ -1,16 +1,18 @@
-//! Streaming-ingestion and zero-copy-format parity (PR 7).
+//! Streaming-ingestion and zero-copy-format parity.
 //!
-//! The chunk/sort/merge streaming loader must be byte-for-byte
+//! The two-pass streaming loader (a byte scan that interns ids into one
+//! pair list, then a counting-sort CSR build) must be byte-for-byte
 //! indistinguishable from the in-memory `parse_edge_list` → `GraphBuilder`
 //! path: same interning order, same dedup/self-loop diagnostics, same CSR —
-//! on the paper's dataset stand-ins and on random families, across chunk
-//! sizes that force real multi-run merges. The aligned `KCSR` v3 format must
-//! answer identically whether the buffer is borrowed zero-copy or decoded
-//! into a fresh copy, and hostile bytes (malformed edge lists, truncated or
-//! bit-flipped files, random garbage) must error — never panic, never
-//! produce a graph.
+//! on the paper's dataset stand-ins, on random families and on hand-written
+//! lines that stray from the plain `u<TAB>v` shape, through read buffers
+//! small enough that lines straddle refills. The aligned `KCSR` v3 format
+//! must answer identically whether the buffer is borrowed zero-copy or
+//! decoded into a fresh copy, and hostile bytes (malformed edge lists,
+//! invalid UTF-8, truncated or bit-flipped files, random garbage) must
+//! error — never panic, never produce a graph.
 
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, ErrorKind};
 
 use kvcc_datasets::ba::barabasi_albert;
 use kvcc_datasets::collaboration::{collaboration_graph, CollaborationConfig};
@@ -20,8 +22,8 @@ use kvcc_datasets::planted::planted_communities;
 use kvcc_datasets::PlantedConfig;
 use kvcc_graph::io::parse_edge_list_diagnostic;
 use kvcc_graph::{
-    borrow_kcsr, decode_kcsr, AlignedBytes, CsrGraph, StreamingEdgeListLoader, UndirectedGraph,
-    VertexId,
+    borrow_kcsr, decode_kcsr, AlignedBytes, CsrGraph, GraphBuilder, GraphError,
+    StreamingEdgeListLoader, UndirectedGraph, VertexId,
 };
 
 /// The graphs the parity checks run over: the paper's stand-ins plus random
@@ -101,31 +103,80 @@ fn messy_edge_list(g: &UndirectedGraph, seed: u64) -> (String, usize, usize) {
     (text, duplicates, self_loops)
 }
 
+/// The raw ids in the in-memory path's numbering: `GraphBuilder::add_edge_raw`
+/// over the tokens `parse_edge_list_diagnostic` reads.
+fn in_memory_external_ids(text: &str) -> Vec<u64> {
+    let mut builder = GraphBuilder::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+            continue;
+        }
+        let mut ids = line.split_whitespace().map(|t| t.parse::<u64>().unwrap());
+        builder.add_edge_raw(ids.next().unwrap(), ids.next().unwrap());
+    }
+    (0..).map_while(|v| builder.raw_id_of(v)).collect()
+}
+
+/// Lines both paths accept that the plain `u<TAB>v` render never writes.
+const ODD_BUT_VALID: &[(&str, &str)] = &[
+    ("plus signs", "+1 +2\n2 +3\n+3 1\n"),
+    ("VT/FF separators", "1\x0B2\n\x0C2\x0C\x0B3\x0B\n3\x0C1\n"),
+    ("CRLF endings", "# header\r\n1 2\r\n\r\n2 3\r\n3 1\r\n"),
+    (
+        "U+00A0 and U+3000",
+        "1\u{A0}2\n2\u{3000}3\n3 1\n7\u{A0}\u{3000}1\n",
+    ),
+    ("leading zeros", "007 0\n00 7\n0007\t000\n7 8\n"),
+    (
+        "u64::MAX",
+        "18446744073709551615 1\n1 2\n2 18446744073709551615\n",
+    ),
+    (
+        "trailing tokens",
+        "1 2 3 4\n2 3 1.5 junk\n3 1\t+x \u{FEFF}\n",
+    ),
+    ("no final newline", "1 2\n2 3\n3 1"),
+];
+
 #[test]
 fn streaming_and_in_memory_ingestion_are_byte_identical() {
+    let mut inputs = Vec::new();
     for (name, g) in graph_family() {
         let (text, duplicates, self_loops) = messy_edge_list(&g, 0x9e37 ^ g.num_edges() as u64);
-        let (parsed, parsed_stats) = parse_edge_list_diagnostic(&text).unwrap();
+        let (_, parsed_stats) = parse_edge_list_diagnostic(&text).unwrap();
         assert_eq!(parsed_stats.duplicates, duplicates, "{name}");
         assert_eq!(parsed_stats.self_loops, self_loops, "{name}");
+        inputs.push((name, text));
+    }
+    for &(name, text) in ODD_BUT_VALID {
+        inputs.push((name.to_string(), text.to_string()));
+    }
+    for (name, text) in inputs {
+        let (parsed, parsed_stats) = parse_edge_list_diagnostic(&text).unwrap();
         let reference = CsrGraph::from_view(&parsed).to_bytes_aligned();
-        // Chunk sizes: forced single-pair runs, a mid size that splits the
-        // input into a handful of runs, and the default (one run).
-        for chunk_pairs in [2usize, 64, 1 << 20] {
-            let loaded = StreamingEdgeListLoader::new()
-                .with_chunk_pairs(chunk_pairs)
-                .load_reader(Cursor::new(text.as_bytes()))
-                .unwrap();
-            assert_eq!(loaded.stats, parsed_stats, "{name}, chunk {chunk_pairs}");
+        let external_ids = in_memory_external_ids(&text);
+        // Read buffers of one and seven bytes, so lines straddle refills,
+        // and the default.
+        for capacity in [Some(1usize), Some(7), None] {
+            let reader = match capacity {
+                Some(capacity) => BufReader::with_capacity(capacity, text.as_bytes()),
+                None => BufReader::new(text.as_bytes()),
+            };
+            let loaded = StreamingEdgeListLoader::new().load_reader(reader).unwrap();
+            assert_eq!(loaded.stats, parsed_stats, "{name}, buffer {capacity:?}");
             assert_eq!(
                 loaded.graph.to_bytes_aligned(),
                 reference,
-                "{name}, chunk {chunk_pairs}: CSR bytes diverge"
+                "{name}, buffer {capacity:?}: CSR bytes diverge"
             );
             assert_eq!(
                 loaded.graph.num_vertices(),
                 parsed.num_vertices(),
-                "{name}, chunk {chunk_pairs}"
+                "{name}, buffer {capacity:?}"
+            );
+            assert_eq!(
+                loaded.external_ids, external_ids,
+                "{name}, buffer {capacity:?}"
             );
         }
     }
@@ -165,17 +216,29 @@ fn malformed_edge_lists_error_identically_and_never_panic() {
         "-1 2\n",
         "1.5 2\n",
         "99999999999999999999999999 1\n",
+        "18446744073709551616 1\n",
         "0 1\n\u{FEFF}2 3\n",
+        "0 1\n1 2\x1C3\n",
     ];
     for (i, text) in cases.iter().enumerate() {
-        let streamed = StreamingEdgeListLoader::new()
-            .with_chunk_pairs(2)
-            .load_reader(Cursor::new(text.as_bytes()));
+        let streamed = StreamingEdgeListLoader::new().load_reader(Cursor::new(text.as_bytes()));
         let parsed = parse_edge_list_diagnostic(text);
         let streamed = streamed.expect_err(&format!("case {i} must fail"));
         let parsed = parsed.expect_err(&format!("case {i} must fail in memory too"));
         // Identical diagnostics: same line numbers, same message.
         assert_eq!(streamed.to_string(), parsed.to_string(), "case {i}");
+    }
+}
+
+#[test]
+fn invalid_utf8_fails_with_invalid_data_even_where_it_is_ignored() {
+    // After the second token (the tail the id scan never parses) and inside
+    // a comment: `read_line` rejected both, so the loader still must.
+    for bytes in [&b"0 1\n1 2 \xFF\n"[..], b"0 1\n# caf\xE9\n1 2\n"] {
+        match StreamingEdgeListLoader::new().load_reader(Cursor::new(bytes)) {
+            Err(GraphError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{bytes:?}"),
+            other => panic!("{bytes:?}: expected InvalidData, got {other:?}"),
+        }
     }
 }
 
