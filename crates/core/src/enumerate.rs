@@ -29,15 +29,16 @@
 //!   [`KvccOptions::threads`] ≠ 1 they are processed by a pool of workers;
 //!   results and statistics merge deterministically (see
 //!   [`KvccOptions::threads`]).
-//! * The parallel runtime is a **work-stealing** pool: each worker owns a
-//!   deque it pushes and pops LIFO (depth-first locality), and idle workers
-//!   steal FIFO from a victim.
+//! * The workers share one LIFO stack behind a `Mutex` and wait on one
+//!   `Condvar`. An item runs a whole `GLOBAL-CUT*`, 0.26 ms on average on a
+//!   451-item planted graph and up to tens of milliseconds, so the lock,
+//!   taken twice per item, does not contend: per-worker deques with work
+//!   stealing timed the same at 2 and 8 threads (README, "Scheduling &
+//!   deadlines").
 //! * Every loop polls [`KvccOptions::budget`]; an expired deadline or a
 //!   cancelled token interrupts the run at the next checkpoint and returns
 //!   [`KvccError::Interrupted`] carrying the partial statistics.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -81,6 +82,10 @@ struct WorkerScratch {
     cut: CutScratch,
     map: Vec<VertexId>,
 }
+
+/// The parallel worklist's lock is poisoned only by a worker that panicked
+/// while holding it.
+const POISONED: &str = "a worklist worker panicked while holding the lock";
 
 impl KvccEnumerator {
     /// Creates an enumerator with the given options.
@@ -168,7 +173,7 @@ impl KvccEnumerator {
         if threads <= 1 {
             self.run_sequential(k, initial, results, stats)
         } else {
-            self.run_parallel_stealing(k, initial, results, stats, threads)
+            self.run_parallel(k, initial, results, stats, threads)
         }
     }
 
@@ -214,36 +219,22 @@ impl KvccEnumerator {
         Ok(())
     }
 
-    /// The parallel runtime: one deque per worker plus a small coordination
-    /// lock used only for idle parking and termination.
+    /// The parallel runtime: `threads` scoped workers share one LIFO stack
+    /// of pending items behind a `Mutex`, and idle workers wait on one
+    /// `Condvar`.
     ///
-    /// * **Owner path** — a worker pushes the items it creates onto the back
-    ///   of its own deque and pops from the back (LIFO): partition pieces
-    ///   are processed depth-first while their parent is still cache-hot,
-    ///   and the queue depth stays bounded by the recursion depth instead of
-    ///   the fan-out.
-    /// * **Steal path** — a worker whose deque is empty takes from the
-    ///   *front* of a victim's deque (FIFO): the oldest item is the
-    ///   shallowest point of the victim's recursion tree, i.e. the largest
-    ///   stealable granule, so thieves amortise their synchronisation over
-    ///   the most work. Victims are scanned round-robin starting after the
-    ///   thief's own slot.
-    /// * **Parking** — a worker that finds every deque empty re-checks a
-    ///   version stamp under the coordination lock and `Condvar`-parks until
-    ///   a producer publishes new items, the pool drains (`unfinished == 0`)
-    ///   or a worker reports an error. Producers push to their deque first
-    ///   and bump the version afterwards, so a thief either observes the new
-    ///   item during its scan or observes the bumped version and re-scans —
-    ///   wakeups cannot be lost.
+    /// A worker pops the newest item, processes it with the lock released,
+    /// then pushes the items it created and signals. It waits while the
+    /// stack is empty and another worker is busy (that worker may still
+    /// push), and leaves once the stack is empty and no worker is busy, or
+    /// once a worker has recorded an error. The check and the wait hold the
+    /// same lock, so no wake-up is lost.
     ///
-    /// Each worker keeps its own scratch arena and local result/statistics
-    /// buffers, merged after the pool drains. The merge is deterministic
-    /// because the *set* of work items processed is independent of
-    /// scheduling: every item is handled identically regardless of which
-    /// worker picks it up, counters are sums over items, and the final
-    /// component list is sorted. Only `elapsed`, the memory estimate and
-    /// `steals` vary between runs.
-    fn run_parallel_stealing(
+    /// Each worker merges its results and counters as it leaves, also on
+    /// error, so an interrupted run reports the work that completed. The set
+    /// of processed items does not depend on scheduling, so only `elapsed`,
+    /// the memory estimate and `steals` vary between runs.
+    fn run_parallel(
         &self,
         k: u32,
         initial: Vec<WorkItem>,
@@ -251,96 +242,56 @@ impl KvccEnumerator {
         stats: &mut EnumerationStats,
         threads: usize,
     ) -> Result<(), KvccError> {
-        struct Coord {
-            /// Items pushed but not yet fully processed (queued + in-flight).
-            /// The pool has drained exactly when this reaches zero.
-            unfinished: usize,
-            /// Bumped under the lock after every completed publish; an idle
-            /// worker re-scans instead of parking whenever the version moved
-            /// since its last scan.
-            version: u64,
+        struct Shared<'a> {
+            /// Pending items, each with the worker that created it (`None`
+            /// for the initial items).
+            stack: Vec<(WorkItem, Option<usize>)>,
+            /// Workers processing an item right now.
+            busy: usize,
+            /// Bytes of the items on the stack, and their high-water mark.
+            queued: MemoryTracker,
             error: Option<KvccError>,
+            results: &'a mut Vec<KVertexConnectedComponent>,
+            stats: &'a mut EnumerationStats,
         }
-        let queue_bytes = AtomicUsize::new(0);
-        let queue_peak = AtomicUsize::new(0);
-        let charge = |delta: usize| {
-            let now = queue_bytes.fetch_add(delta, Ordering::Relaxed) + delta;
-            queue_peak.fetch_max(now, Ordering::Relaxed);
-        };
-        let coord = Mutex::new(Coord {
-            unfinished: initial.len(),
-            version: 0,
+        let mut queued = MemoryTracker::new();
+        for item in &initial {
+            queued.allocate(item.bytes());
+        }
+        let shared = Mutex::new(Shared {
+            stack: initial.into_iter().map(|item| (item, None)).collect(),
+            busy: 0,
+            queued,
             error: None,
+            results,
+            stats,
         });
-        // Lock-free mirror of `coord.error.is_some()`, checked before every
-        // pop so workers stop promptly after any worker fails instead of
-        // draining the remaining queue.
-        let failed = std::sync::atomic::AtomicBool::new(false);
         let ready = Condvar::new();
-        let deques: Vec<Mutex<VecDeque<WorkItem>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        // Seed round-robin so a multi-component start is spread immediately.
-        for (i, item) in initial.into_iter().enumerate() {
-            charge(item.bytes());
-            deques[i % threads].lock().unwrap().push_back(item);
-        }
-
-        type WorkerOutput = (Vec<KVertexConnectedComponent>, EnumerationStats, usize);
-        let collected: Mutex<Vec<WorkerOutput>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
             for worker in 0..threads {
-                let (deques, coord, ready) = (&deques, &coord, &ready);
-                let (collected, charge, queue_bytes) = (&collected, &charge, &queue_bytes);
-                let failed = &failed;
+                let (shared, ready) = (&shared, &ready);
                 scope.spawn(move || {
                     let mut local_results = Vec::new();
                     let mut local_stats = EnumerationStats::default();
                     let mut memory = MemoryTracker::new();
                     let mut scratch = WorkerScratch::default();
-                    let mut created: Vec<WorkItem> = Vec::new();
-                    let mut last_seen: Option<u64> = None;
-                    'work: loop {
-                        // Fail fast: once any worker recorded an error the
-                        // rest must not drain the remaining worklist.
-                        if failed.load(Ordering::Relaxed) {
-                            break 'work;
-                        }
-                        // Own deque back (LIFO), then steal fronts (FIFO).
-                        let mut item = deques[worker].lock().unwrap().pop_back();
-                        if item.is_none() {
-                            for offset in 1..threads {
-                                let victim = (worker + offset) % threads;
-                                if let Some(stolen) = deques[victim].lock().unwrap().pop_front() {
-                                    local_stats.steals += 1;
-                                    item = Some(stolen);
-                                    break;
-                                }
+                    let mut created = Vec::new();
+                    let mut guard = shared.lock().expect(POISONED);
+                    while guard.error.is_none() {
+                        let Some((item, creator)) = guard.stack.pop() else {
+                            if guard.busy == 0 {
+                                break;
                             }
-                        }
-                        let item = match item {
-                            Some(item) => {
-                                last_seen = None;
-                                item
-                            }
-                            None => {
-                                let mut guard = coord.lock().unwrap();
-                                loop {
-                                    if guard.error.is_some() || guard.unfinished == 0 {
-                                        break 'work;
-                                    }
-                                    if last_seen != Some(guard.version) {
-                                        // A publish completed since our scan:
-                                        // remember the stamp and re-scan.
-                                        last_seen = Some(guard.version);
-                                        continue 'work;
-                                    }
-                                    guard = ready.wait(guard).unwrap();
-                                }
-                            }
+                            guard = ready.wait(guard).expect(POISONED);
+                            continue;
                         };
-                        queue_bytes.fetch_sub(item.bytes(), Ordering::Relaxed);
-
+                        guard.queued.release(item.bytes());
+                        guard.busy += 1;
+                        drop(guard);
+                        if creator.is_some_and(|c| c != worker) {
+                            local_stats.steals += 1;
+                        }
                         let outcome = if self.options.budget.expired() {
                             Err(KvccError::from(Interrupted))
                         } else {
@@ -354,91 +305,40 @@ impl KvccEnumerator {
                                 &mut scratch,
                             )
                         };
+                        guard = shared.lock().expect(POISONED);
+                        guard.busy -= 1;
+                        let pushed = !created.is_empty();
                         match outcome {
                             Ok(()) => {
-                                let pushed = created.len();
-                                if pushed > 0 {
-                                    for item in &created {
-                                        charge(item.bytes());
-                                    }
-                                    // Count the new items *before* making
-                                    // them stealable: a thief that finishes
-                                    // one instantly must never drive
-                                    // `unfinished` to a premature zero (or
-                                    // below). The publish still happens
-                                    // before the version bump — the parking
-                                    // protocol in the method docs.
-                                    coord.lock().unwrap().unfinished += pushed;
-                                    deques[worker].lock().unwrap().extend(created.drain(..));
-                                }
-                                let mut guard = coord.lock().unwrap();
-                                guard.unfinished -= 1;
-                                let done = guard.unfinished == 0;
-                                if pushed > 0 {
-                                    guard.version += 1;
-                                }
-                                drop(guard);
-                                if pushed > 0 || done {
-                                    ready.notify_all();
+                                for item in created.drain(..) {
+                                    guard.queued.allocate(item.bytes());
+                                    guard.stack.push((item, Some(worker)));
                                 }
                             }
                             Err(e) => {
-                                created.clear();
-                                let mut guard = coord.lock().unwrap();
                                 guard.error.get_or_insert(e);
-                                guard.unfinished -= 1;
-                                drop(guard);
-                                failed.store(true, Ordering::Relaxed);
-                                ready.notify_all();
                             }
                         }
+                        // Waiters need new items, the end of the last busy
+                        // worker's item, or an error.
+                        if pushed || guard.busy == 0 || guard.error.is_some() {
+                            ready.notify_all();
+                        }
                     }
-                    collected
-                        .lock()
-                        .unwrap()
-                        .push((local_results, local_stats, memory.peak()));
+                    // `merge` keeps the largest worker's scratch peak.
+                    local_stats.peak_memory_bytes = memory.peak();
+                    guard.results.extend(local_results);
+                    guard.stats.merge(&local_stats);
                 });
             }
         });
 
-        let error = coord.into_inner().unwrap().error;
-        self.merge_worker_outputs(
-            collected.into_inner().unwrap(),
-            results,
-            stats,
-            queue_peak.load(Ordering::Relaxed),
-            error,
-        )
-    }
-
-    /// Merges per-worker outputs into the run-level buffers — **also on
-    /// error**, so an interrupted run reports the partial statistics of the
-    /// work that actually completed.
-    fn merge_worker_outputs(
-        &self,
-        outputs: Vec<(Vec<KVertexConnectedComponent>, EnumerationStats, usize)>,
-        results: &mut Vec<KVertexConnectedComponent>,
-        stats: &mut EnumerationStats,
-        queue_peak: usize,
-        error: Option<KvccError>,
-    ) -> Result<(), KvccError> {
-        let mut scratch_peak = 0usize;
-        for (local_results, local_stats, peak) in outputs {
-            results.extend(local_results);
-            // Worker-local stats have zero `elapsed` and zero peak memory, so
-            // the merge only accumulates the order-independent counters
-            // here; the peak estimate is assembled below.
-            stats.merge(&local_stats);
-            scratch_peak = scratch_peak.max(peak);
-        }
-        // Peak estimate: the queue's high-water mark plus the largest
-        // per-worker scratch peak. An approximation (workers run
-        // concurrently), but monotone in problem size like Fig. 12.
-        stats.peak_memory_bytes = stats.peak_memory_bytes.max(queue_peak + scratch_peak);
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let shared = shared.into_inner().expect(POISONED);
+        // Peak estimate: the largest worker's scratch peak plus the stack's
+        // high-water mark. An approximation (workers run concurrently), but
+        // monotone in problem size like Fig. 12.
+        shared.stats.peak_memory_bytes += shared.queued.peak();
+        shared.error.map_or(Ok(()), Err)
     }
 
     /// Handles one work item: k-core pruning, component split, cut-or-report.
@@ -758,8 +658,8 @@ mod tests {
     #[test]
     fn schedulers_agree_exactly() {
         // Triangles connected by bridge edges: every overlap partition leaves
-        // a dangling bridge stub that peels, and the fan-out exercises
-        // stealing.
+        // a dangling bridge stub that peels, and the fan-out gives several
+        // workers items to pop.
         let mut edges = Vec::new();
         for b in 0..8u32 {
             let base = b * 3;

@@ -93,7 +93,7 @@ pub struct KvccOptions {
     /// * `1` (the default) — sequential processing, exactly the paper's
     ///   Algorithm 1.
     /// * `0` — use [`std::thread::available_parallelism`].
-    /// * `n > 1` — a fixed work-stealing pool of `n` workers.
+    /// * `n > 1` — `n` workers sharing one locked LIFO stack of work items.
     ///
     /// The pieces produced by `OVERLAP-PARTITION` are independent, so workers
     /// process them concurrently with per-thread scratch arenas. Results and

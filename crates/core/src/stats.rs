@@ -52,10 +52,10 @@ pub struct EnumerationStats {
     /// components + partition pieces). Deterministic: independent of the
     /// thread count.
     pub work_items_executed: u64,
-    /// Work items a worker took from another worker's deque (parallel runs
-    /// only). The one counter that is genuinely scheduling-dependent: it
-    /// varies run to run and is reported for observability, never compared
-    /// for parity.
+    /// Work items a worker popped from the shared stack that another worker
+    /// had created (parallel runs only). The one counter that is genuinely
+    /// scheduling-dependent: it varies run to run and is reported for
+    /// observability, never compared for parity.
     pub steals: u64,
     /// Whether the run was interrupted by its [`crate::KvccOptions::budget`]
     /// before completing. Set on the partial statistics carried by

@@ -771,59 +771,52 @@ impl ServiceEngine {
         budget: &Budget,
     ) -> Vec<QueryResponse> {
         let threads = effective_threads(self.config.threads).min(requests.len().max(1));
-        if threads <= 1 {
-            let mut scratch = WorkerScratch::new();
-            return requests
+        if threads > 1 {
+            // Index builds are expensive and racy under OnceLock (concurrent
+            // losers throw work away), so resolve them once up front.
+            let mut prebuilt: Vec<GraphId> = requests
                 .iter()
-                .map(|r| {
-                    if budget.expired() {
-                        QueryResponse::Error(ServiceError::DeadlineExceeded)
-                    } else {
-                        self.execute_with(r, &mut scratch, budget)
-                    }
-                })
+                .filter(|r| r.needs_index())
+                .map(|r| r.graph())
                 .collect();
-        }
-
-        // Index builds are expensive and racy under OnceLock (concurrent
-        // losers throw work away), so resolve them once up front.
-        let mut prebuilt: Vec<GraphId> = requests
-            .iter()
-            .filter(|r| r.needs_index())
-            .map(|r| r.graph())
-            .collect();
-        prebuilt.sort_unstable();
-        prebuilt.dedup();
-        for graph in prebuilt {
-            // Unknown graphs and build failures are reported per request.
-            let _ = self.build_index(graph);
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, QueryResponse)>> =
-            Mutex::new(Vec::with_capacity(requests.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = WorkerScratch::new();
-                    let mut local: Vec<(usize, QueryResponse)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= requests.len() {
-                            break;
-                        }
-                        let response = if budget.expired() {
-                            QueryResponse::Error(ServiceError::DeadlineExceeded)
-                        } else {
-                            self.execute_with(&requests[i], &mut scratch, budget)
-                        };
-                        local.push((i, response));
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
+            prebuilt.sort_unstable();
+            prebuilt.dedup();
+            for graph in prebuilt {
+                // Unknown graphs and build failures are reported per request.
+                let _ = self.build_index(graph);
             }
-        });
-        let mut indexed = collected.into_inner().unwrap();
+        }
+
+        // Each worker claims the next request from one shared cursor; a
+        // single worker therefore runs the batch in order.
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut scratch = WorkerScratch::new();
+            let mut answered: Vec<(usize, QueryResponse)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(request) = requests.get(i) else {
+                    return answered;
+                };
+                let response = if budget.expired() {
+                    QueryResponse::Error(ServiceError::DeadlineExceeded)
+                } else {
+                    self.execute_with(request, &mut scratch, budget)
+                };
+                answered.push((i, response));
+            }
+        };
+        let mut indexed = if threads == 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                workers
+                    .into_iter()
+                    .flat_map(|worker| worker.join().expect("a batch worker panicked"))
+                    .collect()
+            })
+        };
         indexed.sort_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, r)| r).collect()
     }

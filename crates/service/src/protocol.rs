@@ -348,7 +348,8 @@ impl PageCursor {
 pub struct SchedulingStats {
     /// Work items drained across all direct enumerations on the slot.
     pub work_items: u64,
-    /// Work items taken from another worker's deque (work stealing).
+    /// Work items a worker popped from the shared stack that another worker
+    /// had created.
     pub steals: u64,
     /// Components the enumeration deferred to other workers. It no longer
     /// defers any, so this stays 0; the field keeps the protocol-v6 `Stats`
@@ -446,8 +447,8 @@ pub enum QueryResponse {
         /// under-reporting.
         depth_limit: Option<u32>,
         /// Cumulative scheduling observability for this graph slot, so the
-        /// runtime behaviour of the work-stealing enumerator is inspectable
-        /// over the wire (see [`SchedulingStats`]).
+        /// runtime behaviour of the parallel enumerator is inspectable over
+        /// the wire (see [`SchedulingStats`]).
         scheduling: SchedulingStats,
         /// Mutation epoch of the slot: 0 at load, +1 per applied
         /// [`RequestBody::ApplyUpdates`] batch. Page cursors embed it, and

@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(expect_components(&response), 2);
         drop(transport);
         drop(pool);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! With `--generate`, a deterministic community-ring edge list (~54k lines)
 //! is streamed to a temp file first, so the example runs without any
-//! dataset on disk.
+//! dataset on disk; that file and its `KCSR` copy are deleted on exit. A
+//! given edge list keeps its `.kcsr` beside it.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -26,6 +27,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Deletes the files it names when dropped, so an early `?` return cleans up
+/// too.
+struct RemoveOnDrop([PathBuf; 2]);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -33,7 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let k: u32 = args.get(1).map(|s| s.parse()).transpose()?.unwrap_or(4);
 
-    let edge_path: PathBuf = if args[0] == "--generate" {
+    let generate = args[0] == "--generate";
+    let edge_path = if generate {
+        std::env::temp_dir().join(format!("ingest_snap_{}.txt", std::process::id()))
+    } else {
+        PathBuf::from(&args[0])
+    };
+    let kcsr_path = edge_path.with_extension("kcsr");
+    let _cleanup = generate.then(|| RemoveOnDrop([edge_path.clone(), kcsr_path.clone()]));
+    if generate {
         let cfg = StreamConfig {
             communities: 32,
             community_size: 256,
@@ -42,20 +63,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bridges: 32,
             seed: 0x1cde_2019,
         };
-        let path = std::env::temp_dir().join(format!("ingest_snap_{}.txt", std::process::id()));
         let started = Instant::now();
-        cfg.write_file(&path)?;
+        cfg.write_file(&edge_path)?;
         println!(
             "generated {} edge lines over {} vertices into {} in {:.3?}",
             cfg.num_edge_lines(),
             cfg.num_vertices(),
-            path.display(),
+            edge_path.display(),
             started.elapsed()
         );
-        path
-    } else {
-        PathBuf::from(&args[0])
-    };
+    }
 
     // 1. Stream the text file into CSR: one byte scan that numbers raw ids
     //    into a pair list, then a counting sort — the text is never held
@@ -78,7 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Persist the aligned zero-copy form next to the input.
-    let kcsr_path = edge_path.with_extension("kcsr");
     write_kcsr_file(&ingested.graph, &kcsr_path)?;
     println!(
         "\nwrote {} ({} bytes, 8-byte-aligned KCSR v3)",

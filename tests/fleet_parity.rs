@@ -402,5 +402,5 @@ fn a_unix_socket_fleet_reproduces_the_enumeration() {
     drop(shards);
     drop(connections);
     drop(pool);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,11 @@
-//! Scheduling parity and cooperative-cancellation acceptance suite (PR 5).
+//! Scheduling parity and cooperative-cancellation acceptance suite.
 //!
-//! The work-stealing runtime is a pure *scheduling* change: on the
-//! planted-partition, Fig. 1 and collaboration suites, every thread count
-//! ({2, 3, 8}) must report the **byte-identical** component set and
-//! identical deterministic statistics counters to the sequential reference.
-//! Deadlines are the second contract:
+//! The parallel runtime (workers sharing one locked LIFO stack) is a pure
+//! *scheduling* change: on the planted-partition, Fig. 1 and collaboration
+//! suites, and on a planted graph whose k = 4 worklist drains 223 items,
+//! every thread count ({2, 3, 8}) must report the **byte-identical**
+//! component set and identical deterministic statistics counters to the
+//! sequential reference. Deadlines are the second contract:
 //! pre-expired and mid-run budgets interrupt with
 //! `ServiceError::DeadlineExceeded` (code 5) / `KvccError::Interrupted`,
 //! never a panic or a poisoned scratch, and the engine stays fully usable
@@ -38,15 +39,26 @@ fn suites() -> Vec<(String, UndirectedGraph, u32)> {
         pendant_collaborators: 10,
         ..CollaborationConfig::default()
     });
+    // 120 blocks: the k = 4 worklist runs 223 items and 110 partitions, so
+    // the workers pop many items, some of them created by another worker.
+    let long_worklist = planted_communities(&PlantedConfig {
+        num_communities: 120,
+        chain_length: 3,
+        community_size: (9, 12),
+        background_vertices: 600,
+        seed: 91,
+        ..PlantedConfig::default()
+    });
     vec![
         ("planted".to_string(), planted.graph, 4),
         ("figure1".to_string(), figure1_graph().graph, 3),
         ("collaboration".to_string(), collab.graph, 3),
+        ("long worklist".to_string(), long_worklist.graph, 4),
     ]
 }
 
 #[test]
-fn stealing_matches_sequential_byte_for_byte() {
+fn parallel_matches_sequential_byte_for_byte() {
     for (name, g, k_max) in suites() {
         for k in 2..=k_max {
             let sequential = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
@@ -67,6 +79,7 @@ fn stealing_matches_sequential_byte_for_byte() {
                     "{label}"
                 );
                 assert_eq!(p.work_items_executed, s.work_items_executed, "{label}");
+                assert!(p.steals <= p.work_items_executed, "{label}");
                 assert!(!p.cancelled, "{label}");
             }
         }
