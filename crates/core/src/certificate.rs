@@ -11,21 +11,22 @@
 //! (Theorem 10): every connected component of `F_k` is a set of vertices that
 //! are pairwise k-local-connected, which powers the group-sweep rules.
 //!
-//! # Edge ids
+//! # Residual rows
 //!
-//! The forests mark the edges they take in one flat bitmap, so each edge
-//! needs an id that both of its arcs know. The ids are numbered in
-//! [`GraphView::edges`] order (`u < v`, by `u` then `v`) and stored in one
-//! array aligned with the input's sorted neighbour slices, row after row:
-//! the arc at position `i` of `N(u)` carries the id of edge `{u, N(u)[i]}`.
-//! One pass over the rows fills it. Vertex `u` numbers its arcs towards
-//! larger neighbours, and hands each reverse arc the same id through a
-//! per-vertex cursor; a row's arcs towards smaller neighbours lead it and
-//! arrive in ascending order, so each cursor only moves forward. The
-//! forests scan every row in neighbour order, so their edges and
-//! components do not depend on how the ids are stored.
+//! The forests come from [`scan_first_forests`], which scans one copy of the
+//! input's rows and compacts each row in place while a round scans it: the
+//! scan drops the arcs to the vertices it marks and the arc to the vertex's
+//! own parent, and writes every other arc back in order. So round `r + 1`
+//! scans exactly `G` minus forests `1..=r`, with no edge ids and no used-edge
+//! bitmap. This is exact: a vertex's tree edges in a forest are all fixed by
+//! the end of its own scan, and compaction keeps row order, so every forest,
+//! `forest_sizes` and the k-th forest's trees (hence the side-groups) are
+//! those of the definition. The dropped arcs collect at each row's end, and
+//! the certificate's rows are their transpose, a counting sort stored at
+//! exact capacity.
 
-use kvcc_graph::{BitSet, CsrGraph, GraphView, VertexId};
+use kvcc_graph::scan_first::scan_first_forests;
+use kvcc_graph::{CsrGraph, GraphView, VertexId};
 
 /// Sentinel meaning "this vertex belongs to no (retained) side-group".
 pub const NO_GROUP: u32 = u32::MAX;
@@ -75,111 +76,22 @@ impl SparseCertificate {
 /// `k = 0` is accepted and yields an edgeless certificate.
 pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
     let n = g.num_vertices();
-    let (row_start, edge_of_arc) = arc_edge_ids(g);
-
-    let mut edge_used = BitSet::new(g.num_edges());
-    let mut certificate_edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut forest_sizes = Vec::new();
-
-    // Each round's forest component of every vertex, in one buffer; only the
-    // k-th forest's components become side-groups, and only when that forest
-    // has an edge.
-    let mut component: Vec<u32> = vec![NO_GROUP; n];
-    let mut component_count = 0u32;
-    let mut kth_forest_has_edges = false;
-
-    let mut queue: Vec<VertexId> = Vec::with_capacity(n);
-    let mut visited = BitSet::new(n);
-    for round in 0..k {
-        visited.clear_all();
-        let mut forest_edges = 0usize;
-        component_count = 0;
-
-        for start in 0..n as VertexId {
-            if visited.contains(start as usize) {
-                continue;
-            }
-            let comp_id = component_count;
-            component_count += 1;
-            visited.insert(start as usize);
-            component[start as usize] = comp_id;
-            queue.clear();
-            queue.push(start);
-            let mut head = 0;
-            while head < queue.len() {
-                let u = queue[head];
-                head += 1;
-                let arcs = row_start[u as usize]..row_start[u as usize + 1];
-                for (&v, &edge_id) in g.neighbors(u).iter().zip(&edge_of_arc[arcs]) {
-                    if edge_used.contains(edge_id as usize) || visited.contains(v as usize) {
-                        continue;
-                    }
-                    visited.insert(v as usize);
-                    component[v as usize] = comp_id;
-                    edge_used.insert(edge_id as usize);
-                    certificate_edges.push((u, v));
-                    forest_edges += 1;
-                    queue.push(v);
-                }
-            }
-        }
-
-        if forest_edges == 0 {
-            // The remaining graph has no edges: later forests are all empty,
-            // and the k-th forest (if not yet reached) has only singleton
-            // components, i.e. no side-groups.
-            break;
-        }
-        forest_sizes.push(forest_edges);
-        kth_forest_has_edges = round + 1 == k;
-    }
-
-    let graph = CsrGraph::from_edges(n, certificate_edges)
-        .expect("certificate edges come from the input graph and are always in range");
-
-    // Side-groups: components of the k-th forest with more than k vertices.
-    let (side_groups, group_of) = if kth_forest_has_edges {
-        collect_side_groups(&component, component_count as usize, k as usize)
-    } else {
+    let forests = scan_first_forests(g, k);
+    // Side-groups: trees of the k-th forest with more than k vertices. A
+    // forest with `e` edges over `n` vertices has `n - e` trees.
+    let (side_groups, group_of) = if forests.kth_trees.is_empty() {
         (Vec::new(), vec![NO_GROUP; n])
+    } else {
+        let trees = n - forests.forest_sizes[k as usize - 1];
+        collect_side_groups(&forests.kth_trees, trees, k as usize)
     };
 
     SparseCertificate {
-        graph,
-        forest_sizes,
+        graph: forests.union,
+        forest_sizes: forests.forest_sizes,
         side_groups,
         group_of,
     }
-}
-
-/// Numbers the edges of `g` in [`GraphView::edges`] order and returns the
-/// arc-aligned id array with its row starts: the arcs of `u` are
-/// `row_start[u]..row_start[u + 1]`, in `N(u)`'s order (see the
-/// [module docs](self)).
-fn arc_edge_ids<G: GraphView>(g: &G) -> (Vec<usize>, Vec<u32>) {
-    let n = g.num_vertices();
-    let mut row_start = Vec::with_capacity(n + 1);
-    row_start.push(0usize);
-    for v in g.vertices() {
-        row_start.push(row_start[v as usize] + g.degree(v));
-    }
-    // `cursor[v]`: the first arc of `v` towards a smaller neighbour that has
-    // no id yet. When `u` is reached, every smaller neighbour has numbered
-    // its arc, so `cursor[u]` is the first arc towards a larger one.
-    let mut cursor = row_start[..n].to_vec();
-    let mut edge_of_arc = vec![0u32; row_start[n]];
-    let mut next_id = 0u32;
-    for u in g.vertices() {
-        let first_up = cursor[u as usize];
-        let up = &g.neighbors(u)[first_up - row_start[u as usize]..];
-        for (arc, &v) in (first_up..).zip(up) {
-            edge_of_arc[arc] = next_id;
-            edge_of_arc[cursor[v as usize]] = next_id;
-            cursor[v as usize] += 1;
-            next_id += 1;
-        }
-    }
-    (row_start, edge_of_arc)
 }
 
 /// Collects the components of the last forest with more than `k` vertices as

@@ -27,8 +27,9 @@
 //!   reachability.
 //! * [`kcore`] — linear-time core decomposition and k-core extraction
 //!   (Algorithm 1, line 2 of the paper).
-//! * [`scan_first`] — scan-first-search forests (building block of the sparse
-//!   certificate of §4.2).
+//! * [`scan_first`] — the union of `k` successive scan-first-search forests
+//!   (the sparse certificate of §4.2), each round scanning only the residual
+//!   rows the earlier forests left and compacting them as it goes.
 //! * [`metrics`] — diameter, edge density and clustering coefficient used by
 //!   the effectiveness study (Figs. 7–9).
 //! * [`io`] — SNAP-style edge-list reading and writing (Table 1 datasets).

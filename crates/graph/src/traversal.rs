@@ -269,14 +269,31 @@ pub fn is_connected<G: GraphView>(g: &G) -> bool {
 /// This is exactly the processing order of phase 1 of `GLOBAL-CUT*`
 /// (Algorithm 3, line 11): vertices far from the source are more likely to be
 /// separated from it by a small cut, so testing them first finds cuts sooner.
+///
+/// Ties are broken by ascending id, which makes runs reproducible across
+/// platforms. The vertices are bucketed by distance (a counting sort, each
+/// bucket filled in id order), which gives the order a stable comparison
+/// sort gives, in `O(n)` after the BFS.
 pub fn vertices_by_descending_distance<G: GraphView>(g: &G, src: VertexId) -> Vec<VertexId> {
     let dist = bfs_distances(g, src);
-    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId)
-        .filter(|&v| v != src && dist[v as usize] != UNREACHABLE)
-        .collect();
-    // Stable sort keeps ties in ascending id order, which makes runs
-    // reproducible across platforms.
-    order.sort_by(|&a, &b| dist[b as usize].cmp(&dist[a as usize]).then(a.cmp(&b)));
+    let reached = |d: u32| d != 0 && d != UNREACHABLE;
+    // `next[d]`: the output slot of the next vertex at distance `d < n`; the
+    // buckets are laid out from the farthest down.
+    let mut next = vec![0usize; dist.len()];
+    for &d in dist.iter().filter(|&&d| reached(d)) {
+        next[d as usize] += 1;
+    }
+    let mut slots = 0;
+    for bucket in next.iter_mut().rev() {
+        let size = *bucket;
+        *bucket = slots;
+        slots += size;
+    }
+    let mut order = vec![0 as VertexId; slots];
+    for (v, &d) in dist.iter().enumerate().filter(|&(_, &d)| reached(d)) {
+        order[next[d as usize]] = v as VertexId;
+        next[d as usize] += 1;
+    }
     order
 }
 
@@ -353,5 +370,11 @@ mod tests {
         let g = UndirectedGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let order = vertices_by_descending_distance(&g, 0);
         assert_eq!(order, vec![4, 3, 2, 1]);
+        // Ties go by ascending id; unreachable vertices are left out.
+        let mut edges: Vec<(VertexId, VertexId)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        edges.push((6, 7));
+        let g = UndirectedGraph::from_edges(8, edges).unwrap();
+        assert_eq!(vertices_by_descending_distance(&g, 0), vec![3, 2, 4, 1, 5]);
+        assert_eq!(vertices_by_descending_distance(&g, 6), vec![7]);
     }
 }

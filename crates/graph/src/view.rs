@@ -237,13 +237,20 @@ impl<'a, G: GraphView> SubgraphView<'a, G> {
 
     /// Iteratively removes every alive vertex whose alive-degree is `< k`
     /// (k-core peeling, Algorithm 1 line 2). Returns the number of vertices
-    /// removed. Runs in `O(n + m)` over the parent.
+    /// removed. Runs in `O(n + m)` over the parent; a full view, the one every
+    /// work item peels, seeds the alive-degrees from the parent's degrees in
+    /// `O(n)`.
     pub fn k_core_reduce(&mut self, k: usize) -> usize {
         let n = self.parent.num_vertices();
+        let full = self.live == n;
         let mut degree: Vec<usize> = vec![0; n];
         let mut queue: Vec<VertexId> = Vec::new();
         for v in self.alive.iter_ones() {
-            let d = self.alive_degree(v as VertexId);
+            let d = if full {
+                self.parent.degree(v as VertexId)
+            } else {
+                self.alive_degree(v as VertexId)
+            };
             degree[v] = d;
             if d < k {
                 queue.push(v as VertexId);

@@ -1,21 +1,28 @@
-//! `GLOBAL-CUT*` set-up parity: the two passes every call runs before its
-//! first probe, against their definitions.
+//! `GLOBAL-CUT*` set-up parity: the passes every call runs before its first
+//! probe, against their definitions.
 //!
 //! * **strong side-vertices** — the one-pass [`strong_side_vertices`] must
 //!   flag exactly the vertices for which [`is_strong_side_vertex`], the
 //!   Theorem 8 condition checked pair by pair, holds, under every degree cap;
-//! * **sparse certificate** — [`sparse_certificate`] must equal a test-only
-//!   copy of the construction it replaced (per-vertex `(neighbour, edge id)`
-//!   lists built from `g.edges()`, a fresh component buffer per round, and
+//! * **sparse certificate** — [`sparse_certificate`], whose forests scan the
+//!   residual rows earlier forests left, must equal a test-only copy of an
+//!   earlier construction (per-vertex `(neighbour, edge id)` lists built from
+//!   `g.edges()`, a used-edge bitmap, a fresh component buffer per round, and
 //!   side-groups bucketed through a hash map): the same `forest_sizes`,
-//!   certificate edges, `side_groups` and `group_of`.
+//!   certificate edges and `memory_bytes()`, `side_groups` and `group_of`;
+//! * **distance order** — [`vertices_by_descending_distance`], a counting
+//!   sort by BFS distance, must equal the stable comparison sort it replaced,
+//!   from several sources.
 //!
 //! Inputs: seeded G(n, p) and Barabási–Albert graphs, the seven Table 1
 //! stand-ins at `SuiteScale::Tiny`, the planted, Fig. 1 and collaboration
 //! suites, complete graphs, a star whose hub exceeds a cap, an edgeless
-//! graph and a disconnected graph. Each runs as [`UndirectedGraph`] and as
-//! [`CsrGraph`], for every k in `0..=8`, with degree caps `None`, `Some(0)`,
-//! `Some(3)` and `Some(4096)`.
+//! graph and a disconnected graph. Each runs as a [`CsrGraph`] and as a
+//! [`DeltaGraph`] over a different base (the view the index repair reads),
+//! for every k in `0..=8`, with degree caps `None`, `Some(0)`, `Some(3)` and
+//! `Some(4096)`. The certificate alone also runs at the index build's k, on
+//! the DBLP stand-in's k-cores at `SuiteScale::Small` for k = 16 to 42, where
+//! late forests run on a thin residual and the rounds stop at an empty one.
 
 use std::collections::HashMap;
 
@@ -27,7 +34,9 @@ use kvcc_datasets::er::gnp;
 use kvcc_datasets::figure1::figure1_graph;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
 use kvcc_datasets::{SuiteDataset, SuiteScale};
-use kvcc_graph::{BitSet, CsrGraph, GraphView, UndirectedGraph, VertexId};
+use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::traversal::{bfs_distances, vertices_by_descending_distance, UNREACHABLE};
+use kvcc_graph::{BitSet, CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph, VertexId};
 
 const KS: std::ops::RangeInclusive<u32> = 0..=8;
 const CAPS: [Option<usize>; 4] = [None, Some(0), Some(3), Some(4096)];
@@ -138,8 +147,45 @@ fn reference_side_groups(component: &[u32], n: usize, k: usize) -> (Vec<Vec<Vert
     (groups, group_of)
 }
 
-/// Runs both comparisons on `g` for every k and cap; `name` labels failures.
+/// The distance order `vertices_by_descending_distance` replaced, kept
+/// verbatim apart from its name: a stable comparison sort after the BFS.
+fn reference_distance_order<G: GraphView>(g: &G, src: VertexId) -> Vec<VertexId> {
+    let dist = bfs_distances(g, src);
+    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| v != src && dist[v as usize] != UNREACHABLE)
+        .collect();
+    order.sort_by(|&a, &b| dist[b as usize].cmp(&dist[a as usize]).then(a.cmp(&b)));
+    order
+}
+
+/// Compares the certificate of `g` for `k` with the reference construction.
+fn assert_certificate_parity<G: GraphView>(name: &str, g: &G, k: u32) {
+    let cert = sparse_certificate(g, k);
+    let reference = reference_certificate(g, k);
+    assert_eq!(cert.forest_sizes, reference.forest_sizes, "{name}, k {k}");
+    assert_eq!(cert.graph, reference.graph, "{name}, k {k}");
+    assert_eq!(
+        cert.graph.memory_bytes(),
+        reference.graph.memory_bytes(),
+        "{name}, k {k}"
+    );
+    assert_eq!(cert.side_groups, reference.side_groups, "{name}, k {k}");
+    assert_eq!(cert.group_of, reference.group_of, "{name}, k {k}");
+}
+
+/// Runs the comparisons on `g` for every k and cap, and the distance order
+/// from several sources; `name` labels failures.
 fn assert_setup_parity<G: GraphView>(name: &str, g: &G) {
+    let n = g.num_vertices() as VertexId;
+    for src in [0, n / 3, n / 2, n.saturating_sub(1)] {
+        if src < n {
+            assert_eq!(
+                vertices_by_descending_distance(g, src),
+                reference_distance_order(g, src),
+                "{name}: distance order from {src}"
+            );
+        }
+    }
     for k in KS {
         for cap in CAPS {
             let strong = strong_side_vertices(g, k, cap);
@@ -154,20 +200,45 @@ fn assert_setup_parity<G: GraphView>(name: &str, g: &G) {
             }
         }
 
-        let cert = sparse_certificate(g, k);
-        let reference = reference_certificate(g, k);
-        assert_eq!(cert.forest_sizes, reference.forest_sizes, "{name}, k {k}");
-        assert_eq!(cert.graph, reference.graph, "{name}, k {k}");
-        assert_eq!(cert.side_groups, reference.side_groups, "{name}, k {k}");
-        assert_eq!(cert.group_of, reference.group_of, "{name}, k {k}");
+        assert_certificate_parity(name, g, k);
     }
 }
 
-/// Runs the comparisons on `g` as an [`UndirectedGraph`] and as a
-/// [`CsrGraph`].
+/// A [`DeltaGraph`] with exactly the edge set of `g`, over a different base
+/// when `g` has two or more vertices: the base lacks every third edge of `g`
+/// and holds the pairs `(v, v + 1 mod n)` that `g` lacks, and the overlay
+/// inserts the former and deletes the latter.
+fn rebased(g: &CsrGraph) -> DeltaGraph {
+    let n = g.num_vertices() as VertexId;
+    let mut base_edges = Vec::new();
+    let mut updates = Vec::new();
+    for (i, (u, v)) in g.edges().enumerate() {
+        if i % 3 == 0 {
+            updates.push(EdgeUpdate::insert(u, v));
+        } else {
+            base_edges.push((u, v));
+        }
+    }
+    for v in 0..n {
+        let w = (v + 1) % n;
+        if v != w && !g.has_edge(v, w) {
+            base_edges.push((v, w));
+            updates.push(EdgeUpdate::delete(v, w));
+        }
+    }
+    let base = CsrGraph::from_edges(n as usize, base_edges).unwrap();
+    assert!(n < 2 || &base != g, "the base must differ from g");
+    let mut delta = DeltaGraph::new(base);
+    delta.apply(&updates).unwrap();
+    assert!(g.vertices().all(|v| delta.neighbors(v) == g.neighbors(v)));
+    delta
+}
+
+/// Runs the comparisons on `g` as a [`CsrGraph`] and as a [`DeltaGraph`]
+/// over a different base.
 fn assert_setup_parity_on_both(name: &str, g: &UndirectedGraph) {
-    assert_setup_parity(&format!("{name} (vec)"), g);
-    assert_setup_parity(&format!("{name} (csr)"), &CsrGraph::from_view(g));
+    assert_setup_parity(&format!("{name} (csr)"), g);
+    assert_setup_parity(&format!("{name} (delta)"), &rebased(g));
 }
 
 fn complete(n: usize) -> UndirectedGraph {
@@ -247,5 +318,28 @@ fn complete_star_edgeless_and_disconnected_graphs() {
     assert_setup_parity_on_both(
         "disconnected",
         &UndirectedGraph::from_edges(14, parts).unwrap(),
+    );
+}
+
+#[test]
+fn certificates_at_the_index_builds_k() {
+    let dblp = SuiteDataset::Dblp.generate(SuiteScale::Small);
+    let mut stopped_early = false;
+    for k in [16u32, 24, 32, 42] {
+        let core = dblp
+            .induced_subgraph(&k_core_vertices(&dblp, k as usize))
+            .graph;
+        assert!(
+            core.num_vertices() > k as usize,
+            "k {k}: the k-core is empty"
+        );
+        let name = format!("DBLP small {k}-core");
+        assert_certificate_parity(&format!("{name} (csr)"), &core, k);
+        assert_certificate_parity(&format!("{name} (delta)"), &rebased(&core), k);
+        stopped_early |= sparse_certificate(&core, k).forest_sizes.len() < k as usize;
+    }
+    assert!(
+        stopped_early,
+        "some certificate must stop at an empty forest"
     );
 }

@@ -15,7 +15,8 @@ use kvcc::{enumerate_kvccs, KvccOptions};
 use kvcc_baselines::naive_kvccs;
 use kvcc_datasets::er::gnm;
 use kvcc_flow::{global_vertex_connectivity, is_k_vertex_connected};
-use kvcc_graph::{GraphView, UndirectedGraph, VertexId};
+use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::{GraphView, SubgraphView, UndirectedGraph, VertexId};
 
 /// Deterministic family of random graphs: for case `i`, an Erdős–Rényi
 /// `G(n, m)` with `n` and `m` derived from the seed.
@@ -92,6 +93,41 @@ fn certificate_preserves_connectivity_up_to_k() {
             let kg = global_vertex_connectivity(&g).min(k);
             let kc = global_vertex_connectivity(&cert.graph).min(k);
             assert_eq!(kg, kc, "case {case}, k {k}");
+        }
+    }
+}
+
+#[test]
+fn k_core_peel_of_a_view_matches_the_k_core() {
+    for case in 0..32u64 {
+        let g = random_graph(case, 40, 220);
+        // Every third vertex removed before peeling: the view whose degrees
+        // must be counted over alive neighbours only.
+        let removed: Vec<VertexId> = g.vertices().filter(|v| v % 3 == 1).collect();
+        let kept: Vec<VertexId> = g.vertices().filter(|v| v % 3 != 1).collect();
+        let sub = g.induced_subgraph(&kept);
+        for k in 0..=g.max_degree() + 1 {
+            let mut full = SubgraphView::new(&g);
+            let peeled = full.k_core_reduce(k);
+            let alive: Vec<VertexId> = g.vertices().filter(|&v| full.is_alive(v)).collect();
+            assert_eq!(
+                alive,
+                k_core_vertices(&g, k),
+                "case {case}, k {k}, full view"
+            );
+            assert_eq!(peeled + alive.len(), g.num_vertices(), "case {case}, k {k}");
+
+            let mut partial = SubgraphView::new(&g);
+            for &v in &removed {
+                partial.remove(v);
+            }
+            partial.k_core_reduce(k);
+            let alive: Vec<VertexId> = g.vertices().filter(|&v| partial.is_alive(v)).collect();
+            let expected: Vec<VertexId> = k_core_vertices(&sub.graph, k)
+                .into_iter()
+                .map(|v| sub.to_parent[v as usize])
+                .collect();
+            assert_eq!(alive, expected, "case {case}, k {k}, partial view");
         }
     }
 }

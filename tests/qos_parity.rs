@@ -52,10 +52,11 @@ fn heavy_graph() -> UndirectedGraph {
     .graph
 }
 
-/// A graph whose `k = 3` enumeration runs long enough (0.4–0.5 s in a
-/// release build) that a 20 ms deadline reliably interrupts the leader
-/// *after* every waiter has joined its flight. The doomed execution is
-/// deadline-capped, so tests never pay the full enumeration cost.
+/// A graph whose `k = 3` enumeration runs long enough (0.3–0.42 s in a
+/// release build on a 2-vCPU VM) that a 20 ms deadline reliably interrupts
+/// the leader *after* every waiter has joined its flight. The doomed
+/// execution is deadline-capped, so tests never pay the full enumeration
+/// cost.
 ///
 /// One chain of 300 planted blocks, consecutive blocks sharing two
 /// vertices, with no background: `k = 3` splits off one block per
