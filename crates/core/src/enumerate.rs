@@ -22,7 +22,9 @@
 //!   mask — no copy is made until a component survives both filters, at which
 //!   point it is extracted once into CSR form through a reusable relabelling
 //!   buffer ([`CsrGraph::extract_induced`]). A component that is the whole
-//!   work item (nothing peeled, one component) is not copied at all.
+//!   work item (nothing peeled, one component) is not copied at all, and a
+//!   first k-core that is the whole input is copied row by row, with no
+//!   relabelling and at exact capacity.
 //! * Each `GLOBAL-CUT` probe reuses a per-worker [`CutScratch`] flow arena
 //!   instead of rebuilding its network from scratch.
 //! * The work items created by `OVERLAP-PARTITION` are independent, so with

@@ -24,6 +24,20 @@
 //! sink-bounded Dinic phases. Either way a probe stops at `k` units and
 //! reads the cut closest to its source, so the cuts and counters do not
 //! depend on the route.
+//!
+//! # A fully swept source
+//!
+//! When the source's own sweep, before any probe, sweeps all `n` vertices,
+//! phase 1 has nothing to test: `GLOBAL-CUT*` builds no distance order,
+//! counts the pruned vertices by rule from the [`SweepState`], and goes on to
+//! phase 2. This is exact. A sweep spreads only along edges of `g` (the
+//! neighbour rules) and through side-groups, which are trees of the
+//! certificate's k-th forest and so of `g`; every swept vertex is therefore
+//! joined to the source in `g`, and a fully swept `g` is connected. The
+//! distance order would then list all `n − 1` other vertices, the
+//! disconnection test would pass, and the loop would skip each one and count
+//! it under its cause. None of them is the source, the one vertex swept as
+//! `SourceOrTested`, which the loop does not count either.
 
 use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
 use kvcc_graph::traversal::vertices_by_descending_distance;
@@ -175,42 +189,52 @@ pub fn global_cut_with_scratch<G: GraphView>(
         state.sweep(&ctx, source, SweepCause::SourceOrTested);
     }
 
-    // Farthest-first (Algorithm 3, line 11); the basic algorithm tests in
-    // vertex-id order.
-    let order: Vec<VertexId> = if optimised {
-        vertices_by_descending_distance(g, source)
+    if state.swept_count() == n {
+        // The source's sweep swept every vertex, so `g` is connected (see
+        // the module docs) and the loop below would skip every vertex of
+        // its order: count them by rule, as it would, and build no order.
+        // Only the sweep variants sweep, so the basic one never gets here.
+        stats.pruned_neighbor_rule1 += state.swept_by(SweepCause::NeighborRule1) as u64;
+        stats.pruned_neighbor_rule2 += state.swept_by(SweepCause::NeighborRule2) as u64;
+        stats.pruned_group_sweep += state.swept_by(SweepCause::GroupSweep) as u64;
     } else {
-        (0..n as VertexId).filter(|&v| v != source).collect()
-    };
-    if order.len() + 1 < n {
-        // The distance order leaves out the vertices the source cannot
-        // reach, so `g` is disconnected and the empty set separates it.
-        return Ok(GlobalCutOutcome {
-            cut: (k > 0).then(Vec::new),
-            scratch_memory_bytes,
-        });
-    }
-
-    for v in order {
-        if optimised && state.is_pruned(v) {
-            match state.cause(v) {
-                SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
-                SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
-                SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
-                SweepCause::SourceOrTested => {}
-            }
-            continue;
-        }
-        budget.check()?;
-        stats.tested_vertices += 1;
-        if let Some(cut) = loc_cut(flow, g, source, v, k, stats, budget)? {
+        // Farthest-first (Algorithm 3, line 11); the basic algorithm tests
+        // in vertex-id order.
+        let order: Vec<VertexId> = if optimised {
+            vertices_by_descending_distance(g, source)
+        } else {
+            (0..n as VertexId).filter(|&v| v != source).collect()
+        };
+        if order.len() + 1 < n {
+            // The distance order leaves out the vertices the source cannot
+            // reach, so `g` is disconnected and the empty set separates it.
             return Ok(GlobalCutOutcome {
-                cut: Some(cut),
+                cut: (k > 0).then(Vec::new),
                 scratch_memory_bytes,
             });
         }
-        if optimised {
-            state.sweep(&ctx, v, SweepCause::SourceOrTested);
+
+        for v in order {
+            if let Some(cause) = state.cause(v) {
+                match cause {
+                    SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
+                    SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
+                    SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
+                    SweepCause::SourceOrTested => {}
+                }
+                continue;
+            }
+            budget.check()?;
+            stats.tested_vertices += 1;
+            if let Some(cut) = loc_cut(flow, g, source, v, k, stats, budget)? {
+                return Ok(GlobalCutOutcome {
+                    cut: Some(cut),
+                    scratch_memory_bytes,
+                });
+            }
+            if optimised {
+                state.sweep(&ctx, v, SweepCause::SourceOrTested);
+            }
         }
     }
 
@@ -500,6 +524,133 @@ mod tests {
         // vertex that was reached before the cut was returned.
         assert!(stats.phase1_vertices() <= (g.num_vertices() as u64 - 1));
         assert!(stats.loc_cut_flow_calls + stats.loc_cut_trivial_calls > 0);
+    }
+
+    /// The statistics of one call from its counters other than
+    /// `global_cut_calls`: tested vertices, the vertices pruned by neighbour
+    /// rules 1 and 2 and by group sweeps, flow and trivial `LOC-CUT` calls,
+    /// phase-2 pairs tested and skipped, certificate edges, strong
+    /// side-vertices and side-groups.
+    fn pinned(c: [u64; 11]) -> EnumerationStats {
+        EnumerationStats {
+            global_cut_calls: 1,
+            tested_vertices: c[0],
+            pruned_neighbor_rule1: c[1],
+            pruned_neighbor_rule2: c[2],
+            pruned_group_sweep: c[3],
+            loc_cut_flow_calls: c[4],
+            loc_cut_trivial_calls: c[5],
+            phase2_pairs_tested: c[6],
+            phase2_pairs_skipped: c[7],
+            certificate_edges: c[8],
+            strong_side_vertices: c[9],
+            side_groups: c[10],
+            ..EnumerationStats::default()
+        }
+    }
+
+    /// Each call's statistics and cut, per variant in
+    /// [`AlgorithmVariant::all`] order, are those the phase-1 loop gives when
+    /// it runs over every vertex (the figures were taken before fully swept
+    /// sources bypassed it). The source's own sweep covers all of K7 under
+    /// `VCCE-N` and `VCCE*` and, at k = 1, under `VCCE-G`, and all of the
+    /// community ring under the three sweep variants. It covers one vertex
+    /// of K7 under `VCCE-G` at k ≥ 2, four of the fan's five under `VCCE-G`
+    /// (the case a skip at `n − 1` swept vertices would get wrong), and five
+    /// of `two_blocks`' eight under `VCCE-N` and `VCCE*`.
+    #[test]
+    fn counters_and_cuts_match_the_phase_one_loop() {
+        // K7 at k = 1..=6.
+        const K7: [[[u64; 11]; 4]; 6] = [
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 6, 0, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 6, 7, 1],
+                [0, 0, 0, 6, 0, 0, 0, 0, 6, 7, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 6, 7, 1],
+            ],
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 11, 0, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 11, 7, 1],
+                [1, 0, 0, 5, 0, 1, 0, 0, 11, 7, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 11, 7, 1],
+            ],
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 15, 0, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 15, 7, 1],
+                [2, 0, 0, 4, 0, 2, 0, 0, 15, 7, 1],
+                [0, 6, 0, 0, 0, 0, 0, 0, 15, 7, 1],
+            ],
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 18, 0, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 18, 7, 0],
+                [6, 0, 0, 0, 0, 6, 0, 0, 18, 7, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 18, 7, 0],
+            ],
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 20, 0, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 20, 7, 0],
+                [6, 0, 0, 0, 0, 6, 0, 0, 20, 7, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 20, 7, 0],
+            ],
+            [
+                [6, 0, 0, 0, 0, 21, 15, 0, 21, 0, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 21, 7, 0],
+                [6, 0, 0, 0, 0, 6, 0, 0, 21, 7, 0],
+                [0, 6, 0, 0, 0, 0, 0, 0, 21, 7, 0],
+            ],
+        ];
+        const RING_K1: [[u64; 11]; 4] = [
+            [511, 0, 0, 0, 510, 7, 6, 0, 511, 0, 1],
+            [0, 511, 0, 0, 0, 0, 0, 0, 511, 512, 1],
+            [0, 0, 0, 511, 0, 0, 0, 0, 511, 512, 1],
+            [0, 4, 0, 507, 0, 0, 0, 0, 511, 512, 1],
+        ];
+        const FAN_K2: [[u64; 11]; 4] = [
+            [4, 0, 0, 0, 2, 3, 1, 0, 7, 0, 1],
+            [0, 4, 0, 0, 0, 0, 0, 0, 7, 4, 1],
+            [1, 0, 0, 3, 0, 1, 0, 0, 7, 4, 1],
+            [0, 2, 0, 2, 0, 0, 0, 0, 7, 4, 1],
+        ];
+        const TWO_BLOCKS_K3: [[u64; 11]; 4] = [
+            [3, 0, 0, 0, 1, 2, 0, 0, 17, 0, 0],
+            [1, 0, 0, 0, 1, 0, 0, 0, 17, 6, 0],
+            [1, 0, 0, 0, 1, 0, 0, 0, 17, 6, 0],
+            [1, 0, 0, 0, 1, 0, 0, 0, 17, 6, 0],
+        ];
+
+        let config = kvcc_datasets::stream::StreamConfig::tiny();
+        let ring = UndirectedGraph::from_edges(
+            config.num_vertices(),
+            config.edges().map(|(u, v)| (u as VertexId, v as VertexId)),
+        )
+        .unwrap();
+        assert_eq!((ring.num_vertices(), ring.num_edges()), (512, 1328));
+        // Hub 2 over the path 1-0-3-4.
+        let fan = UndirectedGraph::from_edges(
+            5,
+            vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)],
+        )
+        .unwrap();
+        let no_cut: Option<&[VertexId]> = None;
+        let mut inputs: Vec<_> = (1..=6)
+            .zip(&K7)
+            .map(|(k, pins)| ("K7", complete(7), k, pins, no_cut))
+            .collect();
+        inputs.push(("ring", ring, 1, &RING_K1, no_cut));
+        inputs.push(("fan", fan, 2, &FAN_K2, no_cut));
+        inputs.push(("two_blocks", two_blocks(), 3, &TWO_BLOCKS_K3, Some(&[6, 7])));
+
+        let mut scratch = CutScratch::new();
+        for (name, g, k, pins, cut) in inputs {
+            for (variant, counters) in AlgorithmVariant::all().into_iter().zip(pins) {
+                let mut stats = EnumerationStats::default();
+                let options = options_for(variant);
+                let out = global_cut_with_scratch(&g, k, &options, &mut stats, &mut scratch);
+                let context = format!("{name}, k {k}, {variant:?}");
+                assert_eq!(stats, pinned(*counters), "{context}");
+                assert_eq!(out.cut.as_deref(), cut, "{context}");
+            }
+        }
     }
 
     #[test]

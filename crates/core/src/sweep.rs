@@ -14,6 +14,15 @@
 //!
 //! The cascade is processed with an explicit work list, so arbitrarily large
 //! sweeps cannot overflow the call stack.
+//!
+//! # State layout
+//!
+//! [`SweepState`] keeps one `Option<SweepCause>` per vertex, `None` until the
+//! vertex is swept, so one byte read answers both "swept?" and "by which
+//! rule?", and one count per cause, bumped as a vertex is marked. The counts
+//! give the swept total, and let `GLOBAL-CUT*` attribute every pruned vertex
+//! to its rule without a pass over the vertices when the source's sweep
+//! alone sweeps them all.
 
 use kvcc_flow::Budget;
 use kvcc_graph::{BitSet, GraphView, VertexId};
@@ -76,11 +85,14 @@ impl<'a, G: GraphView> SweepContext<'a, G> {
     }
 }
 
-/// Mutable sweep state for one `GLOBAL-CUT*` invocation.
+/// Mutable sweep state for one `GLOBAL-CUT*` invocation (layout in the
+/// [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct SweepState {
-    pruned: BitSet,
-    cause: Vec<SweepCause>,
+    /// `cause[v]`: why `v` was swept, `None` while it is not.
+    cause: Vec<Option<SweepCause>>,
+    /// Swept vertices per cause, indexed by `SweepCause as usize`.
+    swept: [usize; 4],
     deposit: Vec<u32>,
     group_deposit: Vec<u32>,
     group_processed: BitSet,
@@ -92,8 +104,8 @@ impl SweepState {
     /// `num_groups` side-groups.
     pub fn new(num_vertices: usize, num_groups: usize) -> Self {
         SweepState {
-            pruned: BitSet::new(num_vertices),
-            cause: vec![SweepCause::SourceOrTested; num_vertices],
+            cause: vec![None; num_vertices],
+            swept: [0; 4],
             deposit: vec![0; num_vertices],
             group_deposit: vec![0; num_groups],
             group_processed: BitSet::new(num_groups),
@@ -104,13 +116,12 @@ impl SweepState {
     /// Whether `v` has been swept (and can therefore be skipped by phase 1).
     #[inline]
     pub fn is_pruned(&self, v: VertexId) -> bool {
-        self.pruned.contains(v as usize)
+        self.cause[v as usize].is_some()
     }
 
-    /// The cause recorded when `v` was swept. Meaningful only if
-    /// [`is_pruned`](Self::is_pruned) returns `true`.
+    /// The cause recorded when `v` was swept, or `None` if it is not swept.
     #[inline]
-    pub fn cause(&self, v: VertexId) -> SweepCause {
+    pub fn cause(&self, v: VertexId) -> Option<SweepCause> {
         self.cause[v as usize]
     }
 
@@ -129,7 +140,12 @@ impl SweepState {
 
     /// Number of swept vertices, including the source and tested vertices.
     pub fn swept_count(&self) -> usize {
-        self.pruned.count_ones()
+        self.swept.iter().sum()
+    }
+
+    /// Number of vertices swept with `cause`.
+    pub(crate) fn swept_by(&self, cause: SweepCause) -> usize {
+        self.swept[cause as usize]
     }
 
     /// Runs the `SWEEP` cascade (Algorithm 4) starting from `v`, which is
@@ -143,7 +159,7 @@ impl SweepState {
         v: VertexId,
         cause: SweepCause,
     ) {
-        if self.pruned.contains(v as usize) {
+        if self.is_pruned(v) {
             return;
         }
         self.mark(v, cause);
@@ -159,8 +175,8 @@ impl SweepState {
     }
 
     fn mark(&mut self, v: VertexId, cause: SweepCause) {
-        self.pruned.insert(v as usize);
-        self.cause[v as usize] = cause;
+        self.cause[v as usize] = Some(cause);
+        self.swept[cause as usize] += 1;
         self.worklist.push(v);
     }
 
@@ -172,7 +188,7 @@ impl SweepState {
         // Neighbor sweep (lines 2-5): deposits always accumulate; the
         // cascading sweep itself only fires when the rule set is enabled.
         for &w in ctx.graph.neighbors(v) {
-            if self.pruned.contains(w as usize) {
+            if self.is_pruned(w) {
                 continue;
             }
             self.deposit[w as usize] += 1;
@@ -201,7 +217,7 @@ impl SweepState {
         if v_is_strong || self.group_deposit[group] >= ctx.k {
             self.group_processed.insert(group);
             for &w in &ctx.side_groups[group] {
-                if !self.pruned.contains(w as usize) {
+                if !self.is_pruned(w) {
                     self.mark(w, SweepCause::GroupSweep);
                 }
             }
@@ -280,7 +296,7 @@ mod tests {
         assert!(!state.is_pruned(4));
         state.sweep(&c, 2, SweepCause::SourceOrTested);
         assert!(state.is_pruned(4));
-        assert_eq!(state.cause(4), SweepCause::NeighborRule2);
+        assert_eq!(state.cause(4), Some(SweepCause::NeighborRule2));
         assert!(!state.is_pruned(3));
         assert_eq!(state.deposit(3), 1);
     }
@@ -296,8 +312,11 @@ mod tests {
         state.sweep(&c, 0, SweepCause::SourceOrTested);
         for v in 1..5u32 {
             assert!(state.is_pruned(v));
-            assert_eq!(state.cause(v), SweepCause::NeighborRule1);
+            assert_eq!(state.cause(v), Some(SweepCause::NeighborRule1));
         }
+        assert_eq!(state.swept_by(SweepCause::SourceOrTested), 1);
+        assert_eq!(state.swept_by(SweepCause::NeighborRule1), 4);
+        assert_eq!(state.swept_count(), 5);
     }
 
     #[test]
@@ -317,8 +336,11 @@ mod tests {
         state.sweep(&c, 4, SweepCause::SourceOrTested);
         assert!(state.is_pruned(1));
         assert!(state.is_pruned(3));
-        assert_eq!(state.cause(1), SweepCause::GroupSweep);
-        assert_eq!(state.cause(3), SweepCause::GroupSweep);
+        assert_eq!(state.cause(1), Some(SweepCause::GroupSweep));
+        assert_eq!(state.cause(3), Some(SweepCause::GroupSweep));
+        assert_eq!(state.cause(4), Some(SweepCause::SourceOrTested));
+        assert_eq!(state.swept_by(SweepCause::GroupSweep), 2);
+        assert_eq!(state.swept_by(SweepCause::NeighborRule2), 0);
     }
 
     #[test]
@@ -381,9 +403,9 @@ mod tests {
         assert!(state.is_pruned(3));
         assert!(matches!(
             state.cause(3),
-            SweepCause::NeighborRule2 | SweepCause::GroupSweep
+            Some(SweepCause::NeighborRule2 | SweepCause::GroupSweep)
         ));
         assert!(state.is_pruned(4));
-        assert_eq!(state.cause(4), SweepCause::NeighborRule2);
+        assert_eq!(state.cause(4), Some(SweepCause::NeighborRule2));
     }
 }

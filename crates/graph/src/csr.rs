@@ -207,7 +207,7 @@ impl CsrGraph {
         CsrGraph { offsets, neighbors }
     }
 
-    /// Copies any [`GraphView`] into CSR form.
+    /// Copies any [`GraphView`] into CSR form, at exact capacity.
     pub fn from_view<G: GraphView>(g: &G) -> Self {
         let n = g.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -372,7 +372,9 @@ impl CsrGraph {
     /// scratch-arena pattern used by the enumerator's work loop).
     ///
     /// Because `vertices` is sorted and parent neighbour slices are sorted,
-    /// the relabelled rows come out sorted with no per-row sort.
+    /// the relabelled rows come out sorted with no per-row sort. A list of
+    /// every vertex relabels nothing: it is [`CsrGraph::from_view`], a row
+    /// copy at exact capacity that leaves `map` alone.
     pub fn extract_induced<G: GraphView>(
         g: &G,
         vertices: &[VertexId],
@@ -382,6 +384,9 @@ impl CsrGraph {
             vertices.windows(2).all(|w| w[0] < w[1]),
             "vertex list must be sorted"
         );
+        if vertices.len() == g.num_vertices() {
+            return CsrGraph::from_view(g);
+        }
         if map.len() < g.num_vertices() {
             map.resize(g.num_vertices(), INVALID_VERTEX);
         }

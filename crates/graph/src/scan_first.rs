@@ -25,6 +25,12 @@
 //! in the same order, as testing a used-edge flag as well. No edge ids,
 //! used-edge bitmap or reverse-arc lookup are needed.
 //!
+//! The last round keeps no residual rows. It still moves its tree arcs to
+//! the row ends, but writes no kept arc back and counts the kept arcs
+//! instead: all of the row but the children and the one parent arc. No
+//! later round reads the rows, so after it they hold stale arcs up to
+//! `end[v]`, and only the tails below are read.
+//!
 //! After the rounds each row ends in its *tail*: its arcs in the union, in
 //! no particular order. The union's rows are the transpose of the tails:
 //! visiting the vertices in ascending order and appending `u` to the row of
@@ -76,6 +82,8 @@ pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
     let mut parent = vec![INVALID_VERTEX; n];
     let mut queue: Vec<VertexId> = Vec::with_capacity(n);
     for round in 1..=k {
+        // No round reads the last one's residual rows.
+        let keep_rows = round < k;
         let mut trees = 0u32;
         for root in g.vertices() {
             if marked[root as usize] == round {
@@ -99,10 +107,15 @@ pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
                         tree[v as usize] = trees;
                         parent[v as usize] = u;
                         queue.push(v);
-                    } else if v != up {
+                    } else if keep_rows && v != up {
                         residual[kept] = v;
                         kept += 1;
                     }
+                }
+                if !keep_rows {
+                    // Every arc stays but the children's and the parent's.
+                    kept =
+                        arcs.end - (queue.len() - first_child) - usize::from(up != INVALID_VERTEX);
                 }
                 end[u as usize] = kept;
                 // The freed slots take the dropped arcs: the children, then

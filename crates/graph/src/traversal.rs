@@ -1,14 +1,34 @@
 //! Breadth-first / depth-first traversals, connected and biconnected
 //! components, and reachability helpers.
-
-use std::collections::VecDeque;
+//!
+//! # One labelling kernel
+//!
+//! [`connected_components`], [`connected_component_ids`] and
+//! [`connected_components_filtered`] share one kernel: a breadth-first
+//! search over a `u32` label array with an array queue. A vertex outside the
+//! alive mask starts with a label no search takes, so each arc costs one
+//! label read, and the mask is only walked, word by word, to set up the
+//! labels, pick the starts and list the members. The components are
+//! labelled `0, 1, …` from the smallest unlabelled vertex up, so label order
+//! is the order of their smallest members. The member lists are then filled
+//! by one pass in vertex order, each at the size its search counted, so
+//! every list comes out sorted with no sort. The output order is thus fixed
+//! by the graph alone: components by smallest member, members ascending.
+//! `OVERLAP-PARTITION` and `KVCC-ENUM` create their pieces and work items in
+//! that order, so it also fixes the order of the work, and with it every
+//! counter. [`bfs_distances`] runs on an array queue as well.
 
 use crate::bitset::BitSet;
-use crate::types::{VertexId, INVALID_VERTEX};
+use crate::types::VertexId;
 use crate::view::GraphView;
 
 /// Distance value meaning "unreachable from the BFS source".
 pub const UNREACHABLE: u32 = u32::MAX;
+
+/// Label of a vertex the labelling kernel has not reached yet.
+const UNLABELLED: u32 = u32::MAX;
+/// Label of a vertex outside the alive mask, which no search reaches.
+const DEAD: u32 = u32::MAX - 1;
 
 /// Single-source BFS distances (number of hops) from `src`.
 ///
@@ -18,51 +38,74 @@ pub fn bfs_distances<G: GraphView>(g: &G, src: VertexId) -> Vec<u32> {
     if g.num_vertices() == 0 {
         return dist;
     }
-    let mut queue = VecDeque::new();
+    let mut queue = Vec::with_capacity(g.num_vertices());
     dist[src as usize] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
+    queue.push(src);
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
         let du = dist[u as usize];
         for &v in g.neighbors(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }
     dist
 }
 
-/// BFS that also records the parent of every reached vertex (the BFS tree).
-///
-/// Returns `(dist, parent)`; roots and unreachable vertices have parent
-/// [`INVALID_VERTEX`].
-pub fn bfs_tree<G: GraphView>(g: &G, src: VertexId) -> (Vec<u32>, Vec<VertexId>) {
-    let mut dist = vec![UNREACHABLE; g.num_vertices()];
-    let mut parent = vec![INVALID_VERTEX; g.num_vertices()];
-    let mut queue = VecDeque::new();
-    dist[src as usize] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = du + 1;
-                parent[v as usize] = u;
-                queue.push_back(v);
+/// The labelling kernel (see the [module docs](self)): gives every
+/// [`UNLABELLED`] vertex of `label` the number of its component among the
+/// components of the unlabelled vertices, counted from 0 in the order of
+/// `starts`, which must list every unlabelled vertex in ascending order.
+/// `unlabelled` is their count. Returns each component's size.
+fn label_components<G: GraphView>(
+    g: &G,
+    label: &mut [u32],
+    starts: impl Iterator<Item = usize>,
+    unlabelled: usize,
+) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut queue: Vec<VertexId> = Vec::with_capacity(unlabelled);
+    for start in starts {
+        if label[start] != UNLABELLED {
+            continue;
+        }
+        let component = sizes.len() as u32;
+        label[start] = component;
+        queue.clear();
+        queue.push(start as VertexId);
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &v in g.neighbors(u) {
+                if label[v as usize] == UNLABELLED {
+                    label[v as usize] = component;
+                    queue.push(v);
+                }
             }
         }
+        sizes.push(queue.len());
     }
-    (dist, parent)
+    sizes
 }
 
-/// The eccentricity of `src`: the largest finite BFS distance from it.
-pub fn eccentricity<G: GraphView>(g: &G, src: VertexId) -> u32 {
-    bfs_distances(g, src)
-        .into_iter()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
+/// The member lists of the components [`label_components`] numbered, each
+/// filled in the order of `members` (ascending) at the size the kernel
+/// counted.
+fn bucket_members(
+    label: &[u32],
+    sizes: &[usize],
+    members: impl Iterator<Item = usize>,
+) -> Vec<Vec<VertexId>> {
+    let mut comps: Vec<Vec<VertexId>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
+    for v in members {
+        comps[label[v] as usize].push(v as VertexId);
+    }
+    comps
 }
 
 /// The connected component containing `src`, as a sorted vertex list.
@@ -93,39 +136,22 @@ pub fn component_of<G: GraphView>(g: &G, src: VertexId) -> Vec<VertexId> {
 }
 
 /// Assigns every vertex a connected-component id in `0..count` and returns
-/// `(component_id, count)`.
+/// `(component_id, count)`. Ids ascend with the components' smallest
+/// vertices.
 pub fn connected_component_ids<G: GraphView>(g: &G) -> (Vec<u32>, usize) {
     let n = g.num_vertices();
-    let mut comp = vec![u32::MAX; n];
-    let mut count = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..n {
-        if comp[start] != u32::MAX {
-            continue;
-        }
-        comp[start] = count;
-        queue.push_back(start as VertexId);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = count;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count += 1;
-    }
-    (comp, count as usize)
+    let mut label = vec![UNLABELLED; n];
+    let count = label_components(g, &mut label, 0..n, n).len();
+    (label, count)
 }
 
-/// The connected components as explicit vertex lists, each sorted ascending.
+/// The connected components as explicit vertex lists, each sorted ascending,
+/// ordered by smallest vertex.
 pub fn connected_components<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
-    let (ids, count) = connected_component_ids(g);
-    let mut comps: Vec<Vec<VertexId>> = vec![Vec::new(); count];
-    for (v, &c) in ids.iter().enumerate() {
-        comps[c as usize].push(v as VertexId);
-    }
-    comps
+    let n = g.num_vertices();
+    let mut label = vec![UNLABELLED; n];
+    let sizes = label_components(g, &mut label, 0..n, n);
+    bucket_members(&label, &sizes, 0..n)
 }
 
 /// The biconnected components of `g` (Hopcroft & Tarjan, CACM 1973,
@@ -219,38 +245,20 @@ pub fn two_vccs<G: GraphView>(g: &G) -> Vec<Vec<VertexId>> {
 ///
 /// Vertices absent from `alive` are treated as removed (as in the
 /// `OVERLAP-PARTITION` step after deleting the cut `S`). The returned lists
-/// only contain alive vertices. Iterating the start candidates walks the
-/// alive mask word-by-word, so fully dead regions cost one load per 64
-/// vertices.
+/// only contain alive vertices, each sorted ascending, ordered by smallest
+/// vertex. The alive mask is only walked, word by word; no arc reads it.
 pub fn connected_components_filtered<G: GraphView>(g: &G, alive: &BitSet) -> Vec<Vec<VertexId>> {
     assert_eq!(
         alive.len(),
         g.num_vertices(),
         "alive mask must cover every vertex"
     );
-    let n = g.num_vertices();
-    let mut seen = BitSet::new(n);
-    let mut comps = Vec::new();
-    let mut queue = VecDeque::new();
-    for start in alive.iter_ones() {
-        if seen.contains(start) {
-            continue;
-        }
-        let mut component = Vec::new();
-        seen.insert(start);
-        queue.push_back(start as VertexId);
-        while let Some(u) = queue.pop_front() {
-            component.push(u);
-            for &v in g.neighbors(u) {
-                if alive.contains(v as usize) && seen.insert(v as usize) {
-                    queue.push_back(v);
-                }
-            }
-        }
-        component.sort_unstable();
-        comps.push(component);
+    let mut label = vec![DEAD; g.num_vertices()];
+    for v in alive.iter_ones() {
+        label[v] = UNLABELLED;
     }
-    comps
+    let sizes = label_components(g, &mut label, alive.iter_ones(), alive.count_ones());
+    bucket_members(&label, &sizes, alive.iter_ones())
 }
 
 /// Whether the graph is connected. The empty graph and single vertices are
@@ -315,19 +323,6 @@ mod tests {
         let g = cycle(6);
         let d = bfs_distances(&g, 0);
         assert_eq!(d, vec![0, 1, 2, 3, 2, 1]);
-        assert_eq!(eccentricity(&g, 0), 3);
-    }
-
-    #[test]
-    fn bfs_tree_parents_are_consistent() {
-        let g = cycle(5);
-        let (dist, parent) = bfs_tree(&g, 0);
-        assert_eq!(parent[0], INVALID_VERTEX);
-        for v in 1..5u32 {
-            let p = parent[v as usize];
-            assert!(g.has_edge(v, p));
-            assert_eq!(dist[v as usize], dist[p as usize] + 1);
-        }
     }
 
     #[test]
