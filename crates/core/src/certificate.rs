@@ -13,19 +13,29 @@
 //!
 //! # Residual rows
 //!
-//! The forests come from [`scan_first_forests`], which scans one copy of the
-//! input's rows and compacts each row in place while a round scans it: the
-//! scan drops the arcs to the vertices it marks and the arc to the vertex's
-//! own parent, and writes every other arc back in order. So round `r + 1`
-//! scans exactly `G` minus forests `1..=r`, with no edge ids and no used-edge
-//! bitmap. This is exact: a vertex's tree edges in a forest are all fixed by
-//! the end of its own scan, and compaction keeps row order, so every forest,
-//! `forest_sizes` and the k-th forest's trees (hence the side-groups) are
-//! those of the definition. The dropped arcs collect at each row's end, and
-//! the certificate's rows are their transpose, a counting sort stored at
-//! exact capacity.
+//! The forests come from [`scan_first_forests`]. Round 1 reads the input's
+//! rows, and each round compacts a vertex's residual row in place while it
+//! scans it: the scan drops the arcs to the vertices it marks and the arc to
+//! the vertex's own parent, and writes every other arc back in order. So
+//! round `r + 1` scans exactly `G` minus forests `1..=r`, with no edge ids
+//! and no used-edge bitmap. This is exact: a vertex's tree edges in a forest
+//! are all fixed by the end of its own scan, and compaction keeps row order,
+//! so every forest, `forest_sizes` and the k-th forest's trees (hence the
+//! side-groups) are those of the definition. The dropped arcs collect at each
+//! row's end, and the certificate's rows are their transpose, a counting sort.
+//!
+//! # Two consumers of one transpose
+//!
+//! [`sparse_certificate`] transposes the union into a [`CsrGraph`] at exact
+//! capacity. `GLOBAL-CUT*` does not build that graph: it reads the
+//! certificate's edge count from the forest sizes and its side-groups from
+//! the k-th forest's trees, and transposes the union straight into its flow
+//! arena's row buffers just before its first flow probe, if it runs one.
+//! Both write the same sorted rows through
+//! [`ScanFirstForests::write_union`], so the arena holds exactly what
+//! rebuilding it from [`SparseCertificate::graph`] would copy.
 
-use kvcc_graph::scan_first::scan_first_forests;
+use kvcc_graph::scan_first::{scan_first_forests, ScanFirstForests};
 use kvcc_graph::{CsrGraph, GraphView, VertexId};
 
 /// Sentinel meaning "this vertex belongs to no (retained) side-group".
@@ -60,14 +70,18 @@ impl SparseCertificate {
 
     /// Approximate heap bytes used by the certificate (graph + group index).
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes()
-            + self.group_of.capacity() * std::mem::size_of::<u32>()
-            + self
-                .side_groups
-                .iter()
-                .map(|g| g.capacity() * std::mem::size_of::<VertexId>())
-                .sum::<usize>()
+        self.graph.memory_bytes() + side_group_bytes(&self.side_groups, &self.group_of)
     }
+}
+
+/// Heap bytes of side-groups and their index, as [`side_groups`] builds
+/// them: every buffer at exact capacity.
+pub(crate) fn side_group_bytes(side_groups: &[Vec<VertexId>], group_of: &[u32]) -> usize {
+    std::mem::size_of_val(group_of)
+        + side_groups
+            .iter()
+            .map(|g| g.capacity() * std::mem::size_of::<VertexId>())
+            .sum::<usize>()
 }
 
 /// Builds the sparse certificate of `g` for parameter `k` (Theorem 5) and the
@@ -75,53 +89,47 @@ impl SparseCertificate {
 ///
 /// `k = 0` is accepted and yields an edgeless certificate.
 pub fn sparse_certificate<G: GraphView>(g: &G, k: u32) -> SparseCertificate {
-    let n = g.num_vertices();
     let forests = scan_first_forests(g, k);
-    // Side-groups: trees of the k-th forest with more than k vertices. A
-    // forest with `e` edges over `n` vertices has `n - e` trees.
-    let (side_groups, group_of) = if forests.kth_trees.is_empty() {
-        (Vec::new(), vec![NO_GROUP; n])
-    } else {
-        let trees = n - forests.forest_sizes[k as usize - 1];
-        collect_side_groups(&forests.kth_trees, trees, k as usize)
-    };
-
+    let (side_groups, group_of) = side_groups(&forests, g.num_vertices(), k);
     SparseCertificate {
-        graph: forests.union,
+        graph: forests.union(),
         forest_sizes: forests.forest_sizes,
         side_groups,
         group_of,
     }
 }
 
-/// Collects the components of the last forest with more than `k` vertices as
-/// side-groups, and builds the reverse index.
+/// The side-groups of the k-th of `forests`, the forests of an `n`-vertex
+/// graph: its trees with more than `k` vertices, and the reverse index.
 ///
-/// Each forest grows its components from the smallest unvisited vertex up,
-/// so component ids ascend with their smallest member: taking the kept
-/// components in id order, and their members in vertex order, gives the
-/// groups sorted by smallest member, each sorted ascending.
-fn collect_side_groups(
-    component: &[u32],
-    component_count: usize,
-    k: usize,
+/// Each forest grows its trees from the smallest unvisited vertex up, so tree
+/// ids ascend with their smallest member: taking the kept trees in id order,
+/// and their members in vertex order, gives the groups sorted by smallest
+/// member, each sorted ascending.
+pub(crate) fn side_groups(
+    forests: &ScanFirstForests,
+    n: usize,
+    k: u32,
 ) -> (Vec<Vec<VertexId>>, Vec<u32>) {
-    let mut size = vec![0usize; component_count];
-    for &c in component {
-        size[c as usize] += 1;
+    let tree = &forests.kth_trees;
+    if tree.is_empty() {
+        return (Vec::new(), vec![NO_GROUP; n]);
     }
-    let mut group_of_component = vec![NO_GROUP; component_count];
+    // A forest with `e` edges over `n` vertices has `n - e` trees.
+    let trees = n - forests.forest_sizes[k as usize - 1];
+    let mut size = vec![0usize; trees];
+    for &t in tree {
+        size[t as usize] += 1;
+    }
+    let mut group_of_tree = vec![NO_GROUP; trees];
     let mut side_groups: Vec<Vec<VertexId>> = Vec::new();
-    for (c, &members) in size.iter().enumerate() {
-        if members > k {
-            group_of_component[c] = side_groups.len() as u32;
+    for (t, &members) in size.iter().enumerate() {
+        if members > k as usize {
+            group_of_tree[t] = side_groups.len() as u32;
             side_groups.push(Vec::with_capacity(members));
         }
     }
-    let group_of: Vec<u32> = component
-        .iter()
-        .map(|&c| group_of_component[c as usize])
-        .collect();
+    let group_of: Vec<u32> = tree.iter().map(|&t| group_of_tree[t as usize]).collect();
     for (v, &group) in group_of.iter().enumerate() {
         if group != NO_GROUP {
             side_groups[group as usize].push(v as VertexId);

@@ -41,7 +41,7 @@
 //!   cancelled token interrupts the run at the next checkpoint and returns
 //!   [`KvccError::Interrupted`] carrying the partial statistics.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use kvcc_flow::Interrupted;
@@ -59,6 +59,9 @@ use crate::stats::{EnumerationStats, MemoryTracker};
 #[derive(Clone, Debug, Default)]
 pub struct KvccEnumerator {
     options: KvccOptions,
+    /// Test hook: the work item that brings this count from 1 to 0 panics.
+    #[cfg(test)]
+    panic_countdown: Option<std::sync::Arc<std::sync::atomic::AtomicUsize>>,
 }
 
 /// A unit of pending work: a subgraph (in its own compact id space) plus the
@@ -92,13 +95,19 @@ const POISONED: &str = "a worklist worker panicked while holding the lock";
 impl KvccEnumerator {
     /// Creates an enumerator with the given options.
     pub fn new(options: KvccOptions) -> Self {
-        KvccEnumerator { options }
+        KvccEnumerator {
+            options,
+            #[cfg(test)]
+            panic_countdown: None,
+        }
     }
 
     /// Convenience constructor for one of the paper's four variants.
     pub fn with_variant(variant: AlgorithmVariant) -> Self {
         KvccEnumerator {
             options: KvccOptions::for_variant(variant),
+            #[cfg(test)]
+            panic_countdown: None,
         }
     }
 
@@ -236,6 +245,11 @@ impl KvccEnumerator {
     /// error, so an interrupted run reports the work that completed. The set
     /// of processed items does not depend on scheduling, so only `elapsed`,
     /// the memory estimate and `steals` vary between runs.
+    ///
+    /// A worker that panics inside an item leaves the busy count on its way
+    /// out, stops the pool and wakes the waiters, so the other workers leave
+    /// and the scope passes the panic to the caller, as the sequential
+    /// runtime does.
     fn run_parallel(
         &self,
         k: u32,
@@ -250,6 +264,8 @@ impl KvccEnumerator {
             stack: Vec<(WorkItem, Option<usize>)>,
             /// Workers processing an item right now.
             busy: usize,
+            /// Whether a worker panicked inside an item.
+            panicked: bool,
             /// Bytes of the items on the stack, and their high-water mark.
             queued: MemoryTracker,
             error: Option<KvccError>,
@@ -263,12 +279,33 @@ impl KvccEnumerator {
         let shared = Mutex::new(Shared {
             stack: initial.into_iter().map(|item| (item, None)).collect(),
             busy: 0,
+            panicked: false,
             queued,
             error: None,
             results,
             stats,
         });
         let ready = Condvar::new();
+
+        /// Armed while a worker processes an item: if the item unwinds, it
+        /// takes the worker off the busy count, stops the pool and wakes the
+        /// waiters, which would otherwise wait for that worker forever.
+        struct Unwinding<'s, 'a> {
+            shared: &'s Mutex<Shared<'a>>,
+            ready: &'s Condvar,
+        }
+        impl Drop for Unwinding<'_, '_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    // The panicking worker holds no lock, so this one is not
+                    // poisoned by it; a poisoned one is still safe to mark.
+                    let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+                    guard.busy -= 1;
+                    guard.panicked = true;
+                    self.ready.notify_all();
+                }
+            }
+        }
 
         std::thread::scope(|scope| {
             for worker in 0..threads {
@@ -280,7 +317,7 @@ impl KvccEnumerator {
                     let mut scratch = WorkerScratch::default();
                     let mut created = Vec::new();
                     let mut guard = shared.lock().expect(POISONED);
-                    while guard.error.is_none() {
+                    while guard.error.is_none() && !guard.panicked {
                         let Some((item, creator)) = guard.stack.pop() else {
                             if guard.busy == 0 {
                                 break;
@@ -294,6 +331,7 @@ impl KvccEnumerator {
                         if creator.is_some_and(|c| c != worker) {
                             local_stats.steals += 1;
                         }
+                        let unwinding = Unwinding { shared, ready };
                         let outcome = if self.options.budget.expired() {
                             Err(KvccError::from(Interrupted))
                         } else {
@@ -307,6 +345,7 @@ impl KvccEnumerator {
                                 &mut scratch,
                             )
                         };
+                        drop(unwinding);
                         guard = shared.lock().expect(POISONED);
                         guard.busy -= 1;
                         let pushed = !created.is_empty();
@@ -359,6 +398,12 @@ impl KvccEnumerator {
         scratch: &mut WorkerScratch,
     ) -> Result<(), KvccError> {
         stats.work_items_executed += 1;
+        #[cfg(test)]
+        if let Some(countdown) = &self.panic_countdown {
+            if countdown.fetch_sub(1, std::sync::atomic::Ordering::Relaxed) == 1 {
+                panic!("injected work item panic");
+            }
+        }
         // Line 2 of Algorithm 1: iteratively remove vertices of degree < k —
         // on a vertex mask, without copying the graph.
         let mut view = SubgraphView::new(&item.graph);
@@ -657,11 +702,10 @@ mod tests {
         assert!(r2.stats().peak_memory_bytes > 0);
     }
 
-    #[test]
-    fn schedulers_agree_exactly() {
-        // Triangles connected by bridge edges: every overlap partition leaves
-        // a dangling bridge stub that peels, and the fan-out gives several
-        // workers items to pop.
+    /// Eight triangles joined into a chain by bridge edges: at k = 2 every
+    /// overlap partition leaves a dangling bridge stub that peels, and the
+    /// fan-out gives several workers items to pop.
+    fn bridged_triangles() -> UndirectedGraph {
         let mut edges = Vec::new();
         for b in 0..8u32 {
             let base = b * 3;
@@ -672,7 +716,12 @@ mod tests {
                 edges.push((base + 2, base + 3));
             }
         }
-        let g = UndirectedGraph::from_edges(24, edges).unwrap();
+        UndirectedGraph::from_edges(24, edges).unwrap()
+    }
+
+    #[test]
+    fn schedulers_agree_exactly() {
+        let g = bridged_triangles();
         let reference = enumerate_kvccs(&g, 2, &KvccOptions::default()).unwrap();
         for threads in [1usize, 2, 4] {
             let opts = KvccOptions::default().with_threads(threads);
@@ -697,6 +746,38 @@ mod tests {
                 reference.stats().work_items_executed,
                 "{label}"
             );
+        }
+    }
+
+    #[test]
+    fn a_panicking_work_item_reaches_the_caller() {
+        // The third work item panics. Every runtime must pass the panic on
+        // (the pool by the scope's join) instead of leaving the other
+        // workers waiting for the panicked one; a run that gives no outcome
+        // within the timeout hangs.
+        for threads in [1usize, 2, 3] {
+            let (sender, outcome) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let enumerator = KvccEnumerator {
+                    options: KvccOptions::default().with_threads(threads),
+                    panic_countdown: Some(std::sync::Arc::new(3.into())),
+                };
+                let g = bridged_triangles();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    enumerator.run(&g, 2)
+                }));
+                sender
+                    .send(result.is_err())
+                    .expect("the test waits for the outcome");
+            });
+            let panicked = outcome
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("threads {threads}: the run hung after a panic"));
+            assert!(
+                panicked,
+                "threads {threads}: the panic must reach the caller"
+            );
+            run.join().expect("the run's panic was caught");
         }
     }
 

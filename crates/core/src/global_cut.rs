@@ -16,7 +16,7 @@
 //! The functions are generic over [`GraphView`]. The probes run on the
 //! implicit vertex-split arena of [`VertexFlowGraph`], which lives in a
 //! caller-owned [`CutScratch`] so that a worklist issuing many probes (the
-//! enumerator) performs no per-probe allocation in steady state. Phase 1
+//! enumerator) performs no per-probe allocation in steady state. Each call
 //! fixes its source on the arena ([`VertexFlowGraph::fix_source`]): the
 //! first probe labels the certificate by BFS distance from it, and every
 //! unit of every phase-1 probe is routed by one search guided by those
@@ -24,6 +24,28 @@
 //! sink-bounded Dinic phases. Either way a probe stops at `k` units and
 //! reads the cut closest to its source, so the cuts and counters do not
 //! depend on the route.
+//!
+//! # The flow arena
+//!
+//! A call first builds the certificate's scan-first forests. Their sizes
+//! give the `certificate_edges` counter and the k-th forest's trees the
+//! side-groups, so neither needs the certificate as a graph. The union is
+//! written into the arena's own row buffers just before the call's first
+//! flow `LOC-CUT`: in phase 1, or in phase 2 when phase 1 probes nothing.
+//! It is the transpose of [`ScanFirstForests::write_union`], with no graph
+//! in between, and holds exactly the rows a rebuild from
+//! [`sparse_certificate`](crate::certificate::sparse_certificate)'s graph
+//! would copy. The forests are freed as soon as it is written, before the
+//! arena sizes its per-vertex buffers, and the call's source is fixed on the
+//! arena right after. A call that runs no flow probe fills no arena and
+//! builds no union: every `k = 1` call whose source is strong and whose
+//! sweep covers the component is one, and so is any call whose `LOC-CUT`s
+//! all answer by adjacency. Its arena keeps the rows of an earlier call,
+//! which no probe reads.
+//!
+//! [`GlobalCutOutcome::scratch_memory_bytes`] counts what the call held: the
+//! forests and the side-groups, plus the arena's buffers if the call filled
+//! it.
 //!
 //! # A fully swept source
 //!
@@ -40,10 +62,11 @@
 //! `SourceOrTested`, which the loop does not count either.
 
 use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
+use kvcc_graph::scan_first::{scan_first_forests, ScanFirstForests};
 use kvcc_graph::traversal::vertices_by_descending_distance;
 use kvcc_graph::{GraphView, VertexId};
 
-use crate::certificate::{sparse_certificate, NO_GROUP};
+use crate::certificate::{side_group_bytes, side_groups, NO_GROUP};
 use crate::options::KvccOptions;
 use crate::side_vertex::strong_side_vertices;
 use crate::stats::EnumerationStats;
@@ -55,8 +78,10 @@ pub struct GlobalCutOutcome {
     /// A vertex cut with fewer than `k` vertices, or `None` when the graph is
     /// k-vertex connected.
     pub cut: Option<Vec<VertexId>>,
-    /// Approximate bytes of scratch memory (certificate + flow graph) that
-    /// were live during the call; consumed by the Fig. 12 memory tracker.
+    /// Approximate bytes of scratch memory that were live during the call:
+    /// the forests and side-groups, plus the flow arena if the call filled
+    /// it (see the [module docs](self#the-flow-arena)); consumed by the
+    /// Fig. 12 memory tracker.
     pub scratch_memory_bytes: usize,
 }
 
@@ -133,14 +158,17 @@ pub fn global_cut_with_scratch<G: GraphView>(
     let optimised = neighbor_sweep || group_sweep;
 
     // --- Certificate and side-groups (§4.2, §5.2). ---
-    let certificate = sparse_certificate(g, k);
-    stats.certificate_edges += certificate.num_edges() as u64;
-    stats.side_groups += certificate.side_groups.len() as u64;
+    // The forests give the certificate's edge count and the side-groups; the
+    // union itself goes into the flow arena at the first flow probe.
+    let forests = scan_first_forests(g, k);
+    let (all_groups, all_group_of) = side_groups(&forests, n, k);
+    stats.certificate_edges += forests.forest_sizes.iter().sum::<usize>() as u64;
+    stats.side_groups += all_groups.len() as u64;
     // Without group sweeps no vertex has a group: the sweep context reads a
     // missing entry as `NO_GROUP`, and phase 2 reads `group_of` only with
     // group sweeps on.
     let (side_groups, group_of): (&[Vec<VertexId>], &[u32]) = if group_sweep {
-        (&certificate.side_groups, &certificate.group_of)
+        (&all_groups, &all_group_of)
     } else {
         (&[], &[])
     };
@@ -161,17 +189,12 @@ pub fn global_cut_with_scratch<G: GraphView>(
 
     // --- Source selection (Algorithm 3, lines 4-7). ---
     let source = select_source(g, &strong);
-
-    // --- Flow arena over the certificate: one copy of its CSR rows, into
-    // buffers reused from earlier calls. Each probe then resets only the
-    // vertices its flow touched. Phase 1's probes share their source, so the
-    // arena labels the certificate from it once, at the first probe, and
-    // routes each of their units by a search guided by those labels; phase
-    // 2's pairs keep the Dinic phases.
-    let flow = &mut scratch.flow;
-    flow.rebuild(&certificate.graph);
-    flow.fix_source(source);
-    let scratch_memory_bytes = flow.memory_bytes() + certificate.memory_bytes();
+    let forest_bytes = forests.memory_bytes();
+    let mut arena = CertificateArena {
+        flow: &mut scratch.flow,
+        unfilled: Some(forests),
+        source,
+    };
 
     // --- Phase 1. ---
     let mut state = SweepState::new(n, side_groups.len());
@@ -189,84 +212,84 @@ pub fn global_cut_with_scratch<G: GraphView>(
         state.sweep(&ctx, source, SweepCause::SourceOrTested);
     }
 
-    if state.swept_count() == n {
-        // The source's sweep swept every vertex, so `g` is connected (see
-        // the module docs) and the loop below would skip every vertex of
-        // its order: count them by rule, as it would, and build no order.
-        // Only the sweep variants sweep, so the basic one never gets here.
-        stats.pruned_neighbor_rule1 += state.swept_by(SweepCause::NeighborRule1) as u64;
-        stats.pruned_neighbor_rule2 += state.swept_by(SweepCause::NeighborRule2) as u64;
-        stats.pruned_group_sweep += state.swept_by(SweepCause::GroupSweep) as u64;
-    } else {
-        // Farthest-first (Algorithm 3, line 11); the basic algorithm tests
-        // in vertex-id order.
-        let order: Vec<VertexId> = if optimised {
-            vertices_by_descending_distance(g, source)
+    let cut = 'search: {
+        if state.swept_count() == n {
+            // The source's sweep swept every vertex, so `g` is connected (see
+            // the module docs) and the loop below would skip every vertex of
+            // its order: count them by rule, as it would, and build no order.
+            // Only the sweep variants sweep, so the basic one never gets here.
+            stats.pruned_neighbor_rule1 += state.swept_by(SweepCause::NeighborRule1) as u64;
+            stats.pruned_neighbor_rule2 += state.swept_by(SweepCause::NeighborRule2) as u64;
+            stats.pruned_group_sweep += state.swept_by(SweepCause::GroupSweep) as u64;
         } else {
-            (0..n as VertexId).filter(|&v| v != source).collect()
-        };
-        if order.len() + 1 < n {
-            // The distance order leaves out the vertices the source cannot
-            // reach, so `g` is disconnected and the empty set separates it.
-            return Ok(GlobalCutOutcome {
-                cut: (k > 0).then(Vec::new),
-                scratch_memory_bytes,
-            });
-        }
+            // Farthest-first (Algorithm 3, line 11); the basic algorithm tests
+            // in vertex-id order.
+            let order: Vec<VertexId> = if optimised {
+                vertices_by_descending_distance(g, source)
+            } else {
+                (0..n as VertexId).filter(|&v| v != source).collect()
+            };
+            if order.len() + 1 < n {
+                // The distance order leaves out the vertices the source cannot
+                // reach, so `g` is disconnected and the empty set separates it.
+                break 'search (k > 0).then(Vec::new);
+            }
 
-        for v in order {
-            if let Some(cause) = state.cause(v) {
-                match cause {
-                    SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
-                    SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
-                    SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
-                    SweepCause::SourceOrTested => {}
-                }
-                continue;
-            }
-            budget.check()?;
-            stats.tested_vertices += 1;
-            if let Some(cut) = loc_cut(flow, g, source, v, k, stats, budget)? {
-                return Ok(GlobalCutOutcome {
-                    cut: Some(cut),
-                    scratch_memory_bytes,
-                });
-            }
-            if optimised {
-                state.sweep(&ctx, v, SweepCause::SourceOrTested);
-            }
-        }
-    }
-
-    // --- Phase 2: the source itself may belong to the cut (Lemma 4). ---
-    let source_is_strong = strong.get(source as usize).copied().unwrap_or(false);
-    if !source_is_strong {
-        let neighbors = g.neighbors(source);
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if group_sweep {
-                    let ga = group_of[a as usize];
-                    if ga != NO_GROUP && ga == group_of[b as usize] {
-                        // Group-sweep rule 3: members of the same side-group
-                        // are k-local-connected by Theorem 10.
-                        stats.phase2_pairs_skipped += 1;
-                        continue;
+            for v in order {
+                if let Some(cause) = state.cause(v) {
+                    match cause {
+                        SweepCause::NeighborRule1 => stats.pruned_neighbor_rule1 += 1,
+                        SweepCause::NeighborRule2 => stats.pruned_neighbor_rule2 += 1,
+                        SweepCause::GroupSweep => stats.pruned_group_sweep += 1,
+                        SweepCause::SourceOrTested => {}
                     }
+                    continue;
                 }
                 budget.check()?;
-                stats.phase2_pairs_tested += 1;
-                if let Some(cut) = loc_cut(flow, g, a, b, k, stats, budget)? {
-                    return Ok(GlobalCutOutcome {
-                        cut: Some(cut),
-                        scratch_memory_bytes,
-                    });
+                stats.tested_vertices += 1;
+                if let Some(cut) = arena.loc_cut(g, source, v, k, stats, budget)? {
+                    break 'search Some(cut);
+                }
+                if optimised {
+                    state.sweep(&ctx, v, SweepCause::SourceOrTested);
                 }
             }
         }
-    }
 
+        // --- Phase 2: the source itself may belong to the cut (Lemma 4). ---
+        let source_is_strong = strong.get(source as usize).copied().unwrap_or(false);
+        if !source_is_strong {
+            let neighbors = g.neighbors(source);
+            for (i, &a) in neighbors.iter().enumerate() {
+                for &b in &neighbors[i + 1..] {
+                    if group_sweep {
+                        let ga = group_of[a as usize];
+                        if ga != NO_GROUP && ga == group_of[b as usize] {
+                            // Group-sweep rule 3: members of the same
+                            // side-group are k-local-connected by Theorem 10.
+                            stats.phase2_pairs_skipped += 1;
+                            continue;
+                        }
+                    }
+                    budget.check()?;
+                    stats.phase2_pairs_tested += 1;
+                    if let Some(cut) = arena.loc_cut(g, a, b, k, stats, budget)? {
+                        break 'search Some(cut);
+                    }
+                }
+            }
+        }
+        None
+    };
+
+    let filled = arena.unfilled.is_none();
+    drop(arena);
+    let mut scratch_memory_bytes = forest_bytes + side_group_bytes(&all_groups, &all_group_of);
+    if filled {
+        scratch_memory_bytes += scratch.flow.memory_bytes();
+    }
     Ok(GlobalCutOutcome {
-        cut: None,
+        cut,
         scratch_memory_bytes,
     })
 }
@@ -285,34 +308,56 @@ fn select_source<G: GraphView>(g: &G, strong: &[bool]) -> VertexId {
         .expect("global_cut requires a non-empty graph")
 }
 
-/// `LOC-CUT(u, v)` (Algorithm 2, lines 12-17): answers trivially for adjacent
-/// or identical vertices (Lemma 5), otherwise runs a max-flow on the arena's
-/// substrate capped at `k` (the flow stops at the k-th augmenting path,
-/// Lemma 6) and returns the residual min-cut, which then has fewer than `k`
-/// vertices, as a vertex cut.
-///
-/// The adjacency shortcut is evaluated on the current subgraph `g`; the flow
-/// runs on the sparse certificate the arena was rebuilt with, a subgraph of
-/// `g`. Non-adjacency in `g` implies non-adjacency in any subgraph, so the
-/// arena's own adjacency check never answers for a pair that reaches it.
-fn loc_cut<G: GraphView>(
-    flow: &mut VertexFlowGraph,
-    g: &G,
-    u: VertexId,
-    v: VertexId,
-    k: u32,
-    stats: &mut EnumerationStats,
-    budget: &Budget,
-) -> Result<Option<Vec<VertexId>>, Interrupted> {
-    if u == v || g.has_edge(u, v) {
-        stats.loc_cut_trivial_calls += 1;
-        return Ok(None);
+/// The flow arena of one `GLOBAL-CUT*` call, filled with the sparse
+/// certificate at the call's first flow probe (see the
+/// [module docs](self#the-flow-arena)).
+struct CertificateArena<'a> {
+    flow: &'a mut VertexFlowGraph,
+    /// The forests whose union the arena is to hold, until the first flow
+    /// probe writes it in and drops them.
+    unfilled: Option<ScanFirstForests>,
+    /// The call's source, fixed on the arena once it is filled.
+    source: VertexId,
+}
+
+impl CertificateArena<'_> {
+    /// `LOC-CUT(u, v)` (Algorithm 2, lines 12-17): answers trivially for
+    /// adjacent or identical vertices (Lemma 5), otherwise runs a max-flow on
+    /// the certificate capped at `k` (the flow stops at the k-th augmenting
+    /// path, Lemma 6) and returns the residual min-cut, which then has fewer
+    /// than `k` vertices, as a vertex cut.
+    ///
+    /// The adjacency shortcut is evaluated on the current subgraph `g`; the
+    /// flow runs on the sparse certificate, a subgraph of `g`. Non-adjacency
+    /// in `g` implies non-adjacency in any subgraph, so the arena's own
+    /// adjacency check never answers for a pair that reaches it.
+    fn loc_cut<G: GraphView>(
+        &mut self,
+        g: &G,
+        u: VertexId,
+        v: VertexId,
+        k: u32,
+        stats: &mut EnumerationStats,
+        budget: &Budget,
+    ) -> Result<Option<Vec<VertexId>>, Interrupted> {
+        if u == v || g.has_edge(u, v) {
+            stats.loc_cut_trivial_calls += 1;
+            return Ok(None);
+        }
+        stats.loc_cut_flow_calls += 1;
+        if let Some(forests) = self.unfilled.take() {
+            // The closure owns the forests, so their slots are freed before
+            // the arena sizes its per-vertex buffers.
+            self.flow
+                .rebuild_with(move |offsets, targets| forests.write_union(offsets, targets));
+            self.flow.fix_source(self.source);
+        }
+        let answer = self.flow.local_connectivity_budgeted(u, v, k, budget)?;
+        Ok(match answer {
+            LocalConnectivity::AtLeast(_) => None,
+            LocalConnectivity::Cut(cut) => Some(cut),
+        })
     }
-    stats.loc_cut_flow_calls += 1;
-    Ok(match flow.local_connectivity_budgeted(u, v, k, budget)? {
-        LocalConnectivity::AtLeast(_) => None,
-        LocalConnectivity::Cut(cut) => Some(cut),
-    })
 }
 
 #[cfg(test)]
@@ -651,6 +696,69 @@ mod tests {
                 assert_eq!(out.cut.as_deref(), cut, "{context}");
             }
         }
+    }
+
+    /// The arena is filled at a call's first flow probe and not before. A
+    /// call that runs none leaves a fresh scratch's arena empty: the tiny
+    /// ring at k = 1 under `VCCE*`, and K7 at k = 1..=6 under `VCCE-N` and
+    /// `VCCE*`. A later call fills it at its first phase-1 probe
+    /// (`two_blocks` at k = 3, with its pinned counters and cut), and a call
+    /// whose phase 1 probes nothing at its first phase-2 probe (a 4-cycle at
+    /// k = 1 with no strong side-vertex: the source's sweep covers it, and
+    /// its neighbours 1 and 3 are not adjacent). Either way the call's source
+    /// is fixed on the filled arena.
+    #[test]
+    fn the_arena_is_filled_at_the_first_flow_probe() {
+        let config = kvcc_datasets::stream::StreamConfig::tiny();
+        let ring = UndirectedGraph::from_edges(
+            config.num_vertices(),
+            config.edges().map(|(u, v)| (u as VertexId, v as VertexId)),
+        )
+        .unwrap();
+        let mut unprobed = vec![(ring, 1, AlgorithmVariant::Full)];
+        for k in 1..=6 {
+            for variant in [AlgorithmVariant::NeighborSweep, AlgorithmVariant::Full] {
+                unprobed.push((complete(7), k, variant));
+            }
+        }
+        let mut scratch = CutScratch::new();
+        for (g, k, variant) in unprobed {
+            let mut stats = EnumerationStats::default();
+            let out =
+                global_cut_with_scratch(&g, k, &options_for(variant), &mut stats, &mut scratch);
+            let context = format!("n {}, k {k}, {variant:?}", g.num_vertices());
+            assert_eq!(out.cut, None, "{context}");
+            assert_eq!(stats.loc_cut_flow_calls, 0, "{context}");
+            assert_eq!(scratch.flow.num_vertices(), 0, "{context}");
+        }
+
+        let mut stats = EnumerationStats::default();
+        let out = global_cut_with_scratch(
+            &two_blocks(),
+            3,
+            &KvccOptions::default(),
+            &mut stats,
+            &mut scratch,
+        );
+        assert_eq!(stats, pinned([1, 0, 0, 0, 1, 0, 0, 0, 17, 6, 0]));
+        assert_eq!(out.cut.as_deref(), Some(&[6, 7][..]));
+        assert_eq!(scratch.flow.num_vertices(), 8);
+        // Vertex 0 is the first strong side-vertex of least degree.
+        assert_eq!(scratch.flow.fixed_source(), Some(0));
+
+        let cycle = UndirectedGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let options = KvccOptions {
+            variant: AlgorithmVariant::NeighborSweep,
+            max_degree_for_side_vertex_check: Some(0),
+            ..KvccOptions::default()
+        };
+        let mut scratch = CutScratch::new();
+        let mut stats = EnumerationStats::default();
+        let out = global_cut_with_scratch(&cycle, 1, &options, &mut stats, &mut scratch);
+        assert_eq!(stats, pinned([0, 0, 3, 0, 1, 0, 1, 0, 3, 0, 1]));
+        assert_eq!(out.cut, None);
+        assert_eq!(scratch.flow.num_vertices(), 4);
+        assert_eq!(scratch.flow.fixed_source(), Some(0));
     }
 
     #[test]

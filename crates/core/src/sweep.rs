@@ -23,6 +23,19 @@
 //! give the swept total, and let `GLOBAL-CUT*` attribute every pruned vertex
 //! to its rule without a pass over the vertices when the source's sweep
 //! alone sweeps them all.
+//!
+//! # The stop
+//!
+//! A cascade stops as soon as every vertex is swept, with the rest of its
+//! work list dropped. Past that point nothing can be marked, and deposits
+//! are read only to decide a mark, so every cause and every per-cause count
+//! equals the full cascade's; the deposits themselves are no longer kept up
+//! after the stop. At `k = 1` this is most of the work. There every vertex
+//! within the degree cap is strong, and the k-th forest is a spanning tree,
+//! so the source's side-group is its whole component: while the source
+//! itself is processed, rule 1 takes its neighbours (with neighbour sweeps
+//! on) and its group takes the rest (with group sweeps on). The full
+//! cascade would then process `n − 1` more entries for nothing.
 
 use kvcc_flow::Budget;
 use kvcc_graph::{BitSet, GraphView, VertexId};
@@ -125,14 +138,15 @@ impl SweepState {
         self.cause[v as usize]
     }
 
-    /// Current vertex deposit of `v` (Definition 11); exposed for tests.
+    /// Current vertex deposit of `v` (Definition 11), not kept up once every
+    /// vertex is swept; exposed for tests.
     #[inline]
     pub fn deposit(&self, v: VertexId) -> u32 {
         self.deposit[v as usize]
     }
 
-    /// Current group deposit of side-group `g` (Definition 13); exposed for
-    /// tests.
+    /// Current group deposit of side-group `g` (Definition 13), not kept up
+    /// once every vertex is swept; exposed for tests.
     #[inline]
     pub fn group_deposit(&self, g: usize) -> u32 {
         self.group_deposit[g]
@@ -152,7 +166,8 @@ impl SweepState {
     /// known to satisfy `u ≡ₖ v` for the current source `u` (because it is the
     /// source itself, passed a `LOC-CUT` test, or was derived by a rule).
     ///
-    /// Does nothing if `v` is already swept.
+    /// Does nothing if `v` is already swept, and stops as soon as every
+    /// vertex is swept (see the [module docs](self#the-stop)).
     pub fn sweep<G: GraphView>(
         &mut self,
         ctx: &SweepContext<'_, G>,
@@ -163,8 +178,12 @@ impl SweepState {
             return;
         }
         self.mark(v, cause);
+        let n = self.cause.len();
         let mut steps = 0u32;
-        while let Some(x) = self.worklist.pop() {
+        while self.swept_count() < n {
+            let Some(x) = self.worklist.pop() else {
+                return;
+            };
             self.process(ctx, x);
             steps += 1;
             if steps.is_multiple_of(SWEEP_POLL_INTERVAL) && ctx.budget.expired() {
@@ -172,6 +191,7 @@ impl SweepState {
                 return;
             }
         }
+        self.worklist.clear();
     }
 
     fn mark(&mut self, v: VertexId, cause: SweepCause) {
@@ -374,6 +394,69 @@ mod tests {
         state.sweep(&c, 0, SweepCause::SourceOrTested);
         let deposits_after: Vec<u32> = (0..3).map(|v| state.deposit(v)).collect();
         assert_eq!(deposits_before, deposits_after);
+    }
+
+    /// Sweeps `sources` in turn twice: with `sweep`, and with the full
+    /// cascade, which runs each work list dry. Every vertex must end swept,
+    /// and the causes and per-cause counts must agree.
+    fn assert_stop_matches_the_full_cascade(
+        c: &SweepContext<'_, UndirectedGraph>,
+        groups: usize,
+        sources: &[VertexId],
+    ) {
+        let n = c.graph.num_vertices();
+        let mut stopped = SweepState::new(n, groups);
+        let mut full = SweepState::new(n, groups);
+        for &v in sources {
+            stopped.sweep(c, v, SweepCause::SourceOrTested);
+            if !full.is_pruned(v) {
+                full.mark(v, SweepCause::SourceOrTested);
+                while let Some(x) = full.worklist.pop() {
+                    full.process(c, x);
+                }
+            }
+        }
+        assert_eq!(stopped.swept_count(), n, "sources {sources:?}");
+        assert!(stopped.worklist.is_empty(), "sources {sources:?}");
+        assert_eq!(stopped.cause, full.cause, "sources {sources:?}");
+        assert_eq!(stopped.swept, full.swept, "sources {sources:?}");
+    }
+
+    #[test]
+    fn a_cascade_stops_once_every_vertex_is_swept() {
+        // A path at k = 1: each vertex swept sweeps the next by rule 2, so
+        // the count passes through every value up to n.
+        let path = UndirectedGraph::from_edges(6, (0..5).map(|i| (i, i + 1))).unwrap();
+        let (not_strong, no_group) = (vec![false; 6], vec![NO_GROUP; 6]);
+        for source in [0, 3, 5] {
+            let c = ctx(&path, 1, &not_strong, &no_group, &[], true, false);
+            assert_stop_matches_the_full_cascade(&c, 0, &[source]);
+        }
+        // K6 with one strong member and one side-group: the source sweeps
+        // everything while it is processed itself, by rule 1 with neighbour
+        // sweeps on and through its group with group sweeps on.
+        let k6 = complete(6);
+        let mut strong = vec![false; 6];
+        strong[2] = true;
+        let (one_group, groups) = (vec![0; 6], vec![vec![0, 1, 2, 3, 4, 5]]);
+        for (neighbor, group) in [(true, false), (false, true), (true, true)] {
+            let c = ctx(&k6, 5, &strong, &one_group, &groups, neighbor, group);
+            assert_stop_matches_the_full_cascade(&c, 1, &[2]);
+        }
+        // Example 10's shape (see below): the third tested vertex completes
+        // the sweep through a deposit and a group deposit at once.
+        let mut edges = Vec::new();
+        for i in 0..4u32 {
+            for j in (i + 1)..4 {
+                edges.push((i, j));
+            }
+        }
+        edges.extend([(1, 4), (2, 4), (3, 4)]);
+        let g = UndirectedGraph::from_edges(5, edges).unwrap();
+        let (not_strong, group_of) = (vec![false; 5], vec![0, 0, 0, 0, NO_GROUP]);
+        let groups = vec![vec![0, 1, 2, 3]];
+        let c = ctx(&g, 3, &not_strong, &group_of, &groups, true, true);
+        assert_stop_matches_the_full_cascade(&c, 1, &[0, 1, 2]);
     }
 
     #[test]

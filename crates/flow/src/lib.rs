@@ -5,8 +5,10 @@
 //! `v` into `v_in → v_out` (Fig. 3). This crate provides:
 //!
 //! * [`VertexFlowGraph`] — the vertex-split network held implicitly (one
-//!   copy of the graph's CSR rows plus two flow fields per vertex, since a
-//!   unit vertex capacity lets each vertex carry at most one unit) and the
+//!   copy of the graph's CSR rows, or rows written straight into its own
+//!   buffers by [`VertexFlowGraph::rebuild_with`], plus two flow fields per
+//!   vertex, since a unit vertex capacity lets each vertex carry at most one
+//!   unit) and the
 //!   `LOC-CUT` probes on it: unit-capacity Dinic (Even & Tarjan) whose
 //!   phases are bounded by a reverse BFS from the sink, or, from a source
 //!   fixed for many probes ([`VertexFlowGraph::fix_source`]), one search

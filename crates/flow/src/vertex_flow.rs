@@ -31,6 +31,19 @@
 //! fields it set and resets just those, so a probe costs nothing
 //! proportional to the graph beyond the nodes it reaches.
 //!
+//! # Loading rows
+//!
+//! [`VertexFlowGraph::rebuild`] copies the rows of any
+//! [`GraphView`]. [`VertexFlowGraph::rebuild_with`] instead hands the arena's
+//! own row buffers, emptied, to a closure that writes the rows in place:
+//! `GLOBAL-CUT*` transposes its sparse certificate, the union of its
+//! scan-first forests, straight into them at its first flow probe, so the
+//! certificate is never built as a graph of its own and then copied. Either
+//! way the rows must be sorted, since every probe's adjacency test
+//! binary-searches them and row order steers the label-guided search below;
+//! a rebuild of either kind keeps every buffer's capacity and releases the
+//! fixed source.
+//!
 //! # Sink-bounded Dinic phases
 //!
 //! Each phase (Even & Tarjan's unit-capacity Dinic, the bound behind
@@ -248,21 +261,48 @@ impl VertexFlowGraph {
     /// scratch-arena contract in the type docs), and releases the fixed
     /// source with its labels. Costs one copy of the CSR rows.
     pub fn rebuild<G: GraphView>(&mut self, g: &G) {
-        let n = g.num_vertices();
+        self.rebuild_with(|offsets, targets| {
+            offsets.reserve(g.num_vertices() + 1);
+            offsets.push(0);
+            targets.reserve(2 * g.num_edges());
+            for v in g.vertices() {
+                targets.extend_from_slice(g.neighbors(v));
+                let end =
+                    u32::try_from(targets.len()).expect("CSR rows hold fewer than 2^32 slots");
+                offsets.push(end);
+            }
+        });
+    }
+
+    /// [`rebuild`](Self::rebuild) onto the graph whose CSR rows `write_rows`
+    /// writes straight into the arena's own row buffers (see
+    /// [loading rows](self#loading-rows)), so no graph needs to exist
+    /// outside the arena.
+    ///
+    /// `write_rows` receives the offset and target buffers empty, with the
+    /// capacity earlier graphs left, and must leave the rows of an `n`-vertex
+    /// undirected graph: `n + 1` offsets from 0 to the number of targets,
+    /// and each row sorted ascending, as a [`CsrGraph`](kvcc_graph::CsrGraph)
+    /// holds them (adjacency tests binary-search a row).
+    ///
+    /// # Panics
+    ///
+    /// If the offsets are empty, do not start at 0 or do not end at the
+    /// number of targets.
+    pub fn rebuild_with(&mut self, write_rows: impl FnOnce(&mut Vec<u32>, &mut Vec<VertexId>)) {
         self.clear_labels();
         self.fixed = None;
         self.labelled = None;
         let Rows { offsets, targets } = &mut self.rows;
         offsets.clear();
-        offsets.reserve(n + 1);
-        offsets.push(0);
         targets.clear();
-        targets.reserve(2 * g.num_edges());
-        for v in g.vertices() {
-            targets.extend_from_slice(g.neighbors(v));
-            let end = u32::try_from(targets.len()).expect("CSR rows hold fewer than 2^32 slots");
-            offsets.push(end);
-        }
+        write_rows(offsets, targets);
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last().map(|&e| e as usize) == Some(targets.len()),
+            "CSR offsets must run from 0 to the number of targets"
+        );
+        let n = offsets.len() - 1;
         if self.units.len() < n {
             self.units.resize(n, Unit::IDLE);
             self.dist.resize(2 * n, UNLABELLED);
@@ -282,6 +322,12 @@ impl VertexFlowGraph {
     /// until the next call or [`rebuild`](Self::rebuild).
     pub fn fix_source(&mut self, u: VertexId) {
         self.fixed = Some(u);
+    }
+
+    /// The source named by the last [`fix_source`](Self::fix_source) since
+    /// the last rebuild, if any.
+    pub fn fixed_source(&self) -> Option<VertexId> {
+        self.fixed
     }
 
     /// k-bounded boolean connectivity probe: `true` iff `κ(u, v) >= k`
@@ -1009,6 +1055,27 @@ mod tests {
         match flow.local_connectivity_nonadjacent(0, 3, 3) {
             LocalConnectivity::Cut(cut) => assert_eq!(cut.len(), 2),
             other => panic!("expected a 2-cut, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rows_written_in_place_equal_a_rebuild() {
+        // A scan-first union transposed into a used arena's own buffers
+        // holds the rows a rebuild from the union as a graph copies, byte for
+        // byte, and the fill releases the fixed source as a rebuild does.
+        let cycle = UndirectedGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6))).unwrap();
+        for g in [complete(7), two_cliques_with_two_cut_vertices(), cycle] {
+            for k in 0..=4 {
+                let forests = kvcc_graph::scan_first::scan_first_forests(&g, k);
+                let mut arena = VertexFlowGraph::build(&complete(12));
+                arena.fix_source(3);
+                arena.rebuild_with(|offsets, targets| forests.write_union(offsets, targets));
+                assert_eq!(arena.fixed_source(), None);
+                let rebuilt = VertexFlowGraph::build(&forests.union());
+                assert_eq!(arena.num_vertices(), g.num_vertices());
+                assert_eq!(arena.rows.offsets, rebuilt.rows.offsets, "k {k}");
+                assert_eq!(arena.rows.targets, rebuilt.rows.targets, "k {k}");
+            }
         }
     }
 

@@ -27,9 +27,11 @@
 //!   reachability.
 //! * [`kcore`] — linear-time core decomposition and k-core extraction
 //!   (Algorithm 1, line 2 of the paper).
-//! * [`scan_first`] — the union of `k` successive scan-first-search forests
-//!   (the sparse certificate of §4.2), each round scanning only the residual
-//!   rows the earlier forests left and compacting them as it goes.
+//! * [`scan_first`] — `k` successive scan-first-search forests, whose union
+//!   is the sparse certificate of §4.2: round 1 reads the input's rows, each
+//!   later round scans only the residual rows the earlier forests left and
+//!   compacts them as it goes, and the union is a transpose written into any
+//!   pair of CSR buffers.
 //! * [`metrics`] — diameter, edge density and clustering coefficient used by
 //!   the effectiveness study (Figs. 7–9).
 //! * [`io`] — SNAP-style edge-list reading and writing (Table 1 datasets).

@@ -6,49 +6,58 @@
 //! to mark vertices form a spanning forest, and the union of `k` successive
 //! forests — each computed on the graph minus the previously selected edges —
 //! is a sparse certificate for k-vertex connectivity (Theorem 5).
-//! [`scan_first_forests`] builds that union; the side-groups of §5.2, taken
-//! from its k-th forest, live in the `kvcc` core crate's certificate module.
+//! [`scan_first_forests`] builds those forests; the side-groups of §5.2,
+//! taken from the k-th forest, live in the `kvcc` core crate's certificate
+//! module.
 //!
 //! # Residual rows
 //!
-//! The rounds run on one copy of the input's rows, which each round compacts
-//! in place as it scans them. Scanning `u` drops the arcs to the vertices the
-//! scan marks (their tree edges) and the arc to `u`'s own parent, writes
-//! every other arc back in order, and moves the dropped arcs into the slots
-//! this frees at the row's end. A vertex's tree edges are all fixed by the
-//! end of its own scan (its parent edge when it was marked, its child edges
-//! during the scan), and only that scan rewrites its row, so round `r + 1`
-//! scans exactly the graph minus forests `1..=r`, each row in the input's
-//! order. When `u` is scanned, the one arc of its residual row whose edge the
+//! Each vertex owns one slot per arc of its input row, and the rounds write
+//! into those slots only what a later round or the union reads. Round 1
+//! reads the input's rows themselves. Scanning `u` marks its unmarked
+//! neighbours (its tree edges to its children) and drops them and the arc to
+//! `u`'s own parent; it writes every other arc to the front of `u`'s slots in
+//! row order (each arc is written, and the write position moves on only for
+//! a kept arc, so the loop does not branch on it), and the dropped arcs, the
+//! children and then the parent, into the slots this frees at the end. A
+//! vertex's tree edges are all fixed by the end of its own scan (its parent
+//! edge when it was marked, its child edges during the scan), and only that
+//! scan rewrites its slots, so round `r + 1` scans exactly the graph minus
+//! forests `1..=r`, each row in the input's order, compacting it in place.
+//! When `u` is scanned, the one arc of its residual row whose edge the
 //! current forest already holds leads to its parent, which is marked; so
-//! testing the mark alone marks the same vertices, through the same edges and
-//! in the same order, as testing a used-edge flag as well. No edge ids,
-//! used-edge bitmap or reverse-arc lookup are needed.
+//! testing the mark alone marks the same vertices, through the same edges
+//! and in the same order, as testing a used-edge flag as well. No edge ids,
+//! used-edge bitmap or reverse-arc lookup are needed, and the parent travels
+//! in the BFS queue beside its child.
 //!
-//! The last round keeps no residual rows. It still moves its tree arcs to
-//! the row ends, but writes no kept arc back and counts the kept arcs
-//! instead: all of the row but the children and the one parent arc. No
-//! later round reads the rows, so after it they hold stale arcs up to
-//! `end[v]`, and only the tails below are read.
+//! The last round keeps no residual rows: it writes only its tree arcs, and
+//! counts the kept arcs instead (all of the row but the children and the one
+//! parent arc). So at `k = 1` the input's rows are read once and only the
+//! forest's arcs are written. The tree ids of the side-groups are written in
+//! the last round only, once per tree from its BFS queue.
 //!
-//! After the rounds each row ends in its *tail*: its arcs in the union, in
-//! no particular order. The union's rows are the transpose of the tails:
-//! visiting the vertices in ascending order and appending `u` to the row of
-//! every `w` in `u`'s tail fills each row in ascending order, and since the
-//! union is undirected, row `w` receives exactly `w`'s tail. This counting
-//! sort reads no input row and compares no ids.
+//! # The union
+//!
+//! After the rounds each vertex's slots end in its *tail*: its arcs in the
+//! union, in no particular order. The union's rows are the transpose of the
+//! tails ([`ScanFirstForests::write_union`]): visiting the vertices in
+//! ascending order and appending `u` to the row of every `w` in `u`'s tail
+//! fills each row in ascending order, and since the union is undirected, row
+//! `w` receives exactly `w`'s tail. This counting sort reads no input row and
+//! compares no ids. It writes into any pair of CSR buffers: a [`CsrGraph`]'s
+//! at exact capacity ([`ScanFirstForests::union`]), or a flow arena's own, so
+//! a caller that probes the certificate need not build it twice, and one
+//! that never probes it need not build it at all.
 
 use crate::csr::CsrGraph;
 use crate::types::{VertexId, INVALID_VERTEX};
 use crate::view::GraphView;
 
-/// The union of up to `k` successive scan-first forests, from
-/// [`scan_first_forests`].
+/// Up to `k` successive scan-first forests of a graph, from
+/// [`scan_first_forests`], holding the arcs of their union.
 #[derive(Clone, Debug)]
 pub struct ScanFirstForests {
-    /// The union of the forests, on the input's vertex ids, stored at exact
-    /// capacity.
-    pub union: CsrGraph,
     /// Number of edges of each forest, in order. The rounds stop at the first
     /// empty forest, so the vector may be shorter than `k`.
     pub forest_sizes: Vec<usize>,
@@ -56,6 +65,63 @@ pub struct ScanFirstForests {
     /// are numbered `0, 1, …` in order of their smallest vertex. Empty unless
     /// the k-th forest has an edge.
     pub kth_trees: Vec<u32>,
+    /// Vertex `v`'s slots are `arcs[start[v]..start[v + 1]]`, and its tail,
+    /// its arcs in the union, is `arcs[end[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    end: Vec<u32>,
+    arcs: Vec<VertexId>,
+}
+
+impl ScanFirstForests {
+    /// Writes the CSR rows of the forests' union into `offsets` and
+    /// `targets`, replacing what they held: `n + 1` offsets from 0, and each
+    /// row sorted ascending, as a [`CsrGraph`] holds them (see the
+    /// [module docs](self#the-union)). Buffers with too little room grow to
+    /// exactly the room needed, so empty ones end at exact capacity.
+    pub fn write_union(&self, offsets: &mut Vec<u32>, targets: &mut Vec<VertexId>) {
+        offsets.clear();
+        offsets.reserve_exact(self.end.len() + 1);
+        offsets.push(0);
+        // `offsets[w + 1]` holds where row `w` starts, then the next free
+        // slot of row `w` while the tails are scattered, so it ends where
+        // row `w` ends.
+        let mut total = 0;
+        for (v, &end) in self.end.iter().enumerate() {
+            offsets.push(total);
+            total += self.start[v + 1] - end;
+        }
+        targets.clear();
+        targets.reserve_exact(total as usize);
+        targets.resize(total as usize, 0);
+        for (u, &end) in self.end.iter().enumerate() {
+            for &w in &self.arcs[end as usize..self.start[u + 1] as usize] {
+                let next = &mut offsets[w as usize + 1];
+                targets[*next as usize] = u as VertexId;
+                *next += 1;
+            }
+        }
+    }
+
+    /// The union of the forests, on the input's vertex ids, stored at exact
+    /// capacity.
+    pub fn union(&self) -> CsrGraph {
+        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+        self.write_union(&mut offsets, &mut targets);
+        CsrGraph::from_parts(offsets, targets)
+    }
+
+    /// Approximate heap bytes of the forests: the slots, their bounds and
+    /// the k-th forest's tree ids.
+    pub fn memory_bytes(&self) -> usize {
+        fn bytes<T>(buffer: &Vec<T>) -> usize {
+            buffer.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.forest_sizes)
+            + bytes(&self.kth_trees)
+            + bytes(&self.start)
+            + bytes(&self.end)
+            + bytes(&self.arcs)
+    }
 }
 
 /// Computes up to `k` successive scan-first (BFS) forests of `g`, each on the
@@ -64,99 +130,111 @@ pub struct ScanFirstForests {
 /// `k = 0` gives an edgeless union.
 pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
     let n = g.num_vertices();
-    // Row `v` is `residual[start[v]..start[v + 1]]`: its arcs outside the
-    // forests built so far up to `end[v]`, its tail after it.
-    let mut residual = Vec::with_capacity(2 * g.num_edges());
     let mut start = Vec::with_capacity(n + 1);
-    start.push(0usize);
+    start.push(0u32);
+    let mut slots = 0usize;
     for v in g.vertices() {
-        residual.extend_from_slice(g.neighbors(v));
-        start.push(residual.len());
+        slots += g.degree(v);
+        start.push(u32::try_from(slots).expect("CSR rows hold fewer than 2^32 slots"));
     }
     let mut end = start[1..].to_vec();
+    let mut arcs = vec![0 as VertexId; slots];
 
     let mut forest_sizes = Vec::new();
+    let mut kth_trees = Vec::new();
     // `marked[v] == round` once round `round` (counted from 1) marks `v`.
     let mut marked = vec![0u32; n];
-    let mut tree = vec![0u32; n];
-    let mut parent = vec![INVALID_VERTEX; n];
-    let mut queue: Vec<VertexId> = Vec::with_capacity(n);
+    // Each marked vertex with its parent, the vertex whose scan marked it.
+    let mut queue: Vec<(VertexId, VertexId)> = Vec::with_capacity(n);
     for round in 1..=k {
         // No round reads the last one's residual rows.
-        let keep_rows = round < k;
+        let last = round == k;
+        if last {
+            kth_trees = vec![0u32; n];
+        }
         let mut trees = 0u32;
         for root in g.vertices() {
             if marked[root as usize] == round {
                 continue;
             }
             marked[root as usize] = round;
-            tree[root as usize] = trees;
-            parent[root as usize] = INVALID_VERTEX;
             queue.clear();
-            queue.push(root);
+            queue.push((root, INVALID_VERTEX));
             let mut head = 0;
             while head < queue.len() {
-                let u = queue[head];
+                let (u, up) = queue[head];
                 head += 1;
-                let (arcs, up) = (start[u as usize]..end[u as usize], parent[u as usize]);
-                let (mut kept, first_child) = (arcs.start, queue.len());
-                for arc in arcs.clone() {
-                    let v = residual[arc];
-                    if marked[v as usize] != round {
+                let (lo, hi) = (start[u as usize] as usize, end[u as usize] as usize);
+                let first_child = queue.len();
+                // Marks `v` as a child of `u` unless this round has marked
+                // it, and says whether the arc to `v` stays in `u`'s residual
+                // row: every arc does but the children's and the parent's.
+                let mut keeps = |v: VertexId| {
+                    if marked[v as usize] == round {
+                        v != up
+                    } else {
                         marked[v as usize] = round;
-                        tree[v as usize] = trees;
-                        parent[v as usize] = u;
-                        queue.push(v);
-                    } else if keep_rows && v != up {
-                        residual[kept] = v;
-                        kept += 1;
+                        queue.push((v, u));
+                        false
                     }
-                }
-                if !keep_rows {
-                    // Every arc stays but the children's and the parent's.
-                    kept =
-                        arcs.end - (queue.len() - first_child) - usize::from(up != INVALID_VERTEX);
-                }
-                end[u as usize] = kept;
+                };
+                let kept = if last {
+                    let row = if round == 1 {
+                        g.neighbors(u)
+                    } else {
+                        &arcs[lo..hi]
+                    };
+                    for &v in row {
+                        keeps(v);
+                    }
+                    hi - (queue.len() - first_child) - usize::from(up != INVALID_VERTEX)
+                } else if round == 1 {
+                    let mut kept = lo;
+                    for &v in g.neighbors(u) {
+                        arcs[kept] = v;
+                        kept += usize::from(keeps(v));
+                    }
+                    kept
+                } else {
+                    let mut kept = lo;
+                    for arc in lo..hi {
+                        let v = arcs[arc];
+                        arcs[kept] = v;
+                        kept += usize::from(keeps(v));
+                    }
+                    kept
+                };
+                end[u as usize] = kept as u32;
                 // The freed slots take the dropped arcs: the children, then
                 // the parent (a root has none).
                 let (to_children, to_parent) =
-                    residual[kept..arcs.end].split_at_mut(queue.len() - first_child);
-                to_children.copy_from_slice(&queue[first_child..]);
+                    arcs[kept..hi].split_at_mut(queue.len() - first_child);
+                for (slot, &(child, _)) in to_children.iter_mut().zip(&queue[first_child..]) {
+                    *slot = child;
+                }
                 to_parent.fill(up);
+            }
+            if last {
+                for &(v, _) in &queue {
+                    kth_trees[v as usize] = trees;
+                }
             }
             trees += 1;
         }
         // A forest of `trees` trees over `n` vertices has `n - trees` edges;
         // none means the residual graph is edgeless, and so are later forests.
         if trees as usize == n {
+            kth_trees = Vec::new();
             break;
         }
         forest_sizes.push(n - trees as usize);
     }
-    if k == 0 || forest_sizes.len() < k as usize {
-        tree = Vec::new();
-    }
-
-    // The transpose of the tails; `next[w]`: the next free slot of row `w`.
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut next = Vec::with_capacity(n);
-    offsets.push(0u32);
-    for v in 0..n {
-        next.push(offsets[v]);
-        offsets.push(offsets[v] + (start[v + 1] - end[v]) as u32);
-    }
-    let mut neighbors = vec![0 as VertexId; offsets[n] as usize];
-    for u in g.vertices() {
-        for &w in &residual[end[u as usize]..start[u as usize + 1]] {
-            neighbors[next[w as usize] as usize] = u;
-            next[w as usize] += 1;
-        }
-    }
     ScanFirstForests {
-        union: CsrGraph::from_parts(offsets, neighbors),
         forest_sizes,
-        kth_trees: tree,
+        kth_trees,
+        start,
+        end,
+        arcs,
     }
 }
 
@@ -174,9 +252,9 @@ mod tests {
         let f = scan_first_forests(&g, 1);
         let comps = connected_components(&g).len();
         assert_eq!(f.forest_sizes, vec![g.num_vertices() - comps]);
-        assert_eq!(f.union.num_edges(), g.num_vertices() - comps);
+        assert_eq!(f.union().num_edges(), g.num_vertices() - comps);
         // Every tree edge must exist in the graph.
-        for (u, v) in f.union.edges() {
+        for (u, v) in f.union().edges() {
             assert!(g.has_edge(u, v));
         }
         // The trees are the components, numbered by their smallest vertex.
@@ -190,7 +268,7 @@ mod tests {
         let g = UndirectedGraph::from_edges(3, vec![(0, 1), (1, 2), (0, 2)]).unwrap();
         let f = scan_first_forests(&g, 2);
         assert_eq!(f.forest_sizes, vec![2, 1]);
-        assert_eq!(f.union, g);
+        assert_eq!(f.union(), g);
         assert_eq!(f.kth_trees, vec![0, 1, 1]);
         let f = scan_first_forests(&g, 3);
         assert_eq!(f.forest_sizes, vec![2, 1]);
@@ -204,8 +282,8 @@ mod tests {
         assert_eq!(f.forest_sizes, vec![3, 2]);
         let expected =
             UndirectedGraph::from_edges(4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]).unwrap();
-        assert_eq!(f.union, expected);
-        assert_eq!(f.union.memory_bytes(), expected.memory_bytes());
+        assert_eq!(f.union(), expected);
+        assert_eq!(f.union().memory_bytes(), expected.memory_bytes());
         assert_eq!(f.kth_trees, vec![0, 1, 1, 1]);
         assert_eq!(scan_first_forests(&k4, 3).forest_sizes, vec![3, 2, 1]);
     }
@@ -215,12 +293,12 @@ mod tests {
         let g = UndirectedGraph::new(0);
         for k in [0, 1, 3] {
             let f = scan_first_forests(&g, k);
-            assert_eq!(f.union.num_vertices(), 0);
+            assert_eq!(f.union().num_vertices(), 0);
             assert!(f.forest_sizes.is_empty());
             assert!(f.kth_trees.is_empty());
         }
         let f = scan_first_forests(&UndirectedGraph::new(4), 2);
-        assert_eq!(f.union, UndirectedGraph::new(4));
+        assert_eq!(f.union(), UndirectedGraph::new(4));
         assert!(f.forest_sizes.is_empty());
     }
 }

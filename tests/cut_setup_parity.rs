@@ -12,7 +12,14 @@
 //!   certificate edges and `memory_bytes()`, `side_groups` and `group_of`;
 //! * **distance order** — [`vertices_by_descending_distance`], a counting
 //!   sort by BFS distance, must equal the stable comparison sort it replaced,
-//!   from several sources.
+//!   from several sources;
+//! * **arena fill** — a flow arena into whose own row buffers the forests'
+//!   union is transposed ([`VertexFlowGraph::rebuild_with`] with
+//!   `ScanFirstForests::write_union`), as `GLOBAL-CUT*` fills its arena at
+//!   its first flow probe, must answer every sampled probe exactly like
+//!   [`VertexFlowGraph::build`] over [`sparse_certificate`]'s graph: from
+//!   the fixed source and from other sources, at every sampled limit, cut
+//!   vector included.
 //!
 //! Inputs: seeded G(n, p) and Barabási–Albert graphs, the seven Table 1
 //! stand-ins at `SuiteScale::Tiny`, the planted, Fig. 1 and collaboration
@@ -23,6 +30,9 @@
 //! `Some(4096)`. The certificate alone also runs at the index build's k, on
 //! the DBLP stand-in's k-cores at `SuiteScale::Small` for k = 16 to 42, where
 //! late forests run on a thin residual and the rounds stop at an empty one.
+//! The arena fill runs for k = 1..=8 on the seeded random graphs of one
+//! seed, the Table 1 stand-ins, the dataset suites, K9, the star and the
+//! disconnected graph, again on both substrates.
 
 use std::collections::HashMap;
 
@@ -34,7 +44,9 @@ use kvcc_datasets::er::gnp;
 use kvcc_datasets::figure1::figure1_graph;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
 use kvcc_datasets::{SuiteDataset, SuiteScale};
+use kvcc_flow::VertexFlowGraph;
 use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::scan_first::scan_first_forests;
 use kvcc_graph::traversal::{bfs_distances, vertices_by_descending_distance, UNREACHABLE};
 use kvcc_graph::{BitSet, CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph, VertexId};
 
@@ -171,6 +183,52 @@ fn assert_certificate_parity<G: GraphView>(name: &str, g: &G, k: u32) {
     );
     assert_eq!(cert.side_groups, reference.side_groups, "{name}, k {k}");
     assert_eq!(cert.group_of, reference.group_of, "{name}, k {k}");
+}
+
+/// Compares, for k = 1..=8, an arena filled in place from the forests of
+/// `g` with one built from the certificate's graph. The filled arena first
+/// holds `g` itself, so the fill overwrites larger rows. Both are fixed at
+/// each sampled source `u` in turn; for every sampled sink `v` and limit
+/// they must give the same `LOC-CUT(u, v)` (cut vector included), flow value
+/// from `u`, and `LOC-CUT(v, u)`, a probe from a source that is not fixed.
+fn assert_arena_fill_parity<G: GraphView>(name: &str, g: &G) {
+    let n = g.num_vertices() as VertexId;
+    if n == 0 {
+        return;
+    }
+    let sinks: Vec<VertexId> = (0..n).step_by((n as usize / 8).max(1)).collect();
+    let mut filled = VertexFlowGraph::build(g);
+    for k in 1..=8u32 {
+        let forests = scan_first_forests(g, k);
+        filled.rebuild_with(|offsets, targets| forests.write_union(offsets, targets));
+        let mut built = VertexFlowGraph::build(&sparse_certificate(g, k).graph);
+        assert_eq!(filled.num_vertices(), built.num_vertices(), "{name}, k {k}");
+        assert_eq!(filled.fixed_source(), None, "{name}, k {k}");
+        for u in [0, n / 2] {
+            filled.fix_source(u);
+            built.fix_source(u);
+            for &v in &sinks {
+                for limit in [1, k, n] {
+                    let context = format!("{name}, k {k}: {u} -> {v}, limit {limit}");
+                    assert_eq!(
+                        filled.local_connectivity_nonadjacent(u, v, limit),
+                        built.local_connectivity_nonadjacent(u, v, limit),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        filled.max_flow_value(u, v, limit),
+                        built.max_flow_value(u, v, limit),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        filled.local_connectivity_nonadjacent(v, u, limit),
+                        built.local_connectivity_nonadjacent(v, u, limit),
+                        "{context}, reversed"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Runs the comparisons on `g` for every k and cap, and the distance order
@@ -319,6 +377,67 @@ fn complete_star_edgeless_and_disconnected_graphs() {
         "disconnected",
         &UndirectedGraph::from_edges(14, parts).unwrap(),
     );
+}
+
+#[test]
+fn arena_fill_matches_a_build_from_the_certificate() {
+    let mut inputs: Vec<(String, UndirectedGraph)> = Vec::new();
+    for (n, p) in [(40usize, 0.3), (90, 0.08), (160, 0.04)] {
+        inputs.push((format!("gnp({n}, {p})"), gnp(n, p, 0x5E7 ^ n as u64)));
+    }
+    for (n, m) in [(120usize, 3usize), (80, 6)] {
+        inputs.push((
+            format!("ba({n}, {m})"),
+            barabasi_albert(n, m, 0xBA5E ^ n as u64),
+        ));
+    }
+    for dataset in SuiteDataset::all() {
+        inputs.push((
+            dataset.name().to_string(),
+            dataset.generate(SuiteScale::Tiny),
+        ));
+    }
+    let planted = planted_communities(&PlantedConfig {
+        num_communities: 4,
+        chain_length: 2,
+        community_size: (8, 10),
+        background_vertices: 250,
+        seed: 77,
+        ..PlantedConfig::default()
+    });
+    let collab = collaboration_graph(&CollaborationConfig {
+        num_groups: 4,
+        group_size: (6, 8),
+        pendant_collaborators: 8,
+        ..CollaborationConfig::default()
+    });
+    inputs.push(("planted".to_string(), planted.graph));
+    inputs.push(("figure1".to_string(), figure1_graph().graph));
+    inputs.push(("collaboration".to_string(), collab.graph));
+    inputs.push(("K9".to_string(), complete(9)));
+    let mut star: Vec<(VertexId, VertexId)> = (1..=10).map(|leaf| (0, leaf)).collect();
+    star.extend([(1, 2), (3, 4)]);
+    inputs.push((
+        "star".to_string(),
+        UndirectedGraph::from_edges(11, star).unwrap(),
+    ));
+    let mut parts: Vec<(VertexId, VertexId)> = Vec::new();
+    for base in [0u32, 5] {
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                parts.push((base + i, base + j));
+            }
+        }
+    }
+    parts.extend([(10, 11), (11, 12)]);
+    inputs.push((
+        "disconnected".to_string(),
+        UndirectedGraph::from_edges(14, parts).unwrap(),
+    ));
+    for (name, g) in &inputs {
+        assert_arena_fill_parity(&format!("{name} (csr)"), g);
+        assert_arena_fill_parity(&format!("{name} (delta)"), &rebased(g));
+    }
 }
 
 #[test]

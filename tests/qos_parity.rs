@@ -52,7 +52,7 @@ fn heavy_graph() -> UndirectedGraph {
     .graph
 }
 
-/// A graph whose `k = 3` enumeration runs long enough (0.3–0.42 s in a
+/// A graph whose `k = 3` enumeration runs long enough (0.22–0.42 s in a
 /// release build on a 2-vCPU VM) that a 20 ms deadline reliably interrupts
 /// the leader *after* every waiter has joined its flight. The doomed
 /// execution is deadline-capped, so tests never pay the full enumeration
