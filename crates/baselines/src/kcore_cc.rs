@@ -4,27 +4,14 @@
 //! regions collapse into a single component — the free-rider effect the k-VCC
 //! model is designed to eliminate (Fig. 1). These components are the weakest
 //! baseline in the effectiveness study.
+//!
+//! The baseline is exactly the first step of every `KVCC-ENUM` work item
+//! (Algorithm 1, lines 2–3), so its entry point is the workspace's one
+//! k-core split, [`kvcc_graph::kcore::k_core_components`]: the components of
+//! the k-core, each a sorted vertex list (ids of `g`), ordered by smallest
+//! vertex.
 
-use kvcc_graph::kcore::k_core_vertices;
-use kvcc_graph::traversal::connected_components_filtered;
-use kvcc_graph::{GraphView, VertexId};
-
-/// Returns the connected components of the k-core of `g`, each as a sorted
-/// vertex list (ids of `g`). Components are ordered by their smallest vertex.
-pub fn k_core_components<G: GraphView>(g: &G, k: usize) -> Vec<Vec<VertexId>> {
-    let core_vertices = k_core_vertices(g, k);
-    if core_vertices.is_empty() {
-        return Vec::new();
-    }
-    // Component split on a vertex mask: no copy or relabelling is needed.
-    let mut alive = kvcc_graph::bitset::BitSet::new(g.num_vertices());
-    for &v in &core_vertices {
-        alive.insert(v as usize);
-    }
-    let mut comps = connected_components_filtered(g, &alive);
-    comps.sort();
-    comps
-}
+pub use kvcc_graph::kcore::k_core_components;
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,11 @@
 //! model is unique, any correct algorithm produces identical components, so
 //! this crate uses the conceptually simpler recursive cut-based decomposition:
 //!
-//! 1. peel vertices of degree `< k` (edge connectivity ≤ minimum degree);
-//! 2. in every connected component, look for an edge cut of size `< k` by
+//! 1. peel vertices of degree `< k` (edge connectivity ≤ minimum degree) and
+//!    split the k-core into connected components, with the workspace's one
+//!    k-core split ([`kvcc_graph::kcore::k_core_components`]); each
+//!    component is copied once, straight out of the work item;
+//! 2. in every component, look for an edge cut of size `< k` by
 //!    running unit-capacity max-flow from a fixed source to every other
 //!    vertex (for *edge* cuts no second phase is needed: any global cut
 //!    separates the source from somebody);
@@ -17,8 +20,7 @@
 use kvcc_flow::dinic::{max_flow_with_scratch, DinicScratch};
 use kvcc_flow::mincut::residual_reachable;
 use kvcc_flow::network::FlowNetwork;
-use kvcc_graph::kcore::k_core_vertices;
-use kvcc_graph::traversal::connected_components;
+use kvcc_graph::kcore::k_core_components;
 use kvcc_graph::{CsrGraph, GraphView, VertexId};
 
 /// Computes all k-edge connected components of `g` (any [`GraphView`]), each
@@ -32,31 +34,22 @@ pub fn k_edge_connected_components<G: GraphView>(g: &G, k: usize) -> Vec<Vec<Ver
     let mut results: Vec<Vec<VertexId>> = Vec::new();
     let mut work: Vec<(CsrGraph, Vec<VertexId>)> = vec![(CsrGraph::from_view(g), identity)];
 
+    let mut map = Vec::new();
     while let Some((graph, to_original)) = work.pop() {
         // Degree peeling: edge connectivity is bounded by the minimum degree.
-        let core = k_core_vertices(&graph, k);
-        if core.len() < 2 {
-            continue;
-        }
-        let core_sub = graph.induced_subgraph(&core);
-        for component in connected_components(&core_sub.graph) {
-            if component.len() < 2 {
-                continue;
-            }
-            let sub = core_sub.graph.induced_subgraph(&component);
-            let comp_to_original: Vec<VertexId> = sub
-                .to_parent
-                .iter()
-                .map(|&core_local| to_original[core_sub.to_parent[core_local as usize] as usize])
-                .collect();
-            match find_edge_cut(&sub.graph, k as u32) {
+        // Each k-core component has more than k >= 1 vertices.
+        for component in k_core_components(&graph, k) {
+            let sub = CsrGraph::extract_induced(&graph, &component, &mut map);
+            let comp_to_original: Vec<VertexId> =
+                component.iter().map(|&v| to_original[v as usize]).collect();
+            match find_edge_cut(&sub, k as u32) {
                 None => {
                     let mut members = comp_to_original;
                     members.sort_unstable();
                     results.push(members);
                 }
                 Some(cut_edges) => {
-                    let reduced = remove_edges(&sub.graph, &cut_edges);
+                    let reduced = remove_edges(&sub, &cut_edges);
                     work.push((reduced, comp_to_original));
                 }
             }

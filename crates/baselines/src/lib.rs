@@ -6,7 +6,8 @@
 //! oracles. This crate provides all of them:
 //!
 //! * [`kcore_cc`] — connected components of the k-core ("k-CC" in the
-//!   figures);
+//!   figures): the workspace's one k-core split, re-exported from
+//!   [`kvcc_graph::kcore`];
 //! * [`kecc`] — k-edge connected components, computed by recursive edge-cut
 //!   partitioning; each cut comes from unit-capacity Dinic flows from a
 //!   minimum-degree source, stopped at `k`;

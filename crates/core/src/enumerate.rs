@@ -18,10 +18,11 @@
 //!
 //! * The input graph may be any [`GraphView`]; every internal work item is a
 //!   compact [`CsrGraph`].
-//! * k-core peeling and component splitting run on a [`SubgraphView`] vertex
-//!   mask — no copy is made until a component survives both filters, at which
-//!   point it is extracted once into CSR form through a reusable relabelling
-//!   buffer ([`CsrGraph::extract_induced`]). A component that is the whole
+//! * k-core peeling and component splitting are one call,
+//!   [`split_k_core`], on a [`SubgraphView`] vertex mask — no copy is made
+//!   until a component comes out of it, at which point it is extracted once
+//!   into CSR form through a reusable relabelling buffer
+//!   ([`CsrGraph::extract_induced`]). A component that is the whole
 //!   work item (nothing peeled, one component) is not copied at all, and a
 //!   first k-core that is the whole input is copied row by row, with no
 //!   relabelling and at exact capacity.
@@ -45,7 +46,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use kvcc_flow::Interrupted;
-use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::kcore::{k_core_vertices, split_k_core};
 use kvcc_graph::{CsrGraph, GraphView, SubgraphView, VertexId};
 
 use crate::error::KvccError;
@@ -404,21 +405,15 @@ impl KvccEnumerator {
                 panic!("injected work item panic");
             }
         }
-        // Line 2 of Algorithm 1: iteratively remove vertices of degree < k —
-        // on a vertex mask, without copying the graph.
+        // Lines 2–3 of Algorithm 1: peel the k-core and split it into
+        // connected components, on a vertex mask, without copying the graph.
         let mut view = SubgraphView::new(&item.graph);
-        let removed = view.k_core_reduce(k as usize);
+        let components = split_k_core(&mut view, k as usize);
+        let removed = item.graph.num_vertices() - view.live();
         stats.kcore_removed_vertices += removed as u64;
-        if view.live() == 0 {
-            return Ok(());
-        }
-
-        // Line 3: identify connected components of the masked subgraph.
-        let components = view.components();
-        if components.len() == 1 && components[0].len() == item.graph.num_vertices() {
-            // One component with nothing peeled is the whole item, and has
-            // more than k vertices since its degrees are at least k: the
-            // item's graph and mapping serve without a copy.
+        if removed == 0 && components.len() == 1 {
+            // One component with nothing peeled is the whole item: its graph
+            // and mapping serve without a copy.
             return self.cut_or_report(
                 &item.graph,
                 item.to_original,
@@ -431,12 +426,10 @@ impl KvccEnumerator {
             );
         }
         for component in components {
-            // A k-VCC needs strictly more than k vertices (Definition 2).
-            if component.len() <= k as usize {
-                continue;
-            }
-            // One extraction per surviving component (ids stay sorted, so the
-            // relabelled CSR rows come out sorted for free).
+            // One extraction per component (ids stay sorted, so the
+            // relabelled CSR rows come out sorted for free). A k-core
+            // component has more than k vertices, as a k-VCC needs
+            // (Definition 2).
             let sub = CsrGraph::extract_induced(&item.graph, &component, &mut scratch.map);
             let to_original: Vec<VertexId> = component
                 .iter()

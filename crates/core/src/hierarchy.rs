@@ -117,6 +117,10 @@
 //!   of `K`, so the worklist ends. A component with no anchor `C`, or with
 //!   `|C′| ≤ k`, goes to [`enumerate_kvccs`] on its own.
 //!
+//!   The worklist's seed and each part's components come from
+//!   [`split_k_core`], the k-core split every work item of the enumerator
+//!   takes; a part is split on a mask of `G′[K]`, not copied.
+//!
 //!   (b)'s probes run from `t` to `x`, which gives the same verdicts since
 //!   κ is symmetric. Each Dinic phase's reverse BFS then starts at `x` and
 //!   stops at the first member of `C′` it reaches, where from `t` it would
@@ -164,11 +168,9 @@
 use std::cmp::Reverse;
 
 use kvcc_flow::{LocalConnectivity, VertexFlowGraph};
-use kvcc_graph::kcore::k_core_vertices;
-use kvcc_graph::traversal::{
-    bfs_distances, connected_components, connected_components_filtered, two_vccs, UNREACHABLE,
-};
-use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, UpdateOp, VertexId};
+use kvcc_graph::kcore::{k_core_components, split_k_core};
+use kvcc_graph::traversal::{bfs_distances, connected_components, two_vccs, UNREACHABLE};
+use kvcc_graph::{BitSet, CsrGraph, EdgeUpdate, GraphView, SubgraphView, UpdateOp, VertexId};
 
 use crate::enumerate::enumerate_kvccs;
 use crate::error::KvccError;
@@ -622,7 +624,7 @@ impl<'a> LevelLoop<'a> {
                 .collect());
         };
         let mut found = Vec::new();
-        let mut work = k_core_components(sub, k);
+        let mut work = k_core_components(sub, k as usize);
         while let Some(piece) = work.pop() {
             let (verdict, slice) = self.fans_hold(prior, graph, sub, parent, &piece, k)?;
             match verdict {
@@ -632,14 +634,11 @@ impl<'a> LevelLoop<'a> {
                     let parts = overlap_partition(&induced, &cut);
                     assert!(parts.len() > 1, "a refusing probe's cut splits G′[K]");
                     for part in parts {
-                        // A core's ids map back through `part`, then `piece`.
-                        let within = CsrGraph::extract_induced(&induced, &part, &mut self.map);
-                        for core in k_core_components(&within, k) {
-                            work.push(
-                                core.iter()
-                                    .map(|&x| piece[part[x as usize] as usize])
-                                    .collect(),
-                            );
+                        // The part's k-core components, split on a mask of
+                        // G′[K]; their ids map back through `piece`.
+                        let mut view = SubgraphView::from_vertices(&induced, &part);
+                        for core in split_k_core(&mut view, k as usize) {
+                            work.push(core.iter().map(|&x| piece[x as usize]).collect());
                         }
                     }
                 }
@@ -856,17 +855,6 @@ impl<'a> LevelLoop<'a> {
         }
         Ok(lo)
     }
-}
-
-/// The connected components of the k-core of `graph`, as sorted vertex
-/// lists. Each has more than `k` vertices, since each member has `k`
-/// neighbours in it.
-fn k_core_components(graph: &CsrGraph, k: u32) -> Vec<Vec<VertexId>> {
-    let mut alive = BitSet::new(graph.num_vertices());
-    for v in k_core_vertices(graph, k as usize) {
-        alive.insert(v as usize);
-    }
-    connected_components_filtered(graph, &alive)
 }
 
 #[cfg(test)]

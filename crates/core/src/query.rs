@@ -8,7 +8,8 @@
 //! 1. collects the seed's connected component with a single BFS (cost
 //!    proportional to the component, not the graph);
 //! 2. peels the k-core *inside that component only* on a [`SubgraphView`]
-//!    vertex mask;
+//!    vertex mask and splits it ([`split_k_core`], the k-core split of every
+//!    enumeration work item);
 //! 3. extracts the seed's surviving component once into CSR form and runs the
 //!    full enumeration on just that work item.
 //!
@@ -17,6 +18,7 @@
 //! [`crate::index::ConnectivityIndex`] answers from a precomputed hierarchy
 //! without touching flow code at all.
 
+use kvcc_graph::kcore::split_k_core;
 use kvcc_graph::traversal::component_of;
 use kvcc_graph::{CsrGraph, GraphView, SubgraphView, VertexId};
 
@@ -51,24 +53,18 @@ pub fn kvccs_containing<G: GraphView>(
         return Ok(Vec::new());
     }
 
-    // Peel the k-core inside the component on a vertex mask; if the seed does
-    // not survive it cannot be in any k-VCC (Theorem 3).
+    // Peel the k-core inside the component on a vertex mask and split it;
+    // the peel may have split the component. Keep only the piece that
+    // contains the seed; if the seed did not survive, it cannot be in any
+    // k-VCC (Theorem 3).
     let mut view = SubgraphView::from_vertices(graph, &component);
-    view.k_core_reduce(k as usize);
-    if !view.is_alive(seed) {
-        return Ok(Vec::new());
-    }
-
-    // The peel may have split the component; keep only the piece that still
-    // contains the seed and materialise it once as a CSR work item.
-    let seed_component = view
-        .components()
+    let Some(seed_component) = split_k_core(&mut view, k as usize)
         .into_iter()
         .find(|comp| comp.binary_search(&seed).is_ok())
-        .expect("the seed is alive, so it belongs to a component");
-    if seed_component.len() <= k as usize {
+    else {
         return Ok(Vec::new());
-    }
+    };
+    // Materialise the seed's piece once as a CSR work item.
     let mut map = Vec::new();
     let local = CsrGraph::extract_induced(graph, &seed_component, &mut map);
     let seed_local = seed_component

@@ -11,7 +11,9 @@
 //!   per direction;
 //! * [`encode_row`] / [`decode_row`] — strictly-increasing id lists stored as
 //!   first-value + gap-minus-one varints (sorted component members, adjacency
-//!   rows, vertex cuts), decoded one varint at a time;
+//!   rows, vertex cuts), decoded one varint at a time by one loop,
+//!   [`decode_row_into`], which appends to a caller's buffer (the compact
+//!   CSR form decodes every row straight into its neighbour array);
 //! * [`Reader`] — a bounds-checked cursor over an untrusted buffer, so
 //!   decoders validate as they go and can never index out of range.
 
@@ -93,6 +95,20 @@ pub fn encode_row(row: &[VertexId], out: &mut Vec<u8>) {
 /// rows are strictly increasing by construction.
 pub fn decode_row(bytes: &[u8], at: usize, count: usize) -> Option<(Vec<VertexId>, usize)> {
     let mut row = Vec::with_capacity(count);
+    let end = decode_row_into(bytes, at, count, &mut row)?;
+    Some((row, end))
+}
+
+/// The one row decode loop: [`decode_row`], appending the `count` values to
+/// `out` instead of returning them, so a decoder can write rows straight
+/// into its own buffer. Returns the end position; on malformed input returns
+/// `None`, and `out` may then hold part of the row.
+pub fn decode_row_into(
+    bytes: &[u8],
+    at: usize,
+    count: usize,
+    out: &mut Vec<VertexId>,
+) -> Option<usize> {
     let mut pos = at;
     let mut prev: Option<VertexId> = None;
     for _ in 0..count {
@@ -102,10 +118,10 @@ pub fn decode_row(bytes: &[u8], at: usize, count: usize) -> Option<(Vec<VertexId
             None => raw,
             Some(p) => p.checked_add(raw)?.checked_add(1)?,
         };
-        row.push(value);
+        out.push(value);
         prev = Some(value);
     }
-    Some((row, pos))
+    Some(pos)
 }
 
 /// A bounds-checked cursor over an untrusted byte buffer.
@@ -173,14 +189,21 @@ impl<'a> Reader<'a> {
 
     /// Reads a strictly-increasing delta row of `count` ids ([`decode_row`]).
     pub fn row(&mut self, count: usize) -> Option<Vec<VertexId>> {
+        let mut row = Vec::new();
+        self.row_into(count, &mut row)?;
+        Some(row)
+    }
+
+    /// [`Reader::row`], appending the ids to `out` ([`decode_row_into`]).
+    pub fn row_into(&mut self, count: usize, out: &mut Vec<VertexId>) -> Option<()> {
         // Each encoded id needs at least one byte, so a hostile count can
         // never trigger an allocation larger than the buffer that carried it.
         if count > self.remaining() {
             return None;
         }
-        let (row, next) = decode_row(self.bytes, self.at, count)?;
-        self.at = next;
-        Some(row)
+        out.reserve(count);
+        self.at = decode_row_into(self.bytes, self.at, count, out)?;
+        Some(())
     }
 
     /// Succeeds only when the buffer was consumed exactly.
@@ -343,5 +366,45 @@ mod tests {
         // A count larger than the buffer is rejected before allocating.
         let mut hostile = Reader::new(&[1u8, 2]);
         assert_eq!(hostile.row(usize::MAX), None);
+    }
+
+    #[test]
+    fn rows_append_into_a_callers_buffer() {
+        let rows: [&[VertexId]; 4] = [&[3, 4, 10], &[], &[0, 1 << 20], &[u32::MAX]];
+        let mut buf = Vec::new();
+        for row in rows {
+            varint::encode_u32(row.len() as u32, &mut buf);
+            encode_row(row, &mut buf);
+        }
+        // Rows read back to back land one after another in one buffer, each
+        // equal to its own `row` read.
+        let mut appended = vec![99];
+        let mut r = Reader::new(&buf);
+        let mut single = Reader::new(&buf);
+        for row in rows {
+            let count = r.varint_u32().unwrap() as usize;
+            assert_eq!(single.varint_u32(), Some(count as u32));
+            let before = appended.len();
+            assert_eq!(r.row_into(count, &mut appended), Some(()));
+            assert_eq!(&appended[before..], row);
+            assert_eq!(single.row(count).as_deref(), Some(row));
+            assert_eq!(r.position(), single.position());
+        }
+        assert!(r.finish().is_some());
+        assert_eq!(appended, [99, 3, 4, 10, 0, 1 << 20, u32::MAX]);
+
+        // The free function reports the same end position as `decode_row`.
+        let mut out = Vec::new();
+        assert_eq!(decode_row_into(&buf, 1, 3, &mut out), Some(4));
+        assert_eq!(decode_row(&buf, 1, 3), Some((out, 4)));
+
+        // A hostile count is refused before the buffer grows or the cursor
+        // moves; a truncated row fails.
+        let mut out = vec![5];
+        let mut hostile = Reader::new(&[1u8, 2]);
+        assert_eq!(hostile.row_into(usize::MAX, &mut out), None);
+        assert_eq!((out.capacity(), hostile.position()), (1, 0));
+        let mut truncated = Reader::new(&[0x80]);
+        assert_eq!(truncated.row_into(1, &mut out), None);
     }
 }

@@ -341,10 +341,8 @@ impl CsrGraph {
             let degree =
                 r.varint_u32()
                     .ok_or_else(|| malformed("row degree truncated"))? as usize;
-            let row = r
-                .row(degree)
+            r.row_into(degree, &mut neighbors)
                 .ok_or_else(|| malformed("row stream truncated"))?;
-            neighbors.extend_from_slice(&row);
             if neighbors.len() > u32::MAX as usize {
                 return Err(malformed("adjacency exceeds the id space"));
             }

@@ -25,8 +25,9 @@
 //!   (duplicate edges and self-loops are dropped, isolated vertices kept).
 //! * [`traversal`] — BFS distances, connected and biconnected components,
 //!   reachability.
-//! * [`kcore`] — linear-time core decomposition and k-core extraction
-//!   (Algorithm 1, line 2 of the paper).
+//! * [`kcore`] — linear-time core decomposition, and Algorithm 1's lines
+//!   2–3 written once: one k-core peel loop over an alive mask and one
+//!   k-core split, which every crate of the workspace calls.
 //! * [`scan_first`] — `k` successive scan-first-search forests, whose union
 //!   is the sparse certificate of §4.2: round 1 reads the input's rows, each
 //!   later round scans only the residual rows the earlier forests left and

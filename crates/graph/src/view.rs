@@ -1,5 +1,5 @@
 //! The [`GraphView`] abstraction over graph representations, and the
-//! allocation-free [`SubgraphView`] vertex mask.
+//! copy-free [`SubgraphView`] vertex mask.
 //!
 //! Every algorithm in this workspace (BFS, k-core peeling, scan-first
 //! forests, flow-graph construction, the sweep rules, …) only ever needs a
@@ -156,9 +156,12 @@ pub trait GraphView {
 /// [`crate::CsrGraph::extract_induced`]).
 ///
 /// The view intentionally does **not** implement [`GraphView`]: it cannot
-/// return filtered neighbour *slices* without allocating. Algorithms that
-/// need the mask semantics (peeling, component splitting) are provided as
-/// methods.
+/// return filtered neighbour *slices* without allocating. What Algorithm 1's
+/// lines 2–3 need on a mask is provided instead:
+/// [`SubgraphView::k_core_reduce`] runs the workspace's one k-core peel loop
+/// on the mask, [`SubgraphView::components`] the one labelling kernel of
+/// [`crate::traversal`], and [`crate::kcore::split_k_core`] is the two in
+/// turn.
 #[derive(Clone, Debug)]
 pub struct SubgraphView<'a, G: GraphView> {
     parent: &'a G,
@@ -178,8 +181,10 @@ impl<'a, G: GraphView> SubgraphView<'a, G> {
     }
 
     /// A view with exactly the listed vertices alive (duplicates are
-    /// harmless). Used by the localized seed query to restrict the mask to
-    /// one connected component before any peeling happens.
+    /// harmless). The localized seed query restricts the mask to one
+    /// connected component before any peeling happens, and the index
+    /// repair's cut step splits each part of a partition without copying
+    /// it.
     pub fn from_vertices(parent: &'a G, vertices: &[VertexId]) -> Self {
         let mut alive = BitSet::new(parent.num_vertices());
         let mut live = 0usize;
@@ -195,12 +200,6 @@ impl<'a, G: GraphView> SubgraphView<'a, G> {
         }
     }
 
-    /// The parent graph the mask refers to.
-    #[inline]
-    pub fn parent(&self) -> &'a G {
-        self.parent
-    }
-
     /// Number of alive vertices.
     #[inline]
     pub fn live(&self) -> usize {
@@ -213,12 +212,6 @@ impl<'a, G: GraphView> SubgraphView<'a, G> {
         self.alive.contains(v as usize)
     }
 
-    /// The alive mask (universe size `parent.num_vertices()`).
-    #[inline]
-    pub fn mask(&self) -> &BitSet {
-        &self.alive
-    }
-
     /// Removes vertex `v` from the view (no-op if already removed).
     pub fn remove(&mut self, v: VertexId) {
         if self.alive.remove(v as usize) {
@@ -226,56 +219,14 @@ impl<'a, G: GraphView> SubgraphView<'a, G> {
         }
     }
 
-    /// Degree of `v` counting only alive neighbours (`O(deg v)`).
-    pub fn alive_degree(&self, v: VertexId) -> usize {
-        self.parent
-            .neighbors(v)
-            .iter()
-            .filter(|&&w| self.alive.contains(w as usize))
-            .count()
-    }
-
     /// Iteratively removes every alive vertex whose alive-degree is `< k`
-    /// (k-core peeling, Algorithm 1 line 2). Returns the number of vertices
-    /// removed. Runs in `O(n + m)` over the parent; a full view, the one every
-    /// work item peels, seeds the alive-degrees from the parent's degrees in
-    /// `O(n)`.
+    /// (k-core peeling, Algorithm 1 line 2), through the workspace's one
+    /// peel loop ([`crate::kcore`]). Returns the number of vertices removed.
+    /// Runs in `O(n + m)` over the parent; a full view, the one every work
+    /// item peels, takes its degrees from the parent's rows.
     pub fn k_core_reduce(&mut self, k: usize) -> usize {
-        let n = self.parent.num_vertices();
-        let full = self.live == n;
-        let mut degree: Vec<usize> = vec![0; n];
-        let mut queue: Vec<VertexId> = Vec::new();
-        for v in self.alive.iter_ones() {
-            let d = if full {
-                self.parent.degree(v as VertexId)
-            } else {
-                self.alive_degree(v as VertexId)
-            };
-            degree[v] = d;
-            if d < k {
-                queue.push(v as VertexId);
-            }
-        }
-        let mut removed = 0usize;
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            if !self.alive.contains(u as usize) {
-                continue;
-            }
-            self.remove(u);
-            removed += 1;
-            for &w in self.parent.neighbors(u) {
-                let w = w as usize;
-                if self.alive.contains(w) {
-                    degree[w] -= 1;
-                    if degree[w] + 1 == k {
-                        queue.push(w as VertexId);
-                    }
-                }
-            }
-        }
+        let removed = crate::kcore::peel(self.parent, k, &mut self.alive);
+        self.live -= removed;
         removed
     }
 
@@ -317,7 +268,6 @@ mod tests {
         let view = SubgraphView::new(&g);
         assert_eq!(view.live(), 5);
         assert!(view.is_alive(3));
-        assert_eq!(view.alive_degree(2), 4);
         assert_eq!(view.components(), vec![vec![0, 1, 2, 3, 4]]);
     }
 
@@ -329,7 +279,6 @@ mod tests {
         view.remove(2); // idempotent
         assert_eq!(view.live(), 4);
         assert_eq!(view.components(), vec![vec![0, 1], vec![3, 4]]);
-        assert_eq!(view.alive_degree(0), 1);
     }
 
     #[test]

@@ -14,12 +14,11 @@ use kvcc::{
     KvccOptions, UpdateReport,
 };
 use kvcc_flow::{LocalConnectivity, VertexFlowGraph};
-use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::kcore::k_core_components;
 use kvcc_graph::reorder::{hybrid_ordering, VertexOrdering};
 use kvcc_graph::traversal::is_connected;
 use kvcc_graph::{
-    CsrGraph, DeltaGraph, EdgeUpdate, GraphView, MappedCsr, StreamingEdgeListLoader, SubgraphView,
-    VertexId,
+    CsrGraph, DeltaGraph, EdgeUpdate, GraphView, MappedCsr, StreamingEdgeListLoader, VertexId,
 };
 
 // `OrderingPolicy` is protocol-visible since v2 (reported by `Stats`); it is
@@ -31,7 +30,7 @@ use crate::protocol::{
     RequestBody, Response, ResponseBody, SchedulingStats, ServiceError,
 };
 use crate::qos::{self, CacheKey, FlightOutcome, QosConfig, QosLayer};
-use crate::wire::transport::{Transport, TransportError};
+use crate::wire::transport::{answer_frame, serve_frames, Transport, TransportError};
 use crate::wire::{run_work_item, CsrWorkItem};
 
 /// Engine tuning knobs. The default uses one batch worker per available
@@ -899,29 +898,20 @@ impl ServiceEngine {
     /// frame — the engine's entire byte-level surface. Undecodable frames
     /// are answered with [`ServiceError::MalformedRequest`] under request
     /// id 0 (none could be read), never dropped: a client always gets one
-    /// response frame per request frame.
+    /// response frame per request frame. The shard worker
+    /// ([`crate::wire::transport::run_shard_worker`]) crosses the same
+    /// frame boundary with its own dispatch.
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let response = match Request::from_bytes(frame) {
-            Ok(request) => self.execute_request(&request),
-            Err(e) => Response {
-                request_id: 0,
-                body: ResponseBody::Query(QueryResponse::Error(ServiceError::MalformedRequest {
-                    reason: e.to_string(),
-                })),
-            },
-        };
-        response.to_bytes()
+        answer_frame(frame, |request| self.execute_request(request))
     }
 
     /// Serves a transport until the peer closes it: one response frame per
-    /// request frame, in order. This is what turns the engine into a
-    /// network service — bind any [`Transport`] (the in-process loopback, a
-    /// future socket) and drive the full v2 vocabulary over bytes.
+    /// request frame, in order ([`ServiceEngine::handle_frame`] for each).
+    /// This is what turns the engine into a network service — bind any
+    /// [`Transport`] (the in-process loopback, a socket) and drive the full
+    /// v2 vocabulary over bytes.
     pub fn serve(&self, transport: &dyn Transport) -> Result<(), TransportError> {
-        while let Some(frame) = transport.recv()? {
-            transport.send(&self.handle_frame(&frame))?;
-        }
-        Ok(())
+        serve_frames(transport, |request| self.execute_request(request))
     }
 
     /// Distributed enumeration over byte transports: partitions the graph's
@@ -976,7 +966,8 @@ impl ServiceEngine {
 
     /// Splits the initial `KVCC-ENUM` worklist of a loaded graph into
     /// self-contained, serialisable work items: the connected components of
-    /// the k-core, each as a CSR subgraph plus its id map. Shipping every
+    /// the k-core ([`k_core_components`], the workspace's one k-core split),
+    /// each as a CSR subgraph plus its id map. Shipping every
     /// item through [`CsrWorkItem::to_bytes`] to a different process and
     /// merging the [`crate::run_work_item`] outputs reproduces the
     /// whole-graph enumeration exactly.
@@ -990,15 +981,9 @@ impl ServiceEngine {
         }
         let slot = self.slot(graph)?;
         let g = &slot.graph;
-        let core = k_core_vertices(g, k as usize);
-        // The core is already peeled; the mask supplies the component split.
-        let view = SubgraphView::from_vertices(g, &core);
         let mut map = Vec::new();
         let mut items: Vec<CsrWorkItem> = Vec::new();
-        for component in view.components() {
-            if component.len() <= k as usize {
-                continue;
-            }
+        for component in k_core_components(g, k as usize) {
             let sub = CsrGraph::extract_induced(g, &component, &mut map);
             // Work items cross the protocol boundary, so their id maps point
             // at loaded ids even when the slot stores the graph reordered.

@@ -26,7 +26,10 @@
 //!   [`run_shard_worker`] is a worker
 //!   that enumerates [`CsrWorkItem`]s **purely over bytes** — no shared
 //!   memory — with [`ServiceEngine::enumerate_sharded`] as the coordinator
-//!   that reproduces the whole-graph enumeration from shard frames;
+//!   that reproduces the whole-graph enumeration from shard frames. Both
+//!   servers cross one frame boundary (decode, dispatch, encode, and the
+//!   malformed-request reply) and one receive loop, and differ only in how
+//!   they dispatch a request;
 //! * [`CsrWorkItem`] is the self-contained unit of sharded enumeration: a
 //!   CSR subgraph plus its id map, with bincode-free
 //!   [`to_bytes`](CsrWorkItem::to_bytes) / [`from_bytes`](CsrWorkItem::from_bytes);

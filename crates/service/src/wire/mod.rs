@@ -10,7 +10,8 @@
 //!   validation;
 //! * [`frame`] — the length-prefixed frame format every transport speaks;
 //! * [`transport`] — the [`Transport`](transport::Transport) trait, the
-//!   in-process loopback implementation, and the byte-driven shard worker;
+//!   in-process loopback implementation, the frame boundary the engine and
+//!   the shard worker share, and the byte-driven shard worker;
 //! * [`socket`] — the same trait over real TCP and Unix sockets, plus the
 //!   [`ShardPool`](socket::ShardPool) accept loop behind `kvcc-shardd`;
 //! * [`faults`] — the seeded fault-injection decorator

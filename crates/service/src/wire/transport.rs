@@ -1,5 +1,6 @@
 //! Frame transports: the [`Transport`] trait, the in-process loopback
-//! implementation, and the byte-driven shard worker.
+//! implementation, the frame boundary every server shares, and the
+//! byte-driven shard worker.
 //!
 //! A [`Transport`] moves whole protocol frames between two peers. The
 //! contract is deliberately narrow — blocking send, blocking receive (with a
@@ -382,6 +383,39 @@ pub fn authenticate(transport: &dyn Transport, token: &str) -> Result<(), Servic
     }
 }
 
+/// The frame boundary every server shares: decodes one request frame,
+/// answers it with `dispatch`, and encodes the response frame. Undecodable
+/// frames — including frames whose envelope checksum shows they were
+/// corrupted in flight — are answered with
+/// [`ServiceError::MalformedRequest`] under request id 0 (none could be
+/// read), never dropped: a client always gets one response frame per request
+/// frame. [`crate::ServiceEngine::handle_frame`] and [`run_shard_worker`]
+/// differ only in `dispatch`.
+pub(crate) fn answer_frame(frame: &[u8], dispatch: impl FnOnce(&Request) -> Response) -> Vec<u8> {
+    let response = match Request::from_bytes(frame) {
+        Ok(request) => dispatch(&request),
+        Err(e) => Response {
+            request_id: 0,
+            body: ResponseBody::Query(QueryResponse::Error(ServiceError::MalformedRequest {
+                reason: e.to_string(),
+            })),
+        },
+    };
+    response.to_bytes()
+}
+
+/// The receive loop every server shares: [`answer_frame`] for each request
+/// frame, in order, until the peer closes the transport.
+pub(crate) fn serve_frames(
+    transport: &dyn Transport,
+    mut dispatch: impl FnMut(&Request) -> Response,
+) -> Result<(), TransportError> {
+    while let Some(frame) = transport.recv()? {
+        transport.send(&answer_frame(&frame, &mut dispatch))?;
+    }
+    Ok(())
+}
+
 /// Runs a shard worker: a loop that serves [`RequestBody::WorkItem`]
 /// enumeration requests **purely over bytes** until the peer closes the
 /// transport. Returns the number of work items served.
@@ -395,56 +429,42 @@ pub fn authenticate(transport: &dyn Transport, token: &str) -> Result<(), Servic
 /// does. Engine-level queries ([`RequestBody::Query`] /
 /// [`RequestBody::Batch`]) and graph loads ([`RequestBody::LoadGraph`] — a
 /// shard has no slots, and honouring host-side paths from the wire would be
-/// a hole besides) are answered with [`ServiceError::Unsupported`];
-/// undecodable frames — including frames whose envelope checksum shows they
-/// were corrupted in flight — with [`ServiceError::MalformedRequest`]
-/// (request id 0, since none could be read), never silence: a client always
-/// gets one response frame per request frame.
+/// a hole besides) are answered with [`ServiceError::Unsupported`].
+/// Frames cross the same boundary and receive loop as
+/// [`crate::ServiceEngine::serve`], so an undecodable frame gets the
+/// engine's own [`ServiceError::MalformedRequest`] reply, byte for byte.
 pub fn run_shard_worker(
     transport: &dyn Transport,
     options: &KvccOptions,
 ) -> Result<usize, TransportError> {
     let mut served = 0usize;
-    while let Some(frame) = transport.recv()? {
-        let response = match Request::from_bytes(&frame) {
-            Ok(request) => {
-                let body = match &request.body {
-                    RequestBody::WorkItem { k, item } => {
-                        served += 1;
-                        let options = options.clone().with_budget(request.budget());
-                        match run_work_item(item, *k, &options) {
-                            Ok(components) => QueryResponse::Components(components),
-                            Err(e) => QueryResponse::Error(e.into()),
-                        }
-                    }
-                    // A token-less worker accepts any handshake as a no-op
-                    // (clients handshake unconditionally); token *checking*
-                    // happens in the accept path of a `--token`-armed
-                    // `kvcc-shardd` before this loop ever starts.
-                    RequestBody::Handshake { .. } => QueryResponse::HandshakeOk,
-                    RequestBody::Query(_)
-                    | RequestBody::Batch(_)
-                    | RequestBody::LoadGraph { .. }
-                    | RequestBody::ApplyUpdates { .. } => {
-                        QueryResponse::Error(ServiceError::Unsupported {
-                            what: "engine queries (this endpoint only runs work items)".into(),
-                        })
-                    }
-                };
-                Response {
-                    request_id: request.request_id,
-                    body: ResponseBody::Query(body),
+    serve_frames(transport, |request| {
+        let body = match &request.body {
+            RequestBody::WorkItem { k, item } => {
+                served += 1;
+                let options = options.clone().with_budget(request.budget());
+                match run_work_item(item, *k, &options) {
+                    Ok(components) => QueryResponse::Components(components),
+                    Err(e) => QueryResponse::Error(e.into()),
                 }
             }
-            Err(e) => Response {
-                request_id: 0,
-                body: ResponseBody::Query(QueryResponse::Error(ServiceError::MalformedRequest {
-                    reason: e.to_string(),
-                })),
-            },
+            // A token-less worker accepts any handshake as a no-op (clients
+            // handshake unconditionally); token *checking* happens in the
+            // accept path of a `--token`-armed `kvcc-shardd` before this
+            // loop ever starts.
+            RequestBody::Handshake { .. } => QueryResponse::HandshakeOk,
+            RequestBody::Query(_)
+            | RequestBody::Batch(_)
+            | RequestBody::LoadGraph { .. }
+            | RequestBody::ApplyUpdates { .. } => QueryResponse::Error(ServiceError::Unsupported {
+                what: "engine queries (this endpoint only runs work items)".into(),
+            }),
         };
-        transport.send(&response.to_bytes())?;
-    }
+        Response {
+            request_id: request.request_id,
+            body: ResponseBody::Query(body),
+        }
+    })?;
     Ok(served)
 }
 
@@ -453,6 +473,7 @@ mod tests {
     use super::*;
     use crate::protocol::{GraphId, QueryRequest};
     use crate::wire::CsrWorkItem;
+    use crate::{EngineConfig, ServiceEngine};
     use kvcc_graph::CsrGraph;
 
     #[test]
@@ -562,6 +583,12 @@ mod tests {
             ResponseBody::Query(QueryResponse::Error(e)) => assert_eq!(e.code(), 7),
             other => panic!("expected a malformed-request error, got {other:?}"),
         }
+        // The shard and the engine cross one frame boundary: the reply is
+        // the engine's, byte for byte, for garbage and for an empty frame.
+        let engine = ServiceEngine::new(EngineConfig::default());
+        assert_eq!(frame, engine.handle_frame(b"garbage"));
+        client.send(b"").unwrap();
+        assert_eq!(client.recv().unwrap().unwrap(), engine.handle_frame(b""));
 
         drop(client);
         assert_eq!(worker.join().unwrap(), 1, "one work item served");

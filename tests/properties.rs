@@ -17,7 +17,7 @@ use kvcc::{enumerate_kvccs, KvccOptions};
 use kvcc_baselines::naive_kvccs;
 use kvcc_datasets::er::gnm;
 use kvcc_flow::{global_vertex_connectivity, is_k_vertex_connected};
-use kvcc_graph::kcore::k_core_vertices;
+use kvcc_graph::kcore::{k_core_components, k_core_vertices, split_k_core};
 use kvcc_graph::traversal::{
     bfs_distances, connected_component_ids, connected_components, connected_components_filtered,
     UNREACHABLE,
@@ -105,6 +105,71 @@ fn certificate_preserves_connectivity_up_to_k() {
     }
 }
 
+/// The k-core by its definition: deletes any alive vertex with fewer than
+/// `k` alive neighbours until none is left. Returns the survivors, sorted.
+fn naive_k_core<G: GraphView>(g: &G, k: usize, alive: &[VertexId]) -> Vec<VertexId> {
+    let mut in_core = vec![false; g.num_vertices()];
+    for &v in alive {
+        in_core[v as usize] = true;
+    }
+    let alive_degree = |in_core: &[bool], v: VertexId| {
+        let row = g.neighbors(v).iter();
+        row.filter(|&&w| in_core[w as usize]).count()
+    };
+    while let Some(v) = g
+        .vertices()
+        .find(|&v| in_core[v as usize] && alive_degree(&in_core, v) < k)
+    {
+        in_core[v as usize] = false;
+    }
+    g.vertices().filter(|&v| in_core[v as usize]).collect()
+}
+
+/// The k-core split by its definition: [`naive_k_core`], then a plain BFS
+/// over what is left ([`reference_components_filtered`]).
+fn naive_k_core_split<G: GraphView>(g: &G, k: usize, alive: &[VertexId]) -> Vec<Vec<VertexId>> {
+    let mut core = BitSet::new(g.num_vertices());
+    for v in naive_k_core(g, k, alive) {
+        core.insert(v as usize);
+    }
+    reference_components_filtered(g, &core)
+}
+
+/// The one peel loop (through `SubgraphView::k_core_reduce`, and through
+/// `k_core_vertices` on a full mask) and the one split (`split_k_core`, and
+/// `k_core_components` on a full mask) against their definitions, on the
+/// view of `g` whose alive vertices are `alive` (sorted, no duplicates).
+fn assert_peel_and_split<G: GraphView>(name: &str, g: &G, alive: &[VertexId], k: usize) {
+    let expected = naive_k_core(g, k, alive);
+    let mut view = SubgraphView::from_vertices(g, alive);
+    let removed = view.k_core_reduce(k);
+    let survivors: Vec<VertexId> = g.vertices().filter(|&v| view.is_alive(v)).collect();
+    assert_eq!(survivors, expected, "{name}, k {k}: peel");
+    assert_eq!(
+        removed,
+        alive.len() - expected.len(),
+        "{name}, k {k}: removed"
+    );
+    assert_eq!(view.live(), expected.len(), "{name}, k {k}: live");
+    assert_eq!(
+        view.k_core_reduce(k),
+        0,
+        "{name}, k {k}: a k-core peels nothing"
+    );
+
+    let split = split_k_core(&mut SubgraphView::from_vertices(g, alive), k);
+    assert_eq!(
+        split,
+        naive_k_core_split(g, k, alive),
+        "{name}, k {k}: split"
+    );
+    assert!(split.iter().all(|c| c.len() > k), "{name}, k {k}: size");
+    if alive.len() == g.num_vertices() {
+        assert_eq!(k_core_vertices(g, k), expected, "{name}, k {k}: full peel");
+        assert_eq!(k_core_components(g, k), split, "{name}, k {k}: full split");
+    }
+}
+
 #[test]
 fn k_core_peel_of_a_view_matches_the_k_core() {
     for case in 0..32u64 {
@@ -113,6 +178,7 @@ fn k_core_peel_of_a_view_matches_the_k_core() {
         // must be counted over alive neighbours only.
         let removed: Vec<VertexId> = g.vertices().filter(|v| v % 3 == 1).collect();
         let kept: Vec<VertexId> = g.vertices().filter(|v| v % 3 != 1).collect();
+        let every: Vec<VertexId> = g.vertices().collect();
         let sub = g.induced_subgraph(&kept);
         for k in 0..=g.max_degree() + 1 {
             let mut full = SubgraphView::new(&g);
@@ -123,6 +189,7 @@ fn k_core_peel_of_a_view_matches_the_k_core() {
                 k_core_vertices(&g, k),
                 "case {case}, k {k}, full view"
             );
+            assert_eq!(alive, naive_k_core(&g, k, &every), "case {case}, k {k}");
             assert_eq!(peeled + alive.len(), g.num_vertices(), "case {case}, k {k}");
 
             let mut partial = SubgraphView::new(&g);
@@ -136,6 +203,35 @@ fn k_core_peel_of_a_view_matches_the_k_core() {
                 .map(|v| sub.to_parent[v as usize])
                 .collect();
             assert_eq!(alive, expected, "case {case}, k {k}, partial view");
+            assert_eq!(alive, naive_k_core(&g, k, &kept), "case {case}, k {k}");
+        }
+
+        // Random masks, on the graph and on a DeltaGraph over a different
+        // base with the same edges.
+        let delta = rebased(&g);
+        let draw = |salt: u64, keep_in_four: u64| -> Vec<VertexId> {
+            let mut rng = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+            g.vertices()
+                .filter(|_| {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (rng >> 33) % 4 < keep_in_four
+                })
+                .collect()
+        };
+        let masks = [
+            ("full", every.clone()),
+            ("every third missing", kept.clone()),
+            ("random half", draw(1, 2)),
+            ("random three quarters", draw(2, 3)),
+            ("random quarter", draw(3, 1)),
+        ];
+        for (mask, alive) in &masks {
+            for k in 0..=6 {
+                assert_peel_and_split(&format!("case {case}, {mask} (csr)"), &g, alive, k);
+                assert_peel_and_split(&format!("case {case}, {mask} (delta)"), &delta, alive, k);
+            }
         }
     }
 }
