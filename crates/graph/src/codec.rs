@@ -11,9 +11,9 @@
 //!   per direction;
 //! * [`encode_row`] / [`decode_row`] — strictly-increasing id lists stored as
 //!   first-value + gap-minus-one varints (sorted component members, adjacency
-//!   rows, vertex cuts), decoded one varint at a time by one loop,
-//!   [`decode_row_into`], which appends to a caller's buffer (the compact
-//!   CSR form decodes every row straight into its neighbour array);
+//!   rows, vertex cuts), decoded one varint at a time by one loop, which
+//!   appends to a caller's buffer (the compact CSR form decodes every row
+//!   straight into its neighbour array);
 //! * [`Reader`] — a bounds-checked cursor over an untrusted buffer, so
 //!   decoders validate as they go and can never index out of range.
 
@@ -103,7 +103,7 @@ pub fn decode_row(bytes: &[u8], at: usize, count: usize) -> Option<(Vec<VertexId
 /// `out` instead of returning them, so a decoder can write rows straight
 /// into its own buffer. Returns the end position; on malformed input returns
 /// `None`, and `out` may then hold part of the row.
-pub fn decode_row_into(
+fn decode_row_into(
     bytes: &[u8],
     at: usize,
     count: usize,
@@ -195,7 +195,7 @@ impl<'a> Reader<'a> {
     }
 
     /// [`Reader::row`], appending the ids to `out` ([`decode_row_into`]).
-    pub fn row_into(&mut self, count: usize, out: &mut Vec<VertexId>) -> Option<()> {
+    pub(crate) fn row_into(&mut self, count: usize, out: &mut Vec<VertexId>) -> Option<()> {
         // Each encoded id needs at least one byte, so a hostile count can
         // never trigger an allocation larger than the buffer that carried it.
         if count > self.remaining() {

@@ -23,11 +23,12 @@
 //! to start from a mask (its stack became the peeled list, walked as a
 //! queue, so the mask is written once at the end); the bitset-and-queue
 //! cascade `SubgraphView::k_core_reduce` ran went. Timed on one build on a
-//! shared 2-vCPU machine, medians of alternating runs (README, "Hot loops"): on full views that peel nothing, as every
-//! `batch` work item is, the kept loop took 0.021–0.024 ms on the
-//! 16,384-vertex ring against 0.034–0.040 ms, and the deep peels of the DBLP
-//! stand-in at k = 16..=42 took 4.2–4.3 ms against 5.1–5.2 ms; a ring item's
-//! peel and split and the index repair's splits timed the same under both.
+//! shared 2-vCPU machine, medians of alternating runs (README, "Hot
+//! loops"): on full views that peel nothing, as every `batch` work item is,
+//! the kept loop took 0.021–0.024 ms on the 16,384-vertex ring against
+//! 0.034–0.040 ms, and the deep peels of the DBLP stand-in at k = 16..=42
+//! took 4.2–4.3 ms against 5.1–5.2 ms; a ring item's peel and split and the
+//! index repair's splits timed the same under both.
 //!
 //! [`core_numbers`] peels every k at once with the bucket structure of
 //! Batagelj & Zaveršnik; a single k does not need it.
