@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use kvcc::{KVertexConnectedComponent, KvccOptions};
 
 use crate::protocol::{QueryResponse, Request, RequestBody, Response, ResponseBody, ServiceError};
-use crate::wire::transport::{Transport, TransportError};
+use crate::wire::transport::{backoff, Transport, TransportError};
 use crate::wire::{run_work_item, CsrWorkItem};
 
 /// Failure-handling knobs of the shard coordinator.
@@ -84,15 +84,6 @@ impl Default for CoordinatorConfig {
             probe_delay: Duration::from_millis(25),
             local_fallback: true,
         }
-    }
-}
-
-impl CoordinatorConfig {
-    fn backoff(&self, attempts: u32) -> Duration {
-        let shift = attempts.saturating_sub(1).min(16);
-        self.backoff_base
-            .saturating_mul(1u32 << shift)
-            .min(self.backoff_cap)
     }
 }
 
@@ -177,7 +168,7 @@ impl Shared<'_> {
         inner.queue.push_back(Pending {
             idx,
             attempts,
-            not_before: Instant::now() + config.backoff(attempts),
+            not_before: Instant::now() + backoff(config.backoff_base, config.backoff_cap, attempts),
         });
         self.ready.notify_all();
     }

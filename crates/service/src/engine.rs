@@ -29,9 +29,11 @@ use crate::protocol::{
     GraphId, LoadFormat, PageCursor, QosStats, QueryRequest, QueryResponse, RankedEntry, Request,
     RequestBody, Response, ResponseBody, SchedulingStats, ServiceError,
 };
-use crate::qos::{self, CacheKey, FlightOutcome, QosConfig, QosLayer};
-use crate::wire::transport::{answer_frame, serve_frames, Transport, TransportError};
-use crate::wire::{run_work_item, CsrWorkItem};
+use crate::qos::{self, CacheKey, Lookup, Poisoned, QosConfig, QosLayer};
+use crate::wire::transport::{
+    answer_frame, answer_work_item, serve_frames, Transport, TransportError,
+};
+use crate::wire::CsrWorkItem;
 
 /// Engine tuning knobs. The default uses one batch worker per available
 /// core (`threads: 0`), the paper's `VCCE*` enumeration options, no
@@ -53,11 +55,12 @@ pub struct EngineConfig {
     /// Memory layout of hot graphs (see [`OrderingPolicy`]). Responses are
     /// identical under every policy.
     pub ordering: OrderingPolicy,
-    /// Query-serving QoS: the epoch-keyed result cache, single-flight
-    /// coalescing of identical in-flight queries, and cost-model admission
-    /// control (see [`crate::qos`]). The default is fully disabled — the
-    /// engine behaves exactly as before protocol v6 until a deployment opts
-    /// in (e.g. [`QosConfig::serving`]).
+    /// Query-serving QoS: one epoch-keyed table of cached answers and
+    /// executions in flight (caching and coalescing of identical queries
+    /// are armed together), and cost-model admission control (see
+    /// [`crate::qos`]). The default is fully disabled — the engine behaves
+    /// exactly as before protocol v6 until a deployment opts in (e.g.
+    /// [`QosConfig::serving`]).
     pub qos: QosConfig,
 }
 
@@ -380,12 +383,11 @@ pub struct ServiceEngine {
 impl ServiceEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        let qos = QosLayer::new(config.qos.clone());
         ServiceEngine {
+            qos: QosLayer::new(&config.qos),
             config,
             graphs: Mutex::new(Vec::new()),
             update_lock: Mutex::new(()),
-            qos,
         }
     }
 
@@ -828,69 +830,54 @@ impl ServiceEngine {
     /// and byte-driven transports observe identical semantics.
     pub fn execute_request(&self, request: &Request) -> Response {
         let budget = request.budget();
-        let body = match &request.body {
-            RequestBody::Query(query) => ResponseBody::Query(if budget.expired() {
-                QueryResponse::Error(ServiceError::DeadlineExceeded)
-            } else {
-                self.execute_with(query, &mut WorkerScratch::new(), &budget)
-            }),
+        let answer = match &request.body {
             RequestBody::Batch(queries) => {
-                ResponseBody::Batch(self.execute_batch_inner(queries, &budget))
+                return Response {
+                    request_id: request.request_id,
+                    body: ResponseBody::Batch(self.execute_batch_inner(queries, &budget)),
+                };
             }
-            RequestBody::WorkItem { k, item } => ResponseBody::Query(if budget.expired() {
-                QueryResponse::Error(ServiceError::DeadlineExceeded)
-            } else {
-                let options = self.config.enumeration.clone().with_budget(budget);
-                match run_work_item(item, *k, &options) {
-                    Ok(components) => QueryResponse::Components(components),
-                    Err(e) => QueryResponse::Error(e.into()),
-                }
-            }),
+            // Token *checking* lives at the transport boundary (the accept
+            // path of a `--token`-armed `kvcc-shardd`); an engine reached
+            // in-process or behind an unarmed endpoint treats the handshake
+            // as a no-op so clients can send it unconditionally.
+            RequestBody::Handshake { .. } => QueryResponse::HandshakeOk,
+            _ if budget.expired() => QueryResponse::Error(ServiceError::DeadlineExceeded),
+            RequestBody::Query(query) => {
+                self.execute_with(query, &mut WorkerScratch::new(), &budget)
+            }
+            RequestBody::WorkItem { k, item } => {
+                answer_work_item(item, *k, &self.config.enumeration, budget)
+            }
             RequestBody::LoadGraph { name, path, format } => {
-                ResponseBody::Query(if budget.expired() {
-                    QueryResponse::Error(ServiceError::DeadlineExceeded)
-                } else {
-                    match self.load_from_path(name, Path::new(path), *format) {
-                        Ok(report) => QueryResponse::Loaded {
-                            graph: report.graph,
-                            num_vertices: report.num_vertices,
-                            num_edges: report.num_edges,
-                            self_loops: report.self_loops,
-                            duplicates: report.duplicates,
-                            zero_copy: report.zero_copy,
-                        },
-                        Err(e) => QueryResponse::Error(e),
-                    }
-                })
-            }
-            RequestBody::Handshake { .. } => {
-                // Token *checking* lives at the transport boundary (the
-                // accept path of a `--token`-armed `kvcc-shardd`); an engine
-                // reached in-process or behind an unarmed endpoint treats
-                // the handshake as a no-op so clients can send it
-                // unconditionally.
-                ResponseBody::Query(QueryResponse::HandshakeOk)
+                match self.load_from_path(name, Path::new(path), *format) {
+                    Ok(report) => QueryResponse::Loaded {
+                        graph: report.graph,
+                        num_vertices: report.num_vertices,
+                        num_edges: report.num_edges,
+                        self_loops: report.self_loops,
+                        duplicates: report.duplicates,
+                        zero_copy: report.zero_copy,
+                    },
+                    Err(e) => QueryResponse::Error(e),
+                }
             }
             RequestBody::ApplyUpdates { graph, updates } => {
-                ResponseBody::Query(if budget.expired() {
-                    QueryResponse::Error(ServiceError::DeadlineExceeded)
-                } else {
-                    match self.apply_updates_inner(*graph, updates, &budget) {
-                        Ok(report) => QueryResponse::Updated {
-                            epoch: report.epoch,
-                            repaired_nodes: report.repaired_nodes,
-                            // Protocol v6 still carries the field; the
-                            // repair has no whole-graph rebuild path.
-                            rebuilt: false,
-                        },
-                        Err(e) => QueryResponse::Error(e),
-                    }
-                })
+                match self.apply_updates_inner(*graph, updates, &budget) {
+                    Ok(report) => QueryResponse::Updated {
+                        epoch: report.epoch,
+                        repaired_nodes: report.repaired_nodes,
+                        // Protocol v6 still carries the field; the repair
+                        // has no whole-graph rebuild path.
+                        rebuilt: false,
+                    },
+                    Err(e) => QueryResponse::Error(e),
+                }
             }
         };
         Response {
             request_id: request.request_id,
-            body,
+            body: ResponseBody::Query(answer),
         }
     }
 
@@ -1011,85 +998,48 @@ impl ServiceEngine {
     }
 
     /// The QoS front door of every query path — in-process calls, batch
-    /// workers, framed bytes and sockets all funnel through here. Resolves
-    /// the slot's mutation epoch, consults the result cache, coalesces
-    /// identical in-flight executions, and runs admission control before
-    /// [`ServiceEngine::execute_uncached`] does real work. Under the
-    /// default (disabled) [`QosConfig`] this is a straight pass-through.
+    /// workers, framed bytes and sockets all funnel through here. It looks
+    /// the graph slot up once: that slot is the snapshot the query runs on
+    /// and, with the answer table armed, its epoch goes into the query's
+    /// key, so every answer is cached under the epoch it was computed at.
+    /// One table lookup then returns a published answer, waits on an
+    /// identical execution in flight, or makes this caller the leader,
+    /// which runs admission control and [`ServiceEngine::execute_uncached`]
+    /// and publishes the answer. Under the default (disabled)
+    /// [`QosConfig`] this is a straight pass-through.
     fn execute_with(
         &self,
         request: &QueryRequest,
         scratch: &mut WorkerScratch,
         budget: &Budget,
     ) -> QueryResponse {
-        let eligible = qos::cacheable(request);
-        let use_cache = eligible && self.qos.config.cache_enabled();
-        let use_flight = eligible && self.qos.config.coalesce;
-        if !use_cache && !use_flight {
-            return self.admit_and_execute(request, scratch, budget);
-        }
-        // The epoch embedded in the key is the whole invalidation story: an
-        // update batch advances it, so entries minted at earlier epochs stop
-        // being addressable and age out of the LRU.
-        let epoch = match self.slot(request.graph()) {
-            Ok(slot) => slot.epoch,
+        let slot = match self.slot(request.graph()) {
+            Ok(slot) => slot,
             Err(e) => return QueryResponse::Error(e),
         };
-        let key = CacheKey::new(request, epoch);
-        if use_cache {
-            if let Some(hit) = self.qos.cache.get(&key) {
-                return hit;
-            }
-        }
-        if !use_flight {
-            self.qos.cache.count_miss();
-            let response = self.admit_and_execute(request, scratch, budget);
-            self.cache_insert(&key, &response);
-            return response;
-        }
-        match self.qos.flight.join(&key) {
-            FlightOutcome::Coalesced(Ok(response)) => response,
-            FlightOutcome::Coalesced(Err(_poisoned)) => {
-                QueryResponse::Error(ServiceError::Enumeration(
-                    "coalesced execution failed before publishing a response".into(),
-                ))
-            }
-            FlightOutcome::Leader(leader) => {
-                if use_cache {
-                    self.qos.cache.count_miss();
-                }
-                let response = self.admit_and_execute(request, scratch, budget);
-                // Cache before retiring the flight: a caller arriving in
-                // between would find neither and run the query again.
-                if use_cache {
-                    self.cache_insert(&key, &response);
-                }
-                // Waiters receive exactly what the leader produced — error
-                // responses included (a failed execution propagates rather
-                // than wedging anyone).
-                leader.publish(response.clone());
+        let answers = match &self.qos.answers {
+            Some(answers) if qos::cacheable(request) => answers,
+            _ => return self.admit_and_execute(&slot, request, scratch, budget),
+        };
+        // The epoch embedded in the key is the whole invalidation story: an
+        // update batch advances it, so answers published at earlier epochs
+        // stop being addressable and age out of the LRU.
+        match answers.lookup(&CacheKey::new(request, slot.epoch)) {
+            Lookup::Answer(Ok(response)) => response,
+            Lookup::Answer(Err(Poisoned)) => QueryResponse::Error(ServiceError::Enumeration(
+                "coalesced execution failed before publishing a response".into(),
+            )),
+            Lookup::Lead(lead) => {
+                let response = self.admit_and_execute(&slot, request, scratch, budget);
+                // Waiters receive exactly what the leader produced, errors
+                // included; an error is never cached, so the next caller
+                // retries the real execution.
+                let weight = (!matches!(response, QueryResponse::Error(_)))
+                    .then(|| qos::response_weight(&response));
+                lead.publish(&response, weight);
                 response
             }
         }
-    }
-
-    /// Publishes a response into the result cache — unless it is an error
-    /// (never cached: the next caller should retry the real execution) or an
-    /// update batch landed between key minting and execution, in which case
-    /// the entry would describe a superseded epoch and is simply dropped.
-    fn cache_insert(&self, key: &CacheKey, response: &QueryResponse) {
-        if matches!(response, QueryResponse::Error(_)) {
-            return;
-        }
-        match self.slot(key.graph) {
-            Ok(slot) if slot.epoch == key.epoch => {}
-            _ => return,
-        }
-        self.qos.cache.insert(
-            key.clone(),
-            response.clone(),
-            qos::response_weight(response),
-        );
     }
 
     /// Runs the admission controller (when armed) in front of the uncached
@@ -1100,20 +1050,21 @@ impl ServiceEngine {
     /// feeds its observed cost back into the controller's EWMA.
     fn admit_and_execute(
         &self,
+        slot: &GraphSlot,
         request: &QueryRequest,
         scratch: &mut WorkerScratch,
         budget: &Budget,
     ) -> QueryResponse {
         let Some(controller) = self.qos.admission.as_ref() else {
-            return self.execute_uncached(request, scratch, budget);
+            return self.execute_uncached(slot, request, scratch, budget);
         };
-        let Some(cost) = self.request_cost(request) else {
-            return self.execute_uncached(request, scratch, budget);
+        let Some(cost) = request_cost(slot, request) else {
+            return self.execute_uncached(slot, request, scratch, budget);
         };
         match controller.admit(cost, budget.deadline()) {
             Ok(_permit) => {
                 let start = Instant::now();
-                let response = self.execute_uncached(request, scratch, budget);
+                let response = self.execute_uncached(slot, request, scratch, budget);
                 controller.observe(cost, start.elapsed());
                 response
             }
@@ -1121,40 +1072,17 @@ impl ServiceEngine {
         }
     }
 
-    /// The admission cost of a request under the shared scheduling model
-    /// ([`kvcc::split_cost`] `= |E| + k·|V|`), or `None` for kinds that are
-    /// not admission-gated — stats, index-lookup queries and page reads are
-    /// too cheap to meaningfully price — or when the graph cannot be
-    /// resolved (the executor owns that error).
-    fn request_cost(&self, request: &QueryRequest) -> Option<u64> {
-        let k = match *request {
-            QueryRequest::EnumerateKvccs { k, .. } => k,
-            QueryRequest::KvccsContaining { k, .. } => k,
-            QueryRequest::GlobalCutProbe { k, .. } => k,
-            QueryRequest::LocalConnectivity { limit, .. } => limit,
-            _ => return None,
-        };
-        let slot = self.slot(request.graph()).ok()?;
-        Some(split_cost(
-            slot.graph.num_vertices(),
-            slot.graph.num_edges(),
-            k,
-        ))
-    }
-
     /// The real executor behind the QoS layer (the pre-v6 `execute_with`):
-    /// resolves the slot and answers the request from the index or by
-    /// direct enumeration, with no caching, coalescing or admission.
+    /// answers the request on the slot the front door looked up, from the
+    /// index or by direct enumeration, with no caching, coalescing or
+    /// admission.
     fn execute_uncached(
         &self,
+        slot: &GraphSlot,
         request: &QueryRequest,
         scratch: &mut WorkerScratch,
         budget: &Budget,
     ) -> QueryResponse {
-        let slot = match self.slot(request.graph()) {
-            Ok(slot) => slot,
-            Err(e) => return QueryResponse::Error(e),
-        };
         let g = &slot.graph;
         // The engine's enumeration options with this request's budget
         // attached, so a deadline hint interrupts work *mid-run* instead of
@@ -1429,6 +1357,25 @@ fn index_matches_graph<G: GraphView>(csr: &G, index: &ConnectivityIndex) -> bool
         }
     }
     true
+}
+
+/// The admission cost of a request on `slot` under the shared scheduling
+/// model ([`kvcc::split_cost`] `= |E| + k·|V|`), or `None` for kinds that
+/// are not admission-gated — stats, index-lookup queries and page reads are
+/// too cheap to meaningfully price.
+fn request_cost(slot: &GraphSlot, request: &QueryRequest) -> Option<u64> {
+    let k = match *request {
+        QueryRequest::EnumerateKvccs { k, .. } => k,
+        QueryRequest::KvccsContaining { k, .. } => k,
+        QueryRequest::GlobalCutProbe { k, .. } => k,
+        QueryRequest::LocalConnectivity { limit, .. } => limit,
+        _ => return None,
+    };
+    Some(split_cost(
+        slot.graph.num_vertices(),
+        slot.graph.num_edges(),
+        k,
+    ))
 }
 
 /// The scheduling cost of a shard work item under the shared cost model.

@@ -50,10 +50,12 @@
 //!   answer ([`QueryResponse::Updated`]) is byte-identical to
 //!   reloading the updated graph from scratch;
 //! * **query-serving QoS (protocol v6)** — an opt-in [`qos`] layer in front
-//!   of every query path: a bounded result cache keyed by
-//!   `(graph, epoch, canonical query bytes)` whose hits are byte-identical
-//!   to fresh execution and invalidated for free by the mutation epoch,
-//!   single-flight coalescing of identical in-flight queries, and
+//!   of every query path, which looks the graph slot up once per query and
+//!   answers from that one snapshot: one bounded table keyed by
+//!   `(graph, epoch, canonical query bytes)` holds both cached answers,
+//!   whose hits are byte-identical to fresh execution and invalidated for
+//!   free by the mutation epoch, and executions in flight, onto which
+//!   identical concurrent queries coalesce; and
 //!   cost-model admission control ([`kvcc::split_cost`] + an online EWMA)
 //!   that sheds deadline-infeasible work with the retryable
 //!   [`ServiceError::Overloaded`] instead of failing it late; `Stats`
@@ -96,7 +98,7 @@ pub use protocol::{
     GraphId, LoadFormat, OrderingPolicy, PageCursor, QosStats, QueryRequest, QueryResponse,
     RankedEntry, Request, RequestBody, Response, ResponseBody, SchedulingStats, ServiceError,
 };
-pub use qos::{AdmissionConfig, AdmissionController, QosConfig, ResultCache, SingleFlight};
+pub use qos::{AdmissionConfig, AdmissionController, QosConfig};
 pub use wire::faults::{FaultPlan, FaultStatsSnapshot, FaultTransport};
 pub use wire::socket::{ShardPool, SocketOptions, StreamTransport, TcpTransport, UnixTransport};
 pub use wire::transport::{

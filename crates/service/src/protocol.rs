@@ -400,13 +400,13 @@ pub struct SchedulingStats {
 /// response bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QosStats {
-    /// Queries answered from the epoch-keyed result cache.
+    /// Queries answered from an answer published in the epoch-keyed table.
     pub cache_hits: u64,
-    /// Cacheable queries that missed and executed (each miss is exactly one
-    /// real execution when coalescing is on).
+    /// Cacheable queries that found no entry and led an execution (each
+    /// miss is exactly one real execution).
     pub cache_misses: u64,
-    /// Queries that joined an identical in-flight execution and received
-    /// the leader's response instead of executing (single-flight waiters).
+    /// Queries that found an identical execution in flight and received
+    /// its leader's response instead of executing.
     pub coalesced: u64,
     /// Requests rejected by admission control with
     /// [`ServiceError::Overloaded`] — predicted to miss their deadline

@@ -1,25 +1,31 @@
-//! Query-serving QoS (protocol v6): the epoch-keyed result cache,
-//! single-flight coalescing of identical in-flight queries, and cost-model
-//! admission control with overload shedding.
+//! Query-serving QoS (protocol v6): one keyed table for cached answers and
+//! executions in flight, and cost-model admission control with overload
+//! shedding.
 //!
-//! The three parts cooperate inside [`crate::ServiceEngine`]'s single query
-//! funnel, so every wire path — in-process calls, framed bytes, sockets —
-//! observes identical semantics:
+//! Both parts sit inside [`crate::ServiceEngine`]'s single query funnel,
+//! so every wire path — in-process calls, framed bytes, sockets — observes
+//! identical semantics. The funnel looks the graph slot up once per query:
+//! that slot is the snapshot the query runs on, and its mutation epoch goes
+//! into the query's key, so every answer is cached under the epoch it was
+//! computed at.
 //!
-//! * **[`ResultCache`]** — a bounded LRU keyed by `(graph, epoch,
-//!   canonicalized query bytes)`. Responses are cached as decoded protocol
-//!   values and re-encoded by the same deterministic codec as fresh
-//!   executions, so a hit is byte-identical to a miss on every transport.
-//!   Invalidation is free: an applied update batch advances the slot epoch
-//!   embedded in the key, so entries from the previous epoch simply stop
-//!   being addressable and age out of the LRU.
-//! * **[`SingleFlight`]** — waiter registration for identical concurrent
-//!   queries: the first caller of a key becomes the *leader* and executes;
-//!   callers arriving while the leader runs block and receive a clone of
-//!   the leader's response (error responses included — a failed execution
-//!   propagates to every waiter). A leader that dies without publishing
-//!   poisons the flight, waking waiters with an error instead of wedging
-//!   them.
+//! * **The answer table** — one table keyed by `(graph, epoch,
+//!   canonicalized query bytes)` ([`CacheKey`]) whose entry is either a
+//!   published answer or an execution in flight. One lookup under one lock
+//!   returns a hit, waits on the execution in flight (coalescing identical
+//!   concurrent queries), or makes the caller the *leader*. When the
+//!   leader publishes, its entry becomes a cached answer — or is removed if
+//!   the answer is an error or heavier than the byte budget — and every
+//!   waiter receives a clone of the leader's answer, errors included. A
+//!   leader that dies without publishing wakes its waiters with an error
+//!   instead of wedging them. Published answers are bounded by an entry
+//!   count and a byte budget with exact LRU eviction; in-flight entries
+//!   are never evicted and count toward neither budget. Answers are kept as
+//!   decoded protocol values and re-encoded by the same deterministic codec
+//!   as fresh executions, so a hit is byte-identical to a miss on every
+//!   transport. Invalidation is free: an applied update batch advances the
+//!   slot epoch embedded in the key, so answers from the previous epoch
+//!   simply stop being addressable and age out of the LRU.
 //! * **[`AdmissionController`]** — estimates a request's work with the
 //!   PR 5 scheduling cost model (`split_cost = |E| + k·|V|`), converts it
 //!   to predicted wall-clock via an online EWMA of observed
@@ -55,14 +61,14 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// a query-serving deployment.
 #[derive(Clone, Debug, Default)]
 pub struct QosConfig {
-    /// Maximum entries in the result cache; `0` disables caching.
+    /// Maximum cached answers; `0` disarms the answer table (no caching and
+    /// no coalescing).
     pub cache_max_entries: usize,
-    /// Byte budget of the result cache (estimated response payload bytes);
-    /// `0` disables caching. A single response larger than the whole budget
-    /// is served but never cached.
+    /// Byte budget of the cached answers (estimated response payload
+    /// bytes); `0` disarms the answer table. A single response larger than
+    /// the whole budget is served, and handed to every caller waiting on
+    /// its execution, but never cached.
     pub cache_max_bytes: usize,
-    /// Coalesce identical in-flight queries through [`SingleFlight`].
-    pub coalesce: bool,
     /// Admission control; `None` admits everything (pre-v6 behaviour).
     pub admission: Option<AdmissionConfig>,
 }
@@ -73,7 +79,7 @@ impl QosConfig {
         QosConfig::default()
     }
 
-    /// Cache + coalescing on with moderate budgets, admission off. Admission
+    /// Cache and coalescing on with moderate budgets, admission off. Admission
     /// stays opt-in because it changes the deadline contract: an armed
     /// controller answers predicted-infeasible requests with `Overloaded`
     /// *before* execution, where the base engine would run them and
@@ -82,12 +88,12 @@ impl QosConfig {
         QosConfig {
             cache_max_entries: 4096,
             cache_max_bytes: 64 << 20,
-            coalesce: true,
             admission: None,
         }
     }
 
-    /// Whether the result cache is armed.
+    /// Whether the answer table is armed: both budgets non-zero. Caching
+    /// and coalescing are armed together.
     pub fn cache_enabled(&self) -> bool {
         self.cache_max_entries > 0 && self.cache_max_bytes > 0
     }
@@ -123,8 +129,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// The result-cache / single-flight key: a graph handle, the slot's
-/// mutation epoch at lookup time, and the query's canonical wire encoding.
+/// The answer table's key: a graph handle, the mutation epoch of the slot
+/// the query runs on, and the query's canonical wire encoding.
 ///
 /// Keying on the wire bytes makes two requests collide exactly when they
 /// decode to the same query; symmetric vertex pairs
@@ -216,237 +222,164 @@ pub fn response_weight(response: &QueryResponse) -> usize {
     }
 }
 
-struct CacheEntry<V> {
-    value: V,
-    weight: usize,
-    stamp: u64,
+/// Why a coalesced waiter received no answer: its leader was dropped (it
+/// panicked or was torn down) without publishing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Poisoned;
+
+/// One entry of an [`AnswerTable`].
+enum Entry<V> {
+    /// An answer an earlier execution published: it counts toward both
+    /// budgets and sits in the recency order under `stamp`.
+    Published { value: V, weight: usize, stamp: u64 },
+    /// An execution in flight: never evicted, and outside both budgets.
+    InFlight(Arc<Flight<V>>),
 }
 
-struct CacheInner<K, V> {
-    map: HashMap<K, CacheEntry<V>>,
-    /// Recency order: stamp → key, oldest first. Stamps are unique (the
-    /// clock only moves forward), so this is an exact LRU list with
-    /// `O(log n)` touch/evict.
+/// Where the callers waiting on an execution in flight receive its answer.
+struct Flight<V> {
+    answer: Mutex<Option<Result<V, Poisoned>>>,
+    settled: Condvar,
+}
+
+impl<V: Clone> Flight<V> {
+    fn settle(&self, answer: Result<V, Poisoned>) {
+        *lock_recover(&self.answer) = Some(answer);
+        self.settled.notify_all();
+    }
+
+    fn wait(&self) -> Result<V, Poisoned> {
+        let answer = self
+            .settled
+            .wait_while(lock_recover(&self.answer), |answer| answer.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        answer.clone().expect("a settled flight holds its answer")
+    }
+}
+
+struct TableInner<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    /// Recency order of the published entries: stamp → key, oldest first.
+    /// Stamps are unique (the clock only moves forward), so this is an
+    /// exact LRU list with `O(log n)` touch and evict.
     lru: BTreeMap<u64, K>,
     clock: u64,
+    /// Summed weight of the published entries.
     bytes: usize,
+    hits: u64,
+    misses: u64,
+    coalesced: u64,
 }
 
-/// A bounded LRU cache with an entry count *and* a byte budget.
+/// The engine's one table of answers: each key holds either an answer an
+/// earlier execution published or an execution still in flight.
 ///
-/// [`ResultCache::get`] counts hits; misses are counted by the caller via
-/// [`ResultCache::count_miss`] at the point a lookup failure actually turns
-/// into an execution. The split keeps `misses == real executions` exact
-/// under coalescing: concurrent callers may all miss the lookup, but only
-/// the single-flight leader executes and records the miss.
-pub struct ResultCache<K, V> {
+/// One [`AnswerTable::lookup`] takes one lock and counts exactly one of
+/// three outcomes: a published answer is a *hit*; an execution in flight is
+/// waited on (*coalesced*); a missing key makes the caller the *leader* of
+/// a new execution (a *miss*), so misses equal real executions. Published
+/// answers are bounded by an entry count *and* a byte budget with exact
+/// LRU eviction; in-flight entries are never evicted and count toward
+/// neither budget.
+pub(crate) struct AnswerTable<K, V> {
     max_entries: usize,
     max_bytes: usize,
-    inner: Mutex<CacheInner<K, V>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    inner: Mutex<TableInner<K, V>>,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
-    /// An empty cache with the given budgets. Either budget at `0` makes
-    /// the cache inert (every `get` misses, every `insert` is dropped).
-    pub fn new(max_entries: usize, max_bytes: usize) -> Self {
-        ResultCache {
-            max_entries,
-            max_bytes,
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                clock: 0,
-                bytes: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks a key up, refreshing its recency and counting a hit on
-    /// success. A failed lookup counts nothing — see
-    /// [`ResultCache::count_miss`].
-    pub fn get(&self, key: &K) -> Option<V> {
-        let mut inner = lock_recover(&self.inner);
-        let inner = &mut *inner;
-        let entry = inner.map.get_mut(key)?;
-        inner.lru.remove(&entry.stamp);
-        inner.clock += 1;
-        entry.stamp = inner.clock;
-        inner.lru.insert(entry.stamp, key.clone());
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.value.clone())
-    }
-
-    /// Records that a lookup failure became a real execution.
-    pub fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Inserts a value of the given weight, evicting least-recently-used
-    /// entries until both budgets hold. A value heavier than the whole byte
-    /// budget is silently not cached.
-    pub fn insert(&self, key: K, value: V, weight: usize) {
-        if self.max_entries == 0 || weight > self.max_bytes {
-            return;
-        }
-        let mut inner = lock_recover(&self.inner);
-        if let Some(old) = inner.map.remove(&key) {
-            inner.lru.remove(&old.stamp);
-            inner.bytes -= old.weight;
-        }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        inner.bytes += weight;
-        inner.lru.insert(stamp, key.clone());
-        inner.map.insert(
-            key,
-            CacheEntry {
-                value,
-                weight,
-                stamp,
-            },
-        );
-        while inner.map.len() > self.max_entries || inner.bytes > self.max_bytes {
-            let Some((_, victim)) = inner.lru.pop_first() else {
-                break;
-            };
-            if let Some(evicted) = inner.map.remove(&victim) {
-                inner.bytes -= evicted.weight;
-            }
-        }
-    }
-
-    /// Cached entries.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.inner).map.len()
-    }
-
-    /// Whether the cache currently holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Estimated bytes held.
-    pub fn bytes(&self) -> usize {
-        lock_recover(&self.inner).bytes
-    }
-
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup failures that became executions ([`ResultCache::count_miss`]).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
+/// What one [`AnswerTable::lookup`] returns.
+pub(crate) enum Lookup<'a, K: Hash + Eq + Clone, V: Clone> {
+    /// A published answer, or (a clone of) the answer of the execution in
+    /// flight this caller waited on — [`Poisoned`] if its leader died
+    /// before publishing.
+    Answer(Result<V, Poisoned>),
+    /// No entry: this caller executes, then [`Lead::publish`]es.
+    Lead(Lead<'a, K, V>),
 }
 
-/// Why a coalesced waiter received no value: the leader died (panicked or
-/// was torn down) without publishing a response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Poisoned;
-
-enum FlightState<V> {
-    Pending { waiters: usize },
-    Done(Result<V, Poisoned>),
-}
-
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    cv: Condvar,
-}
-
-/// The two ways out of [`SingleFlight::join`].
-pub enum FlightOutcome<'a, K: Hash + Eq + Clone, V: Clone> {
-    /// This caller owns the execution: run the work, then
-    /// [`FlightLeader::publish`] the result to everyone else.
-    Leader(FlightLeader<'a, K, V>),
-    /// An identical execution was already in flight; this is (a clone of)
-    /// its published result, or [`Poisoned`] if the leader died first.
-    Coalesced(Result<V, Poisoned>),
-}
-
-/// The leader's obligation token: publish a value, or poison the flight on
-/// drop so waiters are never wedged by a leader that died mid-execution.
-pub struct FlightLeader<'a, K: Hash + Eq + Clone, V: Clone> {
-    owner: &'a SingleFlight<K, V>,
+/// The leader's obligation token: publish the answer, or on drop remove
+/// the entry and wake the waiters with [`Poisoned`], so a leader that dies
+/// mid-execution never wedges them.
+pub(crate) struct Lead<'a, K: Hash + Eq + Clone, V: Clone> {
+    table: &'a AnswerTable<K, V>,
     key: K,
     flight: Arc<Flight<V>>,
     published: bool,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> FlightLeader<'_, K, V> {
-    /// Publishes the execution's result (success *or* error value — waiters
-    /// receive whatever the leader produced) and retires the flight: later
-    /// callers of the key start fresh.
-    pub fn publish(mut self, value: V) {
-        self.finish(Ok(value));
-    }
-
-    fn finish(&mut self, result: Result<V, Poisoned>) {
-        if self.published {
-            return;
-        }
+impl<K: Hash + Eq + Clone, V: Clone> Lead<'_, K, V> {
+    /// Publishes the execution's answer under one lock: the entry becomes a
+    /// cached answer of `weight`, or is removed when `weight` is `None` (an
+    /// answer never cached, such as an error) or heavier than the whole
+    /// byte budget. Then every waiter is woken with a clone of `value`.
+    pub(crate) fn publish(mut self, value: &V, weight: Option<usize>) {
         self.published = true;
-        // Retire the key first so a caller arriving after publication
-        // starts a fresh flight instead of reading a completed one, then
-        // wake the registered waiters.
-        lock_recover(&self.owner.inner).remove(&self.key);
-        *lock_recover(&self.flight.state) = FlightState::Done(result);
-        self.flight.cv.notify_all();
+        let keep = weight.filter(|&weight| weight <= self.table.max_bytes);
+        self.table
+            .retire(&self.key, keep.map(|weight| (value, weight)));
+        self.flight.settle(Ok(value.clone()));
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Drop for FlightLeader<'_, K, V> {
+impl<K: Hash + Eq + Clone, V: Clone> Drop for Lead<'_, K, V> {
     fn drop(&mut self) {
-        // A leader dropped without publishing poisons the flight — this is
-        // what runs during a panic unwind and keeps waiters from wedging.
-        self.finish(Err(Poisoned));
-    }
-}
-
-/// Coalesces identical in-flight executions: for each key, one leader runs
-/// and every concurrent caller waits for its published result.
-pub struct SingleFlight<K, V> {
-    inner: Mutex<HashMap<K, Arc<Flight<V>>>>,
-    coalesced: AtomicU64,
-}
-
-impl<K, V> Default for SingleFlight<K, V> {
-    fn default() -> Self {
-        SingleFlight {
-            inner: Mutex::new(HashMap::new()),
-            coalesced: AtomicU64::new(0),
+        // Dropped without publishing: this is what runs during a panic
+        // unwind, and it keeps the waiters from wedging.
+        if !self.published {
+            self.table.retire(&self.key, None);
+            self.flight.settle(Err(Poisoned));
         }
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
-    /// An empty flight table.
-    pub fn new() -> Self {
-        SingleFlight::default()
+impl<K: Hash + Eq + Clone, V: Clone> AnswerTable<K, V> {
+    /// An empty table with the given budgets for published answers.
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
+        AnswerTable {
+            max_entries,
+            max_bytes,
+            inner: Mutex::new(TableInner {
+                entries: HashMap::new(),
+                lru: BTreeMap::new(),
+                clock: 0,
+                bytes: 0,
+                hits: 0,
+                misses: 0,
+                coalesced: 0,
+            }),
+        }
     }
 
-    /// Joins the flight for `key`: the first caller becomes the leader,
-    /// everyone else blocks until the leader publishes (or poisons) and
-    /// returns the shared result.
-    pub fn join(&self, key: &K) -> FlightOutcome<'_, K, V> {
+    /// Looks `key` up: returns a published answer (refreshing its
+    /// recency), waits for the execution in flight and returns its answer,
+    /// or makes this caller the leader.
+    pub(crate) fn lookup(&self, key: &K) -> Lookup<'_, K, V> {
         let flight = {
-            let mut inner = lock_recover(&self.inner);
-            match inner.get(key) {
-                Some(flight) => Arc::clone(flight),
+            let mut guard = lock_recover(&self.inner);
+            let inner = &mut *guard;
+            match inner.entries.get_mut(key) {
+                Some(Entry::Published { value, stamp, .. }) => {
+                    inner.lru.remove(stamp);
+                    inner.clock += 1;
+                    *stamp = inner.clock;
+                    inner.lru.insert(*stamp, key.clone());
+                    inner.hits += 1;
+                    return Lookup::Answer(Ok(value.clone()));
+                }
+                Some(Entry::InFlight(flight)) => {
+                    inner.coalesced += 1;
+                    Arc::clone(flight)
+                }
                 None => {
                     let flight = Arc::new(Flight {
-                        state: Mutex::new(FlightState::Pending { waiters: 0 }),
-                        cv: Condvar::new(),
+                        answer: Mutex::new(None),
+                        settled: Condvar::new(),
                     });
-                    inner.insert(key.clone(), Arc::clone(&flight));
-                    return FlightOutcome::Leader(FlightLeader {
-                        owner: self,
+                    let entry = Entry::InFlight(Arc::clone(&flight));
+                    inner.entries.insert(key.clone(), entry);
+                    inner.misses += 1;
+                    return Lookup::Lead(Lead {
+                        table: self,
                         key: key.clone(),
                         flight,
                         published: false,
@@ -454,44 +387,43 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
                 }
             }
         };
-        let mut state = lock_recover(&flight.state);
-        if let FlightState::Pending { waiters } = &mut *state {
-            *waiters += 1;
-        }
-        loop {
-            match &*state {
-                FlightState::Done(result) => {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return FlightOutcome::Coalesced(result.clone());
-                }
-                FlightState::Pending { .. } => {
-                    state = flight
-                        .cv
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+        Lookup::Answer(flight.wait())
+    }
+
+    /// Removes the in-flight entry of `key`, and publishes `keep` in its
+    /// place, evicting least-recently-used published answers until both
+    /// budgets hold.
+    fn retire(&self, key: &K, keep: Option<(&V, usize)>) {
+        let mut guard = lock_recover(&self.inner);
+        let inner = &mut *guard;
+        inner.entries.remove(key);
+        let Some((value, weight)) = keep else {
+            return;
+        };
+        inner.clock += 1;
+        let stamp = inner.clock;
+        inner.bytes += weight;
+        inner.lru.insert(stamp, key.clone());
+        let entry = Entry::Published {
+            value: value.clone(),
+            weight,
+            stamp,
+        };
+        inner.entries.insert(key.clone(), entry);
+        while inner.lru.len() > self.max_entries || inner.bytes > self.max_bytes {
+            let Some((_, victim)) = inner.lru.pop_first() else {
+                break;
+            };
+            if let Some(Entry::Published { weight, .. }) = inner.entries.remove(&victim) {
+                inner.bytes -= weight;
             }
         }
     }
 
-    /// Callers registered and waiting on `key`'s in-flight execution right
-    /// now (0 when no flight is pending). Exposed so tests and operators
-    /// can observe registration without racing publication.
-    pub fn waiters(&self, key: &K) -> usize {
-        let flight = match lock_recover(&self.inner).get(key) {
-            Some(flight) => Arc::clone(flight),
-            None => return 0,
-        };
-        let waiting = match &*lock_recover(&flight.state) {
-            FlightState::Pending { waiters } => *waiters,
-            FlightState::Done(_) => 0,
-        };
-        waiting
-    }
-
-    /// Total callers that received a coalesced (non-leader) result.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
+    /// Hits, misses and coalesced waiters so far.
+    pub(crate) fn counts(&self) -> (u64, u64, u64) {
+        let inner = lock_recover(&self.inner);
+        (inner.hits, inner.misses, inner.coalesced)
     }
 }
 
@@ -660,33 +592,31 @@ impl AdmissionController {
     }
 }
 
-/// The engine's assembled QoS layer: one cache, one flight table, an
-/// optional admission controller, and the configuration that armed them.
+/// The engine's assembled QoS layer: the answer table (`None` unless the
+/// cache is armed) and the admission controller (`None` unless armed).
 pub(crate) struct QosLayer {
-    pub(crate) config: QosConfig,
-    pub(crate) cache: ResultCache<CacheKey, QueryResponse>,
-    pub(crate) flight: SingleFlight<CacheKey, QueryResponse>,
+    pub(crate) answers: Option<AnswerTable<CacheKey, QueryResponse>>,
     pub(crate) admission: Option<AdmissionController>,
 }
 
 impl QosLayer {
-    pub(crate) fn new(config: QosConfig) -> Self {
-        let cache = ResultCache::new(config.cache_max_entries, config.cache_max_bytes);
-        let admission = config.admission.clone().map(AdmissionController::new);
+    pub(crate) fn new(config: &QosConfig) -> Self {
         QosLayer {
-            config,
-            cache,
-            flight: SingleFlight::new(),
-            admission,
+            answers: config
+                .cache_enabled()
+                .then(|| AnswerTable::new(config.cache_max_entries, config.cache_max_bytes)),
+            admission: config.admission.clone().map(AdmissionController::new),
         }
     }
 
     /// The engine-wide counters reported in `Stats` responses.
     pub(crate) fn snapshot(&self) -> QosStats {
+        let (cache_hits, cache_misses, coalesced) =
+            self.answers.as_ref().map_or((0, 0, 0), AnswerTable::counts);
         QosStats {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            coalesced: self.flight.coalesced(),
+            cache_hits,
+            cache_misses,
+            coalesced,
             shed: self.admission.as_ref().map_or(0, |a| a.shed_count()),
             queue_depth: self.admission.as_ref().map_or(0, |a| a.queue_depth()),
         }
@@ -698,96 +628,188 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
+    /// Leads `key`, which must be absent, and publishes `value` at `weight`.
+    fn put<V: Clone>(table: &AnswerTable<u32, V>, key: u32, value: V, weight: usize) {
+        let Lookup::Lead(lead) = table.lookup(&key) else {
+            panic!("key {key} must be absent");
+        };
+        lead.publish(&value, Some(weight));
+    }
+
+    /// The published answer of `key`, or `None` when the lookup led (the
+    /// dropped lead removes its entry again).
+    fn get<V: Clone>(table: &AnswerTable<u32, V>, key: u32) -> Option<V> {
+        match table.lookup(&key) {
+            Lookup::Answer(answer) => Some(answer.expect("a published answer")),
+            Lookup::Lead(_) => None,
+        }
+    }
+
+    /// All entries, the published ones, and the bytes these weigh.
+    fn sizes<V>(table: &AnswerTable<u32, V>) -> (usize, usize, usize) {
+        let inner = lock_recover(&table.inner);
+        (inner.entries.len(), inner.lru.len(), inner.bytes)
+    }
+
+    /// Leads `key`, waits (by progress, not by time) until `waiters`
+    /// threads wait on its execution, publishes `value` at `weight`, and
+    /// returns what each waiter received.
+    fn publish_to_waiters(
+        table: &AnswerTable<u32, u32>,
+        key: u32,
+        waiters: usize,
+        value: u32,
+        weight: Option<usize>,
+    ) -> Vec<Result<u32, Poisoned>> {
+        let Lookup::Lead(lead) = table.lookup(&key) else {
+            panic!("first caller must lead");
+        };
+        let coalesced = table.counts().2;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..waiters)
+                .map(|_| {
+                    scope.spawn(|| match table.lookup(&key) {
+                        Lookup::Answer(answer) => answer,
+                        Lookup::Lead(_) => panic!("the key is already led"),
+                    })
+                })
+                .collect();
+            // A waiter that stopped early panicked; joining it reports why.
+            while table.counts().2 < coalesced + waiters as u64
+                && !handles.iter().any(|h| h.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            lead.publish(&value, weight);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn cache_counts_hits_evicts_lru_and_respects_both_budgets() {
-        let cache: ResultCache<u32, String> = ResultCache::new(2, 100);
-        assert_eq!(cache.get(&1), None);
-        cache.count_miss();
-        cache.insert(1, "one".into(), 10);
-        cache.insert(2, "two".into(), 10);
-        assert_eq!(cache.get(&1), Some("one".into())); // 1 is now most recent
-        cache.insert(3, "three".into(), 10); // entry budget evicts LRU = 2
-        assert_eq!(cache.get(&2), None);
-        assert_eq!(cache.get(&1), Some("one".into()));
-        assert_eq!(cache.get(&3), Some("three".into()));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes(), 20);
-        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+        let table: AnswerTable<u32, String> = AnswerTable::new(2, 100);
+        put(&table, 1, "one".into(), 10);
+        put(&table, 2, "two".into(), 10);
+        assert_eq!(get(&table, 1), Some("one".into())); // 1 is now most recent
+        put(&table, 3, "three".into(), 10); // entry budget evicts LRU = 2
+        assert_eq!(get(&table, 2), None);
+        assert_eq!(get(&table, 1), Some("one".into()));
+        assert_eq!(get(&table, 3), Some("three".into()));
+        assert_eq!(sizes(&table), (2, 2, 20));
+        // Every lookup counts one outcome: three hits, and a miss for each
+        // of the four leads (three puts and the lookup of evicted 2).
+        assert_eq!(table.counts(), (3, 4, 0));
 
         // Byte budget: an 95-weight entry forces everything else out.
-        cache.insert(4, "big".into(), 95);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&4), Some("big".into()));
-        // Heavier than the whole budget: served but never cached.
-        cache.insert(5, "huge".into(), 101);
-        assert_eq!(cache.get(&5), None);
-        // Re-inserting a key replaces its weight instead of double counting.
-        cache.insert(4, "big2".into(), 50);
-        assert_eq!(cache.bytes(), 50);
-        assert_eq!(cache.get(&4), Some("big2".into()));
+        put(&table, 4, "big".into(), 95);
+        assert_eq!(sizes(&table), (1, 1, 95));
+        assert_eq!(get(&table, 4), Some("big".into()));
+        // Heavier than the whole budget: served but never cached, and it
+        // evicts nothing.
+        put(&table, 5, "huge".into(), 101);
+        assert_eq!(get(&table, 5), None);
+        assert_eq!(sizes(&table), (1, 1, 95));
+        // A key evicted and published again is weighed once, at its new
+        // weight: 6 pushes 4 out, and 4 comes back at 50.
+        put(&table, 6, "six".into(), 50);
+        put(&table, 4, "big2".into(), 50);
+        assert_eq!(sizes(&table), (2, 2, 100));
+        assert_eq!(get(&table, 4), Some("big2".into()));
     }
 
     #[test]
     fn cache_with_zero_budget_is_inert() {
-        let none: ResultCache<u32, u32> = ResultCache::new(0, 100);
-        none.insert(1, 1, 1);
-        assert_eq!(none.get(&1), None);
-        assert_eq!(none.len(), 0);
+        let none: AnswerTable<u32, u32> = AnswerTable::new(0, 100);
+        put(&none, 1, 1, 1);
+        assert_eq!(get(&none, 1), None);
+        assert_eq!(sizes(&none), (0, 0, 0));
     }
 
     #[test]
     fn single_flight_coalesces_waiters_onto_the_leader() {
-        let flight: SingleFlight<u32, u32> = SingleFlight::new();
-        let FlightOutcome::Leader(leader) = flight.join(&7) else {
-            panic!("first caller must lead");
-        };
+        let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
         let waiters = 4;
-        std::thread::scope(|scope| {
-            let flight = &flight;
-            let handles: Vec<_> = (0..waiters)
-                .map(|_| {
-                    scope.spawn(move || match flight.join(&7) {
-                        FlightOutcome::Coalesced(result) => result,
-                        FlightOutcome::Leader(_) => panic!("the key is already led"),
-                    })
-                })
-                .collect();
-            // Wait (by progress, not by time) until every waiter is
-            // registered on the flight, then publish once.
-            while flight.waiters(&7) < waiters {
-                std::thread::yield_now();
-            }
-            leader.publish(42);
-            for handle in handles {
-                assert_eq!(handle.join().unwrap(), Ok(42));
-            }
-        });
-        assert_eq!(flight.coalesced(), waiters as u64);
-        // The flight retired with publication: the next caller leads anew.
-        assert!(matches!(flight.join(&7), FlightOutcome::Leader(_)));
+        // Published uncached, the answer still reaches every waiter.
+        let answers = publish_to_waiters(&table, 7, waiters, 42, None);
+        assert_eq!(answers, vec![Ok(42); waiters]);
+        assert_eq!(table.counts(), (0, 1, waiters as u64));
+        // The entry went with publication: the next caller leads anew.
+        assert!(matches!(table.lookup(&7), Lookup::Lead(_)));
     }
 
     #[test]
     fn a_dead_leader_poisons_waiters_instead_of_wedging_them() {
-        let flight: SingleFlight<u32, u32> = SingleFlight::new();
-        let leader = match flight.join(&1) {
-            FlightOutcome::Leader(leader) => leader,
-            FlightOutcome::Coalesced(_) => panic!("first caller must lead"),
+        let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
+        let Lookup::Lead(lead) = table.lookup(&1) else {
+            panic!("first caller must lead");
         };
         std::thread::scope(|scope| {
-            let flight = &flight;
-            let waiter = scope.spawn(move || match flight.join(&1) {
-                FlightOutcome::Coalesced(result) => result,
-                FlightOutcome::Leader(_) => panic!("the key is already led"),
+            let waiter = scope.spawn(|| match table.lookup(&1) {
+                Lookup::Answer(answer) => answer,
+                Lookup::Lead(_) => panic!("the key is already led"),
             });
-            while flight.waiters(&1) < 1 {
+            while table.counts().2 < 1 && !waiter.is_finished() {
                 std::thread::yield_now();
             }
-            drop(leader); // died without publishing
+            drop(lead); // died without publishing
             assert_eq!(waiter.join().unwrap(), Err(Poisoned));
         });
-        // Poisoning retires the flight too.
-        assert!(matches!(flight.join(&1), FlightOutcome::Leader(_)));
+        // Poisoning removes the entry too: the next caller leads anew.
+        assert_eq!(sizes(&table), (0, 0, 0));
+        assert!(matches!(table.lookup(&1), Lookup::Lead(_)));
+    }
+
+    #[test]
+    fn a_lookup_after_the_leader_publishes_is_a_hit_and_leads_nothing() {
+        let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
+        let answers = publish_to_waiters(&table, 3, 2, 30, Some(8));
+        assert_eq!(answers, vec![Ok(30); 2]);
+        assert_eq!(sizes(&table), (1, 1, 8));
+        assert_eq!(get(&table, 3), Some(30));
+        assert_eq!(table.counts(), (1, 1, 2), "one execution, then a hit");
+    }
+
+    #[test]
+    fn an_error_or_overweight_answer_wakes_its_waiters_and_leaves_no_entry() {
+        let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
+        // `None` is how the engine publishes an error; 101 exceeds the
+        // whole byte budget.
+        for (key, weight) in [(1, None), (2, Some(101))] {
+            let answers = publish_to_waiters(&table, key, 3, 5, weight);
+            assert_eq!(answers, vec![Ok(5); 3], "{weight:?}");
+            assert_eq!(sizes(&table), (0, 0, 0), "{weight:?}");
+        }
+        assert_eq!(table.counts(), (0, 2, 6));
+        assert!(matches!(table.lookup(&2), Lookup::Lead(_)));
+    }
+
+    #[test]
+    fn lru_pressure_never_evicts_an_in_flight_entry() {
+        let table: AnswerTable<u32, u32> = AnswerTable::new(1, 10);
+        let Lookup::Lead(lead) = table.lookup(&1) else {
+            panic!("first caller must lead");
+        };
+        // Each publication fills a budget, so each evicts the one before;
+        // the entry in flight takes no part in either budget.
+        put(&table, 2, 20, 5);
+        put(&table, 3, 30, 10);
+        put(&table, 4, 40, 10);
+        assert_eq!(sizes(&table), (2, 1, 10));
+        assert_eq!(get(&table, 4), Some(40));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match table.lookup(&1) {
+                Lookup::Answer(answer) => answer,
+                Lookup::Lead(_) => panic!("the entry in flight was evicted"),
+            });
+            while table.counts().2 < 1 && !waiter.is_finished() {
+                std::thread::yield_now();
+            }
+            lead.publish(&10, Some(10));
+            assert_eq!(waiter.join().unwrap(), Ok(10));
+        });
+        // Published, it is the most recent answer and evicts 4.
+        assert_eq!(sizes(&table), (1, 1, 10));
+        assert_eq!(get(&table, 1), Some(10));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::wire::transport::{Transport, TransportError};
+use crate::wire::transport::{time_left, Transport, TransportError};
 
 /// What to inject, with what probability. Rates are per-mille (`0..=1000`)
 /// per message, evaluated independently on every send and receive.
@@ -249,10 +249,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
             if self.dead.load(Ordering::Relaxed) {
                 return Err(TransportError::Closed);
             }
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .filter(|r| !r.is_zero())
-                .ok_or(TransportError::TimedOut)?;
+            let remaining = time_left(deadline)?;
             let Some(frame) = self.inner.recv_timeout(remaining)? else {
                 return Ok(None);
             };

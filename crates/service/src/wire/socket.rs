@@ -33,7 +33,7 @@ use kvcc::KvccOptions;
 
 use crate::protocol::{QueryResponse, Request, RequestBody, Response, ResponseBody, ServiceError};
 use crate::wire::frame::{encode_frame, FrameDecoder};
-use crate::wire::transport::{run_shard_worker, Transport, TransportError};
+use crate::wire::transport::{run_shard_worker, time_left, Transport, TransportError};
 
 /// Socket behaviour knobs shared by the TCP and Unix transports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,16 +151,8 @@ impl<S: SocketStream> StreamTransport<S> {
                 return Ok(None);
             }
             let per_read = match deadline {
-                Some(deadline) => {
-                    let Some(remaining) = deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|r| !r.is_zero())
-                    else {
-                        return Err(TransportError::TimedOut);
-                    };
-                    // set_read_timeout(Some(0)) is an error in std; clamp up.
-                    Some(remaining.max(Duration::from_millis(1)))
-                }
+                // set_read_timeout(Some(0)) is an error in std; clamp up.
+                Some(deadline) => Some(time_left(deadline)?.max(Duration::from_millis(1))),
                 None => self.options.read_timeout,
             };
             if half.armed != Some(per_read) {

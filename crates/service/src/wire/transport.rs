@@ -21,11 +21,11 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use kvcc::KvccOptions;
+use kvcc::{Budget, KvccOptions};
 
 use crate::protocol::{QueryResponse, Request, RequestBody, Response, ResponseBody, ServiceError};
 use crate::wire::frame::{encode_frame, FrameDecoder};
-use crate::wire::run_work_item;
+use crate::wire::{run_work_item, CsrWorkItem};
 
 /// Why a transport operation failed.
 ///
@@ -173,12 +173,7 @@ impl LoopbackTransport {
                     state = match deadline {
                         None => self.incoming.ready.wait(state).unwrap(),
                         Some(deadline) => {
-                            let Some(remaining) = deadline
-                                .checked_duration_since(Instant::now())
-                                .filter(|r| !r.is_zero())
-                            else {
-                                return Err(TransportError::TimedOut);
-                            };
+                            let remaining = time_left(deadline)?;
                             self.incoming
                                 .ready
                                 .wait_timeout(state, remaining)
@@ -263,14 +258,21 @@ impl Default for CallOptions {
     }
 }
 
-impl CallOptions {
-    /// The backoff to sleep before retry number `retry` (1-based).
-    pub(crate) fn backoff(&self, retry: u32) -> Duration {
-        let shift = retry.saturating_sub(1).min(16);
-        self.backoff_base
-            .saturating_mul(1u32 << shift)
-            .min(self.backoff_cap)
-    }
+/// The doubling backoff before retry number `retry` (1-based) that
+/// [`call_with`] and the shard coordinator share: `base << (retry - 1)`,
+/// capped at `cap`.
+pub(crate) fn backoff(base: Duration, cap: Duration, retry: u32) -> Duration {
+    let shift = retry.saturating_sub(1).min(16);
+    base.saturating_mul(1u32 << shift).min(cap)
+}
+
+/// The time left before `deadline`, or [`TransportError::TimedOut`] once
+/// none is: the one bounded-wait rule of every transport.
+pub(crate) fn time_left(deadline: Instant) -> Result<Duration, TransportError> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or(TransportError::TimedOut)
 }
 
 /// Sends `request` and blocks for the next response frame — the minimal
@@ -302,23 +304,14 @@ pub fn call_with(
     let mut last_error = TransportError::TimedOut;
     for attempt in 0..attempts {
         if attempt > 0 {
-            std::thread::sleep(options.backoff(attempt));
+            std::thread::sleep(backoff(options.backoff_base, options.backoff_cap, attempt));
         }
         transport.send(&request.to_bytes())?;
         let deadline = options.timeout.map(|t| Instant::now() + t);
         loop {
             let frame = match deadline {
                 None => transport.recv(),
-                Some(deadline) => {
-                    let Some(remaining) = deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|r| !r.is_zero())
-                    else {
-                        last_error = TransportError::TimedOut;
-                        break;
-                    };
-                    transport.recv_timeout(remaining)
-                }
+                Some(deadline) => time_left(deadline).and_then(|left| transport.recv_timeout(left)),
             };
             match frame {
                 Ok(Some(frame)) => match Response::from_bytes(&frame) {
@@ -404,6 +397,21 @@ pub(crate) fn answer_frame(frame: &[u8], dispatch: impl FnOnce(&Request) -> Resp
     response.to_bytes()
 }
 
+/// The answer to a work item that the engine and the shard worker share:
+/// the item's k-VCCs in loaded ids under `budget`, or the error that
+/// stopped the enumeration.
+pub(crate) fn answer_work_item(
+    item: &CsrWorkItem,
+    k: u32,
+    options: &KvccOptions,
+    budget: Budget,
+) -> QueryResponse {
+    match run_work_item(item, k, &options.clone().with_budget(budget)) {
+        Ok(components) => QueryResponse::Components(components),
+        Err(e) => QueryResponse::Error(e.into()),
+    }
+}
+
 /// The receive loop every server shares: [`answer_frame`] for each request
 /// frame, in order, until the peer closes the transport.
 pub(crate) fn serve_frames(
@@ -442,11 +450,7 @@ pub fn run_shard_worker(
         let body = match &request.body {
             RequestBody::WorkItem { k, item } => {
                 served += 1;
-                let options = options.clone().with_budget(request.budget());
-                match run_work_item(item, *k, &options) {
-                    Ok(components) => QueryResponse::Components(components),
-                    Err(e) => QueryResponse::Error(e.into()),
-                }
+                answer_work_item(item, *k, options, request.budget())
             }
             // A token-less worker accepts any handshake as a no-op (clients
             // handshake unconditionally); token *checking* happens in the
@@ -532,10 +536,17 @@ mod tests {
             backoff_cap: Duration::from_millis(35),
             ..CallOptions::default()
         };
-        assert_eq!(options.backoff(1), Duration::from_millis(10));
-        assert_eq!(options.backoff(2), Duration::from_millis(20));
-        assert_eq!(options.backoff(3), Duration::from_millis(35));
-        assert_eq!(options.backoff(30), Duration::from_millis(35));
+        let call_backoff = |retry| backoff(options.backoff_base, options.backoff_cap, retry);
+        assert_eq!(call_backoff(1), Duration::from_millis(10));
+        assert_eq!(call_backoff(2), Duration::from_millis(20));
+        assert_eq!(call_backoff(3), Duration::from_millis(35));
+        assert_eq!(call_backoff(30), Duration::from_millis(35));
+        // The coordinator's defaults: 2, 4, 8, 16, 32, then capped at 50 ms.
+        let fleet = crate::CoordinatorConfig::default();
+        let fleet_ms: Vec<u128> = (1..=8)
+            .map(|retry| backoff(fleet.backoff_base, fleet.backoff_cap, retry).as_millis())
+            .collect();
+        assert_eq!(fleet_ms, [2, 4, 8, 16, 32, 50, 50, 50]);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! every query kind, every [`OrderingPolicy`], the in-process path, the
 //! framed-byte path ([`ServiceEngine::handle_frame`]) and a real TCP
 //! socket. Epoch keying makes invalidation exact (zero stale hits after an
-//! update batch), coalescing collapses identical concurrent queries onto
-//! one execution (counter-asserted), failed executions propagate to every
-//! waiter instead of wedging them, and overload shedding answers with the
-//! retryable [`ServiceError::Overloaded`] without corrupting engine state.
+//! update batch), a read racing update batches is answered from one graph
+//! snapshot inside its epoch window, coalescing collapses identical
+//! concurrent queries onto one execution (counter-asserted), failed
+//! executions propagate to every waiter instead of wedging them, and
+//! overload shedding answers with the retryable
+//! [`ServiceError::Overloaded`] without corrupting engine state.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use kvcc::RankBy;
@@ -407,6 +410,121 @@ fn failed_executions_propagate_their_error_to_every_waiter() {
         limit: 3,
     });
     assert!(matches!(probe, QueryResponse::Connectivity(_)));
+}
+
+/// Three update batches for the suite graph: each deletes edges at the
+/// vertices the vocabulary asks about and inserts edges across the graph,
+/// so answers move from epoch to epoch.
+fn update_batches(graph: &UndirectedGraph) -> Vec<Vec<EdgeUpdate>> {
+    let n = graph.num_vertices() as u32;
+    (0..3u32)
+        .map(|b| {
+            let mut batch: Vec<EdgeUpdate> = [b, n / 2 + b]
+                .iter()
+                .flat_map(|&v| graph.neighbors(v).iter().take(2).map(move |&w| (v, w)))
+                .map(|(u, v)| EdgeUpdate::delete(u, v))
+                .collect();
+            for (u, v) in [
+                (0, n - 1 - b),
+                (1, n / 2 + b),
+                (2, n / 3 + b),
+                (3, n - 5 - b),
+            ] {
+                batch.push(EdgeUpdate::insert(u, v));
+            }
+            batch
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_reads_answer_from_a_snapshot_in_their_epoch_window() {
+    let graph = suite_graph();
+    let n = graph.num_vertices() as u32;
+    let batches = update_batches(&graph);
+
+    // The QoS-off engine's answers at every epoch, 0 to 3.
+    let reference = ServiceEngine::new(EngineConfig::default());
+    let ref_id = reference.load_graph("suite", &graph);
+    let mut expected: Vec<Vec<QueryResponse>> = Vec::new();
+    for epoch in 0..=batches.len() {
+        expected.push(
+            vocabulary(ref_id, n)
+                .iter()
+                .map(|q| reference.execute(q))
+                .collect(),
+        );
+        if let Some(batch) = batches.get(epoch) {
+            reference.apply_updates(ref_id, batch).unwrap();
+        }
+    }
+    let moved = (1..expected.len())
+        .filter(|&e| expected[e] != expected[e - 1])
+        .count();
+    assert_eq!(moved, batches.len(), "every batch moves some answer");
+
+    let engine = qos_engine(OrderingPolicy::Preserve);
+    let id = engine.load_graph("suite", &graph);
+    assert_eq!(id, ref_id);
+    let queries = vocabulary(id, n);
+    // Batches sent and acknowledged so far: a read sent when `acked` was
+    // `lo` and returned before `sent` passed `hi` ran at an epoch in
+    // `lo..=hi`.
+    let (sent, acked) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let rounds = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    const READERS: usize = 2;
+    let reads: usize = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut reads = 0;
+                    while !done.load(Ordering::SeqCst) {
+                        for (i, query) in queries.iter().enumerate() {
+                            let lo = acked.load(Ordering::SeqCst);
+                            let answer = engine.execute(query);
+                            let hi = sent.load(Ordering::SeqCst);
+                            assert!(
+                                (lo..=hi).any(|epoch| expected[epoch][i] == answer),
+                                "{query:?} answered {answer:?}, which no epoch in {lo}..={hi} gives"
+                            );
+                            reads += 1;
+                        }
+                        rounds.fetch_add(1, Ordering::SeqCst);
+                    }
+                    reads
+                })
+            })
+            .collect();
+        // Wait (by progress, not by time) for as many finished rounds as
+        // there are readers at each epoch before the next batch goes in. A
+        // reader that stopped early panicked; joining it below reports why.
+        let settle = || {
+            let target = rounds.load(Ordering::SeqCst) + READERS;
+            while rounds.load(Ordering::SeqCst) < target && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
+            }
+        };
+        for batch in &batches {
+            settle();
+            sent.fetch_add(1, Ordering::SeqCst);
+            engine.apply_updates(id, batch).unwrap();
+            acked.fetch_add(1, Ordering::SeqCst);
+        }
+        settle();
+        done.store(true, Ordering::SeqCst);
+        readers.into_iter().map(|r| r.join().unwrap()).sum()
+    });
+
+    // Every read is cacheable, and each counts exactly one outcome.
+    let qos = engine.qos_stats();
+    assert_eq!(
+        qos.cache_hits + qos.cache_misses + qos.coalesced,
+        reads as u64,
+        "{qos:?}"
+    );
+    assert_eq!(engine.graph_epoch(id).unwrap(), batches.len() as u64);
 }
 
 #[test]
