@@ -16,22 +16,31 @@
 //!
 //! # Implementation notes
 //!
-//! * The input graph may be any [`GraphView`]; every internal work item is a
-//!   compact [`CsrGraph`].
-//! * k-core peeling and component splitting are one call,
-//!   [`split_k_core`], on a [`SubgraphView`] vertex mask — no copy is made
-//!   until a component comes out of it, at which point it is extracted once
-//!   into CSR form through a reusable relabelling buffer
-//!   ([`CsrGraph::extract_induced`]). A component that is the whole
-//!   work item (nothing peeled, one component) is not copied at all, and a
-//!   first k-core that is the whole input is copied row by row, with no
-//!   relabelling and at exact capacity.
+//! * The input graph may be any [`GraphView`], and it is the first work
+//!   item: borrowed, never copied, its ids mapping to themselves. Every
+//!   later work item is a compact [`CsrGraph`] with its own id list. The
+//!   input counts in `work_items_executed` only when its k-core is not
+//!   empty.
+//! * A work item's k-core is peeled on a [`SubgraphView`] vertex mask
+//!   ([`SubgraphView::k_core_reduce`]); no copy is made until a component
+//!   comes out of it, at which point it is extracted once into CSR form
+//!   through a reusable relabelling buffer ([`CsrGraph::extract_induced`]).
+//! * The peel's result picks the component split. When the peel removes
+//!   nothing, round 1 of the sparse certificate's scan-first forests is the
+//!   split: its trees are the item's components, in the labelling kernel's
+//!   order ([`kvcc_graph::scan_first`], "Round 1 is the split"). One tree is
+//!   the whole item, which is not copied, and its `GLOBAL-CUT*` resumes the
+//!   forests at round 2, so the item is traversed once, not twice, before
+//!   the certificate's second round. Several trees, which only an input
+//!   can have, are extracted and cut one by one. When the peel removes
+//!   vertices, the mask's components ([`SubgraphView::components`]) are the
+//!   split.
 //! * Each `GLOBAL-CUT` probe reuses a per-worker [`CutScratch`] flow arena
 //!   instead of rebuilding its network from scratch.
 //! * The work items created by `OVERLAP-PARTITION` are independent, so with
-//!   [`KvccOptions::threads`] ≠ 1 they are processed by a pool of workers;
-//!   results and statistics merge deterministically (see
-//!   [`KvccOptions::threads`]).
+//!   [`KvccOptions::threads`] ≠ 1 they are processed by a pool of workers
+//!   (the caller's thread processes the input first); results and
+//!   statistics merge deterministically (see [`KvccOptions::threads`]).
 //! * The workers share one LIFO stack behind a `Mutex` and wait on one
 //!   `Condvar`. An item runs a whole `GLOBAL-CUT*`, 0.26 ms on average on a
 //!   451-item planted graph and up to tens of milliseconds, so the lock,
@@ -46,11 +55,11 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use kvcc_flow::Interrupted;
-use kvcc_graph::kcore::{k_core_vertices, split_k_core};
+use kvcc_graph::scan_first::{first_round, FirstRound};
 use kvcc_graph::{CsrGraph, GraphView, SubgraphView, VertexId};
 
 use crate::error::KvccError;
-use crate::global_cut::{global_cut_with_scratch, CutScratch};
+use crate::global_cut::{global_cut_resumed, CutScratch};
 use crate::options::{effective_threads, AlgorithmVariant, KvccOptions};
 use crate::partition::overlap_partition;
 use crate::result::{KVertexConnectedComponent, KvccResult};
@@ -152,8 +161,8 @@ impl KvccEnumerator {
         }
     }
 
-    /// Builds the initial worklist (first k-core peel) and drains it on the
-    /// configured runtime.
+    /// Drains the worklist on the configured runtime. The first work item
+    /// is the caller's graph itself, borrowed.
     fn run_worklist<G: GraphView>(
         &self,
         graph: &G,
@@ -163,37 +172,19 @@ impl KvccEnumerator {
     ) -> Result<(), KvccError> {
         // Pre-expired budgets interrupt before any work starts.
         self.options.budget.check().map_err(KvccError::from)?;
-
-        // Apply the first round of k-core pruning directly on the caller's
-        // graph so the working set never contains a full copy of the input —
-        // only the (usually much smaller) k-core and its descendants. The
-        // memory tracker therefore measures the algorithm's *working* memory,
-        // which is what Fig. 12 of the paper tracks trends of.
-        let mut initial: Vec<WorkItem> = Vec::new();
-        let core_vertices = k_core_vertices(graph, k as usize);
-        stats.kcore_removed_vertices += (graph.num_vertices() - core_vertices.len()) as u64;
-        if !core_vertices.is_empty() {
-            let mut map = Vec::new();
-            let core = CsrGraph::extract_induced(graph, &core_vertices, &mut map);
-            initial.push(WorkItem {
-                graph: core,
-                to_original: core_vertices,
-            });
-        }
-
         let threads = effective_threads(self.options.threads);
         if threads <= 1 {
-            self.run_sequential(k, initial, results, stats)
+            self.run_sequential(graph, k, results, stats)
         } else {
-            self.run_parallel(k, initial, results, stats, threads)
+            self.run_parallel(graph, k, results, stats, threads)
         }
     }
 
     /// Sequential worklist (LIFO, matching the seed implementation).
-    fn run_sequential(
+    fn run_sequential<G: GraphView>(
         &self,
+        graph: &G,
         k: u32,
-        initial: Vec<WorkItem>,
         results: &mut Vec<KVertexConnectedComponent>,
         stats: &mut EnumerationStats,
     ) -> Result<(), KvccError> {
@@ -201,11 +192,24 @@ impl KvccEnumerator {
         let mut scratch = WorkerScratch::default();
         let mut work: Vec<WorkItem> = Vec::new();
         let mut created: Vec<WorkItem> = Vec::new();
-        for item in initial {
-            memory.allocate(item.bytes());
-            work.push(item);
-        }
-        while let Some(item) = work.pop() {
+        self.process_item(
+            graph,
+            None,
+            k,
+            &mut created,
+            results,
+            stats,
+            &mut memory,
+            &mut scratch,
+        )?;
+        loop {
+            for item in created.drain(..) {
+                memory.allocate(item.bytes());
+                work.push(item);
+            }
+            let Some(item) = work.pop() else {
+                break;
+            };
             // One poll per work item; finer-grained checkpoints live inside
             // the GLOBAL-CUT probes themselves.
             if self.options.budget.expired() {
@@ -214,7 +218,8 @@ impl KvccEnumerator {
             }
             memory.release(item.bytes());
             self.process_item(
-                item,
+                &item.graph,
+                Some(item.to_original),
                 k,
                 &mut created,
                 results,
@@ -222,18 +227,20 @@ impl KvccEnumerator {
                 &mut memory,
                 &mut scratch,
             )?;
-            for item in created.drain(..) {
-                memory.allocate(item.bytes());
-                work.push(item);
-            }
         }
         stats.peak_memory_bytes = stats.peak_memory_bytes.max(memory.peak());
         Ok(())
     }
 
-    /// The parallel runtime: `threads` scoped workers share one LIFO stack
-    /// of pending items behind a `Mutex`, and idle workers wait on one
+    /// The parallel runtime: the caller's thread processes the first work
+    /// item, then `threads` scoped workers share one LIFO stack of the
+    /// pending items behind a `Mutex`, and idle workers wait on one
     /// `Condvar`.
+    ///
+    /// The first item is the caller's graph, which the workers do not
+    /// share (a [`GraphView`] need not be `Sync`). It runs before the pool
+    /// starts, so a panic inside it reaches the caller directly, and its
+    /// memory peak is folded into `stats` like a worker's.
     ///
     /// A worker pops the newest item, processes it with the lock released,
     /// then pushes the items it created and signals. It waits while the
@@ -251,17 +258,33 @@ impl KvccEnumerator {
     /// out, stops the pool and wakes the waiters, so the other workers leave
     /// and the scope passes the panic to the caller, as the sequential
     /// runtime does.
-    fn run_parallel(
+    fn run_parallel<G: GraphView>(
         &self,
+        graph: &G,
         k: u32,
-        initial: Vec<WorkItem>,
         results: &mut Vec<KVertexConnectedComponent>,
         stats: &mut EnumerationStats,
         threads: usize,
     ) -> Result<(), KvccError> {
+        let mut memory = MemoryTracker::new();
+        let mut initial = Vec::new();
+        let first = self.process_item(
+            graph,
+            None,
+            k,
+            &mut initial,
+            results,
+            stats,
+            &mut memory,
+            &mut WorkerScratch::default(),
+        );
+        // `merge` below keeps the larger of this and each worker's peak.
+        stats.peak_memory_bytes = memory.peak();
+        first?;
+
         struct Shared<'a> {
             /// Pending items, each with the worker that created it (`None`
-            /// for the initial items).
+            /// for the items the first one created).
             stack: Vec<(WorkItem, Option<usize>)>,
             /// Workers processing an item right now.
             busy: usize,
@@ -337,7 +360,8 @@ impl KvccEnumerator {
                             Err(KvccError::from(Interrupted))
                         } else {
                             self.process_item(
-                                item,
+                                &item.graph,
+                                Some(item.to_original),
                                 k,
                                 &mut created,
                                 &mut local_results,
@@ -384,13 +408,16 @@ impl KvccEnumerator {
     }
 
     /// Handles one work item: k-core pruning, component split, cut-or-report.
+    /// `to_original` maps the item's ids to the input's; `None` is the
+    /// input itself, the first item, whose ids map by identity.
     ///
     /// New work items are pushed to `created`; the caller owns queueing and
     /// the associated memory accounting.
     #[allow(clippy::too_many_arguments)]
-    fn process_item(
+    fn process_item<G: GraphView>(
         &self,
-        item: WorkItem,
+        graph: &G,
+        to_original: Option<Vec<VertexId>>,
         k: u32,
         created: &mut Vec<WorkItem>,
         results: &mut Vec<KVertexConnectedComponent>,
@@ -398,46 +425,53 @@ impl KvccEnumerator {
         memory: &mut MemoryTracker,
         scratch: &mut WorkerScratch,
     ) -> Result<(), KvccError> {
-        stats.work_items_executed += 1;
-        #[cfg(test)]
-        if let Some(countdown) = &self.panic_countdown {
-            if countdown.fetch_sub(1, std::sync::atomic::Ordering::Relaxed) == 1 {
-                panic!("injected work item panic");
+        // Line 2 of Algorithm 1: peel the k-core on a vertex mask, without
+        // copying the graph.
+        let mut view = SubgraphView::new(graph);
+        let removed = view.k_core_reduce(k as usize);
+        stats.kcore_removed_vertices += removed as u64;
+        // The input counts as a work item only when its k-core is not empty.
+        if to_original.is_some() || view.live() > 0 {
+            stats.work_items_executed += 1;
+            #[cfg(test)]
+            if let Some(countdown) = &self.panic_countdown {
+                if countdown.fetch_sub(1, std::sync::atomic::Ordering::Relaxed) == 1 {
+                    panic!("injected work item panic");
+                }
             }
         }
-        // Lines 2–3 of Algorithm 1: peel the k-core and split it into
-        // connected components, on a vertex mask, without copying the graph.
-        let mut view = SubgraphView::new(&item.graph);
-        let components = split_k_core(&mut view, k as usize);
-        let removed = item.graph.num_vertices() - view.live();
-        stats.kcore_removed_vertices += removed as u64;
-        if removed == 0 && components.len() == 1 {
-            // One component with nothing peeled is the whole item: its graph
-            // and mapping serve without a copy.
-            return self.cut_or_report(
-                &item.graph,
-                item.to_original,
-                k,
-                created,
-                results,
-                stats,
-                memory,
-                scratch,
-            );
-        }
+        // Line 3: split the k-core into connected components. With nothing
+        // peeled, round 1 of the scan-first forests is the split (see the
+        // module docs); one tree is the whole item, whose graph and mapping
+        // serve without a copy and whose `GLOBAL-CUT*` resumes the forests.
+        let components = if removed == 0 {
+            let first = first_round(graph, k);
+            if first.num_trees() == 1 {
+                return self.cut_or_report(
+                    first,
+                    to_original,
+                    k,
+                    created,
+                    results,
+                    stats,
+                    memory,
+                    scratch,
+                );
+            }
+            first.trees()
+        } else {
+            view.components()
+        };
         for component in components {
             // One extraction per component (ids stay sorted, so the
             // relabelled CSR rows come out sorted for free). A k-core
             // component has more than k vertices, as a k-VCC needs
             // (Definition 2).
-            let sub = CsrGraph::extract_induced(&item.graph, &component, &mut scratch.map);
-            let to_original: Vec<VertexId> = component
-                .iter()
-                .map(|&local| item.to_original[local as usize])
-                .collect();
+            let sub = CsrGraph::extract_induced(graph, &component, &mut scratch.map);
+            let ids = original_ids(to_original.as_deref(), component);
             self.cut_or_report(
-                &sub,
-                to_original,
+                first_round(&sub, k),
+                Some(ids),
                 k,
                 created,
                 results,
@@ -449,13 +483,15 @@ impl KvccEnumerator {
         Ok(())
     }
 
-    /// Lines 5-11 of Algorithm 1 on one connected component `sub` of more
-    /// than `k` vertices: find a cut, then report `sub` or partition it.
+    /// Lines 5-11 of Algorithm 1 on one connected component of more than
+    /// `k` vertices, the graph of `first`: find a cut, then report the
+    /// component or partition it. `to_original` is as in
+    /// [`Self::process_item`].
     #[allow(clippy::too_many_arguments)]
-    fn cut_or_report(
+    fn cut_or_report<G: GraphView>(
         &self,
-        sub: &CsrGraph,
-        to_original: Vec<VertexId>,
+        first: FirstRound<'_, G>,
+        to_original: Option<Vec<VertexId>>,
         k: u32,
         created: &mut Vec<WorkItem>,
         results: &mut Vec<KVertexConnectedComponent>,
@@ -463,14 +499,17 @@ impl KvccEnumerator {
         memory: &mut MemoryTracker,
         scratch: &mut WorkerScratch,
     ) -> Result<(), KvccError> {
-        let outcome = global_cut_with_scratch(sub, k, &self.options, stats, &mut scratch.cut)?;
+        let sub = first.graph();
+        let outcome = global_cut_resumed(first, &self.options, stats, &mut scratch.cut)?;
         memory.allocate(outcome.scratch_memory_bytes);
         memory.release(outcome.scratch_memory_bytes);
         match outcome.cut {
-            None => results.push(KVertexConnectedComponent::new(to_original)),
+            None => results.push(KVertexConnectedComponent::new(
+                to_original.unwrap_or_else(|| sub.vertices().collect()),
+            )),
             Some(cut) => self.partition_and_push(
                 sub,
-                &to_original,
+                to_original.as_deref(),
                 cut,
                 k,
                 created,
@@ -485,10 +524,10 @@ impl KvccEnumerator {
     /// Applies `OVERLAP-PARTITION` and pushes the pieces, handling the
     /// defensive case of a cut that fails to split the subgraph.
     #[allow(clippy::too_many_arguments)]
-    fn partition_and_push(
+    fn partition_and_push<G: GraphView>(
         &self,
-        subgraph: &CsrGraph,
-        to_original: &[VertexId],
+        subgraph: &G,
+        to_original: Option<&[VertexId]>,
         cut: Vec<VertexId>,
         k: u32,
         created: &mut Vec<WorkItem>,
@@ -504,7 +543,11 @@ impl KvccEnumerator {
             stats.fallback_recuts += 1;
             match kvcc_flow::connectivity::find_vertex_cut(subgraph, k) {
                 None => {
-                    results.push(KVertexConnectedComponent::new(to_original.to_vec()));
+                    let all = subgraph.vertices().collect();
+                    results.push(KVertexConnectedComponent::new(original_ids(
+                        to_original,
+                        all,
+                    )));
                     return Ok(());
                 }
                 Some(recut) => {
@@ -521,16 +564,21 @@ impl KvccEnumerator {
         for part in parts {
             // `part` is sorted and de-duplicated by `overlap_partition`.
             let piece = CsrGraph::extract_induced(subgraph, &part, &mut scratch.map);
-            let piece_to_original: Vec<VertexId> = part
-                .iter()
-                .map(|&local| to_original[local as usize])
-                .collect();
             created.push(WorkItem {
                 graph: piece,
-                to_original: piece_to_original,
+                to_original: original_ids(to_original, part),
             });
         }
         Ok(())
+    }
+}
+
+/// The input's ids of the sorted `local` ids of a work item whose ids map to
+/// the input's through `to_original` (`None`: by identity).
+fn original_ids(to_original: Option<&[VertexId]>, local: Vec<VertexId>) -> Vec<VertexId> {
+    match to_original {
+        None => local,
+        Some(ids) => local.iter().map(|&v| ids[v as usize]).collect(),
     }
 }
 
@@ -810,6 +858,135 @@ mod tests {
         // works: cancellation poisons nothing.
         let fresh = KvccOptions::default().with_budget(crate::Budget::cancellable());
         assert_eq!(enumerate_kvccs(&g, 2, &fresh).unwrap().num_components(), 2);
+    }
+
+    /// Every deterministic counter of one run, in the order of
+    /// [`EnumerationStats`]' fields: `GLOBAL-CUT*` calls, flow and trivial
+    /// `LOC-CUT` calls, tested vertices, the vertices pruned by neighbour
+    /// rules 1 and 2 and by group sweeps, phase-2 pairs tested and skipped,
+    /// partitions, k-core removals, certificate edges, strong side-vertices,
+    /// side-groups, fallback re-cuts and work items.
+    fn pinned(c: [u64; 16]) -> EnumerationStats {
+        EnumerationStats {
+            global_cut_calls: c[0],
+            loc_cut_flow_calls: c[1],
+            loc_cut_trivial_calls: c[2],
+            tested_vertices: c[3],
+            pruned_neighbor_rule1: c[4],
+            pruned_neighbor_rule2: c[5],
+            pruned_group_sweep: c[6],
+            phase2_pairs_tested: c[7],
+            phase2_pairs_skipped: c[8],
+            partitions: c[9],
+            kcore_removed_vertices: c[10],
+            certificate_edges: c[11],
+            strong_side_vertices: c[12],
+            side_groups: c[13],
+            fallback_recuts: c[14],
+            work_items_executed: c[15],
+            ..EnumerationStats::default()
+        }
+    }
+
+    /// A clique on each listed vertex set, over `n` vertices, plus `extra`
+    /// edges.
+    fn cliques(n: usize, sets: &[&[VertexId]], extra: &[(VertexId, VertexId)]) -> UndirectedGraph {
+        let mut edges = extra.to_vec();
+        for set in sets {
+            for (i, &a) in set.iter().enumerate() {
+                edges.extend(set[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+        UndirectedGraph::from_edges(n, edges).unwrap()
+    }
+
+    /// `enumerate_kvccs`'s components and every deterministic counter, per
+    /// variant in [`AlgorithmVariant::all`] order, at one and two threads
+    /// (every counter but `peak_memory_bytes`, `elapsed` and `steals`).
+    /// The figures were taken from the enumerator as it stood before its
+    /// first work item became the caller's graph: it then peeled the input
+    /// and copied its k-core up front, peeled that copy again, and split
+    /// every work item with the labelling kernel before the forests' own
+    /// round 1. Inputs: the tiny ring at k = 1 and 4 (one item, whole
+    /// after its peel); `two_blocks` at k = 3 (a partition); two disjoint
+    /// K7 at k = 4 (a root the peel leaves whole but disconnected);
+    /// `two_blocks` and a K5 joined by a path at k = 3 (a root whose peel
+    /// removes the path and leaves two components, one of which
+    /// partitions); and a tree at k = 2 (an empty k-core: no work item).
+    #[test]
+    fn components_and_counters_match_the_copying_enumerator() {
+        const RING_K1: [[u64; 16]; 4] = [
+            [1, 510, 7, 511, 0, 0, 0, 6, 0, 0, 0, 511, 0, 1, 0, 1],
+            [1, 0, 0, 0, 511, 0, 0, 0, 0, 0, 0, 511, 512, 1, 0, 1],
+            [1, 0, 0, 0, 0, 0, 511, 0, 0, 0, 0, 511, 512, 1, 0, 1],
+            [1, 0, 0, 0, 4, 0, 507, 0, 0, 0, 0, 511, 512, 1, 0, 1],
+        ];
+        const RING_K4: [[u64; 16]; 4] = [
+            [1, 510, 7, 511, 0, 0, 0, 6, 0, 0, 0, 1328, 0, 0, 0, 1],
+            [1, 336, 3, 333, 0, 178, 0, 6, 0, 0, 0, 1328, 0, 0, 0, 1],
+            [1, 510, 7, 511, 0, 0, 0, 6, 0, 0, 0, 1328, 0, 0, 0, 1],
+            [1, 336, 3, 333, 0, 178, 0, 6, 0, 0, 0, 1328, 0, 0, 0, 1],
+        ];
+        const TWO_BLOCKS_K3: [[u64; 16]; 4] = [
+            [3, 1, 22, 11, 0, 0, 0, 12, 0, 1, 0, 35, 0, 0, 0, 3],
+            [3, 1, 0, 1, 8, 0, 0, 0, 0, 1, 0, 35, 16, 0, 0, 3],
+            [3, 1, 8, 9, 0, 0, 0, 0, 0, 1, 0, 35, 16, 0, 0, 3],
+            [3, 1, 0, 1, 8, 0, 0, 0, 0, 1, 0, 35, 16, 0, 0, 3],
+        ];
+        const TWO_K7_K4: [[u64; 16]; 4] = [
+            [2, 0, 42, 12, 0, 0, 0, 30, 0, 0, 0, 36, 0, 0, 0, 1],
+            [2, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 36, 14, 0, 0, 1],
+            [2, 0, 12, 12, 0, 0, 0, 0, 0, 0, 0, 36, 14, 0, 0, 1],
+            [2, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 36, 14, 0, 0, 1],
+        ];
+        const PEELED_K3: [[u64; 16]; 4] = [
+            [4, 1, 32, 15, 0, 0, 0, 18, 0, 1, 2, 44, 0, 0, 0, 3],
+            [4, 1, 0, 1, 12, 0, 0, 0, 0, 1, 2, 44, 21, 0, 0, 3],
+            [4, 1, 12, 13, 0, 0, 0, 0, 0, 1, 2, 44, 21, 0, 0, 3],
+            [4, 1, 0, 1, 12, 0, 0, 0, 0, 1, 2, 44, 21, 0, 0, 3],
+        ];
+        const TREE_K2: [u64; 16] = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0];
+
+        // Two K5 blocks sharing vertices 6 and 7, their only cut below 3.
+        let blocks: [&[VertexId]; 2] = [&[0, 1, 2, 6, 7], &[3, 4, 5, 6, 7]];
+        let two_blocks = cliques(8, &blocks, &[]);
+        let k7s: [&[VertexId]; 2] = [&[0, 1, 2, 3, 4, 5, 6], &[7, 8, 9, 10, 11, 12, 13]];
+        let two_k7 = cliques(14, &k7s, &[]);
+        // `two_blocks` and a K5 on 8..=12, joined by the path 7-13-14-8.
+        let k5: &[VertexId] = &[8, 9, 10, 11, 12];
+        let path = [(7, 13), (13, 14), (14, 8)];
+        let peeled = cliques(15, &[blocks[0], blocks[1], k5], &path);
+        let tree = cliques(6, &[], &[(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]);
+        let config = kvcc_datasets::stream::StreamConfig::tiny();
+        let edges = config.edges().map(|(u, v)| (u as VertexId, v as VertexId));
+        let ring = UndirectedGraph::from_edges(config.num_vertices(), edges).unwrap();
+        let whole_ring: &[VertexId] = &(0..512).collect::<Vec<_>>();
+        let inputs: [(_, _, _, _, &[&[VertexId]]); 6] = [
+            ("ring", &ring, 1, RING_K1, &[whole_ring]),
+            ("ring", &ring, 4, RING_K4, &[whole_ring]),
+            ("two_blocks", &two_blocks, 3, TWO_BLOCKS_K3, &blocks),
+            ("two K7", &two_k7, 4, TWO_K7_K4, &k7s),
+            ("peeled", &peeled, 3, PEELED_K3, &[blocks[0], blocks[1], k5]),
+            ("tree", &tree, 2, [TREE_K2; 4], &[]),
+        ];
+        for (name, g, k, pins, components) in inputs {
+            for (variant, counters) in AlgorithmVariant::all().into_iter().zip(pins) {
+                for threads in [1, 2] {
+                    let options = KvccOptions::for_variant(variant).with_threads(threads);
+                    let r = enumerate_kvccs(g, k, &options).unwrap();
+                    let context = format!("{name}, k {k}, {variant:?}, {threads} threads");
+                    let got: Vec<&[VertexId]> = r.iter().map(|c| c.vertices()).collect();
+                    assert_eq!(got, components, "{context}");
+                    let stats = EnumerationStats {
+                        peak_memory_bytes: 0,
+                        elapsed: std::time::Duration::ZERO,
+                        steals: 0,
+                        ..r.stats().clone()
+                    };
+                    assert_eq!(stats, pinned(counters), "{context}");
+                }
+            }
+        }
     }
 
     #[test]

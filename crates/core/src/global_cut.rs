@@ -27,8 +27,11 @@
 //!
 //! # The flow arena
 //!
-//! A call first builds the certificate's scan-first forests. Their sizes
-//! give the `certificate_edges` counter and the k-th forest's trees the
+//! A call first builds the certificate's scan-first forests. A call handed
+//! their round 1 starts at round 2: `KVCC-ENUM` hands it over (through the
+//! crate-private `global_cut_resumed`) when round 1 was the work item's
+//! component split and found one tree. The forests' sizes give the
+//! `certificate_edges` counter and the k-th forest's trees the
 //! side-groups, so neither needs the certificate as a graph. The union is
 //! written into the arena's own row buffers just before the call's first
 //! flow `LOC-CUT`: in phase 1, or in phase 2 when phase 1 probes nothing.
@@ -62,7 +65,7 @@
 //! `SourceOrTested`, which the loop does not count either.
 
 use kvcc_flow::{Budget, Interrupted, LocalConnectivity, VertexFlowGraph};
-use kvcc_graph::scan_first::{scan_first_forests, ScanFirstForests};
+use kvcc_graph::scan_first::{scan_first_forests, FirstRound, ScanFirstForests};
 use kvcc_graph::traversal::vertices_by_descending_distance;
 use kvcc_graph::{GraphView, VertexId};
 
@@ -139,6 +142,32 @@ pub fn global_cut_with_scratch<G: GraphView>(
     stats: &mut EnumerationStats,
     scratch: &mut CutScratch,
 ) -> Result<GlobalCutOutcome, Interrupted> {
+    global_cut_from(g, k, options, stats, scratch, || scan_first_forests(g, k))
+}
+
+/// [`global_cut_with_scratch`] on the graph and `k` of `first`, whose round
+/// 1 of the scan-first forests has run: the call resumes the forests at
+/// round 2 (see the [module docs](self#the-flow-arena)).
+pub(crate) fn global_cut_resumed<G: GraphView>(
+    first: FirstRound<'_, G>,
+    options: &KvccOptions,
+    stats: &mut EnumerationStats,
+    scratch: &mut CutScratch,
+) -> Result<GlobalCutOutcome, Interrupted> {
+    let (g, k) = (first.graph(), first.k());
+    global_cut_from(g, k, options, stats, scratch, move || first.resume())
+}
+
+/// The body of both entries: `forests` builds the call's scan-first
+/// forests of `g`, and runs only once the call needs them.
+fn global_cut_from<G: GraphView>(
+    g: &G,
+    k: u32,
+    options: &KvccOptions,
+    stats: &mut EnumerationStats,
+    scratch: &mut CutScratch,
+    forests: impl FnOnce() -> ScanFirstForests,
+) -> Result<GlobalCutOutcome, Interrupted> {
     let budget = &options.budget;
     budget.check()?;
     stats.global_cut_calls += 1;
@@ -160,7 +189,7 @@ pub fn global_cut_with_scratch<G: GraphView>(
     // --- Certificate and side-groups (§4.2, §5.2). ---
     // The forests give the certificate's edge count and the side-groups; the
     // union itself goes into the flow arena at the first flow probe.
-    let forests = scan_first_forests(g, k);
+    let forests = forests();
     let (all_groups, all_group_of) = side_groups(&forests, n, k);
     stats.certificate_edges += forests.forest_sizes.iter().sum::<usize>() as u64;
     stats.side_groups += all_groups.len() as u64;

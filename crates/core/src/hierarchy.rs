@@ -118,8 +118,9 @@
 //!   `|C′| ≤ k`, goes to [`enumerate_kvccs`] on its own.
 //!
 //!   The worklist's seed and each part's components come from
-//!   [`split_k_core`], the k-core split every work item of the enumerator
-//!   takes; a part is split on a mask of `G′[K]`, not copied.
+//!   [`split_k_core`], the workspace's one k-core split, whose components
+//!   are those an enumerator's work item splits into; a part is split on a
+//!   mask of `G′[K]`, not copied.
 //!
 //!   (b)'s probes run from `t` to `x`, which gives the same verdicts since
 //!   κ is symmetric. Each Dinic phase's reverse BFS then starts at `x` and

@@ -8,8 +8,8 @@
 //! 1. collects the seed's connected component with a single BFS (cost
 //!    proportional to the component, not the graph);
 //! 2. peels the k-core *inside that component only* on a [`SubgraphView`]
-//!    vertex mask and splits it ([`split_k_core`], the k-core split of every
-//!    enumeration work item);
+//!    vertex mask and splits it ([`split_k_core`], whose components are
+//!    those an enumeration work item splits into);
 //! 3. extracts the seed's surviving component once into CSR form and runs the
 //!    full enumeration on just that work item.
 //!

@@ -61,10 +61,11 @@ pub struct EnumerationStats {
     /// before completing. Set on the partial statistics carried by
     /// [`crate::KvccError::Interrupted`]; always `false` on a completed run.
     pub cancelled: bool,
-    /// Peak of the approximate *working* memory estimate in bytes: live
-    /// partitioned subgraphs plus the certificate and flow scratch of the
-    /// `GLOBAL-CUT` call in flight. The caller's input graph is not included
-    /// (it is never copied). Reproduces the trends of Fig. 12.
+    /// Peak of the approximate *working* memory estimate in bytes: the
+    /// partitioned subgraphs queued on the worklist plus the certificate and
+    /// flow scratch of the `GLOBAL-CUT` call in flight. The caller's input
+    /// graph is not included: it is the first work item, borrowed and never
+    /// copied, not even its k-core. Reproduces the trends of Fig. 12.
     pub peak_memory_bytes: usize,
     /// Wall-clock time of the whole enumeration.
     pub elapsed: Duration,

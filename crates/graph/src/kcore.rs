@@ -15,9 +15,13 @@
 //! * **One split**, [`split_k_core`]: the peel, then the view's connected
 //!   components in the order [`crate::traversal`] fixes (components by
 //!   smallest member, members ascending). [`k_core_components`] is the split
-//!   of a whole graph. The enumerator's work items, the index repair's
-//!   worklist, the seed query, the engine's work partition and both
-//!   k-core-based baselines split through it.
+//!   of a whole graph. The index repair's worklist and cut step, the seed
+//!   query, the engine's work partition and both k-core-based baselines
+//!   split through it. The enumerator's work items run the same peel
+//!   ([`SubgraphView::k_core_reduce`]) and take the same components in the
+//!   same order: the view's ([`SubgraphView::components`]) when the peel
+//!   removed vertices, and otherwise round 1 of the scan-first forests
+//!   ([`crate::scan_first`]), which the item's certificate needs anyway.
 //!
 //! The loop kept is the flag-and-stack cascade `k_core_vertices` ran, made
 //! to start from a mask (its stack became the peeled list, walked as a

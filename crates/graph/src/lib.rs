@@ -29,10 +29,11 @@
 //!   2–3 written once: one k-core peel loop over an alive mask and one
 //!   k-core split, which every crate of the workspace calls.
 //! * [`scan_first`] — `k` successive scan-first-search forests, whose union
-//!   is the sparse certificate of §4.2: round 1 reads the input's rows, each
-//!   later round scans only the residual rows the earlier forests left and
-//!   compacts them as it goes, and the union is a transpose written into any
-//!   pair of CSR buffers.
+//!   is the sparse certificate of §4.2: round 1 reads the input's rows, and
+//!   stopped there its trees are the connected components; each later round
+//!   scans only the residual rows the earlier forests left and compacts them
+//!   as it goes, and the union is a transpose written into any pair of CSR
+//!   buffers.
 //! * [`metrics`] — diameter, edge density and clustering coefficient used by
 //!   the effectiveness study (Figs. 7–9).
 //! * [`io`] — SNAP-style edge-list reading and writing (Table 1 datasets).

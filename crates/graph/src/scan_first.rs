@@ -37,6 +37,21 @@
 //! forest's arcs are written. The tree ids of the side-groups are written in
 //! the last round only, once per tree from its BFS queue.
 //!
+//! # Round 1 is the split
+//!
+//! Round 1 reads the graph itself, and grows each tree by BFS over the rows
+//! in order from the smallest vertex no tree holds yet, as the labelling
+//! kernel of [`crate::traversal`] grows each component. So round 1's trees
+//! are exactly the graph's connected components, in the kernel's order
+//! (by smallest member) and with the same members. [`first_round`] stops
+//! after round 1, so a caller that needs both the split and the forests
+//! traverses the graph once for the two: `KVCC-ENUM` reads the split of a
+//! work item its k-core peel left whole from [`FirstRound::num_trees`]
+//! (and [`FirstRound::trees`] when there are several), and with one tree
+//! its `GLOBAL-CUT*` call resumes the forests at round 2
+//! ([`FirstRound::resume`]) instead of starting over.
+//! [`scan_first_forests`] is the two in turn.
+//!
 //! # The union
 //!
 //! After the rounds each vertex's slots end in its *tail*: its arcs in the
@@ -127,8 +142,34 @@ impl ScanFirstForests {
 /// Computes up to `k` successive scan-first (BFS) forests of `g`, each on the
 /// edges the earlier ones left, scanning residual rows (see the
 /// [module docs](self)). Every tree grows from the smallest unmarked vertex.
-/// `k = 0` gives an edgeless union.
+/// `k = 0` gives an edgeless union. It is [`first_round`] then
+/// [`FirstRound::resume`].
 pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
+    first_round(g, k).resume()
+}
+
+/// The scan-first forests of a graph stopped after round 1, from
+/// [`first_round`]: round 1's trees are the graph's connected components
+/// (see the [module docs](self#round-1-is-the-split)), and
+/// [`FirstRound::resume`] runs rounds `2..=k`.
+pub struct FirstRound<'g, G: GraphView> {
+    g: &'g G,
+    k: u32,
+    forests: ScanFirstForests,
+    /// Whether a round's forest was empty, so every later one is too.
+    done: bool,
+    /// `marked[v] == round` once round `round` (counted from 1) marks `v`.
+    marked: Vec<u32>,
+    /// The vertices the current round marked, each with its parent, the
+    /// vertex whose scan marked it, tree by tree; a root's parent is
+    /// [`INVALID_VERTEX`].
+    queue: Vec<(VertexId, VertexId)>,
+}
+
+/// Runs round 1 of the `k` scan-first forests of `g` and stops before
+/// round 2. Round 1 is the last round when `k = 1`, and none runs when
+/// `k = 0`.
+pub fn first_round<G: GraphView>(g: &G, k: u32) -> FirstRound<'_, G> {
     let n = g.num_vertices();
     let mut start = Vec::with_capacity(n + 1);
     start.push(0u32);
@@ -137,30 +178,109 @@ pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
         slots += g.degree(v);
         start.push(u32::try_from(slots).expect("CSR rows hold fewer than 2^32 slots"));
     }
-    let mut end = start[1..].to_vec();
-    let mut arcs = vec![0 as VertexId; slots];
+    let end = start[1..].to_vec();
+    let mut first = FirstRound {
+        g,
+        k,
+        forests: ScanFirstForests {
+            forest_sizes: Vec::new(),
+            kth_trees: Vec::new(),
+            start,
+            end,
+            arcs: vec![0 as VertexId; slots],
+        },
+        done: k == 0,
+        marked: vec![0u32; n],
+        queue: Vec::with_capacity(n),
+    };
+    if k >= 1 {
+        first.round(1);
+    }
+    first
+}
 
-    let mut forest_sizes = Vec::new();
-    let mut kth_trees = Vec::new();
-    // `marked[v] == round` once round `round` (counted from 1) marks `v`.
-    let mut marked = vec![0u32; n];
-    // Each marked vertex with its parent, the vertex whose scan marked it.
-    let mut queue: Vec<(VertexId, VertexId)> = Vec::with_capacity(n);
-    for round in 1..=k {
-        // No round reads the last one's residual rows.
-        let last = round == k;
-        if last {
-            kth_trees = vec![0u32; n];
+impl<'g, G: GraphView> FirstRound<'g, G> {
+    /// The graph the forests are of.
+    pub fn graph(&self) -> &'g G {
+        self.g
+    }
+
+    /// The number of forests asked for.
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// How many trees round 1 grew: the number of connected components (0
+    /// when `k = 0`).
+    pub fn num_trees(&self) -> usize {
+        // A forest of t trees over n vertices has n − t edges, and an empty
+        // one records no size.
+        match (self.k, self.forests.forest_sizes.first()) {
+            (0, _) => 0,
+            (_, edges) => self.marked.len() - edges.unwrap_or(&0),
         }
+    }
+
+    /// Round 1's trees, each a sorted vertex list, ordered by smallest
+    /// vertex: the connected components as
+    /// [`connected_components`](crate::traversal::connected_components)
+    /// lists them. Empty when `k = 0`.
+    pub fn trees(&self) -> Vec<Vec<VertexId>> {
+        // Round 1's queue holds every vertex, tree by tree, and each tree
+        // starts at its root, its smallest vertex and its one entry
+        // without a parent.
+        let mut trees: Vec<Vec<VertexId>> = Vec::new();
+        for &(v, parent) in &self.queue {
+            if parent == INVALID_VERTEX {
+                trees.push(Vec::new());
+            }
+            trees.last_mut().expect("a tree starts at its root").push(v);
+        }
+        for tree in &mut trees {
+            tree.sort_unstable();
+        }
+        trees
+    }
+
+    /// Runs rounds `2..=k` on the residual rows round 1 left and returns
+    /// the forests, which equal [`scan_first_forests`]`(g, k)`.
+    pub fn resume(mut self) -> ScanFirstForests {
+        let mut round = 2;
+        while !self.done && round <= self.k {
+            self.round(round);
+            round += 1;
+        }
+        self.forests
+    }
+
+    /// Runs round `round` (see the [module docs](self)). Only round 1
+    /// reads the graph's rows.
+    fn round(&mut self, round: u32) {
+        let g = self.g;
+        let n = self.marked.len();
+        let ScanFirstForests {
+            forest_sizes,
+            kth_trees,
+            start,
+            end,
+            arcs,
+        } = &mut self.forests;
+        let (marked, queue) = (&mut self.marked, &mut self.queue);
+        // No round reads the last one's residual rows.
+        let last = round == self.k;
+        if last {
+            *kth_trees = vec![0u32; n];
+        }
+        queue.clear();
+        let mut head = 0;
         let mut trees = 0u32;
-        for root in g.vertices() {
+        for root in 0..n as VertexId {
             if marked[root as usize] == round {
                 continue;
             }
             marked[root as usize] = round;
-            queue.clear();
+            let tree = queue.len();
             queue.push((root, INVALID_VERTEX));
-            let mut head = 0;
             while head < queue.len() {
                 let (u, up) = queue[head];
                 head += 1;
@@ -215,7 +335,7 @@ pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
                 to_parent.fill(up);
             }
             if last {
-                for &(v, _) in &queue {
+                for &(v, _) in &queue[tree..] {
                     kth_trees[v as usize] = trees;
                 }
             }
@@ -224,17 +344,11 @@ pub fn scan_first_forests<G: GraphView>(g: &G, k: u32) -> ScanFirstForests {
         // A forest of `trees` trees over `n` vertices has `n - trees` edges;
         // none means the residual graph is edgeless, and so are later forests.
         if trees as usize == n {
-            kth_trees = Vec::new();
-            break;
+            *kth_trees = Vec::new();
+            self.done = true;
+        } else {
+            forest_sizes.push(n - trees as usize);
         }
-        forest_sizes.push(n - trees as usize);
-    }
-    ScanFirstForests {
-        forest_sizes,
-        kth_trees,
-        start,
-        end,
-        arcs,
     }
 }
 
@@ -259,6 +373,18 @@ mod tests {
         }
         // The trees are the components, numbered by their smallest vertex.
         assert_eq!(f.kth_trees, vec![0, 0, 0, 1, 1, 1, 2]);
+        // Round 1 stopped before round 2 lists the same trees, and resumes
+        // to the same forests.
+        for k in [1, 2] {
+            let first = first_round(&g, k);
+            assert_eq!(first.num_trees(), comps);
+            assert_eq!(first.trees(), connected_components(&g));
+            let resumed = first.resume();
+            let fresh = scan_first_forests(&g, k);
+            assert_eq!(resumed.forest_sizes, fresh.forest_sizes);
+            assert_eq!(resumed.kth_trees, fresh.kth_trees);
+            assert_eq!(resumed.union(), fresh.union());
+        }
     }
 
     #[test]

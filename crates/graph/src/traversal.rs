@@ -16,7 +16,10 @@
 //! by the graph alone: components by smallest member, members ascending.
 //! `OVERLAP-PARTITION` and `KVCC-ENUM` create their pieces and work items in
 //! that order, so it also fixes the order of the work, and with it every
-//! counter. [`bfs_distances`] runs on an array queue as well.
+//! counter. Round 1 of the scan-first forests grows the same components in
+//! the same order ([`crate::scan_first`], "Round 1 is the split"), which is
+//! what lets `KVCC-ENUM` split a work item by it. [`bfs_distances`] runs on
+//! an array queue as well.
 
 use crate::bitset::BitSet;
 use crate::types::VertexId;

@@ -4,7 +4,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kvcc::global_cut::{global_cut_with_scratch, CutScratch};
 use kvcc::index::{ConnectivityIndex, RankBy};
@@ -1003,10 +1003,12 @@ impl ServiceEngine {
     /// and, with the answer table armed, its epoch goes into the query's
     /// key, so every answer is cached under the epoch it was computed at.
     /// One table lookup then returns a published answer, waits on an
-    /// identical execution in flight, or makes this caller the leader,
-    /// which runs admission control and [`ServiceEngine::execute_uncached`]
-    /// and publishes the answer. Under the default (disabled)
-    /// [`QosConfig`] this is a straight pass-through.
+    /// identical execution in flight until this caller's own deadline, or
+    /// makes this caller the leader, which runs admission control and
+    /// [`ServiceEngine::execute_uncached`] and publishes the answer. A
+    /// waiter that receives its leader's `DeadlineExceeded` with more time
+    /// left than it waited looks the key up again. Under the default
+    /// (disabled) [`QosConfig`] this is a straight pass-through.
     fn execute_with(
         &self,
         request: &QueryRequest,
@@ -1024,21 +1026,37 @@ impl ServiceEngine {
         // The epoch embedded in the key is the whole invalidation story: an
         // update batch advances it, so answers published at earlier epochs
         // stop being addressable and age out of the LRU.
-        match answers.lookup(&CacheKey::new(request, slot.epoch)) {
-            Lookup::Answer(Ok(response)) => response,
-            Lookup::Answer(Err(Poisoned)) => QueryResponse::Error(ServiceError::Enumeration(
-                "coalesced execution failed before publishing a response".into(),
-            )),
-            Lookup::Lead(lead) => {
-                let response = self.admit_and_execute(&slot, request, scratch, budget);
-                // Waiters receive exactly what the leader produced, errors
-                // included; an error is never cached, so the next caller
-                // retries the real execution.
-                let weight = (!matches!(response, QueryResponse::Error(_)))
-                    .then(|| qos::response_weight(&response));
-                lead.publish(&response, weight);
-                response
-            }
+        let key = CacheKey::new(request, slot.epoch);
+        loop {
+            let asked = Instant::now();
+            // A waiter keeps its own deadline: it waits no longer than it
+            // (`Lookup::Expired`). A leader that ran out of its deadline ran
+            // at least as long as this caller waited and did not finish, so
+            // a caller with more time left than that looks the key up again
+            // (the error left no entry) instead of adopting the leader's
+            // `DeadlineExceeded`; one with less would not finish either.
+            return match answers.lookup(&key, budget.deadline()) {
+                Lookup::Answer(Ok(QueryResponse::Error(ServiceError::DeadlineExceeded)))
+                    if outlasts(budget, asked.elapsed()) =>
+                {
+                    continue;
+                }
+                Lookup::Answer(Ok(response)) => response,
+                Lookup::Answer(Err(Poisoned)) => QueryResponse::Error(ServiceError::Enumeration(
+                    "coalesced execution failed before publishing a response".into(),
+                )),
+                Lookup::Expired => QueryResponse::Error(ServiceError::DeadlineExceeded),
+                Lookup::Lead(lead) => {
+                    let response = self.admit_and_execute(&slot, request, scratch, budget);
+                    // Waiters receive exactly what the leader produced,
+                    // errors included; an error is never cached, so the next
+                    // caller retries the real execution.
+                    let weight = (!matches!(response, QueryResponse::Error(_)))
+                        .then(|| qos::response_weight(&response));
+                    lead.publish(&response, weight);
+                    response
+                }
+            };
         }
     }
 
@@ -1357,6 +1375,15 @@ fn index_matches_graph<G: GraphView>(csr: &G, index: &ConnectivityIndex) -> bool
         }
     }
     true
+}
+
+/// Whether `budget` leaves more than `span` of time: always when it has no
+/// deadline and is not cancelled.
+fn outlasts(budget: &Budget, span: Duration) -> bool {
+    !budget.expired()
+        && budget
+            .deadline()
+            .is_none_or(|deadline| deadline.saturating_duration_since(Instant::now()) > span)
 }
 
 /// The admission cost of a request on `slot` under the shared scheduling

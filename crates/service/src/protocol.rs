@@ -392,21 +392,26 @@ pub struct SchedulingStats {
 /// Engine-wide query-QoS counters (protocol v6), reported by
 /// [`QueryResponse::Stats`].
 ///
+/// Each lookup in the answer table counts one outcome: a hit, a miss or a
+/// coalesced wait. A query usually looks up once; one that waited on an
+/// execution whose leader ran out of its own deadline, and has more time
+/// left than it waited, looks up again and counts again.
+///
 /// `cache_hits`/`cache_misses` are deterministic functions of the request
-/// sequence (the cache key embeds the slot epoch, so invalidation is exact);
-/// `coalesced`, `shed` and `queue_depth` depend on concurrency, load and
-/// wall-clock timing and exist for observability, never for parity
-/// comparison — like [`SchedulingStats::steals`], they never influence
-/// response bytes.
+/// sequence when no lookup waits (the cache key embeds the slot epoch, so
+/// invalidation is exact); `coalesced`, `shed` and `queue_depth` depend on
+/// concurrency, load and wall-clock timing and exist for observability,
+/// never for parity comparison — like [`SchedulingStats::steals`], they
+/// never influence response bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QosStats {
-    /// Queries answered from an answer published in the epoch-keyed table.
+    /// Lookups answered from an answer published in the epoch-keyed table.
     pub cache_hits: u64,
-    /// Cacheable queries that found no entry and led an execution (each
-    /// miss is exactly one real execution).
+    /// Lookups that found no entry and led an execution (each miss is
+    /// exactly one real execution).
     pub cache_misses: u64,
-    /// Queries that found an identical execution in flight and received
-    /// its leader's response instead of executing.
+    /// Lookups that found an identical execution in flight and waited on
+    /// it, until its leader's response or the query's own deadline.
     pub coalesced: u64,
     /// Requests rejected by admission control with
     /// [`ServiceError::Overloaded`] — predicted to miss their deadline

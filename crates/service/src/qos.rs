@@ -17,8 +17,12 @@
 //!   leader publishes, its entry becomes a cached answer — or is removed if
 //!   the answer is an error or heavier than the byte budget — and every
 //!   waiter receives a clone of the leader's answer, errors included. A
-//!   leader that dies without publishing wakes its waiters with an error
-//!   instead of wedging them. Published answers are bounded by an entry
+//!   waiter keeps its own deadline: it waits no longer than that deadline
+//!   (answering `DeadlineExceeded` past it), and one that receives its
+//!   leader's `DeadlineExceeded` with more time left than it waited looks
+//!   the key up again (the engine's front door decides this). A leader that
+//!   dies without publishing wakes its waiters with an error instead of
+//!   wedging them. Published answers are bounded by an entry
 //!   count and a byte budget with exact LRU eviction; in-flight entries
 //!   are never evicted and count toward neither budget. Answers are kept as
 //!   decoded protocol values and re-encoded by the same deterministic codec
@@ -248,12 +252,23 @@ impl<V: Clone> Flight<V> {
         self.settled.notify_all();
     }
 
-    fn wait(&self) -> Result<V, Poisoned> {
-        let answer = self
-            .settled
-            .wait_while(lock_recover(&self.answer), |answer| answer.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        answer.clone().expect("a settled flight holds its answer")
+    /// The flight's answer, waited for until `deadline`; `None` when the
+    /// deadline passes first.
+    fn wait(&self, deadline: Option<Instant>) -> Option<Result<V, Poisoned>> {
+        let unsettled = |answer: &mut Option<Result<V, Poisoned>>| answer.is_none();
+        let answer = lock_recover(&self.answer);
+        let answer = match deadline {
+            None => self
+                .settled
+                .wait_while(answer, unsettled)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let waited = self.settled.wait_timeout_while(answer, left, unsettled);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+        };
+        answer.clone()
     }
 }
 
@@ -276,8 +291,9 @@ struct TableInner<K, V> {
 ///
 /// One [`AnswerTable::lookup`] takes one lock and counts exactly one of
 /// three outcomes: a published answer is a *hit*; an execution in flight is
-/// waited on (*coalesced*); a missing key makes the caller the *leader* of
-/// a new execution (a *miss*), so misses equal real executions. Published
+/// waited on (*coalesced*), until it settles or the waiter's own deadline
+/// passes; a missing key makes the caller the *leader* of a new execution
+/// (a *miss*), so misses equal real executions. Published
 /// answers are bounded by an entry count *and* a byte budget with exact
 /// LRU eviction; in-flight entries are never evicted and count toward
 /// neither budget.
@@ -293,6 +309,9 @@ pub(crate) enum Lookup<'a, K: Hash + Eq + Clone, V: Clone> {
     /// flight this caller waited on — [`Poisoned`] if its leader died
     /// before publishing.
     Answer(Result<V, Poisoned>),
+    /// The caller's own deadline passed while it waited on the execution
+    /// in flight, which goes on for its leader and other waiters.
+    Expired,
     /// No entry: this caller executes, then [`Lead::publish`]es.
     Lead(Lead<'a, K, V>),
 }
@@ -351,9 +370,9 @@ impl<K: Hash + Eq + Clone, V: Clone> AnswerTable<K, V> {
     }
 
     /// Looks `key` up: returns a published answer (refreshing its
-    /// recency), waits for the execution in flight and returns its answer,
-    /// or makes this caller the leader.
-    pub(crate) fn lookup(&self, key: &K) -> Lookup<'_, K, V> {
+    /// recency), waits for the execution in flight until the caller's own
+    /// `deadline` and returns its answer, or makes this caller the leader.
+    pub(crate) fn lookup(&self, key: &K, deadline: Option<Instant>) -> Lookup<'_, K, V> {
         let flight = {
             let mut guard = lock_recover(&self.inner);
             let inner = &mut *guard;
@@ -387,7 +406,9 @@ impl<K: Hash + Eq + Clone, V: Clone> AnswerTable<K, V> {
                 }
             }
         };
-        Lookup::Answer(flight.wait())
+        flight
+            .wait(deadline)
+            .map_or(Lookup::Expired, Lookup::Answer)
     }
 
     /// Removes the in-flight entry of `key`, and publishes `keep` in its
@@ -630,7 +651,7 @@ mod tests {
 
     /// Leads `key`, which must be absent, and publishes `value` at `weight`.
     fn put<V: Clone>(table: &AnswerTable<u32, V>, key: u32, value: V, weight: usize) {
-        let Lookup::Lead(lead) = table.lookup(&key) else {
+        let Lookup::Lead(lead) = table.lookup(&key, None) else {
             panic!("key {key} must be absent");
         };
         lead.publish(&value, Some(weight));
@@ -639,9 +660,20 @@ mod tests {
     /// The published answer of `key`, or `None` when the lookup led (the
     /// dropped lead removes its entry again).
     fn get<V: Clone>(table: &AnswerTable<u32, V>, key: u32) -> Option<V> {
-        match table.lookup(&key) {
+        match table.lookup(&key, None) {
             Lookup::Answer(answer) => Some(answer.expect("a published answer")),
             Lookup::Lead(_) => None,
+            Lookup::Expired => panic!("a caller without a deadline never expires"),
+        }
+    }
+
+    /// What a caller without a deadline receives from the execution of
+    /// `key` in flight.
+    fn wait_on(table: &AnswerTable<u32, u32>, key: u32) -> Result<u32, Poisoned> {
+        match table.lookup(&key, None) {
+            Lookup::Answer(answer) => answer,
+            Lookup::Lead(_) => panic!("key {key} must be in flight"),
+            Lookup::Expired => panic!("a caller without a deadline never expires"),
         }
     }
 
@@ -661,18 +693,13 @@ mod tests {
         value: u32,
         weight: Option<usize>,
     ) -> Vec<Result<u32, Poisoned>> {
-        let Lookup::Lead(lead) = table.lookup(&key) else {
+        let Lookup::Lead(lead) = table.lookup(&key, None) else {
             panic!("first caller must lead");
         };
         let coalesced = table.counts().2;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..waiters)
-                .map(|_| {
-                    scope.spawn(|| match table.lookup(&key) {
-                        Lookup::Answer(answer) => answer,
-                        Lookup::Lead(_) => panic!("the key is already led"),
-                    })
-                })
+                .map(|_| scope.spawn(|| wait_on(table, key)))
                 .collect();
             // A waiter that stopped early panicked; joining it reports why.
             while table.counts().2 < coalesced + waiters as u64
@@ -734,20 +761,17 @@ mod tests {
         assert_eq!(answers, vec![Ok(42); waiters]);
         assert_eq!(table.counts(), (0, 1, waiters as u64));
         // The entry went with publication: the next caller leads anew.
-        assert!(matches!(table.lookup(&7), Lookup::Lead(_)));
+        assert!(matches!(table.lookup(&7, None), Lookup::Lead(_)));
     }
 
     #[test]
     fn a_dead_leader_poisons_waiters_instead_of_wedging_them() {
         let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
-        let Lookup::Lead(lead) = table.lookup(&1) else {
+        let Lookup::Lead(lead) = table.lookup(&1, None) else {
             panic!("first caller must lead");
         };
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| match table.lookup(&1) {
-                Lookup::Answer(answer) => answer,
-                Lookup::Lead(_) => panic!("the key is already led"),
-            });
+            let waiter = scope.spawn(|| wait_on(&table, 1));
             while table.counts().2 < 1 && !waiter.is_finished() {
                 std::thread::yield_now();
             }
@@ -756,7 +780,7 @@ mod tests {
         });
         // Poisoning removes the entry too: the next caller leads anew.
         assert_eq!(sizes(&table), (0, 0, 0));
-        assert!(matches!(table.lookup(&1), Lookup::Lead(_)));
+        assert!(matches!(table.lookup(&1, None), Lookup::Lead(_)));
     }
 
     #[test]
@@ -780,13 +804,43 @@ mod tests {
             assert_eq!(sizes(&table), (0, 0, 0), "{weight:?}");
         }
         assert_eq!(table.counts(), (0, 2, 6));
-        assert!(matches!(table.lookup(&2), Lookup::Lead(_)));
+        assert!(matches!(table.lookup(&2, None), Lookup::Lead(_)));
+    }
+
+    #[test]
+    fn a_waiter_leaves_at_its_own_deadline_and_the_flight_goes_on() {
+        let table: AnswerTable<u32, u32> = AnswerTable::new(8, 100);
+        let Lookup::Lead(lead) = table.lookup(&1, None) else {
+            panic!("first caller must lead");
+        };
+        // A waiter whose deadline has passed leaves at once, counted as
+        // coalesced, and the entry stays in flight for its leader.
+        let past = Instant::now();
+        assert!(matches!(table.lookup(&1, Some(past)), Lookup::Expired));
+        assert_eq!(table.counts(), (0, 1, 1));
+        assert_eq!(sizes(&table), (1, 0, 0));
+        // One with time left receives the answer.
+        let later = Instant::now() + Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match table.lookup(&1, Some(later)) {
+                Lookup::Answer(answer) => answer,
+                Lookup::Lead(_) => panic!("key 1 must be in flight"),
+                Lookup::Expired => panic!("the deadline is a minute away"),
+            });
+            while table.counts().2 < 2 && !waiter.is_finished() {
+                std::thread::yield_now();
+            }
+            lead.publish(&10, Some(8));
+            assert_eq!(waiter.join().unwrap(), Ok(10));
+        });
+        assert_eq!(get(&table, 1), Some(10));
+        assert_eq!(table.counts(), (1, 1, 2));
     }
 
     #[test]
     fn lru_pressure_never_evicts_an_in_flight_entry() {
         let table: AnswerTable<u32, u32> = AnswerTable::new(1, 10);
-        let Lookup::Lead(lead) = table.lookup(&1) else {
+        let Lookup::Lead(lead) = table.lookup(&1, None) else {
             panic!("first caller must lead");
         };
         // Each publication fills a budget, so each evicts the one before;
@@ -797,10 +851,8 @@ mod tests {
         assert_eq!(sizes(&table), (2, 1, 10));
         assert_eq!(get(&table, 4), Some(40));
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| match table.lookup(&1) {
-                Lookup::Answer(answer) => answer,
-                Lookup::Lead(_) => panic!("the entry in flight was evicted"),
-            });
+            // A lead here would mean the entry in flight was evicted.
+            let waiter = scope.spawn(|| wait_on(&table, 1));
             while table.counts().2 < 1 && !waiter.is_finished() {
                 std::thread::yield_now();
             }

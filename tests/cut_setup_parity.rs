@@ -13,6 +13,11 @@
 //! * **distance order** — [`vertices_by_descending_distance`], a counting
 //!   sort by BFS distance, must equal the stable comparison sort it replaced,
 //!   from several sources;
+//! * **round 1 as the split** — round 1 of the scan-first forests, stopped
+//!   before round 2 ([`first_round`]), must list exactly the connected
+//!   components, and the forests resumed after it must equal
+//!   [`scan_first_forests`]: forest sizes, the k-th forest's trees, the
+//!   union and its bytes, and `memory_bytes()`;
 //! * **arena fill** — a flow arena into whose own row buffers the forests'
 //!   union is transposed ([`VertexFlowGraph::rebuild_with`] with
 //!   `ScanFirstForests::write_union`), as `GLOBAL-CUT*` fills its arena at
@@ -32,7 +37,9 @@
 //! late forests run on a thin residual and the rounds stop at an empty one.
 //! The arena fill runs for k = 1..=8 on the seeded random graphs of one
 //! seed, the Table 1 stand-ins, the dataset suites, K9, the star and the
-//! disconnected graph, again on both substrates.
+//! disconnected graph, again on both substrates. Round 1 as the split runs
+//! for k = 0..=8 on seeded sparse G(n, p) graphs with several components
+//! and isolated vertices, on both substrates.
 
 use std::collections::HashMap;
 
@@ -46,8 +53,10 @@ use kvcc_datasets::planted::{planted_communities, PlantedConfig};
 use kvcc_datasets::{SuiteDataset, SuiteScale};
 use kvcc_flow::VertexFlowGraph;
 use kvcc_graph::kcore::k_core_vertices;
-use kvcc_graph::scan_first::scan_first_forests;
-use kvcc_graph::traversal::{bfs_distances, vertices_by_descending_distance, UNREACHABLE};
+use kvcc_graph::scan_first::{first_round, scan_first_forests};
+use kvcc_graph::traversal::{
+    bfs_distances, connected_components, vertices_by_descending_distance, UNREACHABLE,
+};
 use kvcc_graph::{BitSet, CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph, VertexId};
 
 const KS: std::ops::RangeInclusive<u32> = 0..=8;
@@ -437,6 +446,56 @@ fn arena_fill_matches_a_build_from_the_certificate() {
     for (name, g) in &inputs {
         assert_arena_fill_parity(&format!("{name} (csr)"), g);
         assert_arena_fill_parity(&format!("{name} (delta)"), &rebased(g));
+    }
+}
+
+/// Round 1 of the scan-first forests, stopped before round 2, lists the
+/// connected components, and the forests resumed after it equal a fresh
+/// build, for every k in `0..=8` (round 1 lists no trees at k = 0, which
+/// runs none).
+fn assert_round_one_is_the_split<G: GraphView>(name: &str, g: &G) {
+    let components = connected_components(g);
+    for k in KS {
+        let first = first_round(g, k);
+        let context = format!("{name}, k {k}");
+        if k == 0 {
+            assert!(first.trees().is_empty(), "{context}");
+        } else {
+            assert_eq!(first.num_trees(), components.len(), "{context}");
+            assert_eq!(first.trees(), components, "{context}");
+        }
+        let resumed = first.resume();
+        let fresh = scan_first_forests(g, k);
+        assert_eq!(resumed.forest_sizes, fresh.forest_sizes, "{context}");
+        assert_eq!(resumed.kth_trees, fresh.kth_trees, "{context}");
+        let (union, fresh_union) = (resumed.union(), fresh.union());
+        assert_eq!(union, fresh_union, "{context}");
+        assert_eq!(
+            union.memory_bytes(),
+            fresh_union.memory_bytes(),
+            "{context}"
+        );
+        assert_eq!(resumed.memory_bytes(), fresh.memory_bytes(), "{context}");
+    }
+}
+
+/// Round 1 as the component split, on seeded sparse G(n, p) graphs, each
+/// with several components and isolated vertices, as CSR graphs and as
+/// [`DeltaGraph`]s over a different base.
+#[test]
+fn round_one_is_the_component_split() {
+    for seed in 0..4u64 {
+        for (n, p) in [(30usize, 0.05), (90, 0.02), (160, 0.012), (240, 0.006)] {
+            let g = gnp(n, p, 0x1D ^ (seed << 8) ^ n as u64);
+            let name = format!("gnp({n}, {p}) seed {seed}");
+            assert!(connected_components(&g).len() > 1, "{name}: connected");
+            assert!(
+                g.vertices().any(|v| g.degree(v) == 0),
+                "{name}: no isolated vertex"
+            );
+            assert_round_one_is_the_split(&format!("{name} (csr)"), &g);
+            assert_round_one_is_the_split(&format!("{name} (delta)"), &rebased(&g));
+        }
     }
 }
 

@@ -10,12 +10,16 @@
 //! update batch), a read racing update batches is answered from one graph
 //! snapshot inside its epoch window, coalescing collapses identical
 //! concurrent queries onto one execution (counter-asserted), failed
-//! executions propagate to every waiter instead of wedging them, and
+//! executions propagate to every waiter instead of wedging them, a
+//! coalesced waiter keeps its own deadline (it outlives a leader's deadline
+//! it does not share, and leaves at its own before a leader without one
+//! answers), and
 //! overload shedding answers with the retryable
 //! [`ServiceError::Overloaded`] without corrupting engine state.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 use kvcc::RankBy;
 use kvcc_datasets::planted::{planted_communities, PlantedConfig};
@@ -410,6 +414,93 @@ fn failed_executions_propagate_their_error_to_every_waiter() {
         limit: 3,
     });
     assert!(matches!(probe, QueryResponse::Connectivity(_)));
+}
+
+/// What a caller received and when.
+type Answered = (QueryResponse, Instant);
+
+/// A fresh QoS engine over the doomed graph runs `EnumerateKvccs { k: 3 }`
+/// for a leader with `leader_hint` and, once the leader leads (by the
+/// `cache_misses` count), for a waiter with `waiter_hint` that joins its
+/// flight (by the `coalesced` count, not by a sleep). Returns the engine,
+/// the query and the leader's and the waiter's answers, or `None` when the
+/// waiter led instead of joining, which a caller repeats rather than
+/// counts.
+fn lead_then_join(
+    leader_hint: Option<u32>,
+    waiter_hint: Option<u32>,
+) -> Option<(ServiceEngine, QueryRequest, Answered, Answered)> {
+    let engine = qos_engine(OrderingPolicy::Preserve);
+    let id = engine.load_graph("doomed", &doomed_graph());
+    let query = QueryRequest::EnumerateKvccs { graph: id, k: 3 };
+    let run = |hint: Option<u32>| {
+        let response = engine.execute_request(&Request {
+            request_id: 1,
+            deadline_hint_ms: hint,
+            body: RequestBody::Query(query.clone()),
+        });
+        let ResponseBody::Query(answer) = response.body else {
+            panic!("a query gets a query answer");
+        };
+        (answer, Instant::now())
+    };
+    let (leader, waiter) = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| run(leader_hint));
+        while engine.qos_stats().cache_misses < 1 && !leader.is_finished() {
+            std::thread::yield_now();
+        }
+        let waiter = scope.spawn(|| run(waiter_hint));
+        while engine.qos_stats().coalesced < 1 && !waiter.is_finished() {
+            std::thread::yield_now();
+        }
+        (leader.join().unwrap(), waiter.join().unwrap())
+    });
+    let joined = engine.qos_stats().coalesced >= 1;
+    joined.then_some((engine, query, leader, waiter))
+}
+
+/// Runs [`lead_then_join`] until the waiter joins the leader's flight.
+fn joined_run(
+    leader_hint: Option<u32>,
+    waiter_hint: Option<u32>,
+) -> (ServiceEngine, QueryRequest, Answered, Answered) {
+    (0..5)
+        .find_map(|_| lead_then_join(leader_hint, waiter_hint))
+        .expect("the waiter joined the leader's flight in one of five runs")
+}
+
+#[test]
+fn a_waiter_without_a_deadline_outlives_its_leaders_deadline() {
+    let (engine, query, (leader, _), (waiter, _)) = joined_run(Some(20), None);
+    assert_eq!(leader, QueryResponse::Error(ServiceError::DeadlineExceeded));
+    // The leader's deadline is not the waiter's: it looked the key up again
+    // and ran the enumeration to the end.
+    let reference = ServiceEngine::new(EngineConfig::default());
+    reference.load_graph("doomed", &doomed_graph());
+    let full = reference.execute(&query);
+    assert!(matches!(&full, QueryResponse::Components(c) if !c.is_empty()));
+    assert_eq!(waiter, full, "the waiter gets the QoS-off engine's answer");
+    let qos = engine.qos_stats();
+    assert_eq!(
+        (qos.cache_misses, qos.coalesced, qos.cache_hits),
+        (2, 1, 0),
+        "the leader's execution and the waiter's own, after one wait"
+    );
+}
+
+#[test]
+fn a_waiter_with_a_deadline_leaves_before_its_leaders_answer() {
+    let (engine, query, (leader, leader_at), (waiter, waiter_at)) = joined_run(None, Some(20));
+    assert_eq!(waiter, QueryResponse::Error(ServiceError::DeadlineExceeded));
+    assert!(
+        waiter_at < leader_at,
+        "the waiter's own deadline ends its wait before the leader answers"
+    );
+    assert!(matches!(&leader, QueryResponse::Components(c) if !c.is_empty()));
+    // The leader's execution went on and published its answer.
+    assert_eq!(engine.execute(&query), leader);
+    let qos = engine.qos_stats();
+    assert_eq!((qos.cache_misses, qos.coalesced, qos.cache_hits), (1, 1, 1));
 }
 
 /// Three update batches for the suite graph: each deletes edges at the

@@ -3,19 +3,25 @@
 //! On deterministic families of Erdős–Rényi and Barabási–Albert graphs from
 //! `kvcc-datasets`, a generated CSR graph and a [`DeltaGraph`] with the same
 //! edge set over a different base have to produce identical structure,
-//! k-core, connected-component and k-VCC output (with identical work
-//! counters) for k ∈ {2, 3, 4}, and the parallel `KVCC-ENUM` worklist has to
-//! return exactly the sequential component sets with consistent statistics
-//! counters. The `csr_and_vec_*` names are historical: [`UndirectedGraph`]
+//! k-core and connected-component output for k ∈ {2, 3, 4}; with a borrowed
+//! `KCSR` view beside them, identical k-VCCs and every deterministic work
+//! counter for k ∈ {1, 2, 3, 4}; and the parallel `KVCC-ENUM` worklist has
+//! to return exactly the sequential component sets with consistent
+//! statistics counters. The `csr_and_vec_*` names are historical: [`UndirectedGraph`]
 //! is an alias of [`CsrGraph`], and the second side of those tests is now
 //! the delta view an index repair reads.
 
-use kvcc::{enumerate_kvccs, KvccOptions};
+use std::time::Duration;
+
+use kvcc::{enumerate_kvccs, EnumerationStats, KvccOptions};
 use kvcc_datasets::ba::barabasi_albert;
 use kvcc_datasets::er::gnm;
 use kvcc_graph::kcore::{core_numbers, k_core_vertices};
 use kvcc_graph::traversal::{connected_component_ids, connected_components};
-use kvcc_graph::{CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph, VertexId};
+use kvcc_graph::{
+    borrow_kcsr, AlignedBytes, CsrGraph, DeltaGraph, EdgeUpdate, GraphView, UndirectedGraph,
+    VertexId,
+};
 
 /// The deterministic random-graph family the parity checks run over.
 fn graph_family() -> Vec<(String, UndirectedGraph)> {
@@ -102,26 +108,38 @@ fn csr_and_vec_produce_identical_kcores_and_components() {
     }
 }
 
+/// The counters of a run that do not depend on timing or scheduling: all
+/// but `peak_memory_bytes`, `elapsed` and `steals`.
+fn deterministic(stats: &EnumerationStats) -> EnumerationStats {
+    EnumerationStats {
+        peak_memory_bytes: 0,
+        elapsed: Duration::ZERO,
+        steals: 0,
+        ..stats.clone()
+    }
+}
+
+/// The enumeration's first work item is the caller's graph itself, so its
+/// k-core peel, its split and its `GLOBAL-CUT*` run on the caller's
+/// substrate: a CSR graph, a [`DeltaGraph`] over a different base and a
+/// `KCSR` buffer borrowed zero-copy must give the same components and every
+/// deterministic counter.
 #[test]
 fn csr_and_vec_produce_identical_kvccs() {
     for (name, g) in graph_family() {
         let delta = rebased(&g);
-        for k in 2u32..=4 {
+        let bytes = AlignedBytes::copy_from(&g.to_bytes_aligned());
+        let borrowed = borrow_kcsr(bytes.as_bytes()).unwrap();
+        for k in 1u32..=4 {
             let a = enumerate_kvccs(&g, k, &KvccOptions::default()).unwrap();
             let b = enumerate_kvccs(&delta, k, &KvccOptions::default()).unwrap();
-            assert_eq!(a.components(), b.components(), "{name}, k {k}");
+            let c = enumerate_kvccs(&borrowed, k, &KvccOptions::default()).unwrap();
+            assert_eq!(a.components(), b.components(), "{name}, k {k}: delta");
+            assert_eq!(a.components(), c.components(), "{name}, k {k}: KCSR");
             // The internal work is identical too, not just the output.
-            assert_eq!(
-                a.stats().global_cut_calls,
-                b.stats().global_cut_calls,
-                "{name}, k {k}"
-            );
-            assert_eq!(a.stats().partitions, b.stats().partitions, "{name}, k {k}");
-            assert_eq!(
-                a.stats().loc_cut_flow_calls,
-                b.stats().loc_cut_flow_calls,
-                "{name}, k {k}"
-            );
+            let counters = deterministic(a.stats());
+            assert_eq!(counters, deterministic(b.stats()), "{name}, k {k}: delta");
+            assert_eq!(counters, deterministic(c.stats()), "{name}, k {k}: KCSR");
         }
     }
 }
